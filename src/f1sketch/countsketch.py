@@ -21,6 +21,23 @@ class SketchInvariantError(RuntimeError):
     """An internal accumulator invariant was violated (overflow / NaN)."""
 
 
+def column_medians(values: np.ndarray) -> np.ndarray:
+    """Bitwise `np.median(values, axis=0)` of a float array without NaNs,
+    sorting `values` in place: one sort along the short axis runs several
+    times faster than median's partition along it."""
+    values.sort(axis=0)
+    mid = values.shape[0] // 2
+    if values.shape[0] % 2:
+        return values[mid].copy()
+    return (values[mid - 1] + values[mid]) / 2
+
+
+def batch_magnitude(deltas: np.ndarray) -> float:
+    """Sum of |delta| over a batch, in float64: a batch below CELL_LIMIT
+    cannot wrap an int64 sum of its deltas."""
+    return float(np.abs(np.asarray(deltas, dtype=np.float64)).sum())
+
+
 class CountSketchTable:
     """rows x cols signed-counter sketch with per-row bucket and sign hashes.
 
@@ -46,7 +63,12 @@ class CountSketchTable:
         self.cols = cols
         self.bucket_hashes = tuple(bucket_hashes)
         self.sign_hashes = tuple(sign_hashes)
+        # every row's bucket hash, then every row's sign hash, in one pass
+        self._row_hash = KWiseHash.stack(
+            self.bucket_hashes + tuple(s.inner for s in self.sign_hashes))
         self.cells = np.zeros((rows, cols), dtype=np.int64)
+        # flat index in `cells` of bucket 0 of each row (buckets are 1-based)
+        self._bucket_base = np.arange(rows, dtype=np.int64)[:, None] * cols - 1
         self.candidate_mode = candidate_mode
         self.candidate_capacity = candidate_capacity
         self._touched: set[int] = set()
@@ -83,14 +105,15 @@ class CountSketchTable:
         deltas = np.asarray(deltas, dtype=np.int64)
         # a batch whose total magnitude reaches 2**62 could wrap int64
         # before the post-add check below sees it
-        if float(np.abs(deltas).sum(dtype=np.float64)) >= float(CELL_LIMIT):
+        if batch_magnitude(deltas) >= CELL_LIMIT:
             raise SketchInvariantError("batch magnitude would overflow counters")
-        for j in range(self.rows):
-            idx = self.bucket_hashes[j].eval_many(items) - 1
-            signed = deltas * self.sign_hashes[j].eval_many(items)
-            np.add.at(self.cells[j], idx, signed)
-            if np.abs(self.cells[j][idx]).max() >= CELL_LIMIT:
-                raise SketchInvariantError("counter overflow: |cell| >= 2**62")
+        idx, signed = self.hash_matrices(items)
+        signed *= deltas  # in place: (rows x items) temporaries add up
+        flat = self.cells.reshape(-1)
+        np.add.at(flat, idx, signed)
+        touched = flat[idx]
+        if np.abs(touched, out=touched).max() >= CELL_LIMIT:
+            raise SketchInvariantError("counter overflow: |cell| >= 2**62")
         if self.candidate_mode == "exact":
             self._touched.update(int(i) for i in items)
         else:
@@ -108,7 +131,23 @@ class CountSketchTable:
             return np.array(sorted(self._touched), dtype=np.int64)
         return np.array(sorted(self._heap_candidates), dtype=np.int64)
 
+    def hash_matrices(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cell and sign of every item in every row, from one multi-row hash
+        evaluation: two (rows, items) int64 arrays, the first indexing the
+        flattened `cells` (row j at j * cols + bucket - 1), the second +-1."""
+        both = self._row_hash.eval_many(np.asarray(items, dtype=np.int64))
+        idx, signs = both[:self.rows], both[self.rows:]
+        idx += self._bucket_base
+        signs *= -2
+        signs += 3  # sign bucket 1 -> +1, bucket 2 -> -1
+        return idx, signs
+
     # -- estimation --------------------------------------------------------
+    #
+    # The estimate-side methods take `items` (default: the touched items)
+    # plus, when the caller already has them, `hashed = hash_matrices(items)`
+    # and `estimates = point_estimate_many(items, hashed)`, so one estimate
+    # hashes each item once.
 
     def point_estimate(self, i: int) -> float:
         """Median over rows of cell * sign: the frequency estimate for i."""
@@ -118,53 +157,61 @@ class CountSketchTable:
         ]
         return float(np.median(vals))
 
-    def point_estimate_many(self, items: np.ndarray) -> np.ndarray:
+    def point_estimate_many(self, items: np.ndarray, hashed=None) -> np.ndarray:
         items = np.asarray(items, dtype=np.int64)
         if items.size == 0:
             return np.zeros(0)
-        per_row = np.empty((self.rows, items.size))
-        for j in range(self.rows):
-            idx = self.bucket_hashes[j].eval_many(items) - 1
-            per_row[j] = self.cells[j][idx] * self.sign_hashes[j].eval_many(items)
-        return np.median(per_row, axis=0)
+        idx, signs = self.hash_matrices(items) if hashed is None else hashed
+        per_row = np.take(self.cells, idx)
+        per_row *= signs
+        return column_medians(per_row.astype(np.float64))
 
-    def top_k(self, k: int) -> list[tuple[int, float]]:
+    def _ranked(self, k: int, items, hashed, estimates):
+        """(items, hashed, estimates, positions of the top k): the positions
+        order |estimate| descending, ties to the smaller index."""
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        if items is None:
+            items = self.touched_items()
+        if items.size == 0 or k == 0:
+            return items, hashed, estimates, np.zeros(0, dtype=np.int64)
+        if hashed is None:
+            hashed = self.hash_matrices(items)
+        if estimates is None:
+            estimates = self.point_estimate_many(items, hashed)
+        order = np.lexsort((items, -np.abs(estimates)))[:k]
+        return items, hashed, estimates, order
+
+    def top_k(self, k: int, items=None, hashed=None,
+              estimates=None) -> list[tuple[int, float]]:
         """k candidates of largest |estimate|, ties to the smaller index.
 
         Returns all candidates when fewer than k items were touched.
         """
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        items = self.touched_items()
-        if items.size == 0 or k == 0:
-            return []
-        est = self.point_estimate_many(items)
-        order = np.lexsort((items, -np.abs(est)))
-        return [(int(items[o]), float(est[o])) for o in order[:k]]
+        items, _, est, order = self._ranked(k, items, hashed, estimates)
+        return [(int(items[o]), float(est[o])) for o in order]
 
     def f2_estimate(self) -> float:
         """Median over rows of the sum of squared cells."""
         return float(np.median((self.cells.astype(float) ** 2).sum(axis=1)))
 
-    def f2_residual_estimate(self, k: int) -> float:
+    def f2_residual_estimate(self, k: int, items=None, hashed=None,
+                             estimates=None) -> float:
         """Estimated second moment of everything outside the top-k items.
 
         Per row, the estimated contribution of each top-k item is removed
         from its cell and the squared cells are summed; the median row value
         is returned (clamped at zero). k = 0 reduces to `f2_estimate`.
         """
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        top = self.top_k(k)
-        if not top:
+        _, hashed, est, top = self._ranked(k, items, hashed, estimates)
+        if top.size == 0:
             return self.f2_estimate()
-        items = np.array([i for i, _ in top], dtype=np.int64)
-        est = np.array([e for _, e in top])
+        idx, signs = hashed[0][:, top], hashed[1][:, top]
+        est = est[top]
         row_vals = np.empty(self.rows)
         for j in range(self.rows):
             skimmed = self.cells[j].astype(float)
-            idx = self.bucket_hashes[j].eval_many(items) - 1
-            np.subtract.at(skimmed, idx, est * self.sign_hashes[j].eval_many(items))
+            np.subtract.at(skimmed, idx[j] - j * self.cols, est * signs[j])
             row_vals[j] = (skimmed ** 2).sum()
         return max(0.0, float(np.median(row_vals)))
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeds
-from .countsketch import CountSketchTable, SketchInvariantError
+from .countsketch import CELL_LIMIT, CountSketchTable, SketchInvariantError, batch_magnitude
 from .hashing import KWiseHash
 from .stable import DEFAULT_TRUNCATION_CAP, StableVariateSource, stability_constant
 
@@ -220,8 +220,10 @@ class Estimator:
             candidate_mode=c.candidate_mode,
             candidate_capacity=c.candidate_capacity,
         )
-        self._pending_items: list = []
-        self._pending_deltas: list = []
+        # scalar records from `update`, and the arrays from `update_many`
+        self._pending_items: list[int] = []
+        self._pending_deltas: list[int] = []
+        self._pending_batches: list[tuple[np.ndarray, np.ndarray]] = []
         self._updates = 0
         self._ingest_ns = 0
         self._eager = c.candidate_mode == "heap"
@@ -244,8 +246,7 @@ class Estimator:
         deltas = np.asarray(deltas, dtype=np.int64)
         if items.size and (items.min() < 1 or items.max() > self.config.n):
             raise ValueError("item outside domain")
-        self._pending_items.append(items)
-        self._pending_deltas.append(deltas)
+        self._pending_batches.append((items, deltas))
         self._updates += int(items.size)
         if self._eager:
             self.flush()
@@ -254,24 +255,30 @@ class Estimator:
         """Materialize buffered records into the sketch cells.
 
         Buffered deltas for one item are combined exactly (integer sums)
-        before touching any float accumulator, which is what makes the final
-        sketch state independent of record order. Called automatically by
-        every read; worth calling explicitly only to fence off ingestion
-        timing or to quiesce before concurrent reads.
+        before touching any float accumulator, so the sketch state after one
+        flush is independent of record order. Called automatically by every
+        read; worth calling explicitly only to fence off ingestion timing or
+        to quiesce before concurrent reads.
+
+        Raises SketchInvariantError, and drops the buffered batch without
+        touching the sketch, when the batch's total magnitude reaches 2**62:
+        summing such deltas could wrap int64 before any counter guard runs.
         """
-        if not self._pending_items:
+        batches = self._pending_batches
+        if self._pending_items:
+            batches.append((np.array(self._pending_items, dtype=np.int64),
+                            np.array(self._pending_deltas, dtype=np.int64)))
+        if not batches:
             return
         t0 = time.perf_counter_ns()
-        if len(self._pending_items) == 1 and isinstance(self._pending_items[0], np.ndarray):
-            items = self._pending_items[0]
-            deltas = self._pending_deltas[0]
+        self._pending_items, self._pending_deltas, self._pending_batches = [], [], []
+        if len(batches) == 1:
+            items, deltas = batches[0]
         else:
-            items = np.concatenate([np.atleast_1d(np.asarray(x, dtype=np.int64))
-                                    for x in self._pending_items])
-            deltas = np.concatenate([np.atleast_1d(np.asarray(x, dtype=np.int64))
-                                     for x in self._pending_deltas])
-        self._pending_items = []
-        self._pending_deltas = []
+            items = np.concatenate([b[0] for b in batches])
+            deltas = np.concatenate([b[1] for b in batches])
+        if batch_magnitude(deltas) >= CELL_LIMIT:
+            raise SketchInvariantError("batch magnitude would overflow counters")
         uniq, inverse = np.unique(items, return_inverse=True)
         agg = np.zeros(uniq.size, dtype=np.int64)
         np.add.at(agg, inverse, deltas)
@@ -289,11 +296,13 @@ class Estimator:
     def classify(self) -> Classification:
         """Split touched items into heavy and light by estimated frequency."""
         self.flush()
-        items = self.heavy_hitters.touched_items()
+        hh = self.heavy_hitters
+        items = hh.touched_items()
         if items.size == 0:
             return Classification.empty()
-        est = self.heavy_hitters.point_estimate_many(items)
-        residual = self.heavy_hitters.f2_residual_estimate(4 * self.config.budget)
+        hashed = hh.hash_matrices(items)
+        est = hh.point_estimate_many(items, hashed)
+        residual = hh.f2_residual_estimate(4 * self.config.budget, items, hashed, est)
         threshold = 4.0 * residual / self.config.budget
         heavy = est**2 >= threshold
         return Classification(items=items, estimates=est, heavy_mask=heavy,
@@ -305,18 +314,12 @@ class Estimator:
         return isolation_row(self.countsketch.bucket_hashes, i, heavy_items)
 
     def _isolation_table(self, heavy: np.ndarray):
-        """Per-item first isolating row (0-based; -1 if none) and the
-        (rows x items) bucket matrix."""
-        rows = self.countsketch.rows
-        buckets = np.empty((rows, heavy.size), dtype=np.int64)
-        isolated = np.zeros((rows, heavy.size), dtype=bool)
-        for j in range(rows):
-            buckets[j] = self.countsketch.bucket_hashes[j].eval_many(heavy)
-            counts = np.bincount(buckets[j], minlength=self.countsketch.cols + 1)
-            isolated[j] = counts[buckets[j]] == 1
-        any_row = isolated.any(axis=0)
-        first = np.where(any_row, isolated.argmax(axis=0), -1)
-        return first, buckets
+        """Per-item first isolating row (0-based; -1 if none) and the heavy
+        set's CountSketch `hash_matrices`."""
+        idx, signs = self.countsketch.hash_matrices(heavy)
+        isolated = np.bincount(idx.ravel(), minlength=self.countsketch.cells.size)[idx] == 1
+        first = np.where(isolated.any(axis=0), isolated.argmax(axis=0), -1)
+        return first, (idx, signs)
 
     def heavy_contributions(self, cls: Classification) -> np.ndarray:
         """Per-item reads aligned with cls.heavy_items.
@@ -329,16 +332,11 @@ class Estimator:
         out = np.zeros(heavy.size)
         if heavy.size == 0:
             return out
-        first, buckets = self._isolation_table(heavy)
-        signs_est = cls.heavy_signs
-        ok = first >= 0
-        if ok.any():
-            row_sign = np.zeros((self.countsketch.rows, heavy.size), dtype=np.int64)
-            for j in np.unique(first[ok]):
-                row_sign[j] = self.countsketch.sign_hashes[j].eval_many(heavy)
-            idx = np.nonzero(ok)[0]
-            cells = self.countsketch.cells[first[idx], buckets[first[idx], idx] - 1]
-            out[idx] = cells * signs_est[idx] * row_sign[first[idx], idx]
+        first, (idx, signs) = self._isolation_table(heavy)
+        ok = np.nonzero(first >= 0)[0]
+        rows = first[ok]
+        cells = self.countsketch.cells.reshape(-1)[idx[rows, ok]]
+        out[ok] = cells * cls.heavy_signs[ok] * signs[rows, ok]
         return out
 
     def heavy_estimate(self, cls: Classification) -> float:

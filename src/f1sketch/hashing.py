@@ -9,9 +9,22 @@ tests, which account for it exactly.
 
 Hash objects are immutable after construction and safe to share across
 threads.
+
+Over the 61-bit Mersenne prime, `eval_many` runs a small C kernel
+(`_HORNER_SOURCE`). It is compiled once per machine with the local gcc into
+`$XDG_CACHE_HOME/f1sketch` (default `~/.cache/f1sketch`), under a file name
+keyed by a hash of the source, and loaded through ctypes when this module is
+imported. When it cannot be built or loaded, the numpy evaluation below
+(`_mulmod61`/`_addmod61`) runs instead; it is also the bitwise reference the
+kernel is tested against. `KWISE_BACKEND` names the path in use.
 """
 
 from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import platform
 
 import numpy as np
 
@@ -44,6 +57,132 @@ def _addmod61(a: np.ndarray, b: np.uint64) -> np.ndarray:
     return np.where(s >= _M61, s - _M61, s)
 
 
+def _horner_numpy(coeffs: np.ndarray, range_size: np.uint64, x: np.ndarray) -> np.ndarray:
+    """One row: (poly(x) mod 2**61-1) mod range_size + 1 as int64, with
+    `coeffs` leading first. Leading zero coefficients are skipped; they
+    leave Horner's value at 0, so the result is the same."""
+    nonzero = np.flatnonzero(coeffs)
+    start = int(nonzero[0]) if nonzero.size else coeffs.size - 1
+    v = np.full(x.shape, coeffs[start], dtype=np.uint64)
+    for c in coeffs[start + 1:]:
+        v = _addmod61(_mulmod61(v, x), c)
+    return (v % range_size).astype(np.int64) + 1
+
+
+_HORNER_SOURCE = r"""
+#include <stddef.h>
+#include <stdint.h>
+
+#define P61 0x1FFFFFFFFFFFFFFFULL
+
+static inline uint64_t mulmod61(uint64_t a, uint64_t b) {
+    __uint128_t z = (__uint128_t)a * b;
+    uint64_t r = ((uint64_t)z & P61) + (uint64_t)(z >> 61);
+    return r >= P61 ? r - P61 : r;
+}
+
+/* out[r * n + i] = (poly_r(x[i]) mod 2^61-1) mod ranges[r] + 1, where
+   poly_r has coefficients coeffs[r * t .. r * t + t - 1], leading first,
+   all below 2^61-1, and every x[i] is below 2^61-1. */
+void horner61(const uint64_t *coeffs, const uint64_t *ranges, size_t rows,
+              size_t t, const uint64_t *x, size_t n, int64_t *out) {
+    for (size_t r = 0; r < rows; r++) {
+        const uint64_t *c = coeffs + r * t;
+        const uint64_t m = ranges[r];
+        int64_t *o = out + r * n;
+        size_t s = 0;
+        while (s + 1 < t && c[s] == 0)
+            s++;
+        for (size_t i = 0; i < n; i++) {
+            uint64_t v = c[s];
+            for (size_t k = s + 1; k < t; k++) {
+                v = mulmod61(v, x[i]) + c[k];
+                v = v >= P61 ? v - P61 : v;
+            }
+            o[i] = (int64_t)(v % m) + 1;
+        }
+    }
+}
+"""
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+
+
+def _cache_dir() -> str:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "f1sketch")
+
+
+def _build_kernel(path: str) -> None:
+    """Compile the kernel to `path`. Each builder compiles in a private
+    directory and renames the finished library into place, so concurrent
+    builders (say, `eval --jobs` workers) never load a partial file."""
+    import subprocess
+    import tempfile
+
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=directory) as tmp:
+        source = os.path.join(tmp, "horner61.c")
+        with open(source, "w", encoding="ascii") as fh:
+            fh.write(_HORNER_SOURCE)
+        built = os.path.join(tmp, "horner61.so")
+        try:
+            subprocess.run(["gcc", *_CFLAGS, "-o", built, source],
+                           check=True, capture_output=True, timeout=120)
+        except subprocess.SubprocessError as exc:
+            raise OSError(f"cannot compile the hashing kernel: {exc}") from exc
+        os.replace(built, path)
+
+
+def _load_kernel():
+    """The compiled `horner61`, or None when it cannot be built or loaded or
+    disagrees with the numpy reference on a spot check."""
+    key = "\0".join((_HORNER_SOURCE, " ".join(_CFLAGS), platform.machine(),
+                     platform.system()))
+    digest = hashlib.sha256(key.encode("ascii")).hexdigest()[:16]
+    path = os.path.join(_cache_dir(), f"horner61-{digest}.so")
+    try:
+        if not os.path.exists(path):
+            _build_kernel(path)
+        fn = ctypes.CDLL(path).horner61
+    except (OSError, AttributeError):  # no compiler, unwritable cache, bad library
+        return None
+    fn.restype = None
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
+                   ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p]
+    coeffs = np.array([[MERSENNE61 - 1, 0, 12345, MERSENNE61 - 2], [0, 0, 7, 1 << 60]],
+                      dtype=np.uint64)
+    ranges = np.array([1000, 2], dtype=np.uint64)
+    x = np.array([1, 2, 3, 2**32 - 1, MERSENNE61 - 1], dtype=np.uint64)
+    out = np.empty((2, x.size), dtype=np.int64)
+    fn(coeffs.ctypes.data, ranges.ctypes.data, 2, 4, x.ctypes.data, x.size, out.ctypes.data)
+    want = [_horner_numpy(coeffs[r], ranges[r], x) for r in range(2)]
+    return fn if np.array_equal(out, want) else None
+
+
+_kernel = _load_kernel()
+KWISE_BACKEND = "numpy" if _kernel is None else "c-kernel"
+
+
+def _horner_rows(coeffs: np.ndarray, ranges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Evaluate every row of a C-contiguous (rows, t) uint64 coefficient
+    matrix at every item of the contiguous uint64 vector x over
+    GF(2**61 - 1); row r is reduced onto [1, ranges[r]]. Returns a
+    (rows, items) int64 array.
+
+    Runs the C kernel when it loaded, else `_horner_numpy` row by row (rows
+    stacked in numpy make temporaries too large for cache, and run slower).
+    """
+    out = np.empty((coeffs.shape[0], x.size), dtype=np.int64)
+    if _kernel is not None:
+        _kernel(coeffs.ctypes.data, ranges.ctypes.data, coeffs.shape[0], coeffs.shape[1],
+                x.ctypes.data, x.size, out.ctypes.data)
+    else:
+        for r in range(coeffs.shape[0]):
+            out[r] = _horner_numpy(coeffs[r], ranges[r], x)
+    return out
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n < 3.3e24."""
     if n < 2:
@@ -74,9 +213,13 @@ class KWiseHash:
     `coefficients` are listed leading coefficient first; any t distinct
     inputs receive jointly uniform field values over a uniform draw of the
     coefficient tuple.
+
+    `KWiseHash.stack` joins several 61-bit hashes into one whose `eval_many`
+    evaluates all of them in a single pass. A stacked hash has a tuple of
+    coefficient rows and a tuple of ranges, and no scalar `eval`.
     """
 
-    __slots__ = ("coefficients", "prime", "range_size", "_coeff_vec")
+    __slots__ = ("coefficients", "prime", "range_size", "_coeff_rows", "_ranges")
 
     def __init__(self, coefficients, prime: int, range_size: int):
         coefficients = [int(c) % prime for c in coefficients]
@@ -91,9 +234,10 @@ class KWiseHash:
         self.coefficients = tuple(coefficients)
         self.prime = prime
         self.range_size = range_size
-        self._coeff_vec = (
-            np.array(coefficients, dtype=np.uint64) if prime == MERSENNE61 else None
+        self._coeff_rows = (
+            np.array([coefficients], dtype=np.uint64) if prime == MERSENNE61 else None
         )
+        self._ranges = np.array([range_size], dtype=np.uint64)
 
     @classmethod
     def from_seed(cls, key: bytes, t: int, n: int, range_size: int,
@@ -109,8 +253,32 @@ class KWiseHash:
             raise ValueError("prime must exceed the domain and cover the range")
         return cls(seeds.field_elements(key, t, prime), prime, range_size)
 
+    @classmethod
+    def stack(cls, hashes) -> "KWiseHash":
+        """One hash whose `eval_many(items)` returns a (rows, *items.shape)
+        array, row j equal to `hashes[j].eval_many(items)`.
+
+        Lower-degree rows are padded with leading zero coefficients, which
+        leave Horner's value unchanged. Every hash must be over 2**61 - 1.
+        """
+        hashes = list(hashes)
+        if not hashes or any(h._coeff_rows is None or h._coeff_rows.shape[0] != 1
+                             for h in hashes):
+            raise ValueError("stack needs single-row hashes over 2**61 - 1")
+        t = max(len(h.coefficients) for h in hashes)
+        stacked = cls.__new__(cls)
+        stacked.coefficients = tuple((0,) * (t - len(h.coefficients)) + h.coefficients
+                                     for h in hashes)
+        stacked.prime = MERSENNE61
+        stacked.range_size = tuple(h.range_size for h in hashes)
+        stacked._coeff_rows = np.array(stacked.coefficients, dtype=np.uint64)
+        stacked._ranges = np.array(stacked.range_size, dtype=np.uint64)
+        return stacked
+
     def eval(self, i: int) -> int:
         """Bucket of item i, in [1, range_size]. i must lie in the domain."""
+        if isinstance(self.range_size, tuple):
+            raise TypeError("a stacked hash has no scalar eval; use eval_many")
         v = 0
         x = i % self.prime
         for c in self.coefficients:
@@ -121,12 +289,12 @@ class KWiseHash:
 
     def eval_many(self, items: np.ndarray) -> np.ndarray:
         """Vectorized `eval` over an integer array; returns int64 buckets."""
-        if self._coeff_vec is not None:
+        if self._coeff_rows is not None:
             x = np.asarray(items, dtype=np.uint64)
-            v = np.full(x.shape, self._coeff_vec[0], dtype=np.uint64)
-            for c in self._coeff_vec[1:]:
-                v = _addmod61(_mulmod61(v, x), c)
-            return (v % np.uint64(self.range_size)).astype(np.int64) + 1
+            out = _horner_rows(self._coeff_rows, self._ranges, x.ravel())
+            if isinstance(self.range_size, tuple):
+                return out.reshape(out.shape[:1] + x.shape)
+            return out.reshape(x.shape)
         return np.array([self.eval(int(i)) for i in np.asarray(items).ravel()],
                         dtype=np.int64).reshape(np.shape(items))
 

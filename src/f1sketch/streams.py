@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 BINARY_MAGIC = b"F1SKBIN\x00"
+BINARY_RECORD = np.dtype([("i", "<u4"), ("v", "<i8")])  # packed, 12 bytes
 
 
 class StreamParseError(ValueError):
@@ -95,11 +96,18 @@ def parse_text(lines) -> Stream:
 
 def write_stream(path: str, stream: Stream, binary: bool = False) -> None:
     if binary:
+        # checked before the file is opened, so a failure leaves no file
+        items = np.asarray(stream.items, dtype=np.int64)
+        bad = items[(items < 0) | (items > 0xFFFFFFFF)]
+        if bad.size:
+            raise ValueError(f"item {bad[0]} does not fit the binary format's uint32 item field")
+        records = np.empty(items.size, dtype=BINARY_RECORD)
+        records["i"] = items
+        records["v"] = stream.deltas
         with open(path, "wb") as fh:
             fh.write(BINARY_MAGIC)
             fh.write(struct.pack("<Q", stream.n))
-            for i, v in zip(stream.items, stream.deltas):
-                fh.write(struct.pack("<Iq", int(i), int(v)))
+            fh.write(records.tobytes())
         return
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"# n={stream.n}\n")

@@ -10,10 +10,15 @@ import numpy as np
 import pytest
 
 from f1sketch import Classification, Estimator, EstimatorConfig, ExactState, generate
+from f1sketch import hashing
 
 ZIPF_TRIALS = 200
 PLANTED_TRIALS = 200
 LIGHT_TRIALS = 500
+
+
+def pytest_report_header(config):
+    return f"f1sketch polynomial hashing: {hashing.KWISE_BACKEND}"
 
 
 @pytest.fixture(scope="session")

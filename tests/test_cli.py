@@ -177,6 +177,15 @@ def test_exit_code_internal_invariant(tmp_path, capsys):
     assert "internal error" in out.err
 
 
+def test_generate_binary_with_large_ids_exits_cleanly(tmp_path, capsys):
+    path = tmp_path / "x.bin"
+    code, out = run_cli("generate", "--dist", "uniform", "--n", "5000000000", "--m", "10",
+                        "--binary", "--out", str(path), capsys=capsys)
+    assert code == 1
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
 

@@ -255,3 +255,30 @@ def test_heap_mode_requires_capacity():
         make_table(candidate_mode="heap")
     with pytest.raises(ValueError):
         make_table(candidate_mode="bogus")
+
+
+record_lists = st.lists(st.tuples(st.integers(1, 30), st.integers(-10**6, 10**6)),
+                        max_size=40)
+
+
+@given(record_lists, record_lists)
+@settings(max_examples=40, deadline=None)
+def test_linearity(a, b):
+    # cells(A) + cells(B) == cells(A + B) exactly: the turnstile premise
+    def cells(records):
+        t = make_table(rows=4, cols=9, n=30, seed=8)
+        if records:
+            items, deltas = zip(*records)
+            t.update_many(np.array(items), np.array(deltas))
+        return t.cells
+
+    assert (cells(a) + cells(b) == cells(a + b)).all()
+
+
+def test_hash_matrices_match_per_row_hashes():
+    t = make_table(rows=5, cols=13, n=500, seed=9)
+    items = np.arange(1, 501, dtype=np.int64)
+    idx, signs = t.hash_matrices(items)
+    cols = np.stack([h.eval_many(items) - 1 for h in t.bucket_hashes])
+    assert (idx == cols + 13 * np.arange(5)[:, None]).all()
+    assert (signs == np.stack([h.eval_many(items) for h in t.sign_hashes])).all()

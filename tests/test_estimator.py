@@ -10,12 +10,13 @@ from f1sketch import (
     EstimatorConfig,
     ExactState,
     KWiseHash,
+    SketchInvariantError,
     expected_stable_cells,
     generate,
     isolation_row,
     stability_constant,
 )
-from f1sketch import seeds
+from f1sketch import hashing, seeds
 
 
 def build(n=100, seed=1, accuracy=0.5, **kwargs) -> Estimator:
@@ -534,3 +535,91 @@ def test_heap_candidate_mode_end_to_end():
     f1 = exact.moment(1.0)
     assert abs(rep.total - f1) / f1 <= 0.5
     assert rep.heavy_count >= 3
+
+
+# -- overflow guard, hashing per estimate, numpy reference path ---------------
+
+
+def test_overflow_guard_runs_before_aggregation_scalar():
+    # four 2**62 deltas to one item sum to 0 mod 2**64; the guard must see
+    # the raw records, not the wrapped sum
+    est = build(n=10)
+    for _ in range(4):
+        est.update(1, 1 << 62)
+    est.update(2, 5)
+    with pytest.raises(SketchInvariantError):
+        est.estimate()
+    assert not est.countsketch.cells.any() and not est.table.cells.any()
+
+
+def test_overflow_guard_runs_before_aggregation_batch():
+    est = build(n=10)
+    est.update_many(np.array([1, 1, 1, 1, 2]), np.array([1 << 62] * 4 + [5]))
+    with pytest.raises(SketchInvariantError):
+        est.flush()
+    assert not est.heavy_hitters.cells.any()
+
+
+def test_estimate_hashes_each_item_once_per_table(monkeypatch):
+    s = generate("zipf(1.1)", n=3000, m=30_000, seed=12)
+    est = build(n=s.n, seed=13)
+    est.update_many(s.items, s.deltas)
+    est.flush()
+    calls = []
+    original = KWiseHash.eval_many
+
+    def counting(self, items):
+        calls.append((self, int(np.size(items))))
+        return original(self, items)
+
+    monkeypatch.setattr(KWiseHash, "eval_many", counting)
+    report = est.estimate()
+    touched = est.heavy_hitters.touched_items().size
+    by_hash = {}
+    for h, size in calls:
+        by_hash.setdefault(id(h), []).append(size)
+    assert by_hash[id(est.heavy_hitters._row_hash)] == [touched]
+    assert by_hash[id(est.countsketch._row_hash)] == [report.heavy_count]
+    assert by_hash[id(est.table.bucket_hash)] == [report.heavy_count]
+    assert len(calls) == 3
+
+
+def test_numpy_path_gives_identical_answers(monkeypatch):
+    s = generate("zipf(1.1)", n=5000, m=50_000, seed=14)
+
+    def run():
+        est = build(n=s.n, seed=15)
+        est.update_many(s.items[:20_000], s.deltas[:20_000])
+        for i, v in zip(s.items[20_000:20_100].tolist(), s.deltas[20_000:20_100].tolist()):
+            est.update(i, v)
+        est.update_many(s.items[20_100:], s.deltas[20_100:])
+        r = est.estimate()
+        fields = (r.total, r.heavy, r.light, r.heavy_count, r.light_correction,
+                  r.diagnostics["threshold"], r.diagnostics["f2_residual_estimate"])
+        cells = [est.table.cells, est.countsketch.cells, est.heavy_hitters.cells]
+        return repr(fields), b"".join(c.tobytes() for c in cells)
+
+    active = run()
+    monkeypatch.setattr(hashing, "_kernel", None)
+    assert run() == active
+
+
+@given(st.lists(st.tuples(st.integers(1, 80), st.integers(-9, 9)), min_size=2, max_size=60),
+       st.lists(st.integers(1, 59), max_size=8, unique=True))
+@settings(max_examples=30, deadline=None)
+def test_flush_partitions_keep_counters_and_near_stable_cells(records, cuts):
+    # across flush boundaries the integer counters agree bitwise; the
+    # float stable cells agree to within 1e-9 of the largest cell
+    whole = build(n=80, seed=32)
+    parted = build(n=80, seed=32)
+    for i, v in records:
+        whole.update(i, v)
+    whole.flush()
+    for lo, hi in zip([0] + sorted(cuts), sorted(cuts) + [len(records)]):
+        for i, v in records[lo:hi]:
+            parted.update(i, v)
+        parted.flush()
+    assert (whole.countsketch.cells == parted.countsketch.cells).all()
+    assert (whole.heavy_hitters.cells == parted.heavy_hitters.cells).all()
+    scale = np.abs(whole.table.cells).max()
+    assert np.abs(whole.table.cells - parted.table.cells).max() <= 1e-9 * scale

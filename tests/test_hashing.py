@@ -1,11 +1,15 @@
 import itertools
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from f1sketch import KWiseHash, MERSENNE61, SignHash
-from f1sketch import seeds
+from f1sketch import hashing, seeds
 from f1sketch.hashing import is_prime
 
 
@@ -152,3 +156,114 @@ def test_exhaustive_fourwise_sign_structure():
 def test_is_prime_basics():
     assert is_prime(2) and is_prime(13) and is_prime(MERSENNE61)
     assert not is_prime(1) and not is_prime(91) and not is_prime(2**61 - 3)
+
+
+# -- compiled kernel against the numpy reference and the scalar eval ----------
+
+
+def three_paths(h: KWiseHash, items: np.ndarray, monkeypatch):
+    """eval_many through the active path, eval_many through numpy, and the
+    scalar eval, for one single-row hash."""
+    active = h.eval_many(items)
+    with monkeypatch.context() as m:
+        m.setattr(hashing, "_kernel", None)
+        reference = h.eval_many(items)
+    scalar = np.array([h.eval(int(i)) for i in items], dtype=np.int64)
+    return active, reference, scalar
+
+
+EDGE_ITEMS = np.array([1, 2, 3, 10**4, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**40 + 17],
+                      dtype=np.int64)
+
+
+@pytest.mark.parametrize("range_size", [1, 2, 25_600])
+@pytest.mark.parametrize("coeffs", [
+    [0], [MERSENNE61 - 1], [0, 0, 0, 5], [MERSENNE61 - 1] * 8, [0] * 8,
+    [1, 0, 0, 0, 0, 0, 0, MERSENNE61 - 1], [MERSENNE61 - 1, 0, MERSENNE61 - 1, 0],
+])
+def test_kernel_matches_reference_on_edge_coefficients(coeffs, range_size, monkeypatch):
+    h = KWiseHash(coeffs, prime=MERSENNE61, range_size=range_size)
+    active, reference, scalar = three_paths(h, EDGE_ITEMS, monkeypatch)
+    assert active.tobytes() == reference.tobytes() == scalar.tobytes()
+
+
+@given(st.integers(0, 2**32), st.integers(1, 10), st.sampled_from([1, 2, 3, 25_600, 2**40]),
+       st.lists(st.integers(1, 2**32 - 1), min_size=1, max_size=40))
+@settings(max_examples=80, deadline=None)
+def test_kernel_matches_reference_on_random_hashes(seed, t, range_size, items):
+    h = KWiseHash.from_seed(key("kernel", seed), t=t, n=2**32, range_size=range_size)
+    items = np.array(items, dtype=np.int64)
+    active = h.eval_many(items)
+    reference = np.stack([hashing._horner_numpy(h._coeff_rows[0], h._ranges[0],
+                                                items.astype(np.uint64))])[0]
+    assert active.tobytes() == reference.tobytes()
+    assert active.tolist() == [h.eval(int(i)) for i in items]
+
+
+def test_stacked_rows_equal_single_rows(monkeypatch):
+    width = 25_600
+    rows = [KWiseHash.from_seed(key("stack-b", j), t=8, n=10**4, range_size=width)
+            for j in range(5)]
+    rows += [SignHash.from_seed(key("stack-s", j), n=10**4).inner for j in range(5)]
+    rows.append(KWiseHash([0, 0, 3], prime=MERSENNE61, range_size=1))
+    stacked = KWiseHash.stack(rows)
+    items = np.concatenate([np.arange(1, 3000, dtype=np.int64), EDGE_ITEMS])
+    want = np.stack([h.eval_many(items) for h in rows])
+    got = stacked.eval_many(items)
+    assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+    with monkeypatch.context() as m:
+        m.setattr(hashing, "_kernel", None)
+        assert stacked.eval_many(items).tobytes() == want.tobytes()
+    assert stacked.eval_many(items.reshape(2, -1)).shape == (len(rows), 2, items.size // 2)
+    assert stacked.eval_many(np.zeros(0, dtype=np.int64)).shape == (len(rows), 0)
+
+
+def test_stack_rejects_small_fields_and_scalar_eval():
+    with pytest.raises(ValueError):
+        KWiseHash.stack([KWiseHash([1, 2], prime=11, range_size=5)])
+    with pytest.raises(ValueError):
+        KWiseHash.stack([])
+    stacked = KWiseHash.stack([KWiseHash([1, 2], prime=MERSENNE61, range_size=5)])
+    with pytest.raises(TypeError):
+        stacked.eval(3)
+
+
+def test_package_imports_and_agrees_without_a_compiler(tmp_path):
+    # a fresh interpreter with no gcc on PATH and an empty kernel cache must
+    # fall back to numpy and give the same estimate as this process
+    from f1sketch import Estimator, EstimatorConfig, generate
+
+    script = (
+        "from f1sketch import Estimator, EstimatorConfig, generate, hashing\n"
+        "s = generate('zipf(1.1)', n=2000, m=20000, seed=4)\n"
+        "e = Estimator(EstimatorConfig(accuracy=0.5, n=s.n, seed=9))\n"
+        "e.update_many(s.items, s.deltas)\n"
+        "r = e.estimate()\n"
+        "print(hashing.KWISE_BACKEND, repr(r.total), repr(r.heavy), r.heavy_count)\n"
+    )
+    env = dict(os.environ, PATH=str(tmp_path), XDG_CACHE_HOME=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    s = generate("zipf(1.1)", n=2000, m=20000, seed=4)
+    e = Estimator(EstimatorConfig(accuracy=0.5, n=s.n, seed=9))
+    e.update_many(s.items, s.deltas)
+    r = e.estimate()
+    assert proc.stdout.split() == ["numpy", repr(r.total), repr(r.heavy), str(r.heavy_count)]
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a C compiler")
+def test_concurrent_first_imports_share_one_cached_kernel(tmp_path):
+    # several fresh interpreters building into one empty cache at once must
+    # all load a whole library and leave exactly one file behind
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=os.pathsep.join(sys.path))
+    script = "from f1sketch import hashing; print(hashing.KWISE_BACKEND)"
+    procs = [subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for _ in range(3)]
+    outs = [p.communicate(timeout=300) for p in procs]
+    assert [p.returncode for p in procs] == [0, 0, 0], [err for _, err in outs]
+    assert [out.strip() for out, _ in outs] == ["c-kernel"] * 3
+    cached = os.listdir(tmp_path / "f1sketch")
+    assert len(cached) == 1 and cached[0].endswith(".so")

@@ -77,6 +77,19 @@ def test_binary_round_trip(tmp_path):
     assert (back.deltas == orig.deltas).all()
 
 
+def test_binary_writer_rejects_ids_beyond_uint32(tmp_path):
+    path = tmp_path / "big.bin"
+    stream = Stream(2**33, np.array([5, 2**32, 7]), np.array([1, 1, 1]))
+    with pytest.raises(ValueError, match="uint32"):
+        write_stream(str(path), stream, binary=True)
+    assert not path.exists()
+    edge = Stream(2**32 - 1, np.array([1, 2**32 - 1]), np.array([-(2**63), 2**63 - 1]))
+    write_stream(str(path), edge, binary=True)
+    assert path.stat().st_size == 16 + 2 * 12
+    back = read_stream(str(path), binary=True)
+    assert (back.items == edge.items).all() and (back.deltas == edge.deltas).all()
+
+
 def test_binary_errors(tmp_path):
     path = str(tmp_path / "bad.bin")
     with open(path, "wb") as fh:
