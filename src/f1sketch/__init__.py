@@ -13,7 +13,6 @@ from .estimator import (
     Estimator,
     EstimatorConfig,
     StableTable,
-    isolation_row,
 )
 from .hashing import KWiseHash, MERSENNE61, SignHash
 from .oracle import ExactState, TailBoundCheck, expected_countsketch_cells, expected_stable_cells
@@ -54,7 +53,6 @@ __all__ = [
     "expected_stable_cells",
     "generate",
     "geometric_means_estimate",
-    "isolation_row",
     "kp_constant",
     "median_estimate",
     "read_stream",

@@ -15,6 +15,8 @@ from . import seeds
 
 # hard ceiling on |cell|; update streams are sized so m * M stays below it
 CELL_LIMIT = 1 << 62
+# bucket hashes are 8-wise independent; sign hashes are 4-wise (SignHash)
+BUCKET_INDEPENDENCE = 8
 
 
 class SketchInvariantError(RuntimeError):
@@ -41,24 +43,15 @@ def batch_magnitude(deltas: np.ndarray) -> float:
 class CountSketchTable:
     """rows x cols signed-counter sketch with per-row bucket and sign hashes.
 
-    `candidate_mode` controls how top-k enumeration finds its candidates:
-      - "exact": remember every touched item index (space O(distinct items)).
-      - "heap":  bounded map of the `candidate_capacity` largest estimated
-                 magnitudes, refreshed on every arrival (slower updates,
-                 fixed space).
+    Top-k enumeration draws its candidates from every item index ever
+    updated, kept as one ascending array (space O(distinct items)).
     """
 
-    def __init__(self, rows: int, cols: int, *, bucket_hashes, sign_hashes,
-                 candidate_mode: str = "exact",
-                 candidate_capacity: int | None = None):
+    def __init__(self, rows: int, cols: int, *, bucket_hashes, sign_hashes):
         if rows < 1 or cols < 1:
             raise ValueError("rows and cols must be >= 1")
         if len(bucket_hashes) != rows or len(sign_hashes) != rows:
             raise ValueError("need one bucket hash and one sign hash per row")
-        if candidate_mode not in ("exact", "heap"):
-            raise ValueError("candidate_mode must be 'exact' or 'heap'")
-        if candidate_mode == "heap" and not candidate_capacity:
-            raise ValueError("heap mode needs a positive candidate_capacity")
         self.rows = rows
         self.cols = cols
         self.bucket_hashes = tuple(bucket_hashes)
@@ -69,26 +62,22 @@ class CountSketchTable:
         self.cells = np.zeros((rows, cols), dtype=np.int64)
         # flat index in `cells` of bucket 0 of each row (buckets are 1-based)
         self._bucket_base = np.arange(rows, dtype=np.int64)[:, None] * cols - 1
-        self.candidate_mode = candidate_mode
-        self.candidate_capacity = candidate_capacity
-        self._touched: set[int] = set()
-        self._heap_candidates: dict[int, float] = {}
+        self._touched = np.zeros(0, dtype=np.int64)
 
     @classmethod
     def from_seed(cls, key: bytes, rows: int, cols: int, n: int, *,
-                  bucket_independence: int = 8, role: str = "cs",
-                  **kwargs) -> "CountSketchTable":
+                  role: str = "cs") -> "CountSketchTable":
         """Build a table whose per-row hashes are derived from one PRF key."""
         bucket = [
             KWiseHash.from_seed(seeds.derive_key(key, role + "-bucket", j),
-                                bucket_independence, n, cols)
+                                BUCKET_INDEPENDENCE, n, cols)
             for j in range(rows)
         ]
         sign = [
             SignHash.from_seed(seeds.derive_key(key, role + "-sign", j), n)
             for j in range(rows)
         ]
-        return cls(rows, cols, bucket_hashes=bucket, sign_hashes=sign, **kwargs)
+        return cls(rows, cols, bucket_hashes=bucket, sign_hashes=sign)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -114,22 +103,16 @@ class CountSketchTable:
         touched = flat[idx]
         if np.abs(touched, out=touched).max() >= CELL_LIMIT:
             raise SketchInvariantError("counter overflow: |cell| >= 2**62")
-        if self.candidate_mode == "exact":
-            self._touched.update(int(i) for i in items)
-        else:
-            for i in items:
-                self._heap_candidates[int(i)] = abs(self.point_estimate(int(i)))
-            cap = self.candidate_capacity
-            if len(self._heap_candidates) > 2 * cap:
-                keep = sorted(self._heap_candidates.items(),
-                              key=lambda kv: (-kv[1], kv[0]))[:cap]
-                self._heap_candidates = dict(keep)
+        # sort-and-mask merge: several times faster than np.union1d here
+        merged = np.sort(np.concatenate((self._touched, items)))
+        fresh = np.empty(merged.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(merged[1:], merged[:-1], out=fresh[1:])
+        self._touched = merged[fresh]
 
     def touched_items(self) -> np.ndarray:
-        """Candidate item indices, ascending."""
-        if self.candidate_mode == "exact":
-            return np.array(sorted(self._touched), dtype=np.int64)
-        return np.array(sorted(self._heap_candidates), dtype=np.int64)
+        """Every item index ever updated, ascending, as a new int64 array."""
+        return self._touched.copy()
 
     def hash_matrices(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cell and sign of every item in every row, from one multi-row hash
@@ -149,15 +132,8 @@ class CountSketchTable:
     # and `estimates = point_estimate_many(items, hashed)`, so one estimate
     # hashes each item once.
 
-    def point_estimate(self, i: int) -> float:
-        """Median over rows of cell * sign: the frequency estimate for i."""
-        vals = [
-            self.cells[j][self.bucket_hashes[j].eval(i) - 1] * self.sign_hashes[j].eval(i)
-            for j in range(self.rows)
-        ]
-        return float(np.median(vals))
-
     def point_estimate_many(self, items: np.ndarray, hashed=None) -> np.ndarray:
+        """Median over rows of cell * sign: the frequency estimate of each item."""
         items = np.asarray(items, dtype=np.int64)
         if items.size == 0:
             return np.zeros(0)
@@ -208,6 +184,8 @@ class CountSketchTable:
             return self.f2_estimate()
         idx, signs = hashed[0][:, top], hashed[1][:, top]
         est = est[top]
+        # row by row: one row's float copy stays in cache, the whole
+        # table's does not (a single scatter over it ran 4x slower)
         row_vals = np.empty(self.rows)
         for j in range(self.rows):
             skimmed = self.cells[j].astype(float)

@@ -26,42 +26,26 @@ import numpy as np
 from . import seeds
 from .countsketch import CELL_LIMIT, CountSketchTable, SketchInvariantError, batch_magnitude
 from .hashing import KWiseHash
-from .stable import DEFAULT_TRUNCATION_CAP, StableVariateSource, stability_constant
+from .stable import StableVariateSource, stability_constant
 
-
-def isolation_row(bucket_hashes, item: int, heavy_items) -> int | None:
-    """Smallest row index (1-based) whose bucket hash separates `item` from
-    every other member of `heavy_items`, or None if no row does."""
-    item = int(item)
-    others = [int(k) for k in heavy_items if int(k) != item]
-    for j, h in enumerate(bucket_hashes):
-        b = h.eval(item)
-        if all(h.eval(k) != b for k in others):
-            return j + 1
-    return None
+# an estimator whose sketch arrays would exceed this is rejected up front
+MEMORY_CAP_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Sizing knobs derived from the requested accuracy.
+    """Sizing derived from the requested accuracy.
 
     `accuracy` is the user-facing relative error target in (0, 1/2]; the
     internal working accuracy is a tenth of it, which keeps the analysis
-    precondition eps <= 1/8 satisfied automatically. `depth` may be
-    overridden; the default follows the collision-probability bound
-    2 + log2(5.1/eps^2) (see also `depth_variance_bound` for the larger
-    alternative some of the variance analysis assumes).
+    precondition eps <= 1/8 satisfied automatically. `p` is the moment
+    order the stable variates and the light decode use.
     """
 
     accuracy: float
     n: int
     seed: int
     p: float = 1.0
-    depth: int | None = None
-    candidate_mode: str = "exact"
-    candidate_capacity: int | None = None
-    truncation_cap: float = DEFAULT_TRUNCATION_CAP
-    memory_cap_bytes: int = 1 << 30
 
     def __post_init__(self):
         if not 0.0 < self.accuracy <= 0.5:
@@ -87,8 +71,8 @@ class EstimatorConfig:
 
     @property
     def table_depth(self) -> int:
-        if self.depth is not None:
-            return self.depth
+        """CountSketch rows, from the collision-probability bound
+        2 + log2(5.1/eps^2)."""
         return math.ceil(2 + math.log2(5.1 / self.eps**2))
 
     @property
@@ -106,10 +90,10 @@ class EstimatorConfig:
         """Largest heavy-set size the light correction will trust: ceil(5.1 * budget)."""
         return math.ceil(5.1 * self.budget)
 
-    @property
-    def depth_variance_bound(self) -> int:
-        """Alternative depth log2(36 * budget^2 / eps^4) from the variance analysis."""
-        return math.ceil(math.log2(36.0 * self.budget**2 / self.eps**4))
+    def light_correction(self, heavy_count: int) -> float:
+        """Collision correction (1 - 1/width)^-min(heavy_count, heavy_clamp)
+        for the stable buckets a heavy set of that size removes."""
+        return (1.0 - 1.0 / self.width) ** -min(heavy_count, self.heavy_clamp)
 
 
 @dataclass(frozen=True)
@@ -200,33 +184,28 @@ class Estimator:
         self.config = config
         c = config
         total_bytes = (c.width * 3 + c.table_depth * c.width + c.hh_depth * c.width) * 8
-        if total_bytes > c.memory_cap_bytes:
+        if total_bytes > MEMORY_CAP_BYTES:
             raise ValueError(
                 f"accuracy {c.accuracy} needs {total_bytes} sketch bytes, "
-                f"above the cap of {c.memory_cap_bytes}"
+                f"above the cap of {MEMORY_CAP_BYTES}"
             )
         key = seeds.master_key(c.seed)
         self.table = StableTable(
             c.width,
             KWiseHash.from_seed(seeds.derive_key(key, "u-bucket"),
                                 c.independence, c.n, c.width),
-            StableVariateSource(seeds.derive_key(key, "u-variates"),
-                                p=c.p, cap=c.truncation_cap),
+            StableVariateSource(seeds.derive_key(key, "u-variates"), p=c.p),
         )
         self.countsketch = CountSketchTable.from_seed(
             seeds.derive_key(key, "cs"), c.table_depth, c.width, c.n, role="cs")
         self.heavy_hitters = CountSketchTable.from_seed(
-            seeds.derive_key(key, "hh"), c.hh_depth, c.width, c.n, role="hh",
-            candidate_mode=c.candidate_mode,
-            candidate_capacity=c.candidate_capacity,
-        )
+            seeds.derive_key(key, "hh"), c.hh_depth, c.width, c.n, role="hh")
         # scalar records from `update`, and the arrays from `update_many`
         self._pending_items: list[int] = []
         self._pending_deltas: list[int] = []
         self._pending_batches: list[tuple[np.ndarray, np.ndarray]] = []
         self._updates = 0
         self._ingest_ns = 0
-        self._eager = c.candidate_mode == "heap"
 
     # -- ingestion ---------------------------------------------------------
 
@@ -237,8 +216,6 @@ class Estimator:
         self._pending_items.append(i)
         self._pending_deltas.append(v)
         self._updates += 1
-        if self._eager:
-            self.flush()
 
     def update_many(self, items: np.ndarray, deltas: np.ndarray) -> None:
         """Apply a batch of records (order of records never matters)."""
@@ -248,8 +225,6 @@ class Estimator:
             raise ValueError("item outside domain")
         self._pending_batches.append((items, deltas))
         self._updates += int(items.size)
-        if self._eager:
-            self.flush()
 
     def flush(self) -> None:
         """Materialize buffered records into the sketch cells.
@@ -308,11 +283,6 @@ class Estimator:
         return Classification(items=items, estimates=est, heavy_mask=heavy,
                               threshold=threshold, f2_residual=residual)
 
-    def isolation_index(self, i: int, heavy_items) -> int | None:
-        """Smallest CountSketch row isolating heavy item i from the rest of
-        the heavy set, or None when every row has a collision."""
-        return isolation_row(self.countsketch.bucket_hashes, i, heavy_items)
-
     def _isolation_table(self, heavy: np.ndarray):
         """Per-item first isolating row (0-based; -1 if none) and the heavy
         set's CountSketch `hash_matrices`."""
@@ -355,27 +325,23 @@ class Estimator:
             mask[self.table.bucket_hash.eval_many(heavy) - 1] = False
         return mask
 
-    def light_estimate(self, cls: Classification, p: float | None = None) -> float:
+    def light_estimate(self, cls: Classification) -> float:
         """Geometric-means read of the heavy-free stable buckets.
 
         Sums |x1 * x2 * x3|^(p/3) over every bucket no heavy item occupies,
-        scaled by the moment constant C(p, p/3)^-3 and by the collision
-        correction (1 - 1/width)^-heavy_count, which compensates for the
+        with p = `config.p`, the order the variates are stable for, scaled
+        by the moment constant C(p, p/3)^-3 and by
+        `config.light_correction(heavy_count)`, which compensates for the
         buckets the heavy set removed. heavy_count is clamped at
         `heavy_clamp` so a runaway heavy set cannot blow up the correction;
         the clamp event is reported in diagnostics by `estimate`.
         """
         self.flush()
-        if p is None:
-            p = self.config.p
-        if not 0.0 < p < 2.0:
-            raise ValueError("moment order p must lie in (0, 2)")
-        heavy = cls.heavy_items
-        mask = self._collision_free_mask(heavy)
+        p = self.config.p
+        mask = self._collision_free_mask(cls.heavy_items)
         prod = np.abs(self.table.cells.prod(axis=1))
         total = float((prod[mask] ** (p / 3.0)).sum())
-        correction = (1.0 - 1.0 / self.config.width) ** (
-            -min(int(heavy.size), self.config.heavy_clamp))
+        correction = self.config.light_correction(cls.heavy_count)
         return correction * stability_constant(p, p / 3.0) ** -3 * total
 
     def estimate(self) -> EstimateReport:
@@ -388,8 +354,6 @@ class Estimator:
         t2 = time.perf_counter_ns()
         light = self.light_estimate(cls)
         t3 = time.perf_counter_ns()
-        correction = (1.0 - 1.0 / self.config.width) ** (
-            -min(cls.heavy_count, self.config.heavy_clamp))
         diagnostics = {
             "updates": self._updates,
             "ingest_ns": self._ingest_ns,
@@ -405,5 +369,5 @@ class Estimator:
         }
         return EstimateReport(total=heavy + light, heavy=heavy, light=light,
                               heavy_count=cls.heavy_count,
-                              light_correction=correction,
+                              light_correction=self.config.light_correction(cls.heavy_count),
                               diagnostics=diagnostics)

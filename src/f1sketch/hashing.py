@@ -229,7 +229,7 @@ class KWiseHash:
             raise ValueError("range_size must be >= 1")
         if prime < range_size:
             raise ValueError("prime must be at least the output range")
-        if not is_prime(prime):
+        if prime != MERSENNE61 and not is_prime(prime):
             raise ValueError(f"{prime} is not prime")
         self.coefficients = tuple(coefficients)
         self.prime = prime

@@ -140,3 +140,26 @@ def expected_stable_cells(state: ExactState, table) -> np.ndarray:
     variates = table.source.variates_for(buckets, items)
     np.add.at(cells, buckets - 1, f[:, None] * variates)
     return cells
+
+
+def expected_point_estimate(table, i: int) -> float:
+    """Scalar reference for `CountSketchTable.point_estimate_many`: the
+    median over rows of cell * sign for item i, one hash call per row."""
+    vals = [
+        table.cells[j][table.bucket_hashes[j].eval(i) - 1] * table.sign_hashes[j].eval(i)
+        for j in range(table.rows)
+    ]
+    return float(np.median(vals))
+
+
+def expected_isolation_row(bucket_hashes, item: int, heavy_items) -> int | None:
+    """Scalar reference for the estimator's isolation table: the smallest
+    row index (1-based) whose bucket hash separates `item` from every other
+    member of `heavy_items`, or None if no row does."""
+    item = int(item)
+    others = [int(k) for k in heavy_items if int(k) != item]
+    for j, h in enumerate(bucket_hashes):
+        b = h.eval(item)
+        if all(h.eval(k) != b for k in others):
+            return j + 1
+    return None

@@ -114,6 +114,6 @@ def light_battery():
     for trial in range(LIGHT_TRIALS):
         est = Estimator(EstimatorConfig(accuracy=0.5, n=n, seed=70_000 + trial))
         est.update_many(items, ones)
-        estimates[trial] = est.light_estimate(Classification.empty(), p=1.0)
+        estimates[trial] = est.light_estimate(Classification.empty())
     cfg = EstimatorConfig(accuracy=0.5, n=n, seed=0)
     return {"n": n, "width": cfg.width, "estimates": estimates}

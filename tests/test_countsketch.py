@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from f1sketch import CountSketchTable, ExactState, SketchInvariantError, generate
 from f1sketch import seeds
-from f1sketch.oracle import expected_countsketch_cells
+from f1sketch.oracle import expected_countsketch_cells, expected_point_estimate
 
 
 def make_table(rows=3, cols=7, n=20, seed=1, **kwargs) -> CountSketchTable:
@@ -43,12 +43,14 @@ def test_cells_match_oracle_recomputation():
 def test_point_estimate_single_item_exact():
     t = make_table(rows=4, cols=64, n=100)
     t.update(42, 42)
-    assert t.point_estimate(42) == 42.0
+    assert expected_point_estimate(t, 42) == 42.0
+    assert list(t.point_estimate_many(np.array([42]))) == [42.0]
 
 
 def test_point_estimate_empty_table_is_zero():
     t = make_table()
-    assert t.point_estimate(5) == 0.0
+    assert expected_point_estimate(t, 5) == 0.0
+    assert list(t.point_estimate_many(np.array([5]))) == [0.0]
 
 
 def test_point_estimate_many_matches_scalar():
@@ -58,7 +60,7 @@ def test_point_estimate_many_matches_scalar():
         t.update(int(rng.integers(1, 51)), int(rng.integers(-4, 5)))
     items = np.arange(1, 51)
     many = t.point_estimate_many(items)
-    assert [t.point_estimate(int(i)) for i in items] == list(many)
+    assert [expected_point_estimate(t, int(i)) for i in items] == list(many)
 
 
 def test_top_k_single_item():
@@ -140,9 +142,26 @@ def test_f2_residual_all_items_removed_is_zero():
     t2 = make_table(rows=4, cols=256, n=10, seed=3)
     for i, v in ((1, 12), (2, -7), (3, 5), (4, 2), (5, -1)):
         t2.update(i, v)
-    est = {i: t2.point_estimate(i) for i in range(1, 6)}
+    est = dict(zip(range(1, 6), t2.point_estimate_many(np.arange(1, 6))))
     assert est == {1: 12.0, 2: -7.0, 3: 5.0, 4: 2.0, 5: -1.0}
     assert t2.f2_residual_estimate(5) == 0.0
+
+
+def test_f2_residual_matches_per_row_reference():
+    # the batched skim equals removing each top-k item's estimate through
+    # the scalar per-row hashes
+    s = generate("zipf(1.1)", n=2000, m=20_000, seed=31)
+    t = make_table(rows=9, cols=300, n=s.n, seed=4)
+    t.update_many(s.items, s.deltas)
+    for k in (1, 10, 100, 5000):
+        top = t.top_k(k)
+        rows = []
+        for j in range(t.rows):
+            skimmed = t.cells[j].astype(float)
+            for item, est in top:
+                skimmed[t.bucket_hashes[j].eval(item) - 1] -= est * t.sign_hashes[j].eval(item)
+            rows.append((skimmed ** 2).sum())
+        assert t.f2_residual_estimate(k) == max(0.0, float(np.median(rows)))
 
 
 def test_f2_residual_monotone_on_separated_instance():
@@ -232,29 +251,6 @@ def test_permutation_invariance(records, rnd):
         t2.update(i, v)
     assert (t1.cells == t2.cells).all()
     assert (t1.touched_items() == t2.touched_items()).all()
-
-
-def test_heap_candidate_mode_tracks_strong_signals():
-    exact = make_table(rows=5, cols=128, n=200, seed=13)
-    heap = make_table(rows=5, cols=128, n=200, seed=13,
-                      candidate_mode="heap", candidate_capacity=5)
-    rng = np.random.default_rng(2)
-    records = [(i, 1000 - 100 * (i - 1)) for i in range(1, 6)]
-    records += [(int(rng.integers(6, 201)), int(rng.integers(1, 3))) for _ in range(300)]
-    rng.shuffle(records)
-    for i, v in records:
-        exact.update(i, v)
-        heap.update(i, v)
-    assert (exact.cells == heap.cells).all()
-    assert len(heap.touched_items()) <= 10  # bounded candidate memory
-    assert [i for i, _ in heap.top_k(5)] == [i for i, _ in exact.top_k(5)]
-
-
-def test_heap_mode_requires_capacity():
-    with pytest.raises(ValueError):
-        make_table(candidate_mode="heap")
-    with pytest.raises(ValueError):
-        make_table(candidate_mode="bogus")
 
 
 record_lists = st.lists(st.tuples(st.integers(1, 30), st.integers(-10**6, 10**6)),

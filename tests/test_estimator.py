@@ -13,10 +13,10 @@ from f1sketch import (
     SketchInvariantError,
     expected_stable_cells,
     generate,
-    isolation_row,
     stability_constant,
 )
 from f1sketch import hashing, seeds
+from f1sketch.oracle import expected_isolation_row
 
 
 def build(n=100, seed=1, accuracy=0.5, **kwargs) -> Estimator:
@@ -48,14 +48,24 @@ def test_config_validation():
 
 
 def test_memory_cap_rejected():
-    with pytest.raises(ValueError):
-        Estimator(EstimatorConfig(accuracy=0.5, n=10, seed=0, memory_cap_bytes=1024))
+    # accuracy 1e-3 asks for 6.4e9 buckets per table; the cap check runs
+    # before any array is allocated
+    with pytest.raises(ValueError, match="above the cap"):
+        Estimator(EstimatorConfig(accuracy=1e-3, n=10, seed=0))
 
 
-def test_depth_override_and_alternative():
-    c = EstimatorConfig(accuracy=0.5, n=100, seed=0, depth=7)
-    assert c.table_depth == 7
-    assert c.depth_variance_bound == math.ceil(math.log2(36 * 400**2 / 0.05**4))
+def test_build_runs_no_primality_test(monkeypatch):
+    # every hash of an estimator is over 2**61 - 1, whose primality
+    # test_is_prime_basics already proves; a caller-supplied prime is checked
+    calls = []
+    real = hashing.is_prime
+    monkeypatch.setattr(hashing, "is_prime", lambda n: calls.append(n) or real(n))
+    build(n=10**4, seed=3)
+    assert calls == []
+    KWiseHash.from_seed(seeds.master_key(1), 2, 10, 10, prime=101)
+    assert calls == [101]
+    with pytest.raises(ValueError, match="not prime"):
+        KWiseHash([1, 2], 91, 10)
 
 
 def test_same_seed_bitwise_identical_build():
@@ -203,7 +213,7 @@ def test_empty_classification():
 def test_isolation_trivial_when_alone():
     est = build(seed=7)
     est.update(5, 100)
-    assert est.isolation_index(5, [5]) == 1
+    assert expected_isolation_row(est.countsketch.bucket_hashes, 5, [5]) == 1
 
 
 def test_isolation_absent_on_forced_collision():
@@ -216,8 +226,8 @@ def test_isolation_absent_on_forced_collision():
             for j in range(2)
         ]
         if all(h.eval(i1) == h.eval(i2) for h in hashes):
-            assert isolation_row(hashes, i1, [i1, i2]) is None
-            assert isolation_row(hashes, i2, [i1, i2]) is None
+            assert expected_isolation_row(hashes, i1, [i1, i2]) is None
+            assert expected_isolation_row(hashes, i2, [i1, i2]) is None
             return
     pytest.fail("no colliding seed found in 200 tries")
 
@@ -231,7 +241,7 @@ def test_isolation_smallest_row_wins():
             for j in range(2)
         ]
         if hashes[0].eval(1) == hashes[0].eval(2) and hashes[1].eval(1) != hashes[1].eval(2):
-            assert isolation_row(hashes, 1, [1, 2]) == 2
+            assert expected_isolation_row(hashes, 1, [1, 2]) == 2
             return
     pytest.fail("no suitable seed found")
 
@@ -268,7 +278,7 @@ def test_isolation_index_matches_vectorized_table():
     heavy = cls.heavy_items
     first, _ = est._isolation_table(heavy)
     for col, item in enumerate(heavy):
-        want = est.isolation_index(int(item), heavy)
+        want = expected_isolation_row(est.countsketch.bucket_hashes, int(item), heavy)
         got = int(first[col]) + 1 if first[col] >= 0 else None
         assert got == want
 
@@ -331,7 +341,9 @@ def test_heavy_pairwise_product_mean():
     for seed in range(400):
         est = build(n=n, seed=30_000 + seed)
         est.update_many(items, deltas)
-        if est.isolation_index(1, [1, 2]) is None or est.isolation_index(2, [1, 2]) is None:
+        hashes = est.countsketch.bucket_hashes
+        if (expected_isolation_row(hashes, 1, [1, 2]) is None
+                or expected_isolation_row(hashes, 2, [1, 2]) is None):
             continue
         y = est.heavy_contributions(cls)
         prods.append(y[0] * y[1])
@@ -448,8 +460,6 @@ def test_nondefault_moment_order_flows_through():
     assert 0.5 * exact <= light <= 1.5 * exact
     rep = est.estimate()
     assert rep.total == rep.heavy + rep.light
-    with pytest.raises(ValueError):
-        est.light_estimate(Classification.empty(), p=2.5)
 
 
 # -- full estimate ------------------------------------------------------------
@@ -527,14 +537,42 @@ def test_heap_candidate_mode_end_to_end():
     stream = generate("planted(3,1000,5)", n=100, m=100, seed=12)
     exact = ExactState(stream.n)
     exact.update_many(stream.items, stream.deltas)
-    est = Estimator(EstimatorConfig(accuracy=0.5, n=stream.n, seed=99,
-                                    candidate_mode="heap", candidate_capacity=50))
+    est = Estimator(EstimatorConfig(accuracy=0.5, n=stream.n, seed=99))
     for i, v in zip(stream.items, stream.deltas):
         est.update(int(i), int(v))
     rep = est.estimate()
     f1 = exact.moment(1.0)
     assert abs(rep.total - f1) / f1 <= 0.5
     assert rep.heavy_count >= 3
+
+
+record = st.tuples(st.integers(1, 40), st.integers(-3, 3))
+
+
+@given(st.lists(st.one_of(record, st.lists(record, max_size=10), st.just("flush")),
+                max_size=30))
+@settings(max_examples=40, deadline=None)
+def test_touched_items_is_every_item_ever_passed(ops):
+    # any mix of update, update_many and flush; item 41 nets to zero
+    est = build(n=41, seed=33)
+    seen = [41]
+    est.update_many(np.array([41, 41]), np.array([5, -5]))
+    for op in ops:
+        if op == "flush":
+            est.flush()
+        elif isinstance(op, tuple):
+            est.update(*op)
+            seen.append(op[0])
+        else:
+            est.update_many(np.array([i for i, _ in op], dtype=np.int64),
+                            np.array([v for _, v in op], dtype=np.int64))
+            seen += [i for i, _ in op]
+    want = np.unique(np.array(seen, dtype=np.int64))
+    got = est.touched_items()
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    got[:] = 0
+    assert np.array_equal(est.touched_items(), want)
 
 
 # -- overflow guard, hashing per estimate, numpy reference path ---------------
