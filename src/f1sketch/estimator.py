@@ -24,12 +24,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeds
-from .countsketch import CELL_LIMIT, CountSketchTable, SketchInvariantError, batch_magnitude
+from .countsketch import (CELL_LIMIT, CountSketchTable, SketchInvariantError,
+                          batch_magnitude, zeroed_cells)
 from .hashing import KWiseHash
 from .stable import StableVariateSource, stability_constant
 
 # an estimator whose sketch arrays would exceed this is rejected up front
 MEMORY_CAP_BYTES = 1 << 30
+
+
+def integer_array(values, name: str) -> np.ndarray:
+    """`values` as an int64 array; ValueError if any entry is not a whole
+    number that int64 holds (a float 2.7 is refused, not truncated)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "bi" or (arr.dtype.kind == "u" and arr.dtype.itemsize < 8):
+        return arr.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        out = arr.astype(np.int64)
+    if not (out == arr).all():
+        raise ValueError(f"{name} must be integers within the int64 range")
+    return out
 
 
 @dataclass(frozen=True)
@@ -162,7 +176,7 @@ class StableTable:
         self.cols = cols
         self.bucket_hash = bucket_hash
         self.source = source
-        self.cells = np.zeros((cols, 3))
+        self.cells = zeroed_cells((cols, 3), np.float64)
 
     def update_many(self, items: np.ndarray, deltas: np.ndarray) -> None:
         if len(items) == 0:
@@ -210,7 +224,8 @@ class Estimator:
     # -- ingestion ---------------------------------------------------------
 
     def update(self, i: int, v: int) -> None:
-        """Apply one turnstile record."""
+        """Apply one turnstile record; a non-integer i or v is refused at
+        the next `flush`."""
         if not 1 <= i <= self.config.n:
             raise ValueError(f"item {i} outside domain [1, {self.config.n}]")
         self._pending_items.append(i)
@@ -218,9 +233,12 @@ class Estimator:
         self._updates += 1
 
     def update_many(self, items: np.ndarray, deltas: np.ndarray) -> None:
-        """Apply a batch of records (order of records never matters)."""
-        items = np.asarray(items, dtype=np.int64)
-        deltas = np.asarray(deltas, dtype=np.int64)
+        """Apply a batch of records (order of records never matters).
+
+        Raises ValueError when an item or delta is not integer-valued.
+        """
+        items = integer_array(items, "items")
+        deltas = integer_array(deltas, "deltas")
         if items.size and (items.min() < 1 or items.max() > self.config.n):
             raise ValueError("item outside domain")
         self._pending_batches.append((items, deltas))
@@ -238,15 +256,18 @@ class Estimator:
         Raises SketchInvariantError, and drops the buffered batch without
         touching the sketch, when the batch's total magnitude reaches 2**62:
         summing such deltas could wrap int64 before any counter guard runs.
+        Raises ValueError, and drops the batch the same way, when a record
+        buffered by `update` has a non-integer item or delta.
         """
         batches = self._pending_batches
-        if self._pending_items:
-            batches.append((np.array(self._pending_items, dtype=np.int64),
-                            np.array(self._pending_deltas, dtype=np.int64)))
-        if not batches:
+        scalar_items, scalar_deltas = self._pending_items, self._pending_deltas
+        if not batches and not scalar_items:
             return
         t0 = time.perf_counter_ns()
         self._pending_items, self._pending_deltas, self._pending_batches = [], [], []
+        if scalar_items:
+            batches.append((integer_array(scalar_items, "items"),
+                            integer_array(scalar_deltas, "deltas")))
         if len(batches) == 1:
             items, deltas = batches[0]
         else:
@@ -339,7 +360,8 @@ class Estimator:
         self.flush()
         p = self.config.p
         mask = self._collision_free_mask(cls.heavy_items)
-        prod = np.abs(self.table.cells.prod(axis=1))
+        cells = self.table.cells
+        prod = np.abs(cells[:, 0] * cells[:, 1] * cells[:, 2])
         total = float((prod[mask] ** (p / 3.0)).sum())
         correction = self.config.light_correction(cls.heavy_count)
         return correction * stability_constant(p, p / 3.0) ** -3 * total

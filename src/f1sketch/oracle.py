@@ -13,6 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .stable import (PHILOX_M0, PHILOX_M1, PHILOX_ROUNDS, PHILOX_W0, PHILOX_W1,
+                     stable_variate)
+
 
 class TailBoundCheck(NamedTuple):
     holds: bool
@@ -163,3 +166,41 @@ def expected_isolation_row(bucket_hashes, item: int, heavy_items) -> int | None:
         if all(h.eval(k) != b for k in others):
             return j + 1
     return None
+
+
+def expected_philox4x32(counter, key) -> tuple:
+    """Scalar reference for `stable.philox4x32`: one Philox4x32-10 block of
+    four 32-bit counter words under two 32-bit key words, in Python ints."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for r in range(PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + PHILOX_W0) % (1 << 32)
+            k1 = (k1 + PHILOX_W1) % (1 << 32)
+        hi0, lo0 = divmod(PHILOX_M0 * c0, 1 << 32)
+        hi1, lo1 = divmod(PHILOX_M1 * c2, 1 << 32)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
+
+
+def expected_uniforms(source, bucket: int, slot: int, item: int) -> tuple:
+    """Scalar reference for the uniforms (u1, u2) behind variate
+    s_{bucket,slot}(item) of a `StableVariateSource`, slot in {1, 2, 3}."""
+    if slot not in (1, 2, 3):
+        raise ValueError("slot must be 1, 2 or 3")
+    item, bucket = int(item), int(bucket)
+    key = (int.from_bytes(source.key[0:4], "little"),
+           int.from_bytes(source.key[4:8], "little"))
+    c0, c1, c2, c3 = expected_philox4x32(
+        (item % (1 << 32), item >> 32, bucket, slot - 1), key)
+    return ((((c0 << 32 | c1) >> 12) + 0.5) * 2.0 ** -52,
+            (((c2 << 32 | c3) >> 12) + 0.5) * 2.0 ** -52)
+
+
+def expected_variate(source, bucket: int, slot: int, item: int) -> float:
+    """Scalar reference for `StableVariateSource.variates_for`: the reference
+    uniforms through the scalar Chambers-Mallows-Stuck transform. It agrees
+    with the vector path to a few ulps, since numpy and libm may round the
+    transcendental functions differently."""
+    u1, u2 = expected_uniforms(source, bucket, slot, item)
+    return stable_variate(u1, u2, source.p, source.cap)

@@ -2,15 +2,15 @@
 
 Covers the Cauchy (p=1) special case used by the first-moment sketch, the
 general p in (0, 2) case via the Chambers-Mallows-Stuck transform, the
-moment constants of stable laws, and the two classical whole-vector
-baseline estimators (median of sketch magnitudes, geometric means).
+replayable variate source behind the sketch (a vectorized Philox4x32-10
+counter-based generator), the moment constants of stable laws, and the two
+classical whole-vector baseline estimators (median of sketch magnitudes,
+geometric means).
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 
 import numpy as np
 
@@ -45,6 +45,21 @@ def stable_variate(u1: float, u2: float, p: float,
             math.cos((1.0 - p) * theta) / w
         ) ** ((1.0 - p) / p)
     return max(-cap, min(cap, x))
+
+
+def stable_variates(u1: np.ndarray, u2: np.ndarray, p: float,
+                    cap: float = DEFAULT_TRUNCATION_CAP) -> np.ndarray:
+    """`stable_variate` over aligned arrays of uniforms, without its range
+    checks; u2 is unused when p = 1."""
+    theta = np.pi * (u1 - 0.5)
+    if p == 1.0:
+        x = np.tan(theta)
+    else:
+        w = -np.log(u2)
+        x = (np.sin(p * theta) / np.cos(theta) ** (1.0 / p)) * (
+            np.cos((1.0 - p) * theta) / w
+        ) ** ((1.0 - p) / p)
+    return np.clip(x, -cap, cap)
 
 
 def stability_constant(p: float, q: float) -> float:
@@ -102,16 +117,64 @@ def median_estimate(values) -> float:
     return float(np.sort(x)[(x.size - 1) // 2])
 
 
+# Philox4x32-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC 2011): round multipliers and Weyl key increments
+PHILOX_M0, PHILOX_M1 = 0xD2511F53, 0xCD9E8D57
+PHILOX_W0, PHILOX_W1 = 0x9E3779B9, 0xBB67AE85
+PHILOX_ROUNDS = 10
+VARIATE_GENERATOR = "Philox4x32-10 (numpy)"
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
+
+def philox4x32(c0, c1, c2, c3, k0: int, k1: int) -> tuple:
+    """Philox4x32-10 blocks for aligned counter words, one block per element.
+
+    Counter words are arrays of 32-bit values and (k0, k1) the 32-bit key
+    words; returns the four output words as uint64 arrays. Every 32x32-bit
+    product is exact in uint64, so a round is a few whole-array operations.
+    """
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3))
+    for r in range(PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + PHILOX_W0) & 0xFFFFFFFF
+            k1 = (k1 + PHILOX_W1) & 0xFFFFFFFF
+        p0 = c0 * np.uint64(PHILOX_M0)
+        p1 = c2 * np.uint64(PHILOX_M1)
+        # (hi(p1) ^ c1 ^ k0, lo(p1), hi(p0) ^ c3 ^ k1, lo(p0)); in place on
+        # the fresh arrays only, never on the caller's counter words
+        c0 = p1 >> _32
+        c0 ^= c1
+        c0 ^= np.uint64(k0)
+        c2 = p0 >> _32
+        c2 ^= c3
+        c2 ^= np.uint64(k1)
+        p1 &= _LOW32
+        p0 &= _LOW32
+        c1, c3 = p1, p0
+    return c0, c1, c2, c3
+
+
+def _uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Uniform in (0, 1) from the 64-bit word hi:lo: its top 52 bits,
+    offset by half a step so neither end is reachable."""
+    return ((((hi << _32) | lo) >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0 ** -52
+
+
 class StableVariateSource:
     """Replayable p-stable variates indexed by (bucket, slot, item).
 
-    Each (bucket, item) pair gets one keyed-BLAKE2b digest; slots r in
-    {1, 2, 3} consume disjoint 64-bit lanes of it, so all variates are
-    mutually independent for PRF purposes and any one of them is a pure
-    function of (key, bucket, slot, item). Magnitudes are clamped to `cap`.
+    Slot r in {1, 2, 3} of the pair (bucket, item) is one Philox4x32-10
+    block with counter (item mod 2**32, item // 2**32, bucket, r - 1) under
+    the 64-bit key in the first 8 bytes of `key` (two little-endian 32-bit
+    words). Output words c0:c1 give the uniform u1 and c2:c3 the uniform u2
+    of the Chambers-Mallows-Stuck transform. Distinct counters give
+    independent blocks for PRF purposes, so any variate is a pure function
+    of (key, bucket, slot, item). Magnitudes are clamped to `cap`.
     """
 
-    __slots__ = ("key", "p", "cap")
+    __slots__ = ("key", "p", "cap", "philox_key")
 
     def __init__(self, key: bytes, p: float = 1.0,
                  cap: float = DEFAULT_TRUNCATION_CAP):
@@ -119,50 +182,24 @@ class StableVariateSource:
             raise ValueError("stability index p must lie in (0, 2]")
         if cap <= 0:
             raise ValueError("truncation cap must be positive")
+        if len(key) < 8:
+            raise ValueError("variate key needs at least 8 bytes")
         self.key = key
         self.p = p
         self.cap = cap
-
-    def _words(self, bucket: int, item: int) -> tuple:
-        digest = hashlib.blake2b(
-            struct.pack("<qq", bucket, item), key=self.key, digest_size=48
-        ).digest()
-        return struct.unpack("<6Q", digest)
-
-    @staticmethod
-    def _uniform(word: int) -> float:
-        # 52-bit mantissa, offset by half a step: strictly inside (0, 1)
-        return ((word >> 12) + 0.5) * 2.0 ** -52
-
-    def variate(self, bucket: int, slot: int, item: int) -> float:
-        """Variate s_{bucket,slot}(item); slot in {1, 2, 3}."""
-        if slot not in (1, 2, 3):
-            raise ValueError("slot must be 1, 2 or 3")
-        w = self._words(bucket, item)
-        u1 = self._uniform(w[2 * (slot - 1)])
-        u2 = self._uniform(w[2 * (slot - 1) + 1])
-        return stable_variate(u1, u2, self.p, self.cap)
+        self.philox_key = (int.from_bytes(key[0:4], "little"),
+                           int.from_bytes(key[4:8], "little"))
 
     def variates_for(self, buckets: np.ndarray, items: np.ndarray) -> np.ndarray:
         """All three slots for aligned (bucket, item) pairs; shape (len, 3)."""
-        n = len(items)
-        words = np.empty((n, 6), dtype=np.uint64)
-        pack = struct.pack
-        blake = hashlib.blake2b
-        key = self.key
-        for idx in range(n):
-            digest = blake(pack("<qq", int(buckets[idx]), int(items[idx])),
-                           key=key, digest_size=48).digest()
-            words[idx] = struct.unpack("<6Q", digest)
-        u = ((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0 ** -52
-        u1 = u[:, 0::2]
-        theta = np.pi * (u1 - 0.5)
-        if self.p == 1.0:
-            x = np.tan(theta)
-        else:
-            p = self.p
-            w = -np.log(u[:, 1::2])
-            x = (np.sin(p * theta) / np.cos(theta) ** (1.0 / p)) * (
-                np.cos((1.0 - p) * theta) / w
-            ) ** ((1.0 - p) / p)
-        return np.clip(x, -self.cap, self.cap)
+        items = np.asarray(items, dtype=np.int64).astype(np.uint64)[:, None]
+        buckets = np.asarray(buckets, dtype=np.int64).astype(np.uint64)[:, None]
+        shape = (items.shape[0], 3)
+        c0, c1, c2, c3 = philox4x32(
+            np.broadcast_to(items & _LOW32, shape),
+            np.broadcast_to(items >> _32, shape),
+            np.broadcast_to(buckets, shape),
+            np.broadcast_to(np.arange(3, dtype=np.uint64), shape),
+            *self.philox_key,
+        )
+        return stable_variates(_uniform(c0, c1), _uniform(c2, c3), self.p, self.cap)

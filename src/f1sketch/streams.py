@@ -120,22 +120,20 @@ def _read_binary(path: str) -> Stream:
         blob = fh.read()
     if blob[: len(BINARY_MAGIC)] != BINARY_MAGIC:
         raise StreamParseError("missing binary stream magic")
-    if len(blob) < len(BINARY_MAGIC) + 8:
+    header = len(BINARY_MAGIC) + 8
+    if len(blob) < header:
         raise StreamParseError("truncated binary header")
     (n,) = struct.unpack_from("<Q", blob, len(BINARY_MAGIC))
-    body = blob[len(BINARY_MAGIC) + 8 :]
-    if len(body) % 12:
+    if (len(blob) - header) % BINARY_RECORD.itemsize:
         raise StreamParseError("truncated binary record")
-    count = len(body) // 12
-    items = np.empty(count, dtype=np.int64)
-    deltas = np.empty(count, dtype=np.int64)
-    for r in range(count):
-        i, v = struct.unpack_from("<Iq", body, 12 * r)
-        if not 1 <= i <= n:
-            raise StreamParseError(f"item {i} outside declared domain [1, {n}]",
-                                   line=r + 1)
-        items[r] = i
-        deltas[r] = v
+    records = np.frombuffer(blob, dtype=BINARY_RECORD, offset=header)
+    items = records["i"].astype(np.int64)
+    bad = np.flatnonzero((items < 1) | (items > n))
+    if bad.size:
+        r = int(bad[0])
+        raise StreamParseError(f"item {items[r]} outside declared domain [1, {n}]",
+                               line=r + 1)
+    deltas = records["v"].astype(np.int64)
     return Stream(n=int(n), items=items, deltas=deltas)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from f1sketch import Classification, Estimator, EstimatorConfig, ExactState, generate
-from f1sketch import hashing
+from f1sketch import hashing, stable
 
 ZIPF_TRIALS = 200
 PLANTED_TRIALS = 200
@@ -18,7 +18,8 @@ LIGHT_TRIALS = 500
 
 
 def pytest_report_header(config):
-    return f"f1sketch polynomial hashing: {hashing.KWISE_BACKEND}"
+    return (f"f1sketch polynomial hashing: {hashing.KWISE_BACKEND}; "
+            f"stable variates: {stable.VARIATE_GENERATOR}")
 
 
 @pytest.fixture(scope="session")

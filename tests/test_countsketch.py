@@ -4,11 +4,23 @@ from hypothesis import given, settings, strategies as st
 
 from f1sketch import CountSketchTable, ExactState, SketchInvariantError, generate
 from f1sketch import seeds
+from f1sketch.countsketch import zeroed_cells
 from f1sketch.oracle import expected_countsketch_cells, expected_point_estimate
 
 
 def make_table(rows=3, cols=7, n=20, seed=1, **kwargs) -> CountSketchTable:
     return CountSketchTable.from_seed(seeds.master_key(seed), rows, cols, n, **kwargs)
+
+
+def test_zeroed_cells_are_zero_writable_and_independent():
+    a = zeroed_cells((3, 5), np.int64)
+    b = zeroed_cells((5, 3), np.float64)
+    assert a.shape == (3, 5) and a.dtype == np.int64 and not a.any()
+    assert b.shape == (5, 3) and b.dtype == np.float64 and not b.any()
+    a[2, 4] = -7
+    b[:] = 1.5
+    assert a.sum() == -7 and not zeroed_cells((3, 5), np.int64).any()
+    assert a.flags.writeable and a.flags.c_contiguous
 
 
 def test_update_then_inverse_restores_state():

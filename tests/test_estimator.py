@@ -16,7 +16,7 @@ from f1sketch import (
     stability_constant,
 )
 from f1sketch import hashing, seeds
-from f1sketch.oracle import expected_isolation_row
+from f1sketch.oracle import expected_isolation_row, expected_variate
 
 
 def build(n=100, seed=1, accuracy=0.5, **kwargs) -> Estimator:
@@ -135,6 +135,25 @@ def test_stable_cells_match_oracle_replay():
     want = expected_stable_cells(state, est.table)
     scale = np.abs(want).max()
     assert np.allclose(est.table.cells, want, rtol=1e-9, atol=1e-9 * scale)
+
+
+def test_stable_cells_match_scalar_variate_replay():
+    # every cell re-summed from the scalar reference variates, item by item
+    est = build(n=40, seed=13, p=0.7)
+    rng = np.random.default_rng(1)
+    items = rng.integers(1, 41, size=500)
+    deltas = rng.integers(-5, 6, size=500)
+    est.update_many(items, deltas)
+    est.flush()
+    state = ExactState(40)
+    state.update_many(items, deltas)
+    want = np.zeros_like(est.table.cells)
+    for i in np.nonzero(state.frequencies)[0] + 1:
+        b = est.table.bucket_hash.eval(int(i))
+        for slot in (1, 2, 3):
+            want[b - 1, slot - 1] += state.frequencies[i - 1] * expected_variate(
+                est.table.source, b, slot, i)
+    assert np.allclose(est.table.cells, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_order_of_scalar_and_batch_ingestion_agrees():
@@ -397,6 +416,23 @@ def test_light_estimate_formula_on_tiny_stream():
     assert est.light_estimate(Classification.empty()) == pytest.approx(want, rel=1e-12)
 
 
+def test_light_estimate_column_product_equals_row_prod():
+    stream = generate("zipf(1.1)", n=2000, m=20000, seed=5)
+    est = build(n=stream.n, seed=25)
+    est.update_many(stream.items, stream.deltas)
+    est.flush()
+    cells = est.table.cells
+    assert np.count_nonzero(cells.any(axis=1)) > 1000
+    assert np.array_equal(cells[:, 0] * cells[:, 1] * cells[:, 2], cells.prod(axis=1))
+    cls = est.classify()
+    mask = np.ones(est.config.width, dtype=bool)
+    mask[est.table.bucket_hash.eval_many(cls.heavy_items) - 1] = False
+    total = (np.abs(cells.prod(axis=1))[mask] ** (1.0 / 3.0)).sum()
+    want = (est.config.light_correction(cls.heavy_count)
+            * stability_constant(1.0, 1.0 / 3.0) ** -3 * total)
+    assert est.light_estimate(cls) == want
+
+
 def test_light_estimate_excludes_heavy_buckets():
     est = build(n=50, seed=23)
     est.update(7, 1000)
@@ -588,6 +624,41 @@ def test_overflow_guard_runs_before_aggregation_scalar():
     with pytest.raises(SketchInvariantError):
         est.estimate()
     assert not est.countsketch.cells.any() and not est.table.cells.any()
+
+
+def test_update_many_rejects_non_integer_input():
+    est = build(n=10)
+    with pytest.raises(ValueError, match="items"):
+        est.update_many(np.array([1.9, 2.2]), np.array([2, 1]))
+    with pytest.raises(ValueError, match="deltas"):
+        est.update_many(np.array([1, 2]), np.array([2.7, -0.5]))
+    for bad in (np.nan, np.inf, 2.0**63):
+        with pytest.raises(ValueError, match="deltas"):
+            est.update_many(np.array([1, 2]), np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="deltas"):
+        est.update_many(np.array([1]), np.array([2**63], dtype=np.uint64))
+    # whole-valued floats and every integer dtype are accepted as they are
+    est.update_many(np.array([1.0, 2.0]), np.array([3.0, -4.0]))
+    est.update_many(np.array([3], dtype=np.uint8), np.array([5], dtype=np.int16))
+    est.update_many([4], [True])
+    assert est.touched_items().tolist() == [1, 2, 3, 4]
+    assert est.estimate().total > 0
+
+
+def test_scalar_update_rejects_non_integer_at_flush():
+    est = build(n=10)
+    est.update(1, 2.7)
+    est.update(2, 5)
+    with pytest.raises(ValueError, match="deltas"):
+        est.flush()
+    # the refused batch is dropped whole, like one that trips the overflow guard
+    assert est.touched_items().size == 0 and not est.table.cells.any()
+    est.update(1.5, 1)
+    with pytest.raises(ValueError, match="items"):
+        est.estimate()
+    est.update(3, 4.0)
+    est.update(np.int64(5), 2)
+    assert est.touched_items().tolist() == [3, 5]
 
 
 def test_overflow_guard_runs_before_aggregation_batch():

@@ -15,6 +15,8 @@ from f1sketch import (
     stable_variate,
 )
 from f1sketch import seeds
+from f1sketch.oracle import expected_philox4x32, expected_uniforms, expected_variate
+from f1sketch.stable import philox4x32, stable_variates
 
 
 def source(tag: str, p: float = 1.0, cap: float = 1e9) -> StableVariateSource:
@@ -209,38 +211,115 @@ def test_median_estimate_concentration():
 
 # -- variate source -----------------------------------------------------------
 
+# the vector transform and the scalar one call numpy's and libm's
+# transcendental functions, which may round differently by a few ulps
+TRANSFORM_RTOL = 16 * np.finfo(np.float64).eps
+
+# Random123 Philox4x32-10 known-answer vectors: counter, key, output
+PHILOX_KAT = [
+    ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2,
+     (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+    ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+     (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+]
+
+
+@pytest.mark.parametrize("counter,key,want", PHILOX_KAT)
+def test_philox_known_answers(counter, key, want):
+    assert expected_philox4x32(counter, key) == want
+    got = philox4x32(*(np.array([c], dtype=np.uint64) for c in counter), *key)
+    assert tuple(int(w[0]) for w in got) == want
+
+
+def test_philox_vector_matches_reference_on_random_blocks():
+    rng = np.random.default_rng(123)
+    counters = rng.integers(0, 2**32, size=(4, 500), dtype=np.uint64)
+    for k0, k1 in ((0, 0), (0xFFFFFFFF, 1), tuple(int(k) for k in rng.integers(0, 2**32, 2))):
+        got = np.stack(philox4x32(*counters, k0, k1))
+        for j in range(counters.shape[1]):
+            want = expected_philox4x32(tuple(int(c) for c in counters[:, j]), (k0, k1))
+            assert tuple(int(w) for w in got[:, j]) == want
+
+
+@pytest.mark.parametrize("p", [1.0, 0.7, 1.5])
+def test_vector_variates_match_reference(p):
+    # items past 2**32 use the second counter word; the reference uniforms
+    # through the same numpy transform must give the same bits
+    src = source(f"ref{p}", p=p)
+    rng = np.random.default_rng(7)
+    buckets = rng.integers(1, 2**20, 300)
+    items = np.concatenate([rng.integers(1, 2**20, 100), rng.integers(2**32, 2**63, 200)])
+    got = src.variates_for(buckets, items)
+    for j in range(items.size):
+        u = [expected_uniforms(src, buckets[j], slot, items[j]) for slot in (1, 2, 3)]
+        u1, u2 = np.array(u).T
+        assert np.array_equal(got[j], stable_variates(u1, u2, p, src.cap))
+        want = [expected_variate(src, buckets[j], slot, items[j]) for slot in (1, 2, 3)]
+        assert got[j] == pytest.approx(want, rel=TRANSFORM_RTOL)
+
+
+def test_variates_of_concatenation_are_concatenated_variates():
+    src = source("concat", p=0.7)
+    rng = np.random.default_rng(11)
+    buckets = rng.integers(1, 5000, 1000)
+    items = rng.integers(1, 2**40, 1000)
+    whole = src.variates_for(buckets, items)
+    parts = [src.variates_for(buckets[lo:hi], items[lo:hi])
+             for lo, hi in ((0, 1), (1, 400), (400, 400), (400, 1000))]
+    assert np.array_equal(whole, np.concatenate(parts))
+
+
+def test_items_differing_only_in_high_bits_get_different_variates():
+    src = source("high")
+    low = np.arange(1, 1001, dtype=np.int64)
+    buckets = np.ones(1000, dtype=np.int64)
+    base = src.variates_for(buckets, low)
+    for shift in (32, 40, 62):
+        other = src.variates_for(buckets, low + (1 << shift))
+        assert not (other == base).any()
+
 
 def test_variate_is_pure_and_matches_vector_path():
     src = source("pure")
-    a = src.variate(9, 2, 1234)
-    b = src.variate(9, 2, 1234)
-    assert a == b
+    a = expected_variate(src, 9, 2, 1234)
+    assert a == expected_variate(src, 9, 2, 1234)
     vec = src.variates_for(np.array([9]), np.array([1234]))
-    assert vec[0, 1] == a
+    assert np.array_equal(vec, src.variates_for(np.array([9]), np.array([1234])))
+    assert vec[0, 1] == pytest.approx(a, rel=TRANSFORM_RTOL)
 
 
 def test_variate_depends_on_all_indices():
     src = source("distinct")
-    vals = {src.variate(1, 1, 5), src.variate(2, 1, 5), src.variate(1, 2, 5),
-            src.variate(1, 1, 6)}
-    assert len(vals) == 4
+    vals = {expected_variate(src, 1, 1, 5), expected_variate(src, 2, 1, 5),
+            expected_variate(src, 1, 2, 5), expected_variate(src, 1, 1, 6),
+            expected_variate(src, 1, 1, 5 + (1 << 32)),
+            expected_variate(source("distinct2"), 1, 1, 5)}
+    assert len(vals) == 6
 
 
 def test_variate_truncation_cap():
     src = source("cap", cap=2.0)
     vals = src.variates_for(np.ones(5000, dtype=np.int64), np.arange(1, 5001))
     assert np.abs(vals).max() <= 2.0
-    assert src.variate(1, 1, 1) == vals[0, 0]
+    assert (np.abs(vals) == 2.0).any()
+    assert expected_variate(src, 1, 1, 1) == pytest.approx(vals[0, 0], rel=TRANSFORM_RTOL)
+    capped = np.nonzero(np.abs(vals[:, 0]) == 2.0)[0][0]
+    assert expected_variate(src, 1, 1, capped + 1) == vals[capped, 0]
 
 
 def test_variate_rejects_bad_slot_and_params():
     src = source("bad")
     with pytest.raises(ValueError):
-        src.variate(1, 0, 1)
+        expected_variate(src, 1, 0, 1)
+    with pytest.raises(ValueError):
+        expected_variate(src, 1, 4, 1)
     with pytest.raises(ValueError):
         StableVariateSource(b"k" * 32, p=2.5)
     with pytest.raises(ValueError):
         StableVariateSource(b"k" * 32, cap=0.0)
+    with pytest.raises(ValueError):
+        StableVariateSource(b"k" * 7)
     with pytest.raises(ValueError):
         stable_variate(0.5, 0.5, p=0.0)
     with pytest.raises(ValueError):

@@ -102,6 +102,46 @@ def test_binary_errors(tmp_path):
         read_stream(path, binary=True)
 
 
+def test_binary_reader_reports_first_bad_record(tmp_path):
+    path = str(tmp_path / "dom.bin")
+    write_stream(path, Stream(50, np.array([1, 50, 7, 3, 9]), np.array([1, 2, 3, 4, 5])),
+                 binary=True)
+    with open(path, "r+b") as fh:
+        # declare n=8: records 2 (item 50) and 5 (item 9) fall outside and
+        # the first of them is reported
+        fh.seek(8)
+        fh.write((8).to_bytes(8, "little"))
+    with pytest.raises(StreamParseError) as info:
+        read_stream(path, binary=True)
+    assert info.value.line == 2
+    assert str(info.value) == "line 2: item 50 outside declared domain [1, 8]"
+    with open(path, "r+b") as fh:
+        fh.seek(16 + 12 * 4)
+        fh.write((0).to_bytes(4, "little"))
+    with open(path, "r+b") as fh:
+        fh.seek(8)
+        fh.write((60).to_bytes(8, "little"))
+    with pytest.raises(StreamParseError, match="^line 5: item 0 outside declared domain"):
+        read_stream(path, binary=True)
+
+
+def test_binary_reader_empty_body_and_truncation(tmp_path):
+    path = str(tmp_path / "empty.bin")
+    with open(path, "wb") as fh:
+        fh.write(b"F1SKBIN\x00" + (5).to_bytes(8, "little"))
+    s = read_stream(path, binary=True)
+    assert s.n == 5 and len(s) == 0
+    assert s.items.dtype == np.int64 and s.deltas.dtype == np.int64
+    with open(path, "wb") as fh:
+        fh.write(b"F1SKBIN\x00" + (5).to_bytes(4, "little"))
+    with pytest.raises(StreamParseError, match="truncated binary header"):
+        read_stream(path, binary=True)
+    with open(path, "wb") as fh:
+        fh.write(b"F1SKBIN\x00" + (5).to_bytes(8, "little") + bytes(13))
+    with pytest.raises(StreamParseError, match="truncated binary record"):
+        read_stream(path, binary=True)
+
+
 # -- generation ---------------------------------------------------------------
 
 
