@@ -91,9 +91,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _eval_worker(payload):
-    items, deltas, n, accuracy, seed, p, exact, trial = payload
-    return run_trial(Stream(n, items, deltas), accuracy, seed, p, exact, trial)
+_worker_stream: Stream | None = None  # the stream an `eval --jobs` worker holds
+
+
+def _init_worker(stream: Stream) -> None:
+    global _worker_stream
+    _worker_stream = stream
+
+
+def _worker_trial(params: tuple) -> TrialRow:
+    return run_trial(_worker_stream, *params)
 
 
 def _cmd_eval(args) -> int:
@@ -101,16 +108,14 @@ def _cmd_eval(args) -> int:
         raise ValueError("need at least one trial")
     stream = read_stream(args.stream, binary=args.binary)
     exact = exact_f1_of(stream)
-    payloads = [
-        (stream.items, stream.deltas, stream.n, args.epsilon,
-         args.seed + t, args.p, exact, t)
-        for t in range(args.trials)
-    ]
+    # per trial only its parameters; workers get the stream once, at start
+    trials = [(args.epsilon, args.seed + t, args.p, exact, t) for t in range(args.trials)]
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_eval_worker, payloads, chunksize=1))
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=args.jobs, initializer=_init_worker, initargs=(stream,)) as pool:
+            rows = list(pool.map(_worker_trial, trials))
     else:
-        rows = [_eval_worker(p) for p in payloads]
+        rows = [run_trial(stream, *params) for params in trials]
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for row in rows:

@@ -124,6 +124,7 @@ PHILOX_W0, PHILOX_W1 = 0x9E3779B9, 0xBB67AE85
 PHILOX_ROUNDS = 10
 VARIATE_GENERATOR = "Philox4x32-10 (numpy)"
 
+_VARIATE_BLOCK = 1 << 16  # (bucket, item) pairs per Philox pass in `variates_for`
 _LOW32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
 
@@ -191,9 +192,22 @@ class StableVariateSource:
                            int.from_bytes(key[4:8], "little"))
 
     def variates_for(self, buckets: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """All three slots for aligned (bucket, item) pairs; shape (len, 3)."""
-        items = np.asarray(items, dtype=np.int64).astype(np.uint64)[:, None]
-        buckets = np.asarray(buckets, dtype=np.int64).astype(np.uint64)[:, None]
+        """All three slots for aligned (bucket, item) pairs; shape (len, 3).
+
+        Drawn `_VARIATE_BLOCK` pairs at a time into the output, so scratch
+        memory stays bounded; each variate depends only on its own pair, so
+        the blocks do not change any bit."""
+        items = np.asarray(items, dtype=np.int64)
+        buckets = np.asarray(buckets, dtype=np.int64)
+        out = np.empty((items.shape[0], 3))
+        for lo in range(0, items.shape[0], _VARIATE_BLOCK):
+            block = slice(lo, lo + _VARIATE_BLOCK)
+            out[block] = self._block_variates(buckets[block], items[block])
+        return out
+
+    def _block_variates(self, buckets: np.ndarray, items: np.ndarray) -> np.ndarray:
+        items = items.astype(np.uint64)[:, None]
+        buckets = buckets.astype(np.uint64)[:, None]
         shape = (items.shape[0], 3)
         c0, c1, c2, c3 = philox4x32(
             np.broadcast_to(items & _LOW32, shape),

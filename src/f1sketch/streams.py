@@ -2,8 +2,9 @@
 
 Text format: newline-delimited records "<i> <v>" with 1-based item index i
 and signed integer delta v. Lines starting with '#' are comments; a header
-comment "# n=<n>" declares the domain size. Without a header the domain
-size is inferred as the largest item index seen.
+comment "# n=<n>" declares the domain size, also when it follows records
+(which must then lie in the domain). Without a header the domain size is
+inferred as the largest item index seen.
 
 Binary format (benchmarks): 8-byte magic "F1SKBIN\\0", little-endian uint64
 n, then little-endian (uint32 i, int64 v) pairs.
@@ -11,13 +12,19 @@ n, then little-endian (uint32 i, int64 v) pairs.
 
 from __future__ import annotations
 
+import re
 import struct
+import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 BINARY_MAGIC = b"F1SKBIN\x00"
 BINARY_RECORD = np.dtype([("i", "<u4"), ("v", "<i8")])  # packed, 12 bytes
+
+_PLAIN_HEADER = re.compile(rb"# n=(\d{1,18})(?:\n|\Z)")
+_PLAIN_TOKEN_MAX = 18  # 18 digits, or "-" and 17: always inside int64
 
 
 class StreamParseError(ValueError):
@@ -41,21 +48,94 @@ class Stream:
 
 
 def read_stream(path: str, binary: bool = False) -> Stream:
-    """Parse a stream file ('-' reads text from stdin)."""
+    """Parse a stream file ('-' reads text from stdin).
+
+    Text in the plain shape (see `_parse_plain`) is read in one vectorized
+    pass; any other text goes through `parse_text`, the reference reader,
+    with identical results and errors."""
     if binary:
         return _read_binary(path)
     if path == "-":
-        import sys
+        text = sys.stdin.read()
+        try:
+            data = text.encode("ascii")
+        except UnicodeEncodeError:
+            return parse_text(text.splitlines())
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    stream = _parse_plain(data)
+    if stream is None:
+        stream = parse_text(data.decode("ascii").splitlines())
+    return stream
 
-        return parse_text(sys.stdin.read().splitlines())
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_text(fh.read().splitlines())
+
+def _parse_plain(data: bytes) -> Stream | None:
+    """`parse_text` of `data` when the text has the plain shape, else None.
+
+    Plain: an optional first line "# n=<digits>" with n >= 1, then only
+    digits, '-', spaces and newlines; every line holds 0 or 2 tokens, each
+    token at most `_PLAIN_TOKEN_MAX` bytes with any '-' followed by a digit;
+    numpy reads exactly one value per token; every item lies in [1, n].
+    Each check is needed: `np.fromstring` reads a trailing lone '-' and a
+    blank text as 0, saturates overflowing values, and skips carriage
+    returns, which `parse_text` treats as line breaks.
+    """
+    n = None
+    header = _PLAIN_HEADER.match(data)
+    if header:
+        n = int(header.group(1))
+        if n < 1:
+            return None
+        data = data[header.end():]
+    text = np.frombuffer(data, dtype=np.uint8)
+    sep = (text == ord(" ")) | (text == ord("\n"))
+    digit = (text - np.uint8(ord("0"))) < 10
+    minus = text == ord("-")
+    if not (sep | digit | minus).all():
+        return None
+    signs = np.flatnonzero(minus)
+    if signs.size and (signs[-1] + 1 == text.size or not digit[signs + 1].all()):
+        return None
+    edges = np.flatnonzero(np.diff(sep, prepend=True, append=True))
+    starts, ends = edges[0::2], edges[1::2]
+    if starts.size % 2 or (ends - starts > _PLAIN_TOKEN_MAX).any():
+        return None
+    if starts.size:
+        # whether a line break follows each token but the last, before the
+        # next token: never inside a record, always between two
+        breaks = np.logical_or.reduceat(text[:ends[-1]] == ord("\n"), ends[:-1])
+        if breaks[0::2].any() or not breaks[1::2].all():
+            return None
+    try:
+        with warnings.catch_warnings():
+            # older numpy only warns when it stops short of the end
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(data, dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    if values.size != starts.size:
+        return None
+    items, deltas = (np.ascontiguousarray(c) for c in values.reshape(-1, 2).T)
+    if items.size == 0:
+        return None if n is None else Stream(n, items, deltas)
+    lo, hi = int(items.min()), int(items.max())
+    if lo < 1 or (n is not None and hi > n):
+        return None
+    return Stream(hi if n is None else n, items, deltas)
 
 
 def parse_text(lines) -> Stream:
+    """The reference text reader: one record per line, errors by line.
+
+    A "# n=" header after records is checked against them: the first
+    earlier record outside [1, n] is reported."""
     n = None
     items: list[int] = []
     deltas: list[int] = []
+    # (line, item) of each record that raised the running item maximum:
+    # the first record beyond a late header's n is among them
+    peaks: list[tuple[int, int]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -69,6 +149,10 @@ def parse_text(lines) -> Stream:
                     raise StreamParseError(f"bad domain header {line!r}", lineno)
                 if n < 1:
                     raise StreamParseError("declared n must be >= 1", lineno)
+                for peak_line, i in peaks:
+                    if i > n:
+                        raise StreamParseError(
+                            f"item {i} outside declared domain [1, {n}]", peak_line)
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -83,6 +167,8 @@ def parse_text(lines) -> Stream:
             raise StreamParseError(f"item {i} outside declared domain [1, {n}]", lineno)
         if not -(1 << 63) <= v < (1 << 63):
             raise StreamParseError(f"delta {v} exceeds the 64-bit counter range", lineno)
+        if n is None and (not peaks or i > peaks[-1][1]):
+            peaks.append((lineno, i))
         items.append(i)
         deltas.append(v)
     if n is None:

@@ -121,6 +121,19 @@ def test_eval_parallel_matches_serial(tmp_path, capsys):
     assert strip(serial) == strip(parallel)
 
 
+def test_eval_parallel_with_more_trials_than_jobs(tmp_path, capsys):
+    path = gen(tmp_path, m=1500)
+    serial = str(tmp_path / "serial.csv")
+    parallel = str(tmp_path / "parallel.csv")
+    common = ("eval", path, "--epsilon", "0.5", "--trials", "7", "--seed", "11")
+    assert run_cli(*common, "--out", serial, capsys=capsys)[0] == 0
+    assert run_cli(*common, "--out", parallel, "--jobs", "2", capsys=capsys)[0] == 0
+    strip = lambda p: [line.split(",")[:8] for line in open(p).read().splitlines()]
+    rows = strip(parallel)
+    assert rows == strip(serial)
+    assert [row[:2] for row in rows[1:]] == [[str(t), str(11 + t)] for t in range(7)]
+
+
 def test_eval_summary_statistics(tmp_path, capsys):
     path = gen(tmp_path)
     out_csv = str(tmp_path / "rows.csv")
@@ -161,6 +174,15 @@ def test_exit_code_parse_error(tmp_path, capsys):
     code, out = run_cli("run", path, "--epsilon", "0.5", capsys=capsys)
     assert code == 2
     assert "line 3" in out.err
+
+
+def test_exit_code_late_header_below_earlier_item(tmp_path, capsys):
+    path = str(tmp_path / "late.txt")
+    with open(path, "w") as fh:
+        fh.write("9 4\n# n=2\n")
+    code, out = run_cli("run", path, "--epsilon", "0.5", capsys=capsys)
+    assert code == 2
+    assert "line 1: item 9 outside declared domain [1, 2]" in out.err
 
 
 def test_exit_code_missing_file():

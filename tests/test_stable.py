@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from f1sketch import (
 )
 from f1sketch import seeds
 from f1sketch.oracle import expected_philox4x32, expected_uniforms, expected_variate
-from f1sketch.stable import philox4x32, stable_variates
+from f1sketch.stable import _VARIATE_BLOCK, philox4x32, stable_variates
 
 
 def source(tag: str, p: float = 1.0, cap: float = 1e9) -> StableVariateSource:
@@ -268,6 +269,26 @@ def test_variates_of_concatenation_are_concatenated_variates():
     parts = [src.variates_for(buckets[lo:hi], items[lo:hi])
              for lo, hi in ((0, 1), (1, 400), (400, 400), (400, 1000))]
     assert np.array_equal(whole, np.concatenate(parts))
+
+
+def test_variates_for_many_pairs_in_bounded_scratch():
+    # four blocks: peak memory is the output plus one block's scratch, where
+    # a single pass over every pair holds about ten times the output
+    src = source("blocks")
+    pairs = 4 * _VARIATE_BLOCK
+    buckets = np.arange(pairs, dtype=np.int64) % 25_600
+    items = np.arange(1, pairs + 1, dtype=np.int64) * 7919
+    tracemalloc.start()
+    try:
+        out = src.variates_for(buckets, items)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (pairs, 3)
+    assert peak < 4 * out.nbytes
+    blocks = [src.variates_for(buckets[lo:lo + _VARIATE_BLOCK], items[lo:lo + _VARIATE_BLOCK])
+              for lo in range(0, pairs, _VARIATE_BLOCK)]
+    assert np.array_equal(out, np.concatenate(blocks))
 
 
 def test_items_differing_only_in_high_bits_get_different_variates():

@@ -1,5 +1,9 @@
+import io
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from f1sketch import Distribution, ExactState, Stream, StreamParseError, generate, read_stream, write_stream
 from f1sketch.streams import parse_text
@@ -55,6 +59,96 @@ def test_parse_rejects_delta_beyond_counter_range():
         parse_text(["# n=2", f"1 {1 << 63}"])
     assert e.value.line == 2
     parse_text(["# n=2", f"1 {(1 << 63) - 1}"])  # boundary value still parses
+
+
+def test_late_header_is_checked_against_earlier_records():
+    s = parse_text(["2 1", "", "3 2", "# n=3", "1 5"])
+    assert s.n == 3 and list(s.items) == [2, 3, 1]
+    with pytest.raises(StreamParseError) as e:
+        parse_text(["5 1", "7 2", "# n=3"])
+    assert e.value.line == 1
+    assert str(e.value) == "line 1: item 5 outside declared domain [1, 3]"
+    with pytest.raises(StreamParseError) as e:
+        parse_text(["1 1", "2 1", "# c", "6 1", "9 1", "# n=5"])
+    assert e.value.line == 4
+
+
+# -- the vectorized reader against the line reader ------------------------------
+
+# around the 18-character fast-path limit and the int64 range
+EDGE_VALUES = [0, 1, 2, 9, 10**16, 10**17 - 1, 10**17, 10**18 - 1, 10**18,
+               2**63 - 1, 2**63, 10**19, 10**20, -1, -(10**16), -(10**17 - 1),
+               -(10**17), -(2**63), -(2**63) - 1, -(10**19)]
+
+
+def _token(value: int, zeros: int) -> str:
+    return ("-" if value < 0 else "") + "0" * zeros + str(abs(value))
+
+
+_tokens = st.one_of(
+    st.builds(_token, st.one_of(st.integers(-3, 12), st.sampled_from(EDGE_VALUES),
+                                st.integers(-(2**64), 2**64)),
+              st.integers(0, 3)),
+    st.just("-0"))
+_gaps = st.sampled_from([" ", "  ", "\t", " \t"])
+_lines = st.one_of(
+    st.tuples(st.sampled_from(["", " "]), _tokens, _gaps, _tokens, st.sampled_from(["", " "]))
+    .map("".join),
+    st.lists(_tokens, max_size=3).map(" ".join),
+    st.sampled_from(["", " ", "  ", "# n=5", "# n=0", "# comment"]))
+_headers = st.one_of(
+    st.just(""),
+    st.builds("# n={}{}".format,
+              st.one_of(st.integers(0, 12), st.sampled_from(["007", "", "x", 10**18 - 1, 10**18])),
+              st.sampled_from(["\n", "\r\n", "", " \n"])))
+_streams = st.builds(
+    lambda header, lines, end: header + "\n".join(lines) + end,
+    _headers, st.lists(_lines, max_size=8), st.sampled_from(["\n", ""]))
+_soups = st.builds(
+    lambda header, body: header + body,
+    _headers, st.text(alphabet="0123456789-+_.#n= \t\r\n", max_size=40))
+
+
+def _outcome(read):
+    try:
+        s = read()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return (s.n, s.items.dtype, s.items.tolist(), s.deltas.dtype, s.deltas.tolist(),
+            s.items.flags.c_contiguous and s.deltas.flags.c_contiguous)
+
+
+@given(st.one_of(_streams, _soups).map(str.encode))
+@example(b"# n=0\n")                    # header n >= 1
+@example(b"1 \r2\n")                    # byte set: '\r' breaks the line
+@example(b"1 2\n3 -\n")                 # lone '-' read as 0
+@example(b"1 2\n3\n")                   # odd token count
+@example(b"1 9223372036854775808\n")    # token length: numpy saturates
+@example(b"1\n2\n")                     # line break inside a record
+@example(b"1 2 3 4\n")                  # no line break between records
+@example(b"# n=3\n \n")                 # blank text read as one 0
+@example(b"1-2 3\n")                    # numpy stops short of the end
+@example(b"0 1\n")                      # item >= 1
+@example(b"# n=3\n4 1\n")               # item <= n
+@example(b"")                           # no header and no records
+@settings(max_examples=400, deadline=None)
+def test_read_stream_matches_line_reader(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("differential") / "s.txt"
+    path.write_bytes(data)
+    want = _outcome(lambda: parse_text(data.decode("ascii").splitlines()))
+    assert _outcome(lambda: read_stream(str(path))) == want
+    stdin, sys.stdin = sys.stdin, io.StringIO(data.decode("ascii"))
+    try:
+        assert _outcome(lambda: read_stream("-")) == want
+    finally:
+        sys.stdin = stdin
+
+
+def test_read_stream_non_ascii(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_bytes("# n=5\n1 2\n\u00e9\n".encode("utf-8"))
+    with pytest.raises(UnicodeDecodeError):
+        read_stream(str(path))
 
 
 def test_text_round_trip(tmp_path):
