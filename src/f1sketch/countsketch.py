@@ -1,9 +1,11 @@
 """CountSketch tables: point frequency estimates, top-k, F2 and residual F2.
 
 Cells are signed 64-bit counters; an update (i, v) adds v * sign_j(i) to one
-cell per row. Ingestion is single-writer; once the writer quiesces, every
-read is safe from any number of threads. Distinct tables may be written by
-distinct threads.
+cell per row. With the C hashing kernel loaded, a batch is hashed and
+scattered in one pass per row; the numpy path (hash matrices plus
+`np.add.at`) is the fallback and the bitwise reference. Ingestion is
+single-writer; once the writer quiesces, every read is safe from any number
+of threads. Distinct tables may be written by distinct threads.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import mmap
 
 import numpy as np
 
+from . import hashing, seeds
 from .hashing import KWiseHash, SignHash
-from . import seeds
 
 # hard ceiling on |cell|; update streams are sized so m * M stays below it
 CELL_LIMIT = 1 << 62
@@ -103,21 +105,35 @@ class CountSketchTable:
                          np.array([v], dtype=np.int64))
 
     def update_many(self, items: np.ndarray, deltas: np.ndarray) -> None:
-        """Apply a batch of records; equivalent to per-record updates."""
+        """Apply a batch of records; equivalent to per-record updates.
+
+        With the C kernel each row is hashed and scattered in one pass
+        (`hashing.scatter_signed`). Without it the numpy body below runs;
+        it is also the bitwise reference the kernel is tested against.
+        Either way the whole batch is added, and then SketchInvariantError
+        is raised if a cell it wrote ends at |cell| >= 2**62.
+        """
         if len(items) == 0:
             return
         items = np.asarray(items, dtype=np.int64)
         deltas = np.asarray(deltas, dtype=np.int64)
+        if deltas.shape != items.shape:
+            raise ValueError("need one delta per item")
         # a batch whose total magnitude reaches 2**62 could wrap int64
         # before the post-add check below sees it
         if batch_magnitude(deltas) >= CELL_LIMIT:
             raise SketchInvariantError("batch magnitude would overflow counters")
-        idx, signed = self.hash_matrices(items)
-        signed *= deltas  # in place: (rows x items) temporaries add up
-        flat = self.cells.reshape(-1)
-        np.add.at(flat, idx, signed)
-        touched = flat[idx]
-        if np.abs(touched, out=touched).max() >= CELL_LIMIT:
+        if hashing._kernel is not None:
+            overflow = hashing.scatter_signed(self._row_hash, items, deltas, self.cells,
+                                              CELL_LIMIT)
+        else:
+            idx, signed = self.hash_matrices(items)
+            signed *= deltas  # in place: (rows x items) temporaries add up
+            flat = self.cells.reshape(-1)
+            np.add.at(flat, idx, signed)
+            touched = flat[idx]
+            overflow = np.abs(touched, out=touched).max() >= CELL_LIMIT
+        if overflow:
             raise SketchInvariantError("counter overflow: |cell| >= 2**62")
         # sort-and-mask merge: several times faster than np.union1d here
         merged = np.sort(np.concatenate((self._touched, items)))

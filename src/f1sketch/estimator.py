@@ -46,6 +46,24 @@ def integer_array(values, name: str) -> np.ndarray:
     return out
 
 
+def _sorted_sums(items: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct items ascending, int64 sum of each one's deltas), by sorting."""
+    uniq, inverse = np.unique(items, return_inverse=True)
+    agg = np.zeros(uniq.size, dtype=np.int64)
+    np.add.at(agg, inverse, deltas)
+    return uniq, agg
+
+
+def _dense_sums(items: np.ndarray, deltas: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_sorted_sums` of items in [1, n] through (n + 1)-length arrays. An
+    item is present when it has a record, so items whose deltas cancel are
+    kept, as the sort keeps them."""
+    agg = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(agg, items, deltas)
+    uniq = np.flatnonzero(np.bincount(items, minlength=n + 1))
+    return uniq, agg[uniq]
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Sizing derived from the requested accuracy.
@@ -275,9 +293,11 @@ class Estimator:
             deltas = np.concatenate([b[1] for b in batches])
         if batch_magnitude(deltas) >= CELL_LIMIT:
             raise SketchInvariantError("batch magnitude would overflow counters")
-        uniq, inverse = np.unique(items, return_inverse=True)
-        agg = np.zeros(uniq.size, dtype=np.int64)
-        np.add.at(agg, inverse, deltas)
+        # an (n + 1)-array is O(batch) scratch when n <= 4 * records
+        if self.config.n <= 4 * items.size:
+            uniq, agg = _dense_sums(items, deltas, self.config.n)
+        else:
+            uniq, agg = _sorted_sums(items, deltas)
         self.table.update_many(uniq, agg)
         self.countsketch.update_many(uniq, agg)
         self.heavy_hitters.update_many(uniq, agg)

@@ -11,12 +11,15 @@ Hash objects are immutable after construction and safe to share across
 threads.
 
 Over the 61-bit Mersenne prime, `eval_many` runs a small C kernel
-(`_HORNER_SOURCE`). It is compiled once per machine with the local gcc into
-`$XDG_CACHE_HOME/f1sketch` (default `~/.cache/f1sketch`), under a file name
-keyed by a hash of the source, and loaded through ctypes when this module is
-imported. When it cannot be built or loaded, the numpy evaluation below
-(`_mulmod61`/`_addmod61`) runs instead; it is also the bitwise reference the
-kernel is tested against. `KWISE_BACKEND` names the path in use.
+(`_HORNER_SOURCE`), which also hashes and scatters CountSketch updates in
+one pass (`scatter_signed`). It is compiled once per machine with the local
+gcc into `$XDG_CACHE_HOME/f1sketch` (default `~/.cache/f1sketch`), under a
+file name keyed by a hash of the source, and loaded through ctypes when this
+module is imported. When it cannot be built or loaded, the numpy evaluation
+below (`_mulmod61`/`_addmod61`) and the numpy scatter in
+`CountSketchTable.update_many` run instead; they are also the bitwise
+reference the kernel is tested against. `KWISE_BACKEND` names the path in
+use.
 """
 
 from __future__ import annotations
@@ -81,6 +84,25 @@ static inline uint64_t mulmod61(uint64_t a, uint64_t b) {
     return r >= P61 ? r - P61 : r;
 }
 
+/* Index of the first nonzero coefficient of c[0 .. t-1] (t - 1 if none):
+   leading zeros leave Horner's value at 0, so they are skipped. */
+static inline size_t lead61(const uint64_t *c, size_t t) {
+    size_t s = 0;
+    while (s + 1 < t && c[s] == 0)
+        s++;
+    return s;
+}
+
+/* Horner's value at x of the polynomial c[s .. t-1], leading first. */
+static inline uint64_t poly61(const uint64_t *c, size_t s, size_t t, uint64_t x) {
+    uint64_t v = c[s];
+    for (size_t k = s + 1; k < t; k++) {
+        v = mulmod61(v, x) + c[k];
+        v = v >= P61 ? v - P61 : v;
+    }
+    return v;
+}
+
 /* out[r * n + i] = (poly_r(x[i]) mod 2^61-1) mod ranges[r] + 1, where
    poly_r has coefficients coeffs[r * t .. r * t + t - 1], leading first,
    all below 2^61-1, and every x[i] is below 2^61-1. */
@@ -89,19 +111,44 @@ void horner61(const uint64_t *coeffs, const uint64_t *ranges, size_t rows,
     for (size_t r = 0; r < rows; r++) {
         const uint64_t *c = coeffs + r * t;
         const uint64_t m = ranges[r];
+        const size_t s = lead61(c, t);
         int64_t *o = out + r * n;
-        size_t s = 0;
-        while (s + 1 < t && c[s] == 0)
-            s++;
+        for (size_t i = 0; i < n; i++)
+            o[i] = (int64_t)(poly61(c, s, t, x[i]) % m) + 1;
+    }
+}
+
+/* CountSketch update of a (rows, cols) int64 table from a stacked hash of
+   2 * rows polynomials laid out as for horner61: row r's bucket is
+   polynomial r (ranges[r] <= cols), its sign polynomial rows + r, where
+   sign bucket 1 is +1 and any other -1. Adds sign * deltas[i] into cell
+   (r, bucket - 1) for every row r and item i, wrapping modulo 2^64 as
+   numpy's int64 adds do. Row by row: hash every item into scratch (n
+   entries, bucket - 1 shifted left past a negative-sign bit), add, then
+   reread the cells written. Returns 1 when any ends at |cell| >= limit,
+   else 0; |INT64_MIN| wraps negative, as numpy's abs. */
+int scatter61(const uint64_t *coeffs, const uint64_t *ranges, size_t rows,
+              size_t t, const uint64_t *x, const int64_t *deltas, size_t n,
+              int64_t *cells, size_t cols, int64_t limit, uint64_t *scratch) {
+    int over = 0;
+    for (size_t r = 0; r < rows; r++) {
+        const uint64_t *cb = coeffs + r * t, *cs = coeffs + (rows + r) * t;
+        const uint64_t mb = ranges[r], ms = ranges[rows + r];
+        const size_t sb = lead61(cb, t), ss = lead61(cs, t);
+        uint64_t *row = (uint64_t *)(cells + r * cols);
+        for (size_t i = 0; i < n; i++)
+            scratch[i] = (poly61(cb, sb, t, x[i]) % mb) << 1
+                         | (poly61(cs, ss, t, x[i]) % ms != 0);
         for (size_t i = 0; i < n; i++) {
-            uint64_t v = c[s];
-            for (size_t k = s + 1; k < t; k++) {
-                v = mulmod61(v, x[i]) + c[k];
-                v = v >= P61 ? v - P61 : v;
-            }
-            o[i] = (int64_t)(v % m) + 1;
+            const uint64_t d = (uint64_t)deltas[i];
+            row[scratch[i] >> 1] += scratch[i] & 1 ? 0 - d : d;
+        }
+        for (size_t i = 0; i < n; i++) {
+            const uint64_t c = row[scratch[i] >> 1];
+            over |= (int64_t)((int64_t)c < 0 ? 0 - c : c) >= limit;
         }
     }
+    return over;
 }
 """
 _CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -135,8 +182,9 @@ def _build_kernel(path: str) -> None:
 
 
 def _load_kernel():
-    """The compiled `horner61`, or None when it cannot be built or loaded or
-    disagrees with the numpy reference on a spot check."""
+    """The compiled library (`horner61` and `scatter61`), or None when it
+    cannot be built or loaded or disagrees with the numpy reference on a
+    spot check."""
     key = "\0".join((_HORNER_SOURCE, " ".join(_CFLAGS), platform.machine(),
                      platform.system()))
     digest = hashlib.sha256(key.encode("ascii")).hexdigest()[:16]
@@ -144,20 +192,38 @@ def _load_kernel():
     try:
         if not os.path.exists(path):
             _build_kernel(path)
-        fn = ctypes.CDLL(path).horner61
+        lib = ctypes.CDLL(path)
+        horner, scatter = lib.horner61, lib.scatter61
     except (OSError, AttributeError):  # no compiler, unwritable cache, bad library
         return None
-    fn.restype = None
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
-                   ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p]
+    ptr, size = ctypes.c_void_p, ctypes.c_size_t
+    horner.restype = None
+    horner.argtypes = [ptr, ptr, size, size, ptr, size, ptr]
+    scatter.restype = ctypes.c_int
+    scatter.argtypes = [ptr, ptr, size, size, ptr, ptr, size, ptr, size, ctypes.c_int64, ptr]
     coeffs = np.array([[MERSENNE61 - 1, 0, 12345, MERSENNE61 - 2], [0, 0, 7, 1 << 60]],
                       dtype=np.uint64)
     ranges = np.array([1000, 2], dtype=np.uint64)
     x = np.array([1, 2, 3, 2**32 - 1, MERSENNE61 - 1], dtype=np.uint64)
     out = np.empty((2, x.size), dtype=np.int64)
-    fn(coeffs.ctypes.data, ranges.ctypes.data, 2, 4, x.ctypes.data, x.size, out.ctypes.data)
+    horner(coeffs.ctypes.data, ranges.ctypes.data, 2, 4, x.ctypes.data, x.size, out.ctypes.data)
     want = [_horner_numpy(coeffs[r], ranges[r], x) for r in range(2)]
-    return fn if np.array_equal(out, want) else None
+    ok = np.array_equal(out, want)
+    # one table row of 1000 cells (bucket row 0, sign row 1), starting near
+    # the limit, which item 2 (sign +1) crosses, and then at zero
+    limit = 1 << 62
+    deltas = np.array([5, 7, 1 << 40, 3, -1], dtype=np.int64)
+    scratch = np.empty(x.size, dtype=np.uint64)
+    for start in (limit - 4, 0):
+        cells = np.full(1000, start, dtype=np.int64)
+        want_cells = cells.copy()
+        np.add.at(want_cells, want[0] - 1, (3 - 2 * want[1]) * deltas)
+        over = scatter(coeffs.ctypes.data, ranges.ctypes.data, 1, 4, x.ctypes.data,
+                       deltas.ctypes.data, x.size, cells.ctypes.data, cells.size, limit,
+                       scratch.ctypes.data)
+        want_over = np.abs(want_cells[want[0] - 1]).max() >= limit
+        ok = ok and np.array_equal(cells, want_cells) and bool(over) == want_over
+    return lib if ok else None
 
 
 _kernel = _load_kernel()
@@ -175,12 +241,40 @@ def _horner_rows(coeffs: np.ndarray, ranges: np.ndarray, x: np.ndarray) -> np.nd
     """
     out = np.empty((coeffs.shape[0], x.size), dtype=np.int64)
     if _kernel is not None:
-        _kernel(coeffs.ctypes.data, ranges.ctypes.data, coeffs.shape[0], coeffs.shape[1],
-                x.ctypes.data, x.size, out.ctypes.data)
+        _kernel.horner61(coeffs.ctypes.data, ranges.ctypes.data, coeffs.shape[0],
+                         coeffs.shape[1], x.ctypes.data, x.size, out.ctypes.data)
     else:
         for r in range(coeffs.shape[0]):
             out[r] = _horner_numpy(coeffs[r], ranges[r], x)
     return out
+
+
+def scatter_signed(row_hash: "KWiseHash", items: np.ndarray, deltas: np.ndarray,
+                   cells: np.ndarray, limit: int) -> bool:
+    """Add sign_r(i) * delta into cells[r, bucket_r(i) - 1] for every row r
+    of the (rows, cols) int64 table `cells` and every item i, in one pass of
+    the C kernel (`scatter61`); `row_hash` stacks the rows' bucket hashes
+    and then their sign hashes, as `CountSketchTable` builds it. Returns
+    whether any cell written ends at |cell| >= limit.
+
+    Needs the kernel loaded (`_kernel` not None). Hashing each row into
+    (rows, items) arrays and adding them with `np.add.at` gives the same
+    cells; that numpy body, in `CountSketchTable.update_many`, is the
+    bitwise reference.
+    """
+    rows, cols = cells.shape
+    x = np.ascontiguousarray(items, dtype=np.int64).view(np.uint64)
+    d = np.ascontiguousarray(deltas, dtype=np.int64)
+    coeffs, ranges = row_hash._coeff_rows, row_hash._ranges
+    if (cells.dtype != np.int64 or not cells.flags.c_contiguous or not cells.flags.writeable
+            or x.shape != d.shape or x.ndim != 1 or coeffs.shape[0] != 2 * rows
+            or (ranges[:rows] > cols).any() or (ranges[rows:] != 2).any()):
+        raise ValueError("scatter_signed needs a writable C-contiguous int64 table, "
+                         "one delta per item, and bucket then sign hashes for each row")
+    scratch = np.empty(x.size, dtype=np.uint64)
+    return bool(_kernel.scatter61(coeffs.ctypes.data, ranges.ctypes.data, rows, coeffs.shape[1],
+                                  x.ctypes.data, d.ctypes.data, x.size, cells.ctypes.data,
+                                  cols, limit, scratch.ctypes.data))
 
 
 def is_prime(n: int) -> bool:

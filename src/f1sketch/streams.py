@@ -25,6 +25,7 @@ BINARY_RECORD = np.dtype([("i", "<u4"), ("v", "<i8")])  # packed, 12 bytes
 
 _PLAIN_HEADER = re.compile(rb"# n=(\d{1,18})(?:\n|\Z)")
 _PLAIN_TOKEN_MAX = 18  # 18 digits, or "-" and 17: always inside int64
+_TEXT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 class StreamParseError(ValueError):
@@ -66,7 +67,14 @@ def read_stream(path: str, binary: bool = False) -> Stream:
             data = fh.read()
     stream = _parse_plain(data)
     if stream is None:
-        stream = parse_text(data.decode("ascii").splitlines())
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            # the line as `parse_text` numbers it: the ASCII text before the
+            # byte, plus a character standing for the byte's line
+            line = len((data[:exc.start].decode("ascii") + "x").splitlines())
+            raise StreamParseError(f"non-ASCII byte {data[exc.start]:#04x}", line) from None
+        stream = parse_text(text.splitlines())
     return stream
 
 
@@ -125,6 +133,14 @@ def _parse_plain(data: bytes) -> Stream | None:
     return Stream(hi if n is None else n, items, deltas)
 
 
+def _text_int(field: str) -> int:
+    """A field of ASCII decimal digits with an optional sign; ValueError for
+    anything else, such as the underscores and non-ASCII digits int() takes."""
+    if not _TEXT_FIELD.fullmatch(field):
+        raise ValueError(f"not a decimal integer: {field!r}")
+    return int(field)
+
+
 def parse_text(lines) -> Stream:
     """The reference text reader: one record per line, errors by line.
 
@@ -158,7 +174,7 @@ def parse_text(lines) -> Stream:
         if len(parts) != 2:
             raise StreamParseError(f"expected '<i> <v>', got {line!r}", lineno)
         try:
-            i, v = int(parts[0]), int(parts[1])
+            i, v = _text_int(parts[0]), _text_int(parts[1])
         except ValueError:
             raise StreamParseError(f"non-integer field in {line!r}", lineno)
         if i < 1:

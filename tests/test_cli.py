@@ -176,6 +176,14 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert "line 3" in out.err
 
 
+def test_exit_code_non_ascii_stream(tmp_path, capsys):
+    path = tmp_path / "accent.txt"
+    path.write_bytes("# n=5\n1 2\né\n".encode("utf-8"))
+    code, out = run_cli("run", str(path), "--epsilon", "0.5", capsys=capsys)
+    assert code == 2
+    assert "line 3: non-ASCII byte" in out.err
+
+
 def test_exit_code_late_header_below_earlier_item(tmp_path, capsys):
     path = str(tmp_path / "late.txt")
     with open(path, "w") as fh:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from f1sketch import CountSketchTable, ExactState, SketchInvariantError, generate
-from f1sketch import seeds
-from f1sketch.countsketch import zeroed_cells
+from f1sketch import hashing, seeds
+from f1sketch.countsketch import CELL_LIMIT, zeroed_cells
 from f1sketch.oracle import expected_countsketch_cells, expected_point_estimate
 
 
@@ -290,3 +290,104 @@ def test_hash_matrices_match_per_row_hashes():
     cols = np.stack([h.eval_many(items) - 1 for h in t.bucket_hashes])
     assert (idx == cols + 13 * np.arange(5)[:, None]).all()
     assert (signs == np.stack([h.eval_many(items) for h in t.sign_hashes])).all()
+
+
+# -- fused C scatter against the numpy body -----------------------------------
+
+# the kernel (when it loaded) and the numpy reference
+PATHS = [k for k in (hashing._kernel, None) if k is not None] + [None]
+
+
+def run_paths(table_args: dict, batches, start: int = 0) -> list:
+    """Per path: each batch's outcome ("ok" or "overflow"), then the cells
+    and touched items after all batches, from cells all set to `start`."""
+    results = []
+    for kernel in PATHS:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hashing, "_kernel", kernel)
+            t = make_table(**table_args)
+            t.cells[:] = start
+            outcomes = []
+            for items, deltas in batches:
+                try:
+                    t.update_many(np.array(items, dtype=np.int64),
+                                  np.array(deltas, dtype=np.int64))
+                    outcomes.append("ok")
+                except SketchInvariantError:
+                    outcomes.append("overflow")
+            results.append((outcomes, t.cells.tobytes(), t.touched_items().tobytes()))
+    return results
+
+
+@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
+@given(st.integers(1, 6), st.integers(1, 60), st.integers(1, 2**32 - 1), st.integers(0, 2**16),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_scatter_matches_numpy_body(rows, cols, n, seed, data):
+    batch = st.lists(st.tuples(st.integers(1, n), st.integers(-2**40, 2**40)), max_size=50)
+    batches = [tuple(zip(*b)) if b else ((), ()) for b in data.draw(st.lists(batch, max_size=4))]
+    kernel, numpy_body = run_paths(dict(rows=rows, cols=cols, n=n, seed=seed), batches)
+    assert kernel == numpy_body
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_cell_reaching_exactly_the_limit_raises_on_both_paths(direction):
+    # item 3 brings one cell per row to +-(2**62 - 1) in two batches (each
+    # one's magnitude stays below 2**62 in float64), then one more unit
+    # takes every one of those cells to exactly +-2**62
+    half = CELL_LIMIT // 2
+    batches = [([3], [direction * half]), ([3], [direction * (half - 1)]),
+               ([3], [direction])]
+    results = run_paths(dict(rows=3, cols=7, n=20, seed=4), batches)
+    assert results[0][0] == ["ok", "ok", "overflow"]
+    assert all(r == results[0] for r in results)
+    cells = np.frombuffer(results[0][1], dtype=np.int64)
+    assert (np.abs(cells) == CELL_LIMIT).sum() == 3
+
+
+def test_excursion_above_the_limit_within_a_batch_does_not_raise():
+    # the second batch takes item 3's cells 10 above the limit, then 5 back
+    # below it: only the cells at the end of the batch are checked
+    half = CELL_LIMIT // 2
+    batches = [([3], [half]), ([3], [half - 10]), ([3, 3], [20, -15])]
+    results = run_paths(dict(rows=3, cols=7, n=20, seed=4), batches)
+    assert results[0][0] == ["ok", "ok", "ok"]
+    assert all(r == results[0] for r in results)
+    cells = np.frombuffer(results[0][1], dtype=np.int64)
+    assert (np.abs(cells) == CELL_LIMIT - 5).sum() == 3
+
+
+def test_corrupt_cells_wrap_alike_on_both_paths():
+    # cells already past the limit (a batch raised earlier) wrap modulo
+    # 2**64 the same way on both paths
+    top = (1 << 63) - 1
+    batches = [([3, 5], [4, -4]), ([3], [1])]
+    for start in (top - 2, -top):
+        results = run_paths(dict(rows=3, cols=7, n=20, seed=4), batches, start=start)
+        assert all(r == results[0] for r in results)
+        assert results[0][0][0] == "overflow"
+
+
+@pytest.mark.parametrize("kernel", PATHS)
+def test_update_many_needs_one_delta_per_item(kernel, monkeypatch):
+    # a scalar delta is refused on both paths, not broadcast by one of them
+    monkeypatch.setattr(hashing, "_kernel", kernel)
+    t = make_table()
+    for deltas in (np.int64(5), np.array([1, 2, 3])):
+        with pytest.raises(ValueError):
+            t.update_many(np.array([1, 2]), deltas)
+    assert not t.cells.any() and t.touched_items().size == 0
+
+
+@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
+def test_kernel_scatter_refuses_mismatched_arguments():
+    t = make_table(rows=3, cols=7, n=20)
+    with pytest.raises(ValueError):
+        hashing.scatter_signed(t._row_hash, np.array([1, 2]), np.array([1]), t.cells, CELL_LIMIT)
+    with pytest.raises(ValueError):  # a table narrower than the bucket range
+        hashing.scatter_signed(t._row_hash, np.array([1]), np.array([1]),
+                               np.zeros((3, 6), dtype=np.int64), CELL_LIMIT)
+    with pytest.raises(ValueError):  # rows disagree with the stacked hash
+        hashing.scatter_signed(t._row_hash, np.array([1]), np.array([1]),
+                               np.zeros((2, 7), dtype=np.int64), CELL_LIMIT)
+    assert not t.cells.any()

@@ -15,7 +15,7 @@ from f1sketch import (
     generate,
     stability_constant,
 )
-from f1sketch import hashing, seeds
+from f1sketch import estimator, hashing, seeds
 from f1sketch.oracle import expected_isolation_row, expected_variate
 
 
@@ -732,3 +732,47 @@ def test_flush_partitions_keep_counters_and_near_stable_cells(records, cuts):
     assert (whole.heavy_hitters.cells == parted.heavy_hitters.cells).all()
     scale = np.abs(whole.table.cells).max()
     assert np.abs(whole.table.cells - parted.table.cells).max() <= 1e-9 * scale
+
+
+# -- dense aggregation and the per-update cell count ----------------------------
+
+
+@given(st.lists(st.tuples(st.integers(1, 300), st.integers(-5, 5)), min_size=1, max_size=120),
+       st.integers(0, 2000))
+@settings(max_examples=80, deadline=None)
+def test_dense_and_sorted_aggregation_agree(records, extra):
+    # n = largest item + extra falls on both sides of flush's n <= 4 * records
+    # cut-over; small deltas make cancelling (net-zero) items common
+    items = np.array([i for i, _ in records], dtype=np.int64)
+    deltas = np.array([v for _, v in records], dtype=np.int64)
+    n = int(items.max()) + extra
+    dense = estimator._dense_sums(items, deltas, n)
+    ordered = estimator._sorted_sums(items, deltas)
+    assert [a.dtype for a in dense] == [a.dtype for a in ordered] == [np.int64] * 2
+    assert [a.tobytes() for a in dense] == [a.tobytes() for a in ordered]
+    sums = {}
+    for i, v in records:
+        sums[i] = sums.get(i, 0) + v
+    assert ordered[0].tolist() == sorted(sums)
+    assert ordered[1].tolist() == [sums[i] for i in sorted(sums)]
+
+
+@pytest.mark.parametrize("accuracy", [0.5, 0.3])
+@pytest.mark.parametrize("path", ["kernel", "numpy"])
+def test_one_update_changes_a_fixed_number_of_cells(accuracy, path, monkeypatch):
+    # the paper's claim on update work: one record changes 3 stable cells and
+    # one cell per CountSketch row, however wide (eps^-2) the tables grow
+    if path == "kernel" and hashing._kernel is None:
+        pytest.skip("needs the C kernel")
+    if path == "numpy":
+        monkeypatch.setattr(hashing, "_kernel", None)
+    s = generate("zipf(1.1)", n=2000, m=20_000, seed=21)
+    est = build(n=s.n, seed=22, accuracy=accuracy)
+    est.update_many(s.items, s.deltas)
+    est.flush()
+    tables = (est.table, est.countsketch, est.heavy_hitters)
+    before = [t.cells.copy() for t in tables]
+    est.update(1234, -3)
+    est.flush()
+    changed = [int((t.cells != b).sum()) for t, b in zip(tables, before)]
+    assert changed == [3, est.config.table_depth, est.config.hh_depth]

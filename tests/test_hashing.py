@@ -267,3 +267,13 @@ def test_concurrent_first_imports_share_one_cached_kernel(tmp_path):
     assert [out.strip() for out, _ in outs] == ["c-kernel"] * 3
     cached = os.listdir(tmp_path / "f1sketch")
     assert len(cached) == 1 and cached[0].endswith(".so")
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a C compiler")
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    source = tmp_path / "kernel.c"
+    source.write_text(hashing._HORNER_SOURCE, encoding="ascii")
+    proc = subprocess.run(["gcc", "-Wall", "-Wextra", "-Werror", "-O2", "-shared", "-fPIC",
+                           "-o", str(tmp_path / "kernel.so"), str(source)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

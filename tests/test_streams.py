@@ -147,8 +147,45 @@ def test_read_stream_matches_line_reader(tmp_path_factory, data):
 def test_read_stream_non_ascii(tmp_path):
     path = tmp_path / "s.txt"
     path.write_bytes("# n=5\n1 2\n\u00e9\n".encode("utf-8"))
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(StreamParseError) as e:
         read_stream(str(path))
+    assert e.value.line == 3 and "non-ASCII byte 0xc3" in str(e.value)
+
+
+def test_read_stream_non_ascii_line_counts_like_the_line_reader(tmp_path):
+    # '\r' ends a line for parse_text, so it does for the error's line too
+    path = tmp_path / "s.txt"
+    path.write_bytes(b"# a comment\r\n1 2\r3 4 # \xff\n")
+    with pytest.raises(StreamParseError) as e:
+        read_stream(str(path))
+    assert e.value.line == 3
+    path.write_bytes(b"\x80")
+    with pytest.raises(StreamParseError) as e:
+        read_stream(str(path))
+    assert e.value.line == 1
+
+
+@pytest.mark.parametrize("line", ["1_0 2", "3 1_0", "\u0663 2", "1 \u0662"])
+def test_parse_text_refuses_underscores_and_non_ascii_digits(line):
+    # int() would read "1_0" as 10 and the Arabic-Indic digit three as 3
+    with pytest.raises(StreamParseError) as e:
+        parse_text(["# n=50", line])
+    assert e.value.line == 2 and "non-integer field" in str(e.value)
+
+
+def test_read_stream_refuses_non_ascii_digits_on_stdin(monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("# n=5\n1 2\n\u0663 2\n"))
+    with pytest.raises(StreamParseError) as e:
+        read_stream("-")
+    assert e.value.line == 3 and "non-integer field" in str(e.value)
+
+
+def test_parse_text_keeps_a_leading_plus(tmp_path):
+    s = parse_text(["# n=50", "+3 +4", "5 -2"])
+    assert s.items.tolist() == [3, 5] and s.deltas.tolist() == [4, -2]
+    path = tmp_path / "s.txt"
+    path.write_bytes(b"# n=50\n+3 +4\n5 -2\n")  # '+' leaves the vectorized reader
+    assert read_stream(str(path)).items.tolist() == [3, 5]
 
 
 def test_text_round_trip(tmp_path):
