@@ -3,9 +3,11 @@
 Cells are signed 64-bit counters; an update (i, v) adds v * sign_j(i) to one
 cell per row. With the C hashing kernel loaded, a batch is hashed and
 scattered in one pass per row; the numpy path (hash matrices plus
-`np.add.at`) is the fallback and the bitwise reference. Ingestion is
-single-writer; once the writer quiesces, every read is safe from any number
-of threads. Distinct tables may be written by distinct threads.
+`np.add.at`) is the fallback and the bitwise reference. Each table keeps
+the cells of every item it touched, so reads over those items hash nothing.
+Ingestion is single-writer; once the writer quiesces, every read is safe
+from any number of threads. Distinct tables may be written by distinct
+threads.
 """
 
 from __future__ import annotations
@@ -27,15 +29,16 @@ class SketchInvariantError(RuntimeError):
     """An internal accumulator invariant was violated (overflow / NaN)."""
 
 
-def column_medians(values: np.ndarray) -> np.ndarray:
-    """Bitwise `np.median(values, axis=0)` of a float array without NaNs,
-    sorting `values` in place: one sort along the short axis runs several
-    times faster than median's partition along it."""
-    values.sort(axis=0)
-    mid = values.shape[0] // 2
-    if values.shape[0] % 2:
-        return values[mid].copy()
-    return (values[mid - 1] + values[mid]) / 2
+def row_medians(values: np.ndarray) -> np.ndarray:
+    """Bitwise `np.median(values, axis=1)` of an (items, rows) float array
+    without NaNs, sorting `values` in place: one sort along the short,
+    contiguous last axis runs several times faster than median's partition
+    along it."""
+    values.sort(axis=1)
+    mid = values.shape[1] // 2
+    if values.shape[1] % 2:
+        return values[:, mid].copy()
+    return (values[:, mid - 1] + values[:, mid]) / 2
 
 
 def batch_magnitude(deltas: np.ndarray) -> float:
@@ -61,13 +64,18 @@ def zeroed_cells(shape: tuple, dtype) -> np.ndarray:
 class CountSketchTable:
     """rows x cols signed-counter sketch with per-row bucket and sign hashes.
 
-    Top-k enumeration draws its candidates from every item index ever
-    updated, kept as one ascending array (space O(distinct items)).
+    Every item index ever updated is kept in one ascending array (space
+    O(distinct items)), the candidates of top-k enumeration, next to its
+    packed cell in every row, so reads over the touched items hash nothing.
+    A packed cell is (bucket - 1) << 1 | (sign == -1) as uint32, laid out
+    item-major: the table holds 8 + 4 * rows bytes per touched item.
     """
 
     def __init__(self, rows: int, cols: int, *, bucket_hashes, sign_hashes):
         if rows < 1 or cols < 1:
             raise ValueError("rows and cols must be >= 1")
+        if cols >= 1 << 31:
+            raise ValueError("cols must be below 2**31, so a packed cell fits 32 bits")
         if len(bucket_hashes) != rows or len(sign_hashes) != rows:
             raise ValueError("need one bucket hash and one sign hash per row")
         self.rows = rows
@@ -78,9 +86,10 @@ class CountSketchTable:
         self._row_hash = KWiseHash.stack(
             self.bucket_hashes + tuple(s.inner for s in self.sign_hashes))
         self.cells = zeroed_cells((rows, cols), np.int64)
-        # flat index in `cells` of bucket 0 of each row (buckets are 1-based)
-        self._bucket_base = np.arange(rows, dtype=np.int64)[:, None] * cols - 1
+        # flat index in `cells` of each row's first cell
+        self._row_start = np.arange(rows, dtype=np.int64) * cols
         self._touched = np.zeros(0, dtype=np.int64)
+        self._packed = np.zeros((0, rows), dtype=np.uint32)
 
     @classmethod
     def from_seed(cls, key: bytes, rows: int, cols: int, n: int, *,
@@ -111,7 +120,8 @@ class CountSketchTable:
         (`hashing.scatter_signed`). Without it the numpy body below runs;
         it is also the bitwise reference the kernel is tested against.
         Either way the whole batch is added, and then SketchInvariantError
-        is raised if a cell it wrote ends at |cell| >= 2**62.
+        is raised if a cell it wrote ends at |cell| >= 2**62. Only a batch
+        that did not raise joins the touched items.
         """
         if len(items) == 0:
             return
@@ -124,10 +134,11 @@ class CountSketchTable:
         if batch_magnitude(deltas) >= CELL_LIMIT:
             raise SketchInvariantError("batch magnitude would overflow counters")
         if hashing._kernel is not None:
-            overflow = hashing.scatter_signed(self._row_hash, items, deltas, self.cells,
-                                              CELL_LIMIT)
+            overflow, packed = hashing.scatter_signed(self._row_hash, items, deltas,
+                                                      self.cells, CELL_LIMIT)
         else:
             idx, signed = self.hash_matrices(items)
+            packed = self._pack(idx, signed)
             signed *= deltas  # in place: (rows x items) temporaries add up
             flat = self.cells.reshape(-1)
             np.add.at(flat, idx, signed)
@@ -135,16 +146,61 @@ class CountSketchTable:
             overflow = np.abs(touched, out=touched).max() >= CELL_LIMIT
         if overflow:
             raise SketchInvariantError("counter overflow: |cell| >= 2**62")
-        # sort-and-mask merge: several times faster than np.union1d here
-        merged = np.sort(np.concatenate((self._touched, items)))
-        fresh = np.empty(merged.size, dtype=bool)
-        fresh[0] = True
-        np.not_equal(merged[1:], merged[:-1], out=fresh[1:])
-        self._touched = merged[fresh]
+        self._remember(items, packed)
+
+    def _remember(self, items: np.ndarray, packed: np.ndarray) -> None:
+        """Insert the batch's items not yet touched, once each, with their
+        packed cells. Both arrays stay ascending by item; the cached rows
+        are moved into place whole, not gathered by index."""
+        pos = np.searchsorted(self._touched, items)
+        if self._touched.size:
+            fresh = np.flatnonzero(self._touched.take(pos, mode="clip") != items)
+        else:
+            fresh = np.arange(items.size)
+        if fresh.size == 0:
+            return
+        new = items[fresh]
+        if not (new[1:] > new[:-1]).all():  # a direct call may repeat or reorder items
+            new, first = np.unique(new, return_index=True)
+            fresh = fresh[first]
+        size = self._touched.size + new.size
+        dest = pos[fresh] + np.arange(new.size)  # each lands after the new ones before it
+        kept = np.ones(size, dtype=bool)
+        kept[dest] = False
+        touched = np.empty(size, dtype=np.int64)
+        touched[dest] = new
+        touched[kept] = self._touched
+        cells = np.empty((size, self.rows), dtype=np.uint32)
+        # an item's row of cells as one element: masked copies move rows, not words
+        row = np.dtype((np.void, cells.strides[0]))
+        as_rows = cells.view(row).reshape(-1)
+        as_rows[dest] = packed[fresh].view(row).reshape(-1)
+        as_rows[kept] = self._packed.view(row).reshape(-1)
+        self._touched, self._packed = touched, cells
 
     def touched_items(self) -> np.ndarray:
         """Every item index ever updated, ascending, as a new int64 array."""
         return self._touched.copy()
+
+    def touched_cells(self, items=None) -> np.ndarray:
+        """Packed cells of touched items from the cache, hashing nothing: an
+        (items, rows) uint32 array for every touched item, aligned with
+        `touched_items()` (read-only), or for each of `items`, which must
+        all have been touched (ValueError otherwise)."""
+        if items is None:
+            view = self._packed.view()
+            view.flags.writeable = False
+            return view
+        items = np.asarray(items, dtype=np.int64)
+        pos = np.searchsorted(self._touched, items)
+        if items.size and (pos.max() >= self._touched.size
+                           or (self._touched[pos] != items).any()):
+            raise ValueError("every item must have been updated")
+        return self._packed[pos]
+
+    def touched_nbytes(self) -> int:
+        """Bytes of the touched items and their packed cells."""
+        return int(self._touched.nbytes + self._packed.nbytes)
 
     def hash_matrices(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cell and sign of every item in every row, from one multi-row hash
@@ -152,58 +208,81 @@ class CountSketchTable:
         flattened `cells` (row j at j * cols + bucket - 1), the second +-1."""
         both = self._row_hash.eval_many(np.asarray(items, dtype=np.int64))
         idx, signs = both[:self.rows], both[self.rows:]
-        idx += self._bucket_base
+        idx += self._row_start[:, None] - 1
         signs *= -2
         signs += 3  # sign bucket 1 -> +1, bucket 2 -> -1
         return idx, signs
 
+    def _pack(self, idx: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        """The (items, rows) uint32 packed cells of `hash_matrices` output."""
+        packed = (idx - self._row_start[:, None]) << 1 | (signs < 0)
+        return np.ascontiguousarray(packed.T, dtype=np.uint32)
+
+    def packed_cells(self, items: np.ndarray) -> np.ndarray:
+        """Packed cells of any items, by hashing them."""
+        return self._pack(*self.hash_matrices(items))
+
+    def unpack(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`hash_matrices` of packed cells, item-major: the index in the
+        flattened `cells` and the +-1 sign of each, as (items, rows) int64."""
+        signs = packed.astype(np.int64)
+        idx = signs >> 1
+        idx += self._row_start
+        signs &= 1
+        signs *= -2
+        signs += 1
+        return idx, signs
+
     # -- estimation --------------------------------------------------------
     #
-    # The estimate-side methods take `items` (default: the touched items)
-    # plus, when the caller already has them, `hashed = hash_matrices(items)`
-    # and `estimates = point_estimate_many(items, hashed)`, so one estimate
-    # hashes each item once.
+    # The estimate-side methods take `items` (default: the touched items,
+    # whose packed cells come from the cache) plus, when the caller already
+    # has them, their `packed` cells and `estimates =
+    # point_estimate_many(items, packed)`; items passed without their packed
+    # cells are hashed.
 
-    def point_estimate_many(self, items: np.ndarray, hashed=None) -> np.ndarray:
+    def point_estimate_many(self, items: np.ndarray, packed=None) -> np.ndarray:
         """Median over rows of cell * sign: the frequency estimate of each item."""
         items = np.asarray(items, dtype=np.int64)
         if items.size == 0:
             return np.zeros(0)
-        idx, signs = self.hash_matrices(items) if hashed is None else hashed
-        per_row = np.take(self.cells, idx)
-        per_row *= signs
-        return column_medians(per_row.astype(np.float64))
+        if packed is None:
+            packed = self.packed_cells(items)
+        idx, signs = self.unpack(packed)
+        per_item = self.cells.reshape(-1).take(idx)
+        per_item *= signs
+        return row_medians(per_item.astype(np.float64))
 
-    def _ranked(self, k: int, items, hashed, estimates):
-        """(items, hashed, estimates, positions of the top k): the positions
+    def _ranked(self, k: int, items, packed, estimates):
+        """(items, packed, estimates, positions of the top k): the positions
         order |estimate| descending, ties to the smaller index."""
         if k < 0:
             raise ValueError("k must be >= 0")
         if items is None:
-            items = self.touched_items()
+            items, packed = self.touched_items(), self.touched_cells()
         if items.size == 0 or k == 0:
-            return items, hashed, estimates, np.zeros(0, dtype=np.int64)
-        if hashed is None:
-            hashed = self.hash_matrices(items)
+            return items, packed, estimates, np.zeros(0, dtype=np.int64)
+        if packed is None:
+            packed = self.packed_cells(items)
         if estimates is None:
-            estimates = self.point_estimate_many(items, hashed)
+            estimates = self.point_estimate_many(items, packed)
         order = np.lexsort((items, -np.abs(estimates)))[:k]
-        return items, hashed, estimates, order
+        return items, packed, estimates, order
 
-    def top_k(self, k: int, items=None, hashed=None,
+    def top_k(self, k: int, items=None, packed=None,
               estimates=None) -> list[tuple[int, float]]:
         """k candidates of largest |estimate|, ties to the smaller index.
 
         Returns all candidates when fewer than k items were touched.
         """
-        items, _, est, order = self._ranked(k, items, hashed, estimates)
+        items, _, est, order = self._ranked(k, items, packed, estimates)
         return [(int(items[o]), float(est[o])) for o in order]
 
     def f2_estimate(self) -> float:
         """Median over rows of the sum of squared cells."""
         return float(np.median((self.cells.astype(float) ** 2).sum(axis=1)))
 
-    def f2_residual_estimate(self, k: int, items=None, hashed=None,
+    def f2_residual_estimate(self, k: int, items=None, packed=None,
                              estimates=None) -> float:
         """Estimated second moment of everything outside the top-k items.
 
@@ -211,17 +290,17 @@ class CountSketchTable:
         from its cell and the squared cells are summed; the median row value
         is returned (clamped at zero). k = 0 reduces to `f2_estimate`.
         """
-        _, hashed, est, top = self._ranked(k, items, hashed, estimates)
+        _, packed, est, top = self._ranked(k, items, packed, estimates)
         if top.size == 0:
             return self.f2_estimate()
-        idx, signs = hashed[0][:, top], hashed[1][:, top]
+        idx, signs = self.unpack(packed[top])
         est = est[top]
         # row by row: one row's float copy stays in cache, the whole
         # table's does not (a single scatter over it ran 4x slower)
         row_vals = np.empty(self.rows)
         for j in range(self.rows):
             skimmed = self.cells[j].astype(float)
-            np.subtract.at(skimmed, idx[j] - j * self.cols, est * signs[j])
+            np.subtract.at(skimmed, idx[:, j] - j * self.cols, est * signs[:, j])
             row_vals[j] = (skimmed ** 2).sum()
         return max(0.0, float(np.median(row_vals)))
 

@@ -316,9 +316,9 @@ class Estimator:
         items = hh.touched_items()
         if items.size == 0:
             return Classification.empty()
-        hashed = hh.hash_matrices(items)
-        est = hh.point_estimate_many(items, hashed)
-        residual = hh.f2_residual_estimate(4 * self.config.budget, items, hashed, est)
+        packed = hh.touched_cells()
+        est = hh.point_estimate_many(items, packed)
+        residual = hh.f2_residual_estimate(4 * self.config.budget, items, packed, est)
         threshold = 4.0 * residual / self.config.budget
         heavy = est**2 >= threshold
         return Classification(items=items, estimates=est, heavy_mask=heavy,
@@ -326,14 +326,18 @@ class Estimator:
 
     def _isolation_table(self, heavy: np.ndarray):
         """Per-item first isolating row (0-based; -1 if none) and the heavy
-        set's CountSketch `hash_matrices`."""
-        idx, signs = self.countsketch.hash_matrices(heavy)
-        isolated = np.bincount(idx.ravel(), minlength=self.countsketch.cells.size)[idx] == 1
-        first = np.where(isolated.any(axis=0), isolated.argmax(axis=0), -1)
+        items' CountSketch cells and signs (`unpack`), read from the
+        touched-item cache: both tables receive every batch, so heavy items
+        are touched in it."""
+        cs = self.countsketch
+        idx, signs = cs.unpack(cs.touched_cells(heavy))
+        isolated = np.bincount(idx.ravel(), minlength=cs.cells.size)[idx] == 1
+        first = np.where(isolated.any(axis=1), isolated.argmax(axis=1), -1)
         return first, (idx, signs)
 
     def heavy_contributions(self, cls: Classification) -> np.ndarray:
-        """Per-item reads aligned with cls.heavy_items.
+        """Per-item reads aligned with cls.heavy_items, which must all be
+        touched items.
 
         A heavy item i contributes cell * sgn(estimate_i) * sign_row(i) from
         its first isolating row, or 0 when no row isolates it.
@@ -346,8 +350,8 @@ class Estimator:
         first, (idx, signs) = self._isolation_table(heavy)
         ok = np.nonzero(first >= 0)[0]
         rows = first[ok]
-        cells = self.countsketch.cells.reshape(-1)[idx[rows, ok]]
-        out[ok] = cells * cls.heavy_signs[ok] * signs[rows, ok]
+        cells = self.countsketch.cells.reshape(-1)[idx[ok, rows]]
+        out[ok] = cells * cls.heavy_signs[ok] * signs[ok, rows]
         return out
 
     def heavy_estimate(self, cls: Classification) -> float:
@@ -405,6 +409,8 @@ class Estimator:
             "stable_bytes": self.table.nbytes(),
             "countsketch_bytes": self.countsketch.nbytes(),
             "heavy_hitter_bytes": self.heavy_hitters.nbytes(),
+            "touched_bytes": (self.countsketch.touched_nbytes()
+                              + self.heavy_hitters.touched_nbytes()),
             "heavy_clamped": cls.heavy_count > self.config.heavy_clamp,
             "threshold": cls.threshold,
             "f2_residual_estimate": cls.f2_residual,

@@ -78,10 +78,18 @@ _HORNER_SOURCE = r"""
 
 #define P61 0x1FFFFFFFFFFFFFFFULL
 
-static inline uint64_t mulmod61(uint64_t a, uint64_t b) {
-    __uint128_t z = (__uint128_t)a * b;
-    uint64_t r = ((uint64_t)z & P61) + (uint64_t)(z >> 61);
-    return r >= P61 ? r - P61 : r;
+/* One Horner step v * x + c modulo 2^61 - 1, folded but not fully
+   reduced: for v < 2^62 and x, c < 2^61 the sum below stays under 2^63,
+   and the result is congruent and under 2^61 + 4. */
+static inline uint64_t step61(uint64_t v, uint64_t x, uint64_t c) {
+    __uint128_t z = (__uint128_t)v * x;
+    uint64_t r = ((uint64_t)z & P61) + (uint64_t)(z >> 61) + c;
+    return (r & P61) + (r >> 61);
+}
+
+/* The canonical residue, in [0, 2^61 - 1), of a step61 result. */
+static inline uint64_t canon61(uint64_t v) {
+    return v >= P61 ? v - P61 : v;
 }
 
 /* Index of the first nonzero coefficient of c[0 .. t-1] (t - 1 if none):
@@ -93,14 +101,27 @@ static inline size_t lead61(const uint64_t *c, size_t t) {
     return s;
 }
 
-/* Horner's value at x of the polynomial c[s .. t-1], leading first. */
-static inline uint64_t poly61(const uint64_t *c, size_t s, size_t t, uint64_t x) {
-    uint64_t v = c[s];
-    for (size_t k = s + 1; k < t; k++) {
-        v = mulmod61(v, x) + c[k];
-        v = v >= P61 ? v - P61 : v;
+/* Canonical Horner values at x[0] and, when four > 0, x[1 .. 3] of the
+   polynomial c[s .. t-1], leading first. The four chains advance together
+   so their multiplies overlap; one dependent chain is latency-bound. */
+static inline void poly61(const uint64_t *c, size_t s, size_t t, const uint64_t *x,
+                          int four, uint64_t *v) {
+    uint64_t a = c[s], b = c[s], d = c[s], e = c[s];
+    if (four) {
+        for (size_t k = s + 1; k < t; k++) {
+            a = step61(a, x[0], c[k]);
+            b = step61(b, x[1], c[k]);
+            d = step61(d, x[2], c[k]);
+            e = step61(e, x[3], c[k]);
+        }
+        v[1] = canon61(b);
+        v[2] = canon61(d);
+        v[3] = canon61(e);
+    } else {
+        for (size_t k = s + 1; k < t; k++)
+            a = step61(a, x[0], c[k]);
     }
-    return v;
+    v[0] = canon61(a);
 }
 
 /* out[r * n + i] = (poly_r(x[i]) mod 2^61-1) mod ranges[r] + 1, where
@@ -113,38 +134,50 @@ void horner61(const uint64_t *coeffs, const uint64_t *ranges, size_t rows,
         const uint64_t m = ranges[r];
         const size_t s = lead61(c, t);
         int64_t *o = out + r * n;
-        for (size_t i = 0; i < n; i++)
-            o[i] = (int64_t)(poly61(c, s, t, x[i]) % m) + 1;
+        uint64_t v[4];
+        for (size_t i = 0; i < n;) {
+            const int four = i + 4 <= n;
+            poly61(c, s, t, x + i, four, v);
+            for (int j = 0; j < (four ? 4 : 1); j++, i++)
+                o[i] = (int64_t)(v[j] % m) + 1;
+        }
     }
 }
 
 /* CountSketch update of a (rows, cols) int64 table from a stacked hash of
    2 * rows polynomials laid out as for horner61: row r's bucket is
-   polynomial r (ranges[r] <= cols), its sign polynomial rows + r, where
-   sign bucket 1 is +1 and any other -1. Adds sign * deltas[i] into cell
-   (r, bucket - 1) for every row r and item i, wrapping modulo 2^64 as
-   numpy's int64 adds do. Row by row: hash every item into scratch (n
-   entries, bucket - 1 shifted left past a negative-sign bit), add, then
-   reread the cells written. Returns 1 when any ends at |cell| >= limit,
-   else 0; |INT64_MIN| wraps negative, as numpy's abs. */
+   polynomial r (ranges[r] <= cols < 2^31), its sign polynomial rows + r,
+   whose range must be 2: sign bucket 1 is +1 and 2 is -1. Adds
+   sign * deltas[i] into cell (r, bucket - 1) for every row r and item i,
+   wrapping modulo 2^64 as numpy's int64 adds do. Row by row: hash every
+   item into packed[i * rows + r] as (bucket - 1) << 1 | negative-sign, add,
+   then reread the cells written. Returns 1 when any ends at
+   |cell| >= limit, else 0; |INT64_MIN| wraps negative, as numpy's abs. */
 int scatter61(const uint64_t *coeffs, const uint64_t *ranges, size_t rows,
               size_t t, const uint64_t *x, const int64_t *deltas, size_t n,
-              int64_t *cells, size_t cols, int64_t limit, uint64_t *scratch) {
+              int64_t *cells, size_t cols, int64_t limit, uint32_t *packed) {
     int over = 0;
     for (size_t r = 0; r < rows; r++) {
         const uint64_t *cb = coeffs + r * t, *cs = coeffs + (rows + r) * t;
-        const uint64_t mb = ranges[r], ms = ranges[rows + r];
+        const uint64_t mb = ranges[r];
         const size_t sb = lead61(cb, t), ss = lead61(cs, t);
         uint64_t *row = (uint64_t *)(cells + r * cols);
-        for (size_t i = 0; i < n; i++)
-            scratch[i] = (poly61(cb, sb, t, x[i]) % mb) << 1
-                         | (poly61(cs, ss, t, x[i]) % ms != 0);
-        for (size_t i = 0; i < n; i++) {
-            const uint64_t d = (uint64_t)deltas[i];
-            row[scratch[i] >> 1] += scratch[i] & 1 ? 0 - d : d;
+        uint32_t *p = packed + r;
+        uint64_t vb[4], vs[4];
+        for (size_t i = 0; i < n;) {
+            const int four = i + 4 <= n;
+            poly61(cb, sb, t, x + i, four, vb);
+            poly61(cs, ss, t, x + i, four, vs);
+            for (int j = 0; j < (four ? 4 : 1); j++, i++)
+                p[i * rows] = (uint32_t)(vb[j] % mb << 1 | (vs[j] & 1));
         }
         for (size_t i = 0; i < n; i++) {
-            const uint64_t c = row[scratch[i] >> 1];
+            const uint32_t q = p[i * rows];
+            const uint64_t d = (uint64_t)deltas[i];
+            row[q >> 1] += q & 1 ? 0 - d : d;
+        }
+        for (size_t i = 0; i < n; i++) {
+            const uint64_t c = row[p[i * rows] >> 1];
             over |= (int64_t)((int64_t)c < 0 ? 0 - c : c) >= limit;
         }
     }
@@ -213,16 +246,18 @@ def _load_kernel():
     # the limit, which item 2 (sign +1) crosses, and then at zero
     limit = 1 << 62
     deltas = np.array([5, 7, 1 << 40, 3, -1], dtype=np.int64)
-    scratch = np.empty(x.size, dtype=np.uint64)
+    packed = np.empty(x.size, dtype=np.uint32)
+    want_packed = (want[0] - 1) << 1 | (want[1] - 1)
     for start in (limit - 4, 0):
         cells = np.full(1000, start, dtype=np.int64)
         want_cells = cells.copy()
         np.add.at(want_cells, want[0] - 1, (3 - 2 * want[1]) * deltas)
         over = scatter(coeffs.ctypes.data, ranges.ctypes.data, 1, 4, x.ctypes.data,
                        deltas.ctypes.data, x.size, cells.ctypes.data, cells.size, limit,
-                       scratch.ctypes.data)
+                       packed.ctypes.data)
         want_over = np.abs(want_cells[want[0] - 1]).max() >= limit
-        ok = ok and np.array_equal(cells, want_cells) and bool(over) == want_over
+        ok = (ok and np.array_equal(cells, want_cells) and bool(over) == want_over
+              and np.array_equal(packed, want_packed))
     return lib if ok else None
 
 
@@ -250,31 +285,36 @@ def _horner_rows(coeffs: np.ndarray, ranges: np.ndarray, x: np.ndarray) -> np.nd
 
 
 def scatter_signed(row_hash: "KWiseHash", items: np.ndarray, deltas: np.ndarray,
-                   cells: np.ndarray, limit: int) -> bool:
+                   cells: np.ndarray, limit: int) -> tuple[bool, np.ndarray]:
     """Add sign_r(i) * delta into cells[r, bucket_r(i) - 1] for every row r
     of the (rows, cols) int64 table `cells` and every item i, in one pass of
     the C kernel (`scatter61`); `row_hash` stacks the rows' bucket hashes
-    and then their sign hashes, as `CountSketchTable` builds it. Returns
-    whether any cell written ends at |cell| >= limit.
+    and then their range-2 sign hashes, as `CountSketchTable` builds it.
+    Returns whether any cell written ends at |cell| >= limit, and every
+    item's packed cell in every row as an (items, rows) uint32 array:
+    (bucket - 1) << 1 | (sign == -1).
 
-    Needs the kernel loaded (`_kernel` not None). Hashing each row into
-    (rows, items) arrays and adding them with `np.add.at` gives the same
-    cells; that numpy body, in `CountSketchTable.update_many`, is the
-    bitwise reference.
+    Needs the kernel loaded (`_kernel` not None) and cols < 2**31, so a
+    packed cell fits 32 bits. Hashing each row into (rows, items) arrays
+    and adding them with `np.add.at` gives the same cells; that numpy body,
+    in `CountSketchTable.update_many`, is the bitwise reference.
     """
     rows, cols = cells.shape
     x = np.ascontiguousarray(items, dtype=np.int64).view(np.uint64)
     d = np.ascontiguousarray(deltas, dtype=np.int64)
     coeffs, ranges = row_hash._coeff_rows, row_hash._ranges
     if (cells.dtype != np.int64 or not cells.flags.c_contiguous or not cells.flags.writeable
-            or x.shape != d.shape or x.ndim != 1 or coeffs.shape[0] != 2 * rows
-            or (ranges[:rows] > cols).any() or (ranges[rows:] != 2).any()):
-        raise ValueError("scatter_signed needs a writable C-contiguous int64 table, "
-                         "one delta per item, and bucket then sign hashes for each row")
-    scratch = np.empty(x.size, dtype=np.uint64)
-    return bool(_kernel.scatter61(coeffs.ctypes.data, ranges.ctypes.data, rows, coeffs.shape[1],
-                                  x.ctypes.data, d.ctypes.data, x.size, cells.ctypes.data,
-                                  cols, limit, scratch.ctypes.data))
+            or cols >= 1 << 31 or x.shape != d.shape or x.ndim != 1
+            or coeffs.shape[0] != 2 * rows or (ranges[:rows] > cols).any()
+            or (ranges[rows:] != 2).any()):
+        raise ValueError("scatter_signed needs a writable C-contiguous int64 table under "
+                         "2**31 columns, one delta per item, and bucket then sign hashes "
+                         "for each row")
+    packed = np.empty((x.size, rows), dtype=np.uint32)
+    over = _kernel.scatter61(coeffs.ctypes.data, ranges.ctypes.data, rows, coeffs.shape[1],
+                             x.ctypes.data, d.ctypes.data, x.size, cells.ctypes.data, cols,
+                             limit, packed.ctypes.data)
+    return bool(over), packed
 
 
 def is_prime(n: int) -> bool:

@@ -57,11 +57,9 @@ def read_stream(path: str, binary: bool = False) -> Stream:
     if binary:
         return _read_binary(path)
     if path == "-":
-        text = sys.stdin.read()
-        try:
-            data = text.encode("ascii")
-        except UnicodeEncodeError:
-            return parse_text(text.splitlines())
+        # as bytes again, so non-ASCII text is refused as in a file
+        # (surrogateescape gives back the bytes stdin could not decode)
+        data = sys.stdin.read().encode("utf-8", "surrogateescape")
     else:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -160,7 +158,7 @@ def parse_text(lines) -> Stream:
             body = line[1:].strip()
             if body.startswith("n=") and n is None:
                 try:
-                    n = int(body[2:])
+                    n = _text_int(body[2:].strip())
                 except ValueError:
                     raise StreamParseError(f"bad domain header {line!r}", lineno)
                 if n < 1:

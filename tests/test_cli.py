@@ -184,6 +184,16 @@ def test_exit_code_non_ascii_stream(tmp_path, capsys):
     assert "line 3: non-ASCII byte" in out.err
 
 
+@pytest.mark.parametrize("header", ["# n=1_0", "# n=\u0663"])
+def test_exit_code_header_not_ascii_digits_on_stdin(header, capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(header + "\n7 1\n"))
+    code, out = run_cli("run", "-", "--epsilon", "0.5", capsys=capsys)
+    assert code == 2
+    assert "line 1: " in out.err
+
+
 def test_exit_code_late_header_below_earlier_item(tmp_path, capsys):
     path = str(tmp_path / "late.txt")
     with open(path, "w") as fh:

@@ -299,8 +299,9 @@ PATHS = [k for k in (hashing._kernel, None) if k is not None] + [None]
 
 
 def run_paths(table_args: dict, batches, start: int = 0) -> list:
-    """Per path: each batch's outcome ("ok" or "overflow"), then the cells
-    and touched items after all batches, from cells all set to `start`."""
+    """Per path: each batch's outcome ("ok" or "overflow"), then the cells,
+    touched items and their cached packed cells after all batches, from
+    cells all set to `start`."""
     results = []
     for kernel in PATHS:
         with pytest.MonkeyPatch.context() as m:
@@ -315,7 +316,8 @@ def run_paths(table_args: dict, batches, start: int = 0) -> list:
                     outcomes.append("ok")
                 except SketchInvariantError:
                     outcomes.append("overflow")
-            results.append((outcomes, t.cells.tobytes(), t.touched_items().tobytes()))
+            results.append((outcomes, t.cells.tobytes(), t.touched_items().tobytes(),
+                            t.touched_cells().tobytes()))
     return results
 
 
@@ -377,6 +379,11 @@ def test_update_many_needs_one_delta_per_item(kernel, monkeypatch):
         with pytest.raises(ValueError):
             t.update_many(np.array([1, 2]), deltas)
     assert not t.cells.any() and t.touched_items().size == 0
+
+
+def test_table_refuses_columns_a_packed_cell_cannot_hold():
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        CountSketchTable(1, 1 << 31, bucket_hashes=[], sign_hashes=[])
 
 
 @pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")

@@ -16,6 +16,7 @@ from f1sketch import (
     stability_constant,
 )
 from f1sketch import estimator, hashing, seeds
+from f1sketch.countsketch import CELL_LIMIT
 from f1sketch.oracle import expected_isolation_row, expected_variate
 
 
@@ -523,6 +524,9 @@ def test_estimate_diagnostics_present():
     assert d["updates"] == 1
     assert d["stable_bytes"] == est.config.width * 3 * 8
     assert d["heavy_clamped"] is False
+    # both CountSketch tables: an int64 id plus a uint32 cell per row, per item
+    rows = est.config.table_depth + est.config.hh_depth
+    assert d["touched_bytes"] == 2 * 8 + 4 * rows
 
 
 def test_sign_flip_leaves_light_estimate_unchanged():
@@ -611,6 +615,74 @@ def test_touched_items_is_every_item_ever_passed(ops):
     assert np.array_equal(est.touched_items(), want)
 
 
+def hashed_cells(table) -> np.ndarray:
+    """Packed cells of a table's touched items worked out from scratch:
+    (bucket - 1) << 1 | (sign == -1), one row per item."""
+    idx, signs = table.hash_matrices(table.touched_items())
+    buckets = idx - np.arange(table.rows)[:, None] * table.cols
+    return ((buckets << 1) | (signs < 0)).T.astype(np.uint32)
+
+
+PATHS = [k for k in (hashing._kernel,) if k is not None] + [None]
+direct = st.lists(st.tuples(st.integers(1, 41), st.integers(-3, 3)), min_size=1, max_size=10)
+
+
+@pytest.mark.parametrize("kernel", PATHS)
+@given(st.lists(st.one_of(record, st.lists(record, max_size=10), st.just("flush"),
+                          st.tuples(st.just("direct"), direct),
+                          st.tuples(st.just("overflow"), st.integers(1, 41))),
+                max_size=30))
+@settings(max_examples=40, deadline=None)
+def test_cached_cells_are_the_touched_items_hashed(kernel, ops):
+    # any mix of update, update_many and flush, direct table calls with
+    # unsorted repeats, and batches the cell guard refuses after writing;
+    # item 41 nets to zero
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hashing, "_kernel", kernel)
+        est = build(n=41, seed=34)
+        est.update_many(np.array([41, 41]), np.array([5, -5]))
+        for op in ops:
+            if op == "flush":
+                est.flush()
+            elif isinstance(op, list):
+                est.update_many(np.array([i for i, _ in op], dtype=np.int64),
+                                np.array([v for _, v in op], dtype=np.int64))
+            elif op[0] == "direct":
+                est.countsketch.update_many(np.array([i for i, _ in op[1]], dtype=np.int64),
+                                            np.array([v for _, v in op[1]], dtype=np.int64))
+            elif op[0] == "overflow":
+                est.flush()
+                table = est.heavy_hitters
+                before, saved = table.touched_items(), table.cells.copy()
+                table.cells[:] = CELL_LIMIT  # every cell a zero delta writes is over
+                with pytest.raises(SketchInvariantError):
+                    table.update_many(np.array([op[1], 1]), np.array([0, 0]))
+                table.cells[:] = saved
+                assert np.array_equal(table.touched_items(), before)
+            else:
+                est.update(*op)
+        est.flush()
+        for table in (est.countsketch, est.heavy_hitters):
+            got = table.touched_cells()
+            assert got.dtype == np.uint32 and got.flags.c_contiguous
+            assert got.tobytes() == hashed_cells(table).tobytes()
+            assert table.touched_nbytes() == table.touched_items().size * (8 + 4 * table.rows)
+
+
+def test_touched_cells_of_given_items_come_from_the_cache():
+    est = build(n=50, seed=35)
+    est.update_many(np.array([9, 3, 40, 3]), np.array([1, 2, 3, 4]))
+    est.flush()
+    cs = est.countsketch
+    assert cs.touched_cells([40, 3]).tobytes() == cs.touched_cells()[[2, 0]].tobytes()
+    assert cs.touched_cells(np.zeros(0, dtype=np.int64)).shape == (0, cs.rows)
+    for untouched in ([4], [50], [3, 41]):
+        with pytest.raises(ValueError):
+            cs.touched_cells(untouched)
+    with pytest.raises(ValueError):
+        cs.touched_cells()[0, 0] = 1  # a read-only view of the cache
+
+
 # -- overflow guard, hashing per estimate, numpy reference path ---------------
 
 
@@ -683,14 +755,10 @@ def test_estimate_hashes_each_item_once_per_table(monkeypatch):
 
     monkeypatch.setattr(KWiseHash, "eval_many", counting)
     report = est.estimate()
-    touched = est.heavy_hitters.touched_items().size
-    by_hash = {}
-    for h, size in calls:
-        by_hash.setdefault(id(h), []).append(size)
-    assert by_hash[id(est.heavy_hitters._row_hash)] == [touched]
-    assert by_hash[id(est.countsketch._row_hash)] == [report.heavy_count]
-    assert by_hash[id(est.table.bucket_hash)] == [report.heavy_count]
-    assert len(calls) == 3
+    # both CountSketch tables read their touched items' cells from the cache
+    # ingest filled; only the heavy set's stable buckets are hashed
+    assert report.heavy_count > 0
+    assert calls == [(est.table.bucket_hash, report.heavy_count)]
 
 
 def test_numpy_path_gives_identical_answers(monkeypatch):

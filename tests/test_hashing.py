@@ -176,7 +176,7 @@ EDGE_ITEMS = np.array([1, 2, 3, 10**4, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**40
                       dtype=np.int64)
 
 
-@pytest.mark.parametrize("range_size", [1, 2, 25_600])
+@pytest.mark.parametrize("range_size", [1, 2, 25_600, MERSENNE61])
 @pytest.mark.parametrize("coeffs", [
     [0], [MERSENNE61 - 1], [0, 0, 0, 5], [MERSENNE61 - 1] * 8, [0] * 8,
     [1, 0, 0, 0, 0, 0, 0, MERSENNE61 - 1], [MERSENNE61 - 1, 0, MERSENNE61 - 1, 0],
@@ -187,7 +187,8 @@ def test_kernel_matches_reference_on_edge_coefficients(coeffs, range_size, monke
     assert active.tobytes() == reference.tobytes() == scalar.tobytes()
 
 
-@given(st.integers(0, 2**32), st.integers(1, 10), st.sampled_from([1, 2, 3, 25_600, 2**40]),
+@given(st.integers(0, 2**32), st.integers(1, 10),
+       st.sampled_from([1, 2, 3, 25_600, 2**40, MERSENNE61]),
        st.lists(st.integers(1, 2**32 - 1), min_size=1, max_size=40))
 @settings(max_examples=80, deadline=None)
 def test_kernel_matches_reference_on_random_hashes(seed, t, range_size, items):

@@ -177,7 +177,28 @@ def test_read_stream_refuses_non_ascii_digits_on_stdin(monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("# n=5\n1 2\n\u0663 2\n"))
     with pytest.raises(StreamParseError) as e:
         read_stream("-")
-    assert e.value.line == 3 and "non-integer field" in str(e.value)
+    assert e.value.line == 3 and "non-ASCII byte" in str(e.value)
+
+
+def test_read_stream_refuses_non_ascii_on_stdin_as_in_a_file(tmp_path, monkeypatch):
+    text = "# caf\u00e9\n1 2\n"
+    path = tmp_path / "s.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(StreamParseError) as from_file:
+        read_stream(str(path))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    with pytest.raises(StreamParseError) as from_stdin:
+        read_stream("-")
+    assert str(from_stdin.value) == str(from_file.value) == "line 1: non-ASCII byte 0xc3"
+
+
+@pytest.mark.parametrize("header", ["# n=1_0", "# n=\u0663", "# n=0x10"])
+def test_parse_text_reads_the_header_as_ascii_digits(header):
+    # int() would read "1_0" as 10 and the Arabic-Indic digit three as 3
+    with pytest.raises(StreamParseError) as e:
+        parse_text([header, "7 1"])
+    assert e.value.line == 1 and "bad domain header" in str(e.value)
+    assert parse_text(["# n= 12 ", "7 1"]).n == 12
 
 
 def test_parse_text_keeps_a_leading_plus(tmp_path):
