@@ -14,18 +14,9 @@ from .estimator import (
     EstimatorConfig,
     StableTable,
 )
-from .hashing import KWiseHash, MERSENNE61, SignHash
+from .hashing import KWiseHash, MERSENNE61
 from .oracle import ExactState, TailBoundCheck, expected_countsketch_cells, expected_stable_cells
-from .stable import (
-    DEFAULT_TRUNCATION_CAP,
-    StableVariateSource,
-    cauchy_variate,
-    geometric_means_estimate,
-    kp_constant,
-    median_estimate,
-    stability_constant,
-    stable_variate,
-)
+from .stable import TRUNCATION_CAP, StableVariateSource, kp_constant, stability_constant
 from .streams import Distribution, Stream, StreamParseError, generate, read_stream, write_stream
 
 __version__ = "0.1.0"
@@ -33,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CountSketchTable",
     "Classification",
-    "DEFAULT_TRUNCATION_CAP",
     "Distribution",
     "EstimateReport",
     "Estimator",
@@ -41,23 +31,19 @@ __all__ = [
     "ExactState",
     "KWiseHash",
     "MERSENNE61",
-    "SignHash",
     "SketchInvariantError",
     "StableTable",
     "StableVariateSource",
     "Stream",
     "StreamParseError",
+    "TRUNCATION_CAP",
     "TailBoundCheck",
-    "cauchy_variate",
     "expected_countsketch_cells",
     "expected_stable_cells",
     "generate",
-    "geometric_means_estimate",
     "kp_constant",
-    "median_estimate",
     "read_stream",
     "stability_constant",
-    "stable_variate",
     "write_stream",
     "__version__",
 ]

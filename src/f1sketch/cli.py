@@ -44,10 +44,10 @@ class TrialRow:
                 f"{self.heavy_count},{self.wall_ns_per_update!r}")
 
 
-def run_trial(stream: Stream, accuracy: float, seed: int, p: float,
+def run_trial(stream: Stream, accuracy: float, seed: int,
               exact_f1: float, trial: int = 0) -> TrialRow:
     """One independent estimator pass over a parsed stream."""
-    est = Estimator(EstimatorConfig(accuracy=accuracy, n=stream.n, seed=seed, p=p))
+    est = Estimator(EstimatorConfig(accuracy=accuracy, n=stream.n, seed=seed))
     t0 = time.perf_counter_ns()
     est.update_many(stream.items, stream.deltas)
     est.flush()
@@ -77,8 +77,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_run(args) -> int:
     stream = read_stream(args.stream, binary=args.binary)
+    # a bad accuracy or domain is refused before the oracle sizes n counters
+    EstimatorConfig(accuracy=args.epsilon, n=stream.n, seed=args.seed)
     exact = exact_f1_of(stream) if args.oracle else 0.0
-    row = run_trial(stream, args.epsilon, args.seed, args.p, exact)
+    row = run_trial(stream, args.epsilon, args.seed, exact)
     print(CSV_HEADER)
     print(row.csv())
     print(f"estimate       : {row.est_f1:.6g}")
@@ -106,10 +108,13 @@ def _worker_trial(params: tuple) -> TrialRow:
 def _cmd_eval(args) -> int:
     if args.trials < 1:
         raise ValueError("need at least one trial")
+    if args.jobs < 1:
+        raise ValueError("need at least one job")
     stream = read_stream(args.stream, binary=args.binary)
+    EstimatorConfig(accuracy=args.epsilon, n=stream.n, seed=args.seed)  # as in `run`
     exact = exact_f1_of(stream)
     # per trial only its parameters; workers get the stream once, at start
-    trials = [(args.epsilon, args.seed + t, args.p, exact, t) for t in range(args.trials)]
+    trials = [(args.epsilon, args.seed + t, exact, t) for t in range(args.trials)]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=args.jobs, initializer=_init_worker, initargs=(stream,)) as pool:
@@ -149,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("stream", help="stream file path, or - for stdin")
     run.add_argument("--epsilon", type=float, required=True)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--p", type=float, default=1.0)
     run.add_argument("--oracle", action="store_true",
                      help="also compute the exact F1 and relative error")
     run.add_argument("--binary", action="store_true")
@@ -160,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--trials", type=int, required=True)
     ev.add_argument("--seed", type=int, default=0, help="base seed; trial t uses seed+t")
     ev.add_argument("--out", required=True)
-    ev.add_argument("--p", type=float, default=1.0)
     ev.add_argument("--jobs", type=int, default=1)
     ev.add_argument("--binary", action="store_true")
     return parser

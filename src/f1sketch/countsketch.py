@@ -17,12 +17,13 @@ import mmap
 import numpy as np
 
 from . import hashing, seeds
-from .hashing import KWiseHash, SignHash
+from .hashing import KWiseHash
 
 # hard ceiling on |cell|; update streams are sized so m * M stays below it
 CELL_LIMIT = 1 << 62
-# bucket hashes are 8-wise independent; sign hashes are 4-wise (SignHash)
+# bucket hashes are 8-wise independent; sign hashes are 4-wise, range 2
 BUCKET_INDEPENDENCE = 8
+SIGN_INDEPENDENCE = 4
 
 
 class SketchInvariantError(RuntimeError):
@@ -64,6 +65,9 @@ def zeroed_cells(shape: tuple, dtype) -> np.ndarray:
 class CountSketchTable:
     """rows x cols signed-counter sketch with per-row bucket and sign hashes.
 
+    Row j's sign hash is a range-2 `KWiseHash`: bucket 1 is sign +1 and
+    bucket 2 is sign -1.
+
     Every item index ever updated is kept in one ascending array (space
     O(distinct items)), the candidates of top-k enumeration, next to its
     packed cell in every row, so reads over the touched items hash nothing.
@@ -78,13 +82,14 @@ class CountSketchTable:
             raise ValueError("cols must be below 2**31, so a packed cell fits 32 bits")
         if len(bucket_hashes) != rows or len(sign_hashes) != rows:
             raise ValueError("need one bucket hash and one sign hash per row")
+        if any(s.range_size != 2 for s in sign_hashes):
+            raise ValueError("sign hashes need range 2")
         self.rows = rows
         self.cols = cols
         self.bucket_hashes = tuple(bucket_hashes)
         self.sign_hashes = tuple(sign_hashes)
         # every row's bucket hash, then every row's sign hash, in one pass
-        self._row_hash = KWiseHash.stack(
-            self.bucket_hashes + tuple(s.inner for s in self.sign_hashes))
+        self._row_hash = KWiseHash.stack(self.bucket_hashes + self.sign_hashes)
         self.cells = zeroed_cells((rows, cols), np.int64)
         # flat index in `cells` of each row's first cell
         self._row_start = np.arange(rows, dtype=np.int64) * cols
@@ -101,7 +106,8 @@ class CountSketchTable:
             for j in range(rows)
         ]
         sign = [
-            SignHash.from_seed(seeds.derive_key(key, role + "-sign", j), n)
+            KWiseHash.from_seed(seeds.derive_key(key, role + "-sign", j),
+                                SIGN_INDEPENDENCE, n, 2)
             for j in range(rows)
         ]
         return cls(rows, cols, bucket_hashes=bucket, sign_hashes=sign)

@@ -26,7 +26,7 @@ import numpy as np
 from . import seeds
 from .countsketch import (CELL_LIMIT, CountSketchTable, SketchInvariantError,
                           batch_magnitude, zeroed_cells)
-from .hashing import KWiseHash
+from .hashing import MERSENNE61, KWiseHash
 from .stable import StableVariateSource, stability_constant
 
 # an estimator whose sketch arrays would exceed this is rejected up front
@@ -70,22 +70,22 @@ class EstimatorConfig:
 
     `accuracy` is the user-facing relative error target in (0, 1/2]; the
     internal working accuracy is a tenth of it, which keeps the analysis
-    precondition eps <= 1/8 satisfied automatically. `p` is the moment
-    order the stable variates and the light decode use.
+    precondition eps <= 1/8 satisfied automatically. Items are hashed over
+    GF(2**61 - 1), so the domain size n must lie below 2**61 - 1.
     """
 
     accuracy: float
     n: int
     seed: int
-    p: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.accuracy <= 0.5:
             raise ValueError("accuracy must lie in (0, 1/2]")
         if self.n < 1:
             raise ValueError("domain size n must be >= 1")
-        if not 0.0 < self.p < 2.0:
-            raise ValueError("moment order p must lie in (0, 2)")
+        if self.n >= MERSENNE61:
+            raise ValueError(f"domain size n = {self.n} is not below 2**61 - 1, "
+                             f"the largest domain the hash field holds")
 
     @property
     def eps(self) -> float:
@@ -226,7 +226,7 @@ class Estimator:
             c.width,
             KWiseHash.from_seed(seeds.derive_key(key, "u-bucket"),
                                 c.independence, c.n, c.width),
-            StableVariateSource(seeds.derive_key(key, "u-variates"), p=c.p),
+            StableVariateSource(seeds.derive_key(key, "u-variates")),
         )
         self.countsketch = CountSketchTable.from_seed(
             seeds.derive_key(key, "cs"), c.table_depth, c.width, c.n, role="cs")
@@ -253,10 +253,15 @@ class Estimator:
     def update_many(self, items: np.ndarray, deltas: np.ndarray) -> None:
         """Apply a batch of records (order of records never matters).
 
-        Raises ValueError when an item or delta is not integer-valued.
+        `items` and `deltas` are 1-D arrays of one shape, one delta per
+        item. Raises ValueError, and buffers nothing, when they are not, or
+        when an item or delta is not integer-valued.
         """
         items = integer_array(items, "items")
         deltas = integer_array(deltas, "deltas")
+        if items.ndim != 1 or deltas.shape != items.shape:
+            raise ValueError("items and deltas must be 1-D arrays of one shape, "
+                             "one delta per item")
         if items.size and (items.min() < 1 or items.max() > self.config.n):
             raise ValueError("item outside domain")
         self._pending_batches.append((items, deltas))
@@ -358,13 +363,8 @@ class Estimator:
         """Sum of isolated-cell reads over the heavy set."""
         return float(self.heavy_contributions(cls).sum())
 
-    def collision_free_buckets(self, heavy_items) -> np.ndarray:
-        """StableTable buckets (1-based) that no heavy item hashes into."""
-        self.flush()
-        mask = self._collision_free_mask(np.asarray(heavy_items, dtype=np.int64))
-        return np.nonzero(mask)[0].astype(np.int64) + 1
-
     def _collision_free_mask(self, heavy: np.ndarray) -> np.ndarray:
+        """Over the StableTable's buckets: True where no heavy item hashes."""
         mask = np.ones(self.config.width, dtype=bool)
         if heavy.size:
             mask[self.table.bucket_hash.eval_many(heavy) - 1] = False
@@ -373,22 +373,20 @@ class Estimator:
     def light_estimate(self, cls: Classification) -> float:
         """Geometric-means read of the heavy-free stable buckets.
 
-        Sums |x1 * x2 * x3|^(p/3) over every bucket no heavy item occupies,
-        with p = `config.p`, the order the variates are stable for, scaled
-        by the moment constant C(p, p/3)^-3 and by
+        Sums |x1 * x2 * x3|^(1/3) over every bucket no heavy item occupies,
+        scaled by the moment constant C(1, 1/3)^-3 and by
         `config.light_correction(heavy_count)`, which compensates for the
         buckets the heavy set removed. heavy_count is clamped at
         `heavy_clamp` so a runaway heavy set cannot blow up the correction;
         the clamp event is reported in diagnostics by `estimate`.
         """
         self.flush()
-        p = self.config.p
         mask = self._collision_free_mask(cls.heavy_items)
         cells = self.table.cells
         prod = np.abs(cells[:, 0] * cells[:, 1] * cells[:, 2])
-        total = float((prod[mask] ** (p / 3.0)).sum())
+        total = float((prod[mask] ** (1.0 / 3.0)).sum())
         correction = self.config.light_correction(cls.heavy_count)
-        return correction * stability_constant(p, p / 3.0) ** -3 * total
+        return correction * stability_constant(1.0, 1.0 / 3.0) ** -3 * total
 
     def estimate(self) -> EstimateReport:
         """Classify, estimate both parts, and report their exact sum."""

@@ -1,22 +1,21 @@
-"""Limited-independence hash families over a prime field.
+"""Limited-independence hash families over GF(2**61 - 1).
 
 A t-wise independent hash is a uniformly random polynomial of degree t-1
-over GF(p), evaluated by Horner's rule and reduced onto the bucket range
-[1, C]. The reduction `(value mod C) + 1` skews bucket probabilities by at
-most C/p relative; with the default 61-bit prime and desk-scale C this is
-below 2**-45 and is ignored everywhere except the small-field exhaustive
-tests, which account for it exactly.
+over the field of the Mersenne prime 2**61 - 1, evaluated by Horner's rule
+and reduced onto the bucket range [1, C]. The reduction `(value mod C) + 1`
+skews bucket probabilities by at most C/2**61 relative, below 2**-45 at
+desk-scale C, and is ignored.
 
 Hash objects are immutable after construction and safe to share across
 threads.
 
-Over the 61-bit Mersenne prime, `eval_many` runs a small C kernel
-(`_HORNER_SOURCE`), which also hashes and scatters CountSketch updates in
-one pass (`scatter_signed`). It is compiled once per machine with the local
-gcc into `$XDG_CACHE_HOME/f1sketch` (default `~/.cache/f1sketch`), under a
-file name keyed by a hash of the source, and loaded through ctypes when this
-module is imported. When it cannot be built or loaded, the numpy evaluation
-below (`_mulmod61`/`_addmod61`) and the numpy scatter in
+`eval_many` runs a small C kernel (`_HORNER_SOURCE`), which also hashes and
+scatters CountSketch updates in one pass (`scatter_signed`). It is compiled
+once per machine with the local gcc into `$XDG_CACHE_HOME/f1sketch`
+(default `~/.cache/f1sketch`), under a file name keyed by a hash of the
+source, and loaded through ctypes when this module is imported. When it
+cannot be built or loaded, the numpy evaluation below
+(`_mulmod61`/`_addmod61`) and the numpy scatter in
 `CountSketchTable.update_many` run instead; they are also the bitwise
 reference the kernel is tested against. `KWISE_BACKEND` names the path in
 use.
@@ -317,75 +316,42 @@ def scatter_signed(row_hash: "KWiseHash", items: np.ndarray, deltas: np.ndarray,
     return bool(over), packed
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 class KWiseHash:
-    """Degree t-1 polynomial hash over GF(prime), output in [1, range_size].
+    """Degree t-1 polynomial hash over GF(2**61 - 1), output in [1, range_size].
 
     `coefficients` are listed leading coefficient first; any t distinct
     inputs receive jointly uniform field values over a uniform draw of the
-    coefficient tuple.
+    coefficient tuple. Inputs must lie below 2**61 - 1.
+    `f1sketch.oracle.expected_hash` is the scalar reference.
 
-    `KWiseHash.stack` joins several 61-bit hashes into one whose `eval_many`
+    `KWiseHash.stack` joins several hashes into one whose `eval_many`
     evaluates all of them in a single pass. A stacked hash has a tuple of
-    coefficient rows and a tuple of ranges, and no scalar `eval`.
+    coefficient rows and a tuple of ranges.
     """
 
-    __slots__ = ("coefficients", "prime", "range_size", "_coeff_rows", "_ranges")
+    __slots__ = ("coefficients", "range_size", "_coeff_rows", "_ranges")
 
-    def __init__(self, coefficients, prime: int, range_size: int):
-        coefficients = [int(c) % prime for c in coefficients]
+    def __init__(self, coefficients, range_size: int):
+        coefficients = [int(c) % MERSENNE61 for c in coefficients]
         if not coefficients:
             raise ValueError("need at least one coefficient (t >= 1)")
-        if range_size < 1:
-            raise ValueError("range_size must be >= 1")
-        if prime < range_size:
-            raise ValueError("prime must be at least the output range")
-        if prime != MERSENNE61 and not is_prime(prime):
-            raise ValueError(f"{prime} is not prime")
+        if not 1 <= range_size <= MERSENNE61:
+            raise ValueError("range_size must lie in [1, 2**61 - 1]")
         self.coefficients = tuple(coefficients)
-        self.prime = prime
         self.range_size = range_size
-        self._coeff_rows = (
-            np.array([coefficients], dtype=np.uint64) if prime == MERSENNE61 else None
-        )
+        self._coeff_rows = np.array([coefficients], dtype=np.uint64)
         self._ranges = np.array([range_size], dtype=np.uint64)
 
     @classmethod
-    def from_seed(cls, key: bytes, t: int, n: int, range_size: int,
-                  prime: int | None = None) -> "KWiseHash":
+    def from_seed(cls, key: bytes, t: int, n: int, range_size: int) -> "KWiseHash":
         """Draw a t-wise independent hash [n] -> [range_size] from a PRF key."""
         if t < 1:
             raise ValueError("independence degree t must be >= 1")
         if n < 1 or range_size < 1:
             raise ValueError("domain and range sizes must be >= 1")
-        if prime is None:
-            prime = MERSENNE61
-        if prime <= n or prime < range_size:
-            raise ValueError("prime must exceed the domain and cover the range")
-        return cls(seeds.field_elements(key, t, prime), prime, range_size)
+        if n >= MERSENNE61:
+            raise ValueError("domain size n must be below 2**61 - 1, the hash field size")
+        return cls(seeds.field_elements(key, t, MERSENNE61), range_size)
 
     @classmethod
     def stack(cls, hashes) -> "KWiseHash":
@@ -393,67 +359,25 @@ class KWiseHash:
         array, row j equal to `hashes[j].eval_many(items)`.
 
         Lower-degree rows are padded with leading zero coefficients, which
-        leave Horner's value unchanged. Every hash must be over 2**61 - 1.
+        leave Horner's value unchanged.
         """
         hashes = list(hashes)
-        if not hashes or any(h._coeff_rows is None or h._coeff_rows.shape[0] != 1
-                             for h in hashes):
-            raise ValueError("stack needs single-row hashes over 2**61 - 1")
+        if not hashes or any(h._coeff_rows.shape[0] != 1 for h in hashes):
+            raise ValueError("stack needs one or more single-row hashes")
         t = max(len(h.coefficients) for h in hashes)
         stacked = cls.__new__(cls)
         stacked.coefficients = tuple((0,) * (t - len(h.coefficients)) + h.coefficients
                                      for h in hashes)
-        stacked.prime = MERSENNE61
         stacked.range_size = tuple(h.range_size for h in hashes)
         stacked._coeff_rows = np.array(stacked.coefficients, dtype=np.uint64)
         stacked._ranges = np.array(stacked.range_size, dtype=np.uint64)
         return stacked
 
-    def eval(self, i: int) -> int:
-        """Bucket of item i, in [1, range_size]. i must lie in the domain."""
+    def eval_many(self, items: np.ndarray) -> np.ndarray:
+        """Bucket in [1, range_size] of each item of an integer array, as
+        int64 of the same shape (a stacked hash adds a leading row axis)."""
+        x = np.asarray(items, dtype=np.uint64)
+        out = _horner_rows(self._coeff_rows, self._ranges, x.ravel())
         if isinstance(self.range_size, tuple):
-            raise TypeError("a stacked hash has no scalar eval; use eval_many")
-        v = 0
-        x = i % self.prime
-        for c in self.coefficients:
-            v = (v * x + c) % self.prime
-        return v % self.range_size + 1
-
-    __call__ = eval
-
-    def eval_many(self, items: np.ndarray) -> np.ndarray:
-        """Vectorized `eval` over an integer array; returns int64 buckets."""
-        if self._coeff_rows is not None:
-            x = np.asarray(items, dtype=np.uint64)
-            out = _horner_rows(self._coeff_rows, self._ranges, x.ravel())
-            if isinstance(self.range_size, tuple):
-                return out.reshape(out.shape[:1] + x.shape)
-            return out.reshape(x.shape)
-        return np.array([self.eval(int(i)) for i in np.asarray(items).ravel()],
-                        dtype=np.int64).reshape(np.shape(items))
-
-
-class SignHash:
-    """4-wise independent sign hash onto {-1, +1}.
-
-    Wraps a range-2 KWiseHash; bucket 1 maps to +1, bucket 2 to -1.
-    """
-
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: KWiseHash):
-        if inner.range_size != 2:
-            raise ValueError("sign hash needs an inner hash with range 2")
-        self.inner = inner
-
-    @classmethod
-    def from_seed(cls, key: bytes, n: int, prime: int | None = None) -> "SignHash":
-        return cls(KWiseHash.from_seed(key, t=4, n=n, range_size=2, prime=prime))
-
-    def eval(self, i: int) -> int:
-        return 1 if self.inner.eval(i) == 1 else -1
-
-    __call__ = eval
-
-    def eval_many(self, items: np.ndarray) -> np.ndarray:
-        return np.where(self.inner.eval_many(items) == 1, 1, -1).astype(np.int64)
+            return out.reshape(out.shape[:1] + x.shape)
+        return out.reshape(x.shape)

@@ -9,12 +9,13 @@ in explicitly for cell replay.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .stable import (PHILOX_M0, PHILOX_M1, PHILOX_ROUNDS, PHILOX_W0, PHILOX_W1,
-                     stable_variate)
+from .hashing import MERSENNE61
+from .stable import PHILOX_M0, PHILOX_M1, PHILOX_ROUNDS, PHILOX_W0, PHILOX_W1, TRUNCATION_CAP
 
 
 class TailBoundCheck(NamedTuple):
@@ -119,6 +120,22 @@ class ExactState:
         return {int(i) + 1 for i, fi in zip(nz, f) if fi * fi >= threshold}
 
 
+def expected_hash(h, i: int) -> int:
+    """Scalar reference for `KWiseHash.eval_many` of one single-row hash:
+    Horner's rule over GF(2**61 - 1) in Python ints, then onto
+    [1, h.range_size]. i must lie below 2**61 - 1."""
+    v = 0
+    for c in h.coefficients:
+        v = (v * int(i) + c) % MERSENNE61
+    return v % h.range_size + 1
+
+
+def expected_sign(h, i: int) -> int:
+    """A CountSketch row's sign of item i from its range-2 sign hash:
+    bucket 1 is +1, bucket 2 is -1."""
+    return 1 if expected_hash(h, i) == 1 else -1
+
+
 def expected_countsketch_cells(state: ExactState, table) -> np.ndarray:
     """Recompute a CountSketch's cells from the exact vector and the table's
     own hashes, independent of the incremental update path."""
@@ -127,7 +144,8 @@ def expected_countsketch_cells(state: ExactState, table) -> np.ndarray:
     f = state.frequencies[items - 1]
     for j in range(table.rows):
         idx = table.bucket_hashes[j].eval_many(items) - 1
-        np.add.at(cells[j], idx, f * table.sign_hashes[j].eval_many(items))
+        signs = 3 - 2 * table.sign_hashes[j].eval_many(items)  # bucket 1 -> +1, 2 -> -1
+        np.add.at(cells[j], idx, f * signs)
     return cells
 
 
@@ -149,7 +167,8 @@ def expected_point_estimate(table, i: int) -> float:
     """Scalar reference for `CountSketchTable.point_estimate_many`: the
     median over rows of cell * sign for item i, one hash call per row."""
     vals = [
-        table.cells[j][table.bucket_hashes[j].eval(i) - 1] * table.sign_hashes[j].eval(i)
+        table.cells[j][expected_hash(table.bucket_hashes[j], i) - 1]
+        * expected_sign(table.sign_hashes[j], i)
         for j in range(table.rows)
     ]
     return float(np.median(vals))
@@ -162,8 +181,8 @@ def expected_isolation_row(bucket_hashes, item: int, heavy_items) -> int | None:
     item = int(item)
     others = [int(k) for k in heavy_items if int(k) != item]
     for j, h in enumerate(bucket_hashes):
-        b = h.eval(item)
-        if all(h.eval(k) != b for k in others):
+        b = expected_hash(h, item)
+        if all(expected_hash(h, k) != b for k in others):
             return j + 1
     return None
 
@@ -183,24 +202,30 @@ def expected_philox4x32(counter, key) -> tuple:
     return c0, c1, c2, c3
 
 
-def expected_uniforms(source, bucket: int, slot: int, item: int) -> tuple:
-    """Scalar reference for the uniforms (u1, u2) behind variate
-    s_{bucket,slot}(item) of a `StableVariateSource`, slot in {1, 2, 3}."""
+def cauchy_variate(u: float) -> float:
+    """Scalar reference for `stable.cauchy_variates`: a standard Cauchy draw
+    from a uniform u in (0, 1), clamped to +-TRUNCATION_CAP."""
+    if not 0.0 < u < 1.0:
+        raise ValueError("u must lie strictly inside (0, 1)")
+    x = math.tan(math.pi * (u - 0.5))
+    return max(-TRUNCATION_CAP, min(TRUNCATION_CAP, x))
+
+
+def expected_uniform(source, bucket: int, slot: int, item: int) -> float:
+    """Scalar reference for the uniform behind variate s_{bucket,slot}(item)
+    of a `StableVariateSource`, slot in {1, 2, 3}."""
     if slot not in (1, 2, 3):
         raise ValueError("slot must be 1, 2 or 3")
     item, bucket = int(item), int(bucket)
     key = (int.from_bytes(source.key[0:4], "little"),
            int.from_bytes(source.key[4:8], "little"))
-    c0, c1, c2, c3 = expected_philox4x32(
+    c0, c1, _, _ = expected_philox4x32(
         (item % (1 << 32), item >> 32, bucket, slot - 1), key)
-    return ((((c0 << 32 | c1) >> 12) + 0.5) * 2.0 ** -52,
-            (((c2 << 32 | c3) >> 12) + 0.5) * 2.0 ** -52)
+    return (((c0 << 32 | c1) >> 12) + 0.5) * 2.0 ** -52
 
 
 def expected_variate(source, bucket: int, slot: int, item: int) -> float:
     """Scalar reference for `StableVariateSource.variates_for`: the reference
-    uniforms through the scalar Chambers-Mallows-Stuck transform. It agrees
-    with the vector path to a few ulps, since numpy and libm may round the
-    transcendental functions differently."""
-    u1, u2 = expected_uniforms(source, bucket, slot, item)
-    return stable_variate(u1, u2, source.p, source.cap)
+    uniform through `cauchy_variate`. It agrees with the vector path to a
+    few ulps, since numpy and libm may round tan differently."""
+    return cauchy_variate(expected_uniform(source, bucket, slot, item))

@@ -1,11 +1,9 @@
-"""Symmetric p-stable variates and the estimators built on them.
+"""Cauchy (1-stable) variates and the moment constants of stable laws.
 
-Covers the Cauchy (p=1) special case used by the first-moment sketch, the
-general p in (0, 2) case via the Chambers-Mallows-Stuck transform, the
-replayable variate source behind the sketch (a vectorized Philox4x32-10
-counter-based generator), the moment constants of stable laws, and the two
-classical whole-vector baseline estimators (median of sketch magnitudes,
-geometric means).
+Covers the replayable variate source behind the sketch (a vectorized
+Philox4x32-10 counter-based generator feeding the Cauchy inverse CDF) and
+the moment constants C(p, q) and K_p that the light decode and its
+analysis use.
 """
 
 from __future__ import annotations
@@ -14,52 +12,15 @@ import math
 
 import numpy as np
 
-DEFAULT_TRUNCATION_CAP = 1e9
+# the estimator clamps every variate's magnitude to this
+TRUNCATION_CAP = 1e9
 
 
-def cauchy_variate(u: float, cap: float = DEFAULT_TRUNCATION_CAP) -> float:
-    """Standard Cauchy draw from a uniform u in (0, 1), clamped to +-cap."""
-    if not 0.0 < u < 1.0:
-        raise ValueError("u must lie strictly inside (0, 1)")
-    x = math.tan(math.pi * (u - 0.5))
-    return max(-cap, min(cap, x))
-
-
-def stable_variate(u1: float, u2: float, p: float,
-                   cap: float = DEFAULT_TRUNCATION_CAP) -> float:
-    """Symmetric p-stable draw from two uniforms, clamped to +-cap.
-
-    Chambers-Mallows-Stuck: theta = pi*(u1 - 1/2), W = -ln(u2). p = 1
-    degenerates to tan(theta), the Cauchy inverse CDF.
-    """
-    if not 0.0 < u1 < 1.0 or not 0.0 < u2 < 1.0:
-        raise ValueError("uniforms must lie strictly inside (0, 1)")
-    if not 0.0 < p <= 2.0:
-        raise ValueError("stability index p must lie in (0, 2]")
-    theta = math.pi * (u1 - 0.5)
-    if p == 1.0:
-        x = math.tan(theta)
-    else:
-        w = -math.log(u2)
-        x = (math.sin(p * theta) / math.cos(theta) ** (1.0 / p)) * (
-            math.cos((1.0 - p) * theta) / w
-        ) ** ((1.0 - p) / p)
-    return max(-cap, min(cap, x))
-
-
-def stable_variates(u1: np.ndarray, u2: np.ndarray, p: float,
-                    cap: float = DEFAULT_TRUNCATION_CAP) -> np.ndarray:
-    """`stable_variate` over aligned arrays of uniforms, without its range
-    checks; u2 is unused when p = 1."""
-    theta = np.pi * (u1 - 0.5)
-    if p == 1.0:
-        x = np.tan(theta)
-    else:
-        w = -np.log(u2)
-        x = (np.sin(p * theta) / np.cos(theta) ** (1.0 / p)) * (
-            np.cos((1.0 - p) * theta) / w
-        ) ** ((1.0 - p) / p)
-    return np.clip(x, -cap, cap)
+def cauchy_variates(u: np.ndarray) -> np.ndarray:
+    """Standard Cauchy draws tan(pi * (u - 1/2)) from uniforms in (0, 1),
+    clamped to +-TRUNCATION_CAP; `f1sketch.oracle.cauchy_variate` is the
+    scalar reference."""
+    return np.clip(np.tan(np.pi * (u - 0.5)), -TRUNCATION_CAP, TRUNCATION_CAP)
 
 
 def stability_constant(p: float, q: float) -> float:
@@ -86,35 +47,6 @@ def kp_constant(p: float) -> float:
     if not 0.0 < p < 2.0:
         raise ValueError("need 0 < p < 2")
     return stability_constant(p, p / 3.0) ** -6 * stability_constant(p, 2.0 * p / 3.0) ** 3
-
-
-def geometric_means_estimate(values, p: float) -> float:
-    """Unbiased F_p estimate from t independent p-stable sketches of one
-    vector: C(p, p/t)**-t * prod |X_i|**(p/t)."""
-    x = np.asarray(values, dtype=float)
-    t = x.size
-    if t < 3:
-        raise ValueError("need at least 3 sketch values")
-    if not np.isfinite(x).all():
-        raise ValueError("sketch values must be finite")
-    mags = np.abs(x)
-    if (mags == 0.0).any():
-        return 0.0
-    scale = stability_constant(p, p / t) ** -t
-    # work in logs so large t cannot overflow the running product
-    return scale * math.exp(float(np.log(mags).sum()) * (p / t))
-
-
-def median_estimate(values) -> float:
-    """Median of sketch magnitudes; estimates F_1 for Cauchy sketches.
-
-    The median of |Cauchy(scale=F1)| is exactly F1, so no scale constant is
-    applied. Even-length input uses the lower median; prefer odd t.
-    """
-    x = np.abs(np.asarray(values, dtype=float))
-    if x.size == 0:
-        raise ValueError("need at least one sketch value")
-    return float(np.sort(x)[(x.size - 1) // 2])
 
 
 # Philox4x32-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
@@ -164,30 +96,22 @@ def _uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 class StableVariateSource:
-    """Replayable p-stable variates indexed by (bucket, slot, item).
+    """Replayable Cauchy variates indexed by (bucket, slot, item).
 
     Slot r in {1, 2, 3} of the pair (bucket, item) is one Philox4x32-10
     block with counter (item mod 2**32, item // 2**32, bucket, r - 1) under
     the 64-bit key in the first 8 bytes of `key` (two little-endian 32-bit
-    words). Output words c0:c1 give the uniform u1 and c2:c3 the uniform u2
-    of the Chambers-Mallows-Stuck transform. Distinct counters give
-    independent blocks for PRF purposes, so any variate is a pure function
-    of (key, bucket, slot, item). Magnitudes are clamped to `cap`.
+    words). Output words c0:c1 give the uniform of `cauchy_variates`.
+    Distinct counters give independent blocks for PRF purposes, so any
+    variate is a pure function of (key, bucket, slot, item).
     """
 
-    __slots__ = ("key", "p", "cap", "philox_key")
+    __slots__ = ("key", "philox_key")
 
-    def __init__(self, key: bytes, p: float = 1.0,
-                 cap: float = DEFAULT_TRUNCATION_CAP):
-        if not 0.0 < p <= 2.0:
-            raise ValueError("stability index p must lie in (0, 2]")
-        if cap <= 0:
-            raise ValueError("truncation cap must be positive")
+    def __init__(self, key: bytes):
         if len(key) < 8:
             raise ValueError("variate key needs at least 8 bytes")
         self.key = key
-        self.p = p
-        self.cap = cap
         self.philox_key = (int.from_bytes(key[0:4], "little"),
                            int.from_bytes(key[4:8], "little"))
 
@@ -209,11 +133,11 @@ class StableVariateSource:
         items = items.astype(np.uint64)[:, None]
         buckets = buckets.astype(np.uint64)[:, None]
         shape = (items.shape[0], 3)
-        c0, c1, c2, c3 = philox4x32(
+        c0, c1, _, _ = philox4x32(
             np.broadcast_to(items & _LOW32, shape),
             np.broadcast_to(items >> _32, shape),
             np.broadcast_to(buckets, shape),
             np.broadcast_to(np.arange(3, dtype=np.uint64), shape),
             *self.philox_key,
         )
-        return stable_variates(_uniform(c0, c1), _uniform(c2, c3), self.p, self.cap)
+        return cauchy_variates(_uniform(c0, c1))

@@ -224,6 +224,8 @@ def _read_binary(path: str) -> Stream:
     if len(blob) < header:
         raise StreamParseError("truncated binary header")
     (n,) = struct.unpack_from("<Q", blob, len(BINARY_MAGIC))
+    if n < 1:
+        raise StreamParseError("declared n must be >= 1")
     if (len(blob) - header) % BINARY_RECORD.itemsize:
         raise StreamParseError("truncated binary record")
     records = np.frombuffer(blob, dtype=BINARY_RECORD, offset=header)

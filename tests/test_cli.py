@@ -155,8 +155,13 @@ def test_binary_flag_round_trip(tmp_path, capsys):
     assert float(out.out.splitlines()[1].split(",")[2]) == 5000.0
 
 
-def test_exit_code_usage_error(capsys):
+def test_exit_code_usage_error(tmp_path, capsys):
     assert main(["run"]) == 1  # missing required arguments
+    # F1 only: neither command takes a moment order --p
+    path, rows = gen(tmp_path, m=100), str(tmp_path / "rows.csv")
+    assert main(["run", path, "--epsilon", "0.5", "--p", "0.7"]) == 1
+    assert main(["eval", path, "--epsilon", "0.5", "--trials", "1", "--out", rows,
+                 "--p", "0.7"]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["generate", "--dist", "bogus", "--n", "5", "--m", "5",
                  "--out", "/dev/null"]) == 1
@@ -201,6 +206,45 @@ def test_exit_code_late_header_below_earlier_item(tmp_path, capsys):
     code, out = run_cli("run", path, "--epsilon", "0.5", capsys=capsys)
     assert code == 2
     assert "line 1: item 9 outside declared domain [1, 2]" in out.err
+
+
+def binary_header(tmp_path, n: int) -> str:
+    """A binary stream file declaring domain size n, with one record (1, 1)."""
+    path = tmp_path / "header.bin"
+    path.write_bytes(b"F1SKBIN\x00" + n.to_bytes(8, "little") + (1).to_bytes(4, "little")
+                     + (1).to_bytes(8, "little", signed=True))
+    return str(path)
+
+
+def test_exit_code_binary_header_n_zero(tmp_path, capsys):
+    code, out = run_cli("run", binary_header(tmp_path, 0), "--epsilon", "0.5", "--binary",
+                        capsys=capsys)
+    assert code == 2
+    assert out.err == "error: declared n must be >= 1\n"
+
+
+def test_exit_code_domain_beyond_the_hash_field(tmp_path, capsys):
+    # a domain the GF(2**61 - 1) hashes cannot hold is refused by name,
+    # before the oracle would size n exact counters
+    text = tmp_path / "wide.txt"
+    text.write_text("# n=12345678901234567890\n1 1\n")
+    rows = str(tmp_path / "rows.csv")
+    for path, fmt in ((binary_header(tmp_path, 2**62), ["--binary"]), (str(text), [])):
+        for command in (["run", path, "--oracle"], ["eval", path, "--trials", "1", "--out", rows]):
+            code, out = run_cli(*command, "--epsilon", "0.5", *fmt, capsys=capsys)
+            assert code == 1
+            assert "is not below 2**61 - 1, the largest domain" in out.err
+
+
+def test_eval_refuses_fewer_than_one_job(tmp_path, capsys):
+    path = gen(tmp_path, m=100)
+    for jobs in ("0", "-3"):
+        out_csv = tmp_path / f"rows{jobs}.csv"
+        code, out = run_cli("eval", path, "--epsilon", "0.5", "--trials", "2", "--jobs", jobs,
+                            "--out", str(out_csv), capsys=capsys)
+        assert code == 1
+        assert out.err == "error: need at least one job\n"
+        assert not out_csv.exists()
 
 
 def test_exit_code_missing_file():

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from f1sketch import CountSketchTable, ExactState, SketchInvariantError, generate
 from f1sketch import hashing, seeds
 from f1sketch.countsketch import CELL_LIMIT, zeroed_cells
-from f1sketch.oracle import expected_countsketch_cells, expected_point_estimate
+from f1sketch.oracle import (expected_countsketch_cells, expected_hash,
+                             expected_point_estimate, expected_sign)
 
 
 def make_table(rows=3, cols=7, n=20, seed=1, **kwargs) -> CountSketchTable:
@@ -171,7 +172,8 @@ def test_f2_residual_matches_per_row_reference():
         for j in range(t.rows):
             skimmed = t.cells[j].astype(float)
             for item, est in top:
-                skimmed[t.bucket_hashes[j].eval(item) - 1] -= est * t.sign_hashes[j].eval(item)
+                bucket = expected_hash(t.bucket_hashes[j], item)
+                skimmed[bucket - 1] -= est * expected_sign(t.sign_hashes[j], item)
             rows.append((skimmed ** 2).sum())
         assert t.f2_residual_estimate(k) == max(0.0, float(np.median(rows)))
 
@@ -239,7 +241,7 @@ def test_counter_overflow_raises():
     t.update(1, 1 << 61)
     sign = int(np.sign(t.cells[0][np.abs(t.cells[0]).argmax()]))
     with pytest.raises(SketchInvariantError):
-        t.update(1, sign * (1 << 61) * int(t.sign_hashes[0].eval(1)))
+        t.update(1, sign * (1 << 61) * expected_sign(t.sign_hashes[0], 1))
 
 
 def test_batch_magnitude_overflow_raises():
@@ -289,7 +291,7 @@ def test_hash_matrices_match_per_row_hashes():
     idx, signs = t.hash_matrices(items)
     cols = np.stack([h.eval_many(items) - 1 for h in t.bucket_hashes])
     assert (idx == cols + 13 * np.arange(5)[:, None]).all()
-    assert (signs == np.stack([h.eval_many(items) for h in t.sign_hashes])).all()
+    assert (signs == np.stack([3 - 2 * h.eval_many(items) for h in t.sign_hashes])).all()
 
 
 # -- fused C scatter against the numpy body -----------------------------------
@@ -384,6 +386,12 @@ def test_update_many_needs_one_delta_per_item(kernel, monkeypatch):
 def test_table_refuses_columns_a_packed_cell_cannot_hold():
     with pytest.raises(ValueError, match="2\\*\\*31"):
         CountSketchTable(1, 1 << 31, bucket_hashes=[], sign_hashes=[])
+
+
+def test_table_refuses_sign_hashes_of_range_other_than_two():
+    t = make_table(rows=2)
+    with pytest.raises(ValueError, match="range 2"):
+        CountSketchTable(2, 7, bucket_hashes=t.bucket_hashes, sign_hashes=t.bucket_hashes)
 
 
 @pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")

@@ -17,11 +17,11 @@ from f1sketch import (
 )
 from f1sketch import estimator, hashing, seeds
 from f1sketch.countsketch import CELL_LIMIT
-from f1sketch.oracle import expected_isolation_row, expected_variate
+from f1sketch.oracle import expected_hash, expected_isolation_row, expected_variate
 
 
-def build(n=100, seed=1, accuracy=0.5, **kwargs) -> Estimator:
-    return Estimator(EstimatorConfig(accuracy=accuracy, n=n, seed=seed, **kwargs))
+def build(n=100, seed=1, accuracy=0.5) -> Estimator:
+    return Estimator(EstimatorConfig(accuracy=accuracy, n=n, seed=seed))
 
 
 # -- configuration ------------------------------------------------------------
@@ -44,8 +44,11 @@ def test_config_validation():
             EstimatorConfig(accuracy=bad, n=10, seed=0)
     with pytest.raises(ValueError):
         EstimatorConfig(accuracy=0.5, n=0, seed=0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(accuracy=0.5, n=10, seed=0, p=2.0)
+    # items are hashed over GF(2**61 - 1): the largest domain is 2**61 - 2
+    for n in (2**61 - 1, 2**62, 10**19):
+        with pytest.raises(ValueError, match="not below 2\\*\\*61 - 1"):
+            EstimatorConfig(accuracy=0.5, n=n, seed=0)
+    assert EstimatorConfig(accuracy=0.5, n=2**61 - 2, seed=0).hh_depth == 63
 
 
 def test_memory_cap_rejected():
@@ -55,20 +58,6 @@ def test_memory_cap_rejected():
         Estimator(EstimatorConfig(accuracy=1e-3, n=10, seed=0))
 
 
-def test_build_runs_no_primality_test(monkeypatch):
-    # every hash of an estimator is over 2**61 - 1, whose primality
-    # test_is_prime_basics already proves; a caller-supplied prime is checked
-    calls = []
-    real = hashing.is_prime
-    monkeypatch.setattr(hashing, "is_prime", lambda n: calls.append(n) or real(n))
-    build(n=10**4, seed=3)
-    assert calls == []
-    KWiseHash.from_seed(seeds.master_key(1), 2, 10, 10, prime=101)
-    assert calls == [101]
-    with pytest.raises(ValueError, match="not prime"):
-        KWiseHash([1, 2], 91, 10)
-
-
 def test_same_seed_bitwise_identical_build():
     a = build(seed=42)
     b = build(seed=42)
@@ -76,7 +65,7 @@ def test_same_seed_bitwise_identical_build():
     for ha, hb in zip(a.countsketch.bucket_hashes, b.countsketch.bucket_hashes):
         assert ha.coefficients == hb.coefficients
     for ha, hb in zip(a.heavy_hitters.sign_hashes, b.heavy_hitters.sign_hashes):
-        assert ha.inner.coefficients == hb.inner.coefficients
+        assert ha.coefficients == hb.coefficients
 
 
 # -- ingestion ----------------------------------------------------------------
@@ -140,7 +129,7 @@ def test_stable_cells_match_oracle_replay():
 
 def test_stable_cells_match_scalar_variate_replay():
     # every cell re-summed from the scalar reference variates, item by item
-    est = build(n=40, seed=13, p=0.7)
+    est = build(n=40, seed=13)
     rng = np.random.default_rng(1)
     items = rng.integers(1, 41, size=500)
     deltas = rng.integers(-5, 6, size=500)
@@ -150,7 +139,7 @@ def test_stable_cells_match_scalar_variate_replay():
     state.update_many(items, deltas)
     want = np.zeros_like(est.table.cells)
     for i in np.nonzero(state.frequencies)[0] + 1:
-        b = est.table.bucket_hash.eval(int(i))
+        b = expected_hash(est.table.bucket_hash, i)
         for slot in (1, 2, 3):
             want[b - 1, slot - 1] += state.frequencies[i - 1] * expected_variate(
                 est.table.source, b, slot, i)
@@ -245,7 +234,7 @@ def test_isolation_absent_on_forced_collision():
                                 t=2, n=4, range_size=2)
             for j in range(2)
         ]
-        if all(h.eval(i1) == h.eval(i2) for h in hashes):
+        if all(expected_hash(h, i1) == expected_hash(h, i2) for h in hashes):
             assert expected_isolation_row(hashes, i1, [i1, i2]) is None
             assert expected_isolation_row(hashes, i2, [i1, i2]) is None
             return
@@ -260,7 +249,8 @@ def test_isolation_smallest_row_wins():
                                 t=2, n=4, range_size=4)
             for j in range(2)
         ]
-        if hashes[0].eval(1) == hashes[0].eval(2) and hashes[1].eval(1) != hashes[1].eval(2):
+        b1, b2 = ([expected_hash(h, i) for h in hashes] for i in (1, 2))
+        if b1[0] == b2[0] and b1[1] != b2[1]:
             assert expected_isolation_row(hashes, 1, [1, 2]) == 2
             return
     pytest.fail("no suitable seed found")
@@ -378,15 +368,15 @@ def test_heavy_pairwise_product_mean():
 
 def test_collision_free_buckets_empty_heavy_set():
     est = build(seed=17)
-    assert est.collision_free_buckets([]).size == est.config.width
+    assert est._collision_free_mask(np.zeros(0, dtype=np.int64)).sum() == est.config.width
 
 
 def test_collision_free_buckets_lower_bound():
     est = build(n=5000, seed=18)
     rng = np.random.default_rng(3)
     heavy = rng.choice(np.arange(1, 5001), size=300, replace=False)
-    free = est.collision_free_buckets(heavy)
-    assert free.size >= est.config.width - 300
+    free = est._collision_free_mask(heavy)
+    assert free.sum() >= est.config.width - 300
 
 
 def test_collision_free_buckets_pigeonhole_exhaustion():
@@ -398,7 +388,7 @@ def test_collision_free_buckets_pigeonhole_exhaustion():
         first_hit.setdefault(int(b), item)
     assert len(first_hit) == est.config.width, "seed does not cover every bucket"
     heavy = np.array(sorted(first_hit.values()), dtype=np.int64)
-    assert est.collision_free_buckets(heavy).size == 0
+    assert not est._collision_free_mask(heavy).any()
 
 
 def test_light_estimate_empty_stream():
@@ -440,9 +430,9 @@ def test_light_estimate_excludes_heavy_buckets():
     est.update(31, 2)
     est.flush()
     cls = forced_heavy([7], [+1.0])
-    bucket_of_heavy = est.table.bucket_hash.eval(7)
-    free = est.collision_free_buckets([7])
-    assert bucket_of_heavy not in set(free)
+    bucket_of_heavy = expected_hash(est.table.bucket_hash, 7)
+    free = est._collision_free_mask(np.array([7]))
+    assert not free[bucket_of_heavy - 1] and free.sum() == est.config.width - 1
     light = est.light_estimate(cls)
     width = est.config.width
     corr = (1 - 1 / width) ** -1
@@ -481,22 +471,6 @@ def test_light_correction_clamped_for_runaway_heavy_set():
     base_sum = (prod[free] ** (1.0 / 3.0)).sum()
     want = (1 - 1 / width) ** -clamp * stability_constant(1.0, 1.0 / 3.0) ** -3 * base_sum
     assert est.light_estimate(cls) == pytest.approx(want, rel=1e-12)
-
-
-def test_nondefault_moment_order_flows_through():
-    est = build(n=200, seed=29, p=0.5)
-    rng = np.random.default_rng(11)
-    items = rng.integers(1, 201, size=500)
-    deltas = rng.integers(1, 5, size=500)
-    est.update_many(items, deltas)
-    # with every item treated as light this estimates F_0.5 of the vector
-    light = est.light_estimate(Classification.empty())
-    state = ExactState(200)
-    state.update_many(items, deltas)
-    exact = state.moment(0.5)
-    assert 0.5 * exact <= light <= 1.5 * exact
-    rep = est.estimate()
-    assert rep.total == rep.heavy + rep.light
 
 
 # -- full estimate ------------------------------------------------------------
@@ -715,6 +689,30 @@ def test_update_many_rejects_non_integer_input():
     est.update_many([4], [True])
     assert est.touched_items().tolist() == [1, 2, 3, 4]
     assert est.estimate().total > 0
+
+
+def test_update_many_refuses_a_batch_of_unequal_lengths_at_the_call():
+    # refused when passed, so the batch buffered before it is kept
+    est = build(n=10)
+    est.update_many([4, 5], [1, 1])
+    with pytest.raises(ValueError, match="one delta per item"):
+        est.update_many([1, 2, 3], [1, 2])
+    rep = est.estimate()
+    assert est.touched_items().tolist() == [4, 5] and rep.diagnostics["updates"] == 2
+    assert rep.heavy_count == 2 and rep.total == 2.0
+
+
+def test_update_many_refuses_broadcast_and_multi_dimensional_arrays():
+    # a scalar delta would be broadcast past the 2**62 guard, which sums
+    # the deltas as passed: four 2**61 deltas wrap int64
+    est = build(n=10)
+    for items, deltas in (([1, 1, 1, 1], 2**61), (4, 1), ([[1, 2]], [[1, 1]]),
+                          ([1, 2], [[1, 1]])):
+        with pytest.raises(ValueError, match="1-D arrays of one shape"):
+            est.update_many(items, deltas)
+    est.flush()
+    assert est.touched_items().size == 0 and est.estimate().diagnostics["updates"] == 0
+    assert not est.table.cells.any() and not est.countsketch.cells.any()
 
 
 def test_scalar_update_rejects_non_integer_at_flush():

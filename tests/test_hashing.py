@@ -8,20 +8,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f1sketch import KWiseHash, MERSENNE61, SignHash
+from f1sketch import CountSketchTable, KWiseHash, MERSENNE61
 from f1sketch import hashing, seeds
-from f1sketch.hashing import is_prime
+from f1sketch.oracle import expected_hash
 
 
 def key(tag: str, idx: int = 0) -> bytes:
     return seeds.derive_key(seeds.master_key(123), tag, idx)
 
 
+def horner(coeffs, prime: int, x: int) -> int:
+    """Field value at x of the polynomial `coeffs`, leading first, over
+    GF(prime): the hash family's definition for any prime, which the
+    exhaustive small-field tests below enumerate."""
+    v = 0
+    for c in coeffs:
+        v = (v * x + c) % prime
+    return v
+
+
 def test_same_seed_same_hash():
     a = KWiseHash.from_seed(key("h"), t=4, n=10, range_size=5)
     b = KWiseHash.from_seed(key("h"), t=4, n=10, range_size=5)
     assert a.coefficients == b.coefficients
-    assert a.eval(3) == b.eval(3)
+    assert expected_hash(a, 3) == expected_hash(b, 3)
 
 
 def test_distinct_roles_distinct_hashes():
@@ -32,7 +42,7 @@ def test_distinct_roles_distinct_hashes():
 
 def test_degree_zero_is_constant():
     h = KWiseHash.from_seed(key("const"), t=1, n=100, range_size=7)
-    assert len({h.eval(i) for i in range(1, 101)}) == 1
+    assert np.unique(h.eval_many(np.arange(1, 101))).size == 1
 
 
 def test_rejects_bad_parameters():
@@ -42,21 +52,26 @@ def test_rejects_bad_parameters():
         KWiseHash.from_seed(key("x"), t=2, n=10, range_size=0)
     with pytest.raises(ValueError):
         KWiseHash.from_seed(key("x"), t=2, n=0, range_size=5)
+    with pytest.raises(ValueError, match="below 2\\*\\*61 - 1"):
+        KWiseHash.from_seed(key("x"), t=2, n=MERSENNE61, range_size=5)
     with pytest.raises(ValueError):
-        KWiseHash([1, 2], prime=10, range_size=5)  # 10 is composite
+        KWiseHash([], range_size=5)
     with pytest.raises(ValueError):
-        KWiseHash([1], prime=7, range_size=8)  # range wider than field
+        KWiseHash([1], range_size=0)
+    with pytest.raises(ValueError):
+        KWiseHash([1], range_size=MERSENNE61 + 1)  # range wider than field
 
 
 def test_hand_evaluated_polynomial():
-    # 3*4 mod 11 = 1, reduced to bucket 1 + 1 = 2
-    h = KWiseHash([3, 0], prime=11, range_size=11)
-    assert h.eval(4) == 2
+    # 3*4 = 12, reduced to bucket 12 mod 11 + 1 = 2
+    h = KWiseHash([3, 0], range_size=11)
+    assert h.eval_many(np.array([4])).tolist() == [2] and expected_hash(h, 4) == 2
 
 
 def test_evaluation_is_pure():
     h = KWiseHash.from_seed(key("pure"), t=8, n=10**6, range_size=64)
-    assert h.eval(12345) == h.eval(12345)
+    x = np.array([12345])
+    assert np.array_equal(h.eval_many(x), h.eval_many(x))
 
 
 @given(st.integers(0, 2**32), st.integers(1, 6), st.integers(1, 50),
@@ -66,16 +81,17 @@ def test_range_and_vectorization(seed, t, c, items):
     h = KWiseHash.from_seed(key("prop", seed), t=t, n=10**6, range_size=c)
     vec = h.eval_many(np.array(items))
     assert all(1 <= v <= c for v in vec)
-    assert [h.eval(i) for i in items] == list(vec)
+    assert [expected_hash(h, i) for i in items] == list(vec)
 
 
 def test_small_prime_matches_mersenne_path():
-    # same coefficients evaluated through the scalar small-field path and
-    # the vectorized 61-bit path must agree where the fields coincide
+    # the generic-prime `horner` of the small-field tests and the vectorized
+    # 61-bit path must agree where the fields coincide
     coeffs = [5, 2, 9]
-    h = KWiseHash(coeffs, prime=MERSENNE61, range_size=1000)
+    h = KWiseHash(coeffs, range_size=1000)
     items = np.arange(1, 2001)
-    assert (h.eval_many(items) == np.array([h.eval(int(i)) for i in items])).all()
+    want = [horner(coeffs, MERSENNE61, int(i)) % 1000 + 1 for i in items]
+    assert h.eval_many(items).tolist() == want
 
 
 def test_exhaustive_pairwise_uniformity_identity_reduction():
@@ -86,8 +102,7 @@ def test_exhaustive_pairwise_uniformity_identity_reduction():
     for x in range(1, p):
         counts = np.zeros(p, dtype=int)
         for a, b in itertools.product(range(p), repeat=2):
-            h = KWiseHash([a, b], prime=p, range_size=p)
-            counts[h.eval(x) - 1] += 1
+            counts[horner([a, b], p, x)] += 1
         assert (counts == p).all()
 
 
@@ -98,8 +113,7 @@ def test_exhaustive_pairwise_uniformity_with_reduction_skew():
     for x in range(1, p):
         counts = np.zeros(c, dtype=int)
         for a, b in itertools.product(range(p), repeat=2):
-            h = KWiseHash([a, b], prime=p, range_size=c)
-            counts[h.eval(x) - 1] += 1
+            counts[horner([a, b], p, x) % c] += 1
         weights = counts / p
         assert set(weights) <= {1.0, 2.0}
         assert weights.max() - weights.min() <= 1.0
@@ -112,16 +126,20 @@ def test_bucket_balance_large_domain():
     assert loads.max() <= 3 * loads.mean()
 
 
+def row_signs(tag: str, n: int) -> np.ndarray:
+    """The signs a one-row CountSketch table gives items 1..n."""
+    table = CountSketchTable.from_seed(key(tag), 1, 7, n)
+    return table.hash_matrices(np.arange(1, n + 1))[1][0]
+
+
 def test_sign_square_is_one():
-    s = SignHash.from_seed(key("sign"), n=10**4)
-    vals = s.eval_many(np.arange(1, 10**4 + 1))
+    vals = row_signs("sign", 10**4)
     assert (vals * vals == 1).all()
     assert set(np.unique(vals)) == {-1, 1}
 
 
 def test_sign_empirical_balance():
-    s = SignHash.from_seed(key("sign-balance"), n=10**5)
-    vals = s.eval_many(np.arange(1, 10**5 + 1))
+    vals = row_signs("sign-balance", 10**5)
     assert abs(vals.mean()) <= 0.02
 
 
@@ -153,9 +171,20 @@ def test_exhaustive_fourwise_sign_structure():
         assert counts[code] == expect
 
 
+def lucas_lehmer(p: int) -> bool:
+    """Whether 2**p - 1 is prime, for an odd prime p: s = 4, then p - 2
+    steps of s -> s**2 - 2 modulo 2**p - 1, must end at 0."""
+    m, s = (1 << p) - 1, 4
+    for _ in range(p - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
 def test_is_prime_basics():
-    assert is_prime(2) and is_prime(13) and is_prime(MERSENNE61)
-    assert not is_prime(1) and not is_prime(91) and not is_prime(2**61 - 3)
+    # every hash's t-wise independence rests on the field modulus being prime
+    assert MERSENNE61 == 2**61 - 1 and lucas_lehmer(61)
+    assert lucas_lehmer(13) and lucas_lehmer(31)
+    assert not lucas_lehmer(11) and not lucas_lehmer(59)  # 2047 = 23 * 89
 
 
 # -- compiled kernel against the numpy reference and the scalar eval ----------
@@ -163,12 +192,12 @@ def test_is_prime_basics():
 
 def three_paths(h: KWiseHash, items: np.ndarray, monkeypatch):
     """eval_many through the active path, eval_many through numpy, and the
-    scalar eval, for one single-row hash."""
+    scalar reference, for one single-row hash."""
     active = h.eval_many(items)
     with monkeypatch.context() as m:
         m.setattr(hashing, "_kernel", None)
         reference = h.eval_many(items)
-    scalar = np.array([h.eval(int(i)) for i in items], dtype=np.int64)
+    scalar = np.array([expected_hash(h, i) for i in items], dtype=np.int64)
     return active, reference, scalar
 
 
@@ -182,7 +211,7 @@ EDGE_ITEMS = np.array([1, 2, 3, 10**4, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**40
     [1, 0, 0, 0, 0, 0, 0, MERSENNE61 - 1], [MERSENNE61 - 1, 0, MERSENNE61 - 1, 0],
 ])
 def test_kernel_matches_reference_on_edge_coefficients(coeffs, range_size, monkeypatch):
-    h = KWiseHash(coeffs, prime=MERSENNE61, range_size=range_size)
+    h = KWiseHash(coeffs, range_size=range_size)
     active, reference, scalar = three_paths(h, EDGE_ITEMS, monkeypatch)
     assert active.tobytes() == reference.tobytes() == scalar.tobytes()
 
@@ -198,15 +227,16 @@ def test_kernel_matches_reference_on_random_hashes(seed, t, range_size, items):
     reference = np.stack([hashing._horner_numpy(h._coeff_rows[0], h._ranges[0],
                                                 items.astype(np.uint64))])[0]
     assert active.tobytes() == reference.tobytes()
-    assert active.tolist() == [h.eval(int(i)) for i in items]
+    assert active.tolist() == [expected_hash(h, i) for i in items]
 
 
 def test_stacked_rows_equal_single_rows(monkeypatch):
     width = 25_600
     rows = [KWiseHash.from_seed(key("stack-b", j), t=8, n=10**4, range_size=width)
             for j in range(5)]
-    rows += [SignHash.from_seed(key("stack-s", j), n=10**4).inner for j in range(5)]
-    rows.append(KWiseHash([0, 0, 3], prime=MERSENNE61, range_size=1))
+    rows += [KWiseHash.from_seed(key("stack-s", j), t=4, n=10**4, range_size=2)
+             for j in range(5)]
+    rows.append(KWiseHash([0, 0, 3], range_size=1))
     stacked = KWiseHash.stack(rows)
     items = np.concatenate([np.arange(1, 3000, dtype=np.int64), EDGE_ITEMS])
     want = np.stack([h.eval_many(items) for h in rows])
@@ -219,14 +249,12 @@ def test_stacked_rows_equal_single_rows(monkeypatch):
     assert stacked.eval_many(np.zeros(0, dtype=np.int64)).shape == (len(rows), 0)
 
 
-def test_stack_rejects_small_fields_and_scalar_eval():
-    with pytest.raises(ValueError):
-        KWiseHash.stack([KWiseHash([1, 2], prime=11, range_size=5)])
+def test_stack_rejects_empty_and_stacked_input():
     with pytest.raises(ValueError):
         KWiseHash.stack([])
-    stacked = KWiseHash.stack([KWiseHash([1, 2], prime=MERSENNE61, range_size=5)])
-    with pytest.raises(TypeError):
-        stacked.eval(3)
+    stacked = KWiseHash.stack([KWiseHash([1, 2], range_size=5), KWiseHash([3], range_size=7)])
+    with pytest.raises(ValueError):
+        KWiseHash.stack([stacked])
 
 
 def test_package_imports_and_agrees_without_a_compiler(tmp_path):

@@ -6,22 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
-from f1sketch import (
-    StableVariateSource,
-    cauchy_variate,
-    geometric_means_estimate,
-    kp_constant,
-    median_estimate,
-    stability_constant,
-    stable_variate,
-)
+from f1sketch import TRUNCATION_CAP, StableVariateSource, kp_constant, stability_constant
 from f1sketch import seeds
-from f1sketch.oracle import expected_philox4x32, expected_uniforms, expected_variate
-from f1sketch.stable import _VARIATE_BLOCK, philox4x32, stable_variates
+from f1sketch.oracle import (cauchy_variate, expected_philox4x32, expected_uniform,
+                             expected_variate)
+from f1sketch.stable import _VARIATE_BLOCK, cauchy_variates, philox4x32
 
 
-def source(tag: str, p: float = 1.0, cap: float = 1e9) -> StableVariateSource:
-    return StableVariateSource(seeds.derive_key(seeds.master_key(99), tag), p=p, cap=cap)
+def source(tag: str) -> StableVariateSource:
+    return StableVariateSource(seeds.derive_key(seeds.master_key(99), tag))
 
 
 # -- inverse-CDF transform ----------------------------------------------------
@@ -56,8 +49,8 @@ def test_cauchy_symmetry(u):
 
 
 def test_cauchy_truncation():
-    assert cauchy_variate(1e-12) == -1e9
-    assert cauchy_variate(0.75, cap=0.5) == 0.5
+    assert TRUNCATION_CAP == 1e9
+    assert cauchy_variate(1e-12) == -1e9 and cauchy_variate(1 - 1e-12) == 1e9
 
 
 def test_empirical_median_of_magnitudes():
@@ -134,35 +127,7 @@ def test_kp_rejects_out_of_range():
             kp_constant(p)
 
 
-# -- whole-vector estimators --------------------------------------------------
-
-
-def test_geometric_means_zero_product():
-    assert geometric_means_estimate([0.0, 1.0, 2.0], p=1.0) == 0.0
-    assert geometric_means_estimate([0.0, 0.0, 0.0], p=1.0) == 0.0
-
-
-def test_geometric_means_transcription():
-    c = stability_constant(1.0, 1.0 / 3.0)
-    x = (c**3, 1.0, 1.0)
-    direct = abs(x[0] * x[1] * x[2]) ** (1.0 / 3.0) / c**3
-    assert geometric_means_estimate(x, p=1.0) == pytest.approx(direct, rel=1e-12)
-
-
-def test_geometric_means_rejects_short_or_nonfinite():
-    with pytest.raises(ValueError):
-        geometric_means_estimate([1.0, 2.0], p=1.0)
-    with pytest.raises(ValueError):
-        geometric_means_estimate([1.0, 2.0, float("inf")], p=1.0)
-
-
-@given(st.floats(0.05, 1.95), st.floats(-100, 100).filter(lambda x: abs(x) > 1e-3))
-@settings(max_examples=100)
-def test_geometric_means_homogeneity(p, lam):
-    x = np.array([1.7, -2.2, 0.9, 4.1])
-    base = geometric_means_estimate(x, p=p)
-    scaled = geometric_means_estimate(lam * x, p=p)
-    assert scaled == pytest.approx(abs(lam) ** p * base, rel=1e-9)
+# -- three-way geometric means -------------------------------------------------
 
 
 def test_geometric_means_unbiased_monte_carlo():
@@ -180,34 +145,6 @@ def test_geometric_means_unbiased_monte_carlo():
         ests[lo : lo + chunk] = c * np.abs(sketches.prod(axis=1)) ** (1.0 / 3.0)
     se = ests.std() / math.sqrt(trials)
     assert abs(ests.mean() - 100.0) <= 3 * se
-    # the analytic estimator agrees with the vectorized oracle formula
-    one = geometric_means_estimate(sketches[-1], p=1.0)
-    c = stability_constant(1.0, 1.0 / 3.0) ** -3
-    assert one == pytest.approx(c * np.abs(sketches[-1].prod()) ** (1 / 3), rel=1e-9)
-
-
-def test_median_estimate_small_lists():
-    assert median_estimate([-5.0, 0.0, 5.0]) == 5.0
-    assert median_estimate([3.3, 3.3, 3.3]) == 3.3
-    assert median_estimate([2.0, -7.0]) == 2.0  # lower median on even length
-    with pytest.raises(ValueError):
-        median_estimate([])
-
-
-def test_median_estimate_concentration():
-    # median of t magnitudes of Cauchy(scale F1) concentrates at F1 with
-    # relative sd ~ pi/(2 sqrt(t)): P(err <= 0.1) is ~0.80 at t=401 and
-    # crosses 0.95 near t=1001
-    rng = np.random.default_rng(2024)
-    f1 = 50.0
-    for t, floor in ((401, 0.75), (1001, 0.90)):
-        sketches = f1 * rng.standard_cauchy((20_000, t))
-        meds = np.array([median_estimate(row) for row in sketches[:2_000]])
-        frac_small = ((np.abs(meds - f1) / f1) <= 0.1).mean()
-        meds_big = np.median(np.abs(sketches), axis=1)
-        frac = ((np.abs(meds_big - f1) / f1) <= 0.1).mean()
-        assert frac >= floor
-        assert abs(frac_small - frac) <= 0.05  # scalar path agrees with oracle
 
 
 # -- variate source -----------------------------------------------------------
@@ -243,25 +180,23 @@ def test_philox_vector_matches_reference_on_random_blocks():
             assert tuple(int(w) for w in got[:, j]) == want
 
 
-@pytest.mark.parametrize("p", [1.0, 0.7, 1.5])
-def test_vector_variates_match_reference(p):
+def test_vector_variates_match_reference():
     # items past 2**32 use the second counter word; the reference uniforms
     # through the same numpy transform must give the same bits
-    src = source(f"ref{p}", p=p)
+    src = source("ref1.0")
     rng = np.random.default_rng(7)
     buckets = rng.integers(1, 2**20, 300)
     items = np.concatenate([rng.integers(1, 2**20, 100), rng.integers(2**32, 2**63, 200)])
     got = src.variates_for(buckets, items)
     for j in range(items.size):
-        u = [expected_uniforms(src, buckets[j], slot, items[j]) for slot in (1, 2, 3)]
-        u1, u2 = np.array(u).T
-        assert np.array_equal(got[j], stable_variates(u1, u2, p, src.cap))
+        u = [expected_uniform(src, buckets[j], slot, items[j]) for slot in (1, 2, 3)]
+        assert np.array_equal(got[j], cauchy_variates(np.array(u)))
         want = [expected_variate(src, buckets[j], slot, items[j]) for slot in (1, 2, 3)]
         assert got[j] == pytest.approx(want, rel=TRANSFORM_RTOL)
 
 
 def test_variates_of_concatenation_are_concatenated_variates():
-    src = source("concat", p=0.7)
+    src = source("concat")
     rng = np.random.default_rng(11)
     buckets = rng.integers(1, 5000, 1000)
     items = rng.integers(1, 2**40, 1000)
@@ -320,13 +255,16 @@ def test_variate_depends_on_all_indices():
 
 
 def test_variate_truncation_cap():
-    src = source("cap", cap=2.0)
-    vals = src.variates_for(np.ones(5000, dtype=np.int64), np.arange(1, 5001))
-    assert np.abs(vals).max() <= 2.0
-    assert (np.abs(vals) == 2.0).any()
-    assert expected_variate(src, 1, 1, 1) == pytest.approx(vals[0, 0], rel=TRANSFORM_RTOL)
-    capped = np.nonzero(np.abs(vals[:, 0]) == 2.0)[0][0]
-    assert expected_variate(src, 1, 1, capped + 1) == vals[capped, 0]
+    # uniforms within 2**-52 of either end, where tan exceeds the cap, and
+    # the two just inside the point where it reaches it
+    edge = 1 / (math.pi * TRUNCATION_CAP)
+    u = np.array([2.0**-53, 1e-12, edge * (1 - 1e-6), edge * (1 + 1e-6), 0.5,
+                  1 - edge * (1 + 1e-6), 1 - edge * (1 - 1e-6), 1 - 1e-12, 1 - 2.0**-53])
+    vals = cauchy_variates(u)
+    assert vals == pytest.approx([cauchy_variate(x) for x in u], rel=TRANSFORM_RTOL)
+    assert np.abs(vals).max() == TRUNCATION_CAP
+    assert (np.abs(vals) == TRUNCATION_CAP).sum() == 6
+    assert vals[3] > -TRUNCATION_CAP and vals[5] < TRUNCATION_CAP
 
 
 def test_variate_rejects_bad_slot_and_params():
@@ -336,15 +274,7 @@ def test_variate_rejects_bad_slot_and_params():
     with pytest.raises(ValueError):
         expected_variate(src, 1, 4, 1)
     with pytest.raises(ValueError):
-        StableVariateSource(b"k" * 32, p=2.5)
-    with pytest.raises(ValueError):
-        StableVariateSource(b"k" * 32, cap=0.0)
-    with pytest.raises(ValueError):
         StableVariateSource(b"k" * 7)
-    with pytest.raises(ValueError):
-        stable_variate(0.5, 0.5, p=0.0)
-    with pytest.raises(ValueError):
-        stable_variate(0.0, 0.5, p=1.0)
 
 
 def test_scale_stability_of_weighted_sums():
@@ -360,14 +290,3 @@ def test_scale_stability_of_weighted_sums():
     rng = np.random.default_rng(8)
     reference = np.abs(weights).sum() * rng.standard_cauchy(draws)
     assert stats.ks_2samp(combined, reference).pvalue > 0.01
-
-
-def test_general_p_moments_match_constants():
-    # CMS sampler cross-check: empirical E|X|^q against the closed form
-    for p, q in ((0.5, 0.25), (1.5, 0.7)):
-        src = source(f"cms{p}", p=p)
-        vals = src.variates_for(np.ones(2 * 10**5, dtype=np.int64),
-                                np.arange(1, 2 * 10**5 + 1))[:, 0]
-        mags = np.abs(vals) ** q
-        se = mags.std() / math.sqrt(mags.size)
-        assert mags.mean() == pytest.approx(stability_constant(p, q), abs=4 * se)

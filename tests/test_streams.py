@@ -254,6 +254,19 @@ def test_binary_errors(tmp_path):
         read_stream(path, binary=True)
 
 
+def test_binary_header_n_zero_is_refused_like_the_text_header(tmp_path):
+    path = tmp_path / "zero.bin"
+    write_stream(str(path), Stream(1, np.array([1]), np.array([1])), binary=True)
+    blob = bytearray(path.read_bytes())
+    blob[8:16] = (0).to_bytes(8, "little")
+    for body in (bytes(blob), bytes(blob[:16])):  # with a record, and header only
+        path.write_bytes(body)
+        with pytest.raises(StreamParseError, match="^declared n must be >= 1$"):
+            read_stream(str(path), binary=True)
+    with pytest.raises(StreamParseError, match="declared n must be >= 1"):
+        parse_text(["# n=0"])
+
+
 def test_binary_reader_reports_first_bad_record(tmp_path):
     path = str(tmp_path / "dom.bin")
     write_stream(path, Stream(50, np.array([1, 50, 7, 3, 9]), np.array([1, 2, 3, 4, 5])),
