@@ -24,6 +24,8 @@ CELL_LIMIT = 1 << 62
 # bucket hashes are 8-wise independent; sign hashes are 4-wise, range 2
 BUCKET_INDEPENDENCE = 8
 SIGN_INDEPENDENCE = 4
+# bytes in a transparent huge page on 4 KiB-page x86-64 and arm64 kernels
+HUGE_PAGE = 1 << 21
 
 
 class SketchInvariantError(RuntimeError):
@@ -49,17 +51,38 @@ def batch_magnitude(deltas: np.ndarray) -> float:
 
 
 def zeroed_cells(shape: tuple, dtype) -> np.ndarray:
-    """A zero-filled array on its own anonymous memory map.
+    """A zero-filled array on its own private anonymous memory map, starting
+    on a 2 MiB boundary, with transparent huge pages asked for on the whole
+    2 MiB pages inside it.
 
     `np.zeros` takes its memory from the C heap, which clears recycled
     memory at allocation time whenever freed memory was not returned to the
     OS, so building an estimator took 1.9 to 2.6 ms (2-vCPU VM) depending
-    only on allocator history. Fresh mapped pages are zeroed by the kernel
-    when first written, whatever ran before.
+    only on allocator history. Fresh mapped pages are zeroed by the OS
+    when first written, whatever ran before, so construction touches no
+    cell. The first ingest then pays one fault per page it writes; on 4 KiB
+    pages that was about a third of a fresh estimator's ingest time.
+
+    The map is over-allocated by 2 MiB so the array can be aligned; the
+    unused head and tail are never touched and cost address space only.
+    The partial 2 MiB page at the array's end is not advised: a huge page
+    there would make memory resident that the array never uses. Where the
+    OS lacks `MADV_HUGEPAGE` or refuses it, the cells stay on 4 KiB pages.
+    The map is private, so a forked child's writes never reach the
+    parent's cells.
     """
     count = int(np.prod(shape))
-    buf = mmap.mmap(-1, count * np.dtype(dtype).itemsize)
-    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
+    nbytes = count * np.dtype(dtype).itemsize
+    buf = mmap.mmap(-1, nbytes + HUGE_PAGE, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    start = -np.frombuffer(buf, dtype=np.uint8).ctypes.data % HUGE_PAGE
+    whole = nbytes - nbytes % HUGE_PAGE
+    advice = getattr(mmap, "MADV_HUGEPAGE", None)
+    if whole and advice is not None:
+        try:
+            buf.madvise(advice, start, whole)
+        except OSError:
+            pass  # no transparent huge pages here: 4 KiB pages still work
+    return np.frombuffer(buf, dtype=dtype, count=count, offset=start).reshape(shape)
 
 
 class CountSketchTable:

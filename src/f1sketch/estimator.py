@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import seeds
+from . import hashing, seeds
 from .countsketch import (CELL_LIMIT, CountSketchTable, SketchInvariantError,
                           batch_magnitude, zeroed_cells)
 from .hashing import MERSENNE61, KWiseHash
@@ -57,10 +57,15 @@ def _sorted_sums(items: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.
 def _dense_sums(items: np.ndarray, deltas: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """`_sorted_sums` of items in [1, n] through (n + 1)-length arrays. An
     item is present when it has a record, so items whose deltas cancel are
-    kept, as the sort keeps them."""
-    agg = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(agg, items, deltas)
-    uniq = np.flatnonzero(np.bincount(items, minlength=n + 1))
+    kept, as the sort keeps them. One pass of the C kernel when it is
+    loaded; the numpy body is the fallback and the bitwise reference."""
+    if hashing._kernel is not None:
+        agg, seen = hashing.dense_sums(items, deltas, n + 1)
+    else:
+        agg = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(agg, items, deltas)
+        seen = np.bincount(items, minlength=n + 1)
+    uniq = np.flatnonzero(seen)
     return uniq, agg[uniq]
 
 
@@ -248,7 +253,6 @@ class Estimator:
             raise ValueError(f"item {i} outside domain [1, {self.config.n}]")
         self._pending_items.append(i)
         self._pending_deltas.append(v)
-        self._updates += 1
 
     def update_many(self, items: np.ndarray, deltas: np.ndarray) -> None:
         """Apply a batch of records (order of records never matters).
@@ -265,7 +269,6 @@ class Estimator:
         if items.size and (items.min() < 1 or items.max() > self.config.n):
             raise ValueError("item outside domain")
         self._pending_batches.append((items, deltas))
-        self._updates += int(items.size)
 
     def flush(self) -> None:
         """Materialize buffered records into the sketch cells.
@@ -280,7 +283,9 @@ class Estimator:
         touching the sketch, when the batch's total magnitude reaches 2**62:
         summing such deltas could wrap int64 before any counter guard runs.
         Raises ValueError, and drops the batch the same way, when a record
-        buffered by `update` has a non-integer item or delta.
+        buffered by `update` has a non-integer item or delta. The
+        `updates` diagnostic counts only the records of flushes that
+        succeeded.
         """
         batches = self._pending_batches
         scalar_items, scalar_deltas = self._pending_items, self._pending_deltas
@@ -306,6 +311,7 @@ class Estimator:
         self.table.update_many(uniq, agg)
         self.countsketch.update_many(uniq, agg)
         self.heavy_hitters.update_many(uniq, agg)
+        self._updates += int(items.size)
         self._ingest_ns += time.perf_counter_ns() - t0
 
     # -- estimation --------------------------------------------------------

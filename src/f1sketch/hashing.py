@@ -10,15 +10,18 @@ Hash objects are immutable after construction and safe to share across
 threads.
 
 `eval_many` runs a small C kernel (`_HORNER_SOURCE`), which also hashes and
-scatters CountSketch updates in one pass (`scatter_signed`). It is compiled
+scatters CountSketch updates in one pass (`scatter_signed`), sums a flush's
+records into dense per-item arrays (`dense_sums`) and draws the Philox
+uniforms behind the stable variates (`philox_uniforms`). It is compiled
 once per machine with the local gcc into `$XDG_CACHE_HOME/f1sketch`
 (default `~/.cache/f1sketch`), under a file name keyed by a hash of the
 source, and loaded through ctypes when this module is imported. When it
-cannot be built or loaded, the numpy evaluation below
-(`_mulmod61`/`_addmod61`) and the numpy scatter in
-`CountSketchTable.update_many` run instead; they are also the bitwise
-reference the kernel is tested against. `KWISE_BACKEND` names the path in
-use.
+cannot be built or loaded, or fails its spot check, numpy runs instead:
+the evaluation below (`_mulmod61`/`_addmod61`), the scatter in
+`CountSketchTable.update_many`, the aggregation in
+`estimator._dense_sums` and `stable.philox_uniforms`. Each is also the
+bitwise reference its kernel routine is tested against. `KWISE_BACKEND`
+names the path in use.
 """
 
 from __future__ import annotations
@@ -182,6 +185,58 @@ int scatter61(const uint64_t *coeffs, const uint64_t *ranges, size_t rows,
     }
     return over;
 }
+
+/* Exact dense aggregation: for every i < n, sums[items[i]] += deltas[i],
+   wrapping modulo 2^64 as numpy's int64 adds do, and seen[items[i]] = 1.
+   Both arrays hold len entries. Returns 1 at the first item outside
+   [0, len), leaving both arrays partly written, else 0. */
+int dense_sums64(const int64_t *items, const int64_t *deltas, size_t n,
+                 int64_t *sums, uint8_t *seen, size_t len) {
+    uint64_t *s = (uint64_t *)sums;
+    for (size_t i = 0; i < n; i++) {
+        const uint64_t j = (uint64_t)items[i];
+        if (j >= len)
+            return 1;
+        s[j] += (uint64_t)deltas[i];
+        seen[j] = 1;
+    }
+    return 0;
+}
+
+/* Output words c0:c1, as one 64-bit word, of the Philox4x32-10 block of
+   counter (c0, c1, c2, c3) under key (k0, k1) (Salmon et al., SC 2011). */
+static inline uint64_t philox_c0c1(uint32_t c0, uint32_t c1, uint32_t c2, uint32_t c3,
+                                   uint32_t k0, uint32_t k1) {
+    for (int r = 0; r < 10; r++) {
+        if (r) {
+            k0 += 0x9E3779B9u;
+            k1 += 0xBB67AE85u;
+        }
+        const uint64_t p0 = (uint64_t)c0 * 0xD2511F53u, p1 = (uint64_t)c2 * 0xCD9E8D57u;
+        c0 = (uint32_t)(p1 >> 32) ^ c1 ^ k0;
+        c2 = (uint32_t)(p0 >> 32) ^ c3 ^ k1;
+        c1 = (uint32_t)p1;
+        c3 = (uint32_t)p0;
+    }
+    return (uint64_t)c0 << 32 | c1;
+}
+
+/* out[3 * i + s], for slots s = 0, 1, 2 of every pair i < n: the uniform
+   in (0, 1) of the Philox4x32-10 block of counter (items[i] mod 2^32,
+   items[i] / 2^32, buckets[i], s) under key (k0, k1), made from the top
+   52 bits of its words c0:c1 plus half a step. Every operation on the
+   double is exact. Items lie in [0, 2^64) and buckets in [0, 2^32). */
+void philox_uniforms(const int64_t *buckets, const int64_t *items, size_t n,
+                     uint32_t k0, uint32_t k1, double *out) {
+    for (size_t i = 0; i < n; i++) {
+        const uint64_t x = (uint64_t)items[i];
+        for (uint32_t s = 0; s < 3; s++) {
+            const uint64_t w = philox_c0c1((uint32_t)x, (uint32_t)(x >> 32),
+                                           (uint32_t)buckets[i], s, k0, k1);
+            out[3 * i + s] = ((double)(w >> 12) + 0.5) * 0x1p-52;
+        }
+    }
+}
 """
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -213,10 +268,21 @@ def _build_kernel(path: str) -> None:
         os.replace(built, path)
 
 
+# a spot check of `philox_uniforms`: under key (k0, k1), (bucket, item)
+# pairs and the Philox4x32-10 words c0:c1 of their slots 0, 1 and 2, as
+# `stable.philox4x32` computes them (tests/test_stable.py checks this table)
+_PHILOX_SPOT_KEY = (0x89ABCDEF, 0x01234567)
+_PHILOX_SPOT = (
+    (1, 7, (0x616FE086A7D3DCFE, 0xD1ADE77EDA758A27, 0xAA665DDE279EEEAD)),
+    ((1 << 31) - 1, (1 << 40) + 12345,
+     (0xE9541D2B31D0A727, 0x8335D1C7267EDD5D, 0x7D7713C264656A46)),
+)
+
+
 def _load_kernel():
-    """The compiled library (`horner61` and `scatter61`), or None when it
-    cannot be built or loaded or disagrees with the numpy reference on a
-    spot check."""
+    """The compiled library (`horner61`, `scatter61`, `dense_sums64` and
+    `philox_uniforms`), or None when it cannot be built or loaded or
+    disagrees with the numpy reference on a spot check."""
     key = "\0".join((_HORNER_SOURCE, " ".join(_CFLAGS), platform.machine(),
                      platform.system()))
     digest = hashlib.sha256(key.encode("ascii")).hexdigest()[:16]
@@ -226,13 +292,18 @@ def _load_kernel():
             _build_kernel(path)
         lib = ctypes.CDLL(path)
         horner, scatter = lib.horner61, lib.scatter61
+        dense, philox = lib.dense_sums64, lib.philox_uniforms
     except (OSError, AttributeError):  # no compiler, unwritable cache, bad library
         return None
-    ptr, size = ctypes.c_void_p, ctypes.c_size_t
+    ptr, size, u32 = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_uint32
     horner.restype = None
     horner.argtypes = [ptr, ptr, size, size, ptr, size, ptr]
     scatter.restype = ctypes.c_int
     scatter.argtypes = [ptr, ptr, size, size, ptr, ptr, size, ptr, size, ctypes.c_int64, ptr]
+    dense.restype = ctypes.c_int
+    dense.argtypes = [ptr, ptr, size, ptr, ptr, size]
+    philox.restype = None
+    philox.argtypes = [ptr, ptr, size, u32, u32, ptr]
     coeffs = np.array([[MERSENNE61 - 1, 0, 12345, MERSENNE61 - 2], [0, 0, 7, 1 << 60]],
                       dtype=np.uint64)
     ranges = np.array([1000, 2], dtype=np.uint64)
@@ -257,6 +328,26 @@ def _load_kernel():
         want_over = np.abs(want_cells[want[0] - 1]).max() >= limit
         ok = (ok and np.array_equal(cells, want_cells) and bool(over) == want_over
               and np.array_equal(packed, want_packed))
+    # sums that wrap, an item whose deltas cancel, then an item out of range
+    items = np.array([3, 1, 3, 0, 5, 1], dtype=np.int64)
+    deltas = np.array([2**63 - 1, -4, 1, 0, 7, 4], dtype=np.int64)
+    sums, seen = np.zeros(6, dtype=np.int64), np.zeros(6, dtype=np.uint8)
+    want_sums = sums.copy()
+    np.add.at(want_sums, items, deltas)
+    bad = dense(items.ctypes.data, deltas.ctypes.data, items.size, sums.ctypes.data,
+                seen.ctypes.data, sums.size)
+    ok = (ok and bad == 0 and np.array_equal(sums, want_sums)
+          and np.array_equal(seen, np.bincount(items, minlength=6) > 0)
+          and dense(items.ctypes.data, deltas.ctypes.data, items.size, sums.ctypes.data,
+                    seen.ctypes.data, 5) == 1)
+    buckets = np.array([b for b, _, _ in _PHILOX_SPOT], dtype=np.int64)
+    items = np.array([i for _, i, _ in _PHILOX_SPOT], dtype=np.int64)
+    uniforms = np.empty((items.size, 3))
+    philox(buckets.ctypes.data, items.ctypes.data, items.size, *_PHILOX_SPOT_KEY,
+           uniforms.ctypes.data)
+    want_uniforms = [[((w >> 12) + 0.5) * 2.0 ** -52 for w in words]
+                     for _, _, words in _PHILOX_SPOT]
+    ok = ok and uniforms.tolist() == want_uniforms
     return lib if ok else None
 
 
@@ -314,6 +405,44 @@ def scatter_signed(row_hash: "KWiseHash", items: np.ndarray, deltas: np.ndarray,
                              x.ctypes.data, d.ctypes.data, x.size, cells.ctypes.data, cols,
                              limit, packed.ctypes.data)
     return bool(over), packed
+
+
+def dense_sums(items: np.ndarray, deltas: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, seen) over the indices [0, length): sums[i] the int64 sum of
+    the deltas of item i, wrapping as numpy's int64 adds do, and seen[i] 1
+    where item i has a record (so an item whose deltas cancel is seen), as
+    a uint8 array. One pass of the C kernel (`dense_sums64`), which must be
+    loaded; `np.add.at` plus `np.bincount`, in `estimator._dense_sums`, is
+    the bitwise reference. ValueError if an item lies outside [0, length).
+    """
+    x = np.ascontiguousarray(items, dtype=np.int64)
+    d = np.ascontiguousarray(deltas, dtype=np.int64)
+    if x.shape != d.shape or x.ndim != 1:
+        raise ValueError("dense_sums needs one delta per item")
+    sums = np.zeros(length, dtype=np.int64)
+    seen = np.zeros(length, dtype=np.uint8)
+    if _kernel.dense_sums64(x.ctypes.data, d.ctypes.data, x.size, sums.ctypes.data,
+                            seen.ctypes.data, length):
+        raise ValueError(f"item outside [0, {length})")
+    return sums, seen
+
+
+def philox_uniforms(buckets: np.ndarray, items: np.ndarray, k0: int, k1: int) -> np.ndarray:
+    """The uniforms behind `stable.StableVariateSource`'s three variates of
+    each aligned (bucket, item) pair, as a (pairs, 3) float64 array: slot s
+    is the Philox4x32-10 block of counter (item mod 2**32, item // 2**32,
+    bucket, s) under key (k0, k1), its words c0:c1 made a uniform by
+    `stable._uniform`. One pass of the C kernel (`philox_uniforms`), which
+    must be loaded; `stable.philox_uniforms` is the numpy fallback and
+    bitwise reference. Items must be non-negative and buckets below 2**32.
+    """
+    b = np.ascontiguousarray(buckets, dtype=np.int64)
+    x = np.ascontiguousarray(items, dtype=np.int64)
+    if b.shape != x.shape or x.ndim != 1:
+        raise ValueError("philox_uniforms needs one bucket per item")
+    out = np.empty((x.size, 3))
+    _kernel.philox_uniforms(b.ctypes.data, x.ctypes.data, x.size, k0, k1, out.ctypes.data)
+    return out
 
 
 class KWiseHash:

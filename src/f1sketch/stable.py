@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from . import hashing
+
 # the estimator clamps every variate's magnitude to this
 TRUNCATION_CAP = 1e9
 
@@ -130,14 +132,25 @@ class StableVariateSource:
         return out
 
     def _block_variates(self, buckets: np.ndarray, items: np.ndarray) -> np.ndarray:
-        items = items.astype(np.uint64)[:, None]
-        buckets = buckets.astype(np.uint64)[:, None]
-        shape = (items.shape[0], 3)
-        c0, c1, _, _ = philox4x32(
-            np.broadcast_to(items & _LOW32, shape),
-            np.broadcast_to(items >> _32, shape),
-            np.broadcast_to(buckets, shape),
-            np.broadcast_to(np.arange(3, dtype=np.uint64), shape),
-            *self.philox_key,
-        )
-        return cauchy_variates(_uniform(c0, c1))
+        """Variates of one block of pairs. The uniforms come from the C
+        kernel when it is loaded, else from `philox_uniforms`, its bitwise
+        reference; `tan` is numpy's either way."""
+        draw = hashing.philox_uniforms if hashing._kernel is not None else philox_uniforms
+        return cauchy_variates(draw(buckets, items, *self.philox_key))
+
+
+def philox_uniforms(buckets: np.ndarray, items: np.ndarray, k0: int, k1: int) -> np.ndarray:
+    """The (pairs, 3) uniforms of `StableVariateSource`'s slots for aligned
+    (bucket, item) pairs under key (k0, k1), in numpy: the fallback and
+    bitwise reference of `hashing.philox_uniforms`."""
+    items = items.astype(np.uint64)[:, None]
+    buckets = buckets.astype(np.uint64)[:, None]
+    shape = (items.shape[0], 3)
+    c0, c1, _, _ = philox4x32(
+        np.broadcast_to(items & _LOW32, shape),
+        np.broadcast_to(items >> _32, shape),
+        np.broadcast_to(buckets, shape),
+        np.broadcast_to(np.arange(3, dtype=np.uint64), shape),
+        k0, k1,
+    )
+    return _uniform(c0, c1)

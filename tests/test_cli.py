@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from f1sketch.cli import CSV_HEADER, main
+from f1sketch import ExactState, generate
+from f1sketch.cli import CSV_HEADER, exact_f1_of, main
 
 
 def run_cli(*args, capsys=None):
@@ -234,6 +235,29 @@ def test_exit_code_domain_beyond_the_hash_field(tmp_path, capsys):
             code, out = run_cli(*command, "--epsilon", "0.5", *fmt, capsys=capsys)
             assert code == 1
             assert "is not below 2**61 - 1, the largest domain" in out.err
+
+
+def test_oracle_follows_the_records_not_the_declared_domain(tmp_path, capsys):
+    # a dense exact vector of 10**12 counters would need 7.28 TiB
+    path = tmp_path / "wide.txt"
+    path.write_text("# n=1000000000000\n1 1\n")
+    code, out = run_cli("run", str(path), "--epsilon", "0.5", "--oracle", capsys=capsys)
+    assert code == 0
+    assert "exact F1       : 1\n" in out.out and "relative error : 0\n" in out.out
+    rows = tmp_path / "rows.csv"
+    code, out = run_cli("eval", str(path), "--epsilon", "0.5", "--trials", "1",
+                        "--out", str(rows), capsys=capsys)
+    assert code == 0 and "success_fraction=1.0000" in out.out
+    assert rows.read_text().splitlines()[1].split(",")[2] == "1.0"
+
+
+@pytest.mark.parametrize("dist,turnstile", [("zipf(1.1)", False), ("uniform", True),
+                                             ("planted(3,500,2)", True)])
+def test_exact_f1_equals_the_dense_oracle(dist, turnstile):
+    stream = generate(dist, n=500, m=4000, seed=9, turnstile=turnstile)
+    state = ExactState(stream.n)
+    state.update_many(stream.items, stream.deltas)
+    assert exact_f1_of(stream) == float(state.moment(1.0))
 
 
 def test_eval_refuses_fewer_than_one_job(tmp_path, capsys):

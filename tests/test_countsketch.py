@@ -1,10 +1,13 @@
+import errno
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from f1sketch import CountSketchTable, ExactState, SketchInvariantError, generate
 from f1sketch import hashing, seeds
-from f1sketch.countsketch import CELL_LIMIT, zeroed_cells
+from f1sketch.countsketch import CELL_LIMIT, HUGE_PAGE, zeroed_cells
 from f1sketch.oracle import (expected_countsketch_cells, expected_hash,
                              expected_point_estimate, expected_sign)
 
@@ -13,15 +16,49 @@ def make_table(rows=3, cols=7, n=20, seed=1, **kwargs) -> CountSketchTable:
     return CountSketchTable.from_seed(seeds.master_key(seed), rows, cols, n, **kwargs)
 
 
-def test_zeroed_cells_are_zero_writable_and_independent():
-    a = zeroed_cells((3, 5), np.int64)
-    b = zeroed_cells((5, 3), np.float64)
-    assert a.shape == (3, 5) and a.dtype == np.int64 and not a.any()
-    assert b.shape == (5, 3) and b.dtype == np.float64 and not b.any()
-    a[2, 4] = -7
+def check_zeroed_cells(shape_a, shape_b):
+    a = zeroed_cells(shape_a, np.int64)
+    b = zeroed_cells(shape_b, np.float64)
+    assert a.shape == shape_a and a.dtype == np.int64 and not a.any()
+    assert b.shape == shape_b and b.dtype == np.float64 and not b.any()
+    a[-1, -1] = -7
     b[:] = 1.5
-    assert a.sum() == -7 and not zeroed_cells((3, 5), np.int64).any()
+    assert a.sum() == -7 and not zeroed_cells(shape_a, np.int64).any()
     assert a.flags.writeable and a.flags.c_contiguous
+
+
+def test_zeroed_cells_are_zero_writable_and_independent():
+    check_zeroed_cells((3, 5), (5, 3))
+    check_zeroed_cells((13, 25_600), (3, HUGE_PAGE // 8 + 1))
+
+
+def test_zeroed_cells_of_a_huge_page_or_more_start_on_one():
+    for shape in ((HUGE_PAGE // 8,), (13, 25_600), (3, HUGE_PAGE // 4 + 3)):
+        cells = zeroed_cells(shape, np.int64)
+        assert cells.ctypes.data % HUGE_PAGE == 0 and not cells.any()
+
+
+class RefusingMap(mmap.mmap):
+    """A map whose `madvise` fails, as on a kernel without huge pages."""
+
+    advised = 0
+
+    def madvise(self, *args):
+        RefusingMap.advised += 1
+        raise OSError(errno.EINVAL, "madvise refused")
+
+
+@pytest.mark.parametrize("refusal", ["madvise raises", "no MADV_HUGEPAGE"])
+def test_zeroed_cells_without_huge_pages(refusal, monkeypatch):
+    monkeypatch.setattr(RefusingMap, "advised", 0)
+    if refusal == "madvise raises":
+        monkeypatch.setattr(mmap, "mmap", RefusingMap)
+    else:
+        monkeypatch.delattr(mmap, "MADV_HUGEPAGE", raising=False)
+    check_zeroed_cells((3, 5), (5, 3))
+    check_zeroed_cells((13, 25_600), (3, HUGE_PAGE // 8 + 1))
+    # madvise was asked for the three arrays of a huge page or more only
+    assert RefusingMap.advised == (3 if refusal == "madvise raises" else 0)
 
 
 def test_update_then_inverse_restores_state():

@@ -1,4 +1,6 @@
 import math
+import os
+import resource
 
 import numpy as np
 import pytest
@@ -731,6 +733,42 @@ def test_scalar_update_rejects_non_integer_at_flush():
     assert est.touched_items().tolist() == [3, 5]
 
 
+def test_updates_count_only_the_records_of_flushes_that_succeeded():
+    est = build(n=10)
+    est.update(1, 2.7)
+    est.update(2, 5)
+    with pytest.raises(ValueError, match="deltas"):
+        est.flush()
+    est.update_many([1, 2, 3, 4], [2**62] * 4)
+    with pytest.raises(SketchInvariantError):
+        est.flush()
+    rep = est.estimate()
+    assert est.touched_items().size == 0 and rep.total == 0.0
+    assert rep.diagnostics["updates"] == 0
+    est.update(3, 4)
+    est.update_many([5, 6], [1, -1])
+    assert est.estimate().diagnostics["updates"] == 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_writes_never_reach_the_parent():
+    est = build(n=100, seed=40)
+    pid = os.fork()
+    if pid == 0:  # the child ingests into its copy and reports by exit code
+        code = 1
+        try:
+            est.update_many(np.arange(1, 51), np.ones(50, dtype=np.int64))
+            est.flush()
+            code = 0 if est.countsketch.cells.any() and est.table.cells.any() else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    for cells in (est.table.cells, est.countsketch.cells, est.heavy_hitters.cells):
+        assert not cells.any()
+    assert est.touched_items().size == 0 and est.estimate().total == 0.0
+
+
 def test_overflow_guard_runs_before_aggregation_batch():
     est = build(n=10)
     est.update_many(np.array([1, 1, 1, 1, 2]), np.array([1 << 62] * 4 + [5]))
@@ -803,24 +841,50 @@ def test_flush_partitions_keep_counters_and_near_stable_cells(records, cuts):
 # -- dense aggregation and the per-update cell count ----------------------------
 
 
-@given(st.lists(st.tuples(st.integers(1, 300), st.integers(-5, 5)), min_size=1, max_size=120),
+def numpy_dense_sums(items, deltas, n):
+    """`estimator._dense_sums` on its numpy path, the kernel's reference."""
+    kernel = hashing._kernel
+    hashing._kernel = None
+    try:
+        return estimator._dense_sums(items, deltas, n)
+    finally:
+        hashing._kernel = kernel
+
+
+INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@given(st.lists(st.tuples(st.integers(1, 300), st.one_of(st.integers(-5, 5), INT64)),
+                min_size=1, max_size=120),
        st.integers(0, 2000))
 @settings(max_examples=80, deadline=None)
 def test_dense_and_sorted_aggregation_agree(records, extra):
     # n = largest item + extra falls on both sides of flush's n <= 4 * records
-    # cut-over; small deltas make cancelling (net-zero) items common
+    # cut-over; small deltas make cancelling (net-zero) items common, and
+    # full-range ones make int64 sums wrap
     items = np.array([i for i, _ in records], dtype=np.int64)
     deltas = np.array([v for _, v in records], dtype=np.int64)
     n = int(items.max()) + extra
     dense = estimator._dense_sums(items, deltas, n)
     ordered = estimator._sorted_sums(items, deltas)
+    reference = numpy_dense_sums(items, deltas, n)
     assert [a.dtype for a in dense] == [a.dtype for a in ordered] == [np.int64] * 2
     assert [a.tobytes() for a in dense] == [a.tobytes() for a in ordered]
+    assert [a.tobytes() for a in dense] == [a.tobytes() for a in reference]
     sums = {}
     for i, v in records:
-        sums[i] = sums.get(i, 0) + v
+        sums[i] = (sums.get(i, 0) + v + 2**63) % 2**64 - 2**63
     assert ordered[0].tolist() == sorted(sums)
     assert ordered[1].tolist() == [sums[i] for i in sorted(sums)]
+
+
+@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
+def test_kernel_dense_sums_refuse_items_outside_the_arrays():
+    for items in ([1, 5], [-1, 2]):
+        with pytest.raises(ValueError, match="outside"):
+            hashing.dense_sums(np.array(items), np.array([1, 1]), 5)
+    with pytest.raises(ValueError, match="one delta per item"):
+        hashing.dense_sums(np.array([1, 2]), np.array([1]), 5)
 
 
 @pytest.mark.parametrize("accuracy", [0.5, 0.3])
@@ -842,3 +906,31 @@ def test_one_update_changes_a_fixed_number_of_cells(accuracy, path, monkeypatch)
     est.flush()
     changed = [int((t.cells != b).sum()) for t, b in zip(tables, before)]
     assert changed == [3, est.config.table_depth, est.config.hh_depth]
+
+
+def horner_multiplications(est: Estimator) -> int:
+    """Field multiplications that hashing one distinct item takes: one per
+    Horner step, so the degree of every polynomial of the stable table and
+    of every row (bucket and sign) of both CountSketch tables."""
+    hashes = [est.table.bucket_hash]
+    for table in (est.countsketch, est.heavy_hitters):
+        hashes += table.bucket_hashes + table.sign_hashes
+    return sum(len(h.coefficients) - 1 for h in hashes)
+
+
+def test_update_work_grows_polylogarithmically_while_width_grows_quadratically():
+    # the paper's claim on update time: hashing work per distinct item is
+    # O(log^2 1/eps) while the tables widen as eps^-2. Construction touches
+    # no cell, so even the 700 MB of accuracy 0.05 costs address space only.
+    accuracies = (0.5, 0.3, 0.2, 0.1, 0.05)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    ests = [build(n=1000, accuracy=a) for a in accuracies]
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    cell_pages = sum(e.table.nbytes() + e.countsketch.nbytes() + e.heavy_hitters.nbytes()
+                     for e in ests) // 4096
+    assert faults < cell_pages // 100
+    work = [horner_multiplications(e) for e in ests]
+    squared_logs = [math.log2(1 / e.config.eps) ** 2 for e in ests]
+    assert ests[-1].config.width == 100 * ests[0].config.width
+    assert work == sorted(work)
+    assert all(w / sq <= work[0] / squared_logs[0] for w, sq in zip(work, squared_logs))

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from f1sketch import TRUNCATION_CAP, StableVariateSource, kp_constant, stability_constant
-from f1sketch import seeds
+from f1sketch import hashing, seeds
 from f1sketch.oracle import (cauchy_variate, expected_philox4x32, expected_uniform,
                              expected_variate)
 from f1sketch.stable import _VARIATE_BLOCK, cauchy_variates, philox4x32
+from f1sketch.stable import philox_uniforms as stable_philox_uniforms
 
 
 def source(tag: str) -> StableVariateSource:
@@ -290,3 +291,39 @@ def test_scale_stability_of_weighted_sums():
     rng = np.random.default_rng(8)
     reference = np.abs(weights).sum() * rng.standard_cauchy(draws)
     assert stats.ks_2samp(combined, reference).pvalue > 0.01
+
+
+# -- the C kernel's Philox uniforms ---------------------------------------------
+
+needs_kernel = pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
+
+
+def test_kernel_spot_check_words_are_philox_words():
+    # `_load_kernel` checks the kernel against these words; they must be
+    # what the reference Philox computes
+    for bucket, item, words in hashing._PHILOX_SPOT:
+        for slot, word in enumerate(words):
+            c0, c1, _, _ = expected_philox4x32((item % 2**32, item >> 32, bucket, slot),
+                                               hashing._PHILOX_SPOT_KEY)
+            assert c0 << 32 | c1 == word
+
+
+@needs_kernel
+@given(st.lists(st.tuples(st.integers(0, 2**31 - 1),
+                          st.one_of(st.integers(0, 2**32 + 5), st.integers(2**32, 2**63 - 1))),
+                max_size=40),
+       st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_kernel_uniforms_equal_numpy_philox_bitwise(pairs, k0, k1):
+    buckets = np.array([b for b, _ in pairs], dtype=np.int64)
+    items = np.array([i for _, i in pairs], dtype=np.int64)
+    got = hashing.philox_uniforms(buckets, items, k0, k1)
+    want = stable_philox_uniforms(buckets, items, k0, k1)
+    assert got.shape == want.shape == (len(pairs), 3)
+    assert got.tobytes() == want.tobytes()
+
+
+@needs_kernel
+def test_kernel_uniforms_refuse_misaligned_pairs():
+    with pytest.raises(ValueError):
+        hashing.philox_uniforms(np.array([1, 2]), np.array([3]), 0, 0)
