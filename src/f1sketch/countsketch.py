@@ -3,8 +3,10 @@
 Cells are signed 64-bit counters; an update (i, v) adds v * sign_j(i) to one
 cell per row. With the C hashing kernel loaded, a batch is hashed and
 scattered in one pass per row; the numpy path (hash matrices plus
-`np.add.at`) is the fallback and the bitwise reference. Each table keeps
-the cells of every item it touched, so reads over those items hash nothing.
+`np.add.at`) is the fallback and the bitwise reference. `update_many`
+keeps the cells of every item it touched, so reads over those items hash
+nothing; `scatter_many` adds a batch and keeps nothing, for a table whose
+reads hash the few items they need.
 Ingestion is single-writer; once the writer quiesces, every read is safe
 from any number of threads. Distinct tables may be written by distinct
 threads.
@@ -26,6 +28,9 @@ BUCKET_INDEPENDENCE = 8
 SIGN_INDEPENDENCE = 4
 # bytes in a transparent huge page on 4 KiB-page x86-64 and arm64 kernels
 HUGE_PAGE = 1 << 21
+# items per block of point estimates: a block's (items, rows) temporaries
+# are reused from the heap instead of mapped afresh and faulted in per query
+_ESTIMATE_BLOCK = 1024
 
 
 class SketchInvariantError(RuntimeError):
@@ -91,9 +96,10 @@ class CountSketchTable:
     Row j's sign hash is a range-2 `KWiseHash`: bucket 1 is sign +1 and
     bucket 2 is sign -1.
 
-    Every item index ever updated is kept in one ascending array (space
-    O(distinct items)), the candidates of top-k enumeration, next to its
-    packed cell in every row, so reads over the touched items hash nothing.
+    Every item index `update_many` ever saw is kept in one ascending array
+    (space O(distinct items)), the candidates of top-k enumeration, next to
+    its packed cell in every row, so reads over the touched items hash
+    nothing; `scatter_many` keeps no items.
     A packed cell is (bucket - 1) << 1 | (sign == -1) as uint32, laid out
     item-major: the table holds 8 + 4 * rows bytes per touched item.
     """
@@ -143,18 +149,24 @@ class CountSketchTable:
                          np.array([v], dtype=np.int64))
 
     def update_many(self, items: np.ndarray, deltas: np.ndarray) -> None:
+        """Apply a batch with `scatter_many`; if that did not raise, the
+        batch's items join the touched items, with their packed cells."""
+        items = np.asarray(items, dtype=np.int64)
+        self._remember(items, self.scatter_many(items, deltas))
+
+    def scatter_many(self, items: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         """Apply a batch of records; equivalent to per-record updates.
+        Returns each item's packed cells, an (items, rows) uint32 array.
 
         With the C kernel each row is hashed and scattered in one pass
         (`hashing.scatter_signed`). Without it the numpy body below runs;
         it is also the bitwise reference the kernel is tested against.
         Either way the whole batch is added, and then SketchInvariantError
-        is raised if a cell it wrote ends at |cell| >= 2**62. Only a batch
-        that did not raise joins the touched items.
+        is raised if a cell it wrote ends at |cell| >= 2**62.
         """
-        if len(items) == 0:
-            return
         items = np.asarray(items, dtype=np.int64)
+        if items.size == 0:
+            return np.zeros((0, self.rows), dtype=np.uint32)
         deltas = np.asarray(deltas, dtype=np.int64)
         if deltas.shape != items.shape:
             raise ValueError("need one delta per item")
@@ -175,7 +187,7 @@ class CountSketchTable:
             overflow = np.abs(touched, out=touched).max() >= CELL_LIMIT
         if overflow:
             raise SketchInvariantError("counter overflow: |cell| >= 2**62")
-        self._remember(items, packed)
+        return packed
 
     def _remember(self, items: np.ndarray, packed: np.ndarray) -> None:
         """Insert the batch's items not yet touched, once each, with their
@@ -211,21 +223,13 @@ class CountSketchTable:
         """Every item index ever updated, ascending, as a new int64 array."""
         return self._touched.copy()
 
-    def touched_cells(self, items=None) -> np.ndarray:
-        """Packed cells of touched items from the cache, hashing nothing: an
-        (items, rows) uint32 array for every touched item, aligned with
-        `touched_items()` (read-only), or for each of `items`, which must
-        all have been touched (ValueError otherwise)."""
-        if items is None:
-            view = self._packed.view()
-            view.flags.writeable = False
-            return view
-        items = np.asarray(items, dtype=np.int64)
-        pos = np.searchsorted(self._touched, items)
-        if items.size and (pos.max() >= self._touched.size
-                           or (self._touched[pos] != items).any()):
-            raise ValueError("every item must have been updated")
-        return self._packed[pos]
+    def touched_cells(self) -> np.ndarray:
+        """Packed cells of the touched items from the cache, hashing
+        nothing: a read-only (items, rows) uint32 view aligned with
+        `touched_items()`."""
+        view = self._packed.view()
+        view.flags.writeable = False
+        return view
 
     def touched_nbytes(self) -> int:
         """Bytes of the touched items and their packed cells."""
@@ -273,14 +277,15 @@ class CountSketchTable:
     def point_estimate_many(self, items: np.ndarray, packed=None) -> np.ndarray:
         """Median over rows of cell * sign: the frequency estimate of each item."""
         items = np.asarray(items, dtype=np.int64)
-        if items.size == 0:
-            return np.zeros(0)
         if packed is None:
             packed = self.packed_cells(items)
-        idx, signs = self.unpack(packed)
-        per_item = self.cells.reshape(-1).take(idx)
-        per_item *= signs
-        return row_medians(per_item.astype(np.float64))
+        out = np.empty(items.size)
+        for lo in range(0, items.size, _ESTIMATE_BLOCK):
+            idx, signs = self.unpack(packed[lo:lo + _ESTIMATE_BLOCK])
+            per_item = self.cells.reshape(-1).take(idx)
+            per_item *= signs
+            out[lo:lo + _ESTIMATE_BLOCK] = row_medians(per_item.astype(np.float64))
+        return out
 
     def _ranked(self, k: int, items, packed, estimates):
         """(items, packed, estimates, positions of the top k): the positions
@@ -327,10 +332,12 @@ class CountSketchTable:
         # row by row: one row's float copy stays in cache, the whole
         # table's does not (a single scatter over it ran 4x slower)
         row_vals = np.empty(self.rows)
+        skimmed = np.empty(self.cols)
         for j in range(self.rows):
-            skimmed = self.cells[j].astype(float)
+            skimmed[:] = self.cells[j]
             np.subtract.at(skimmed, idx[:, j] - j * self.cols, est * signs[:, j])
-            row_vals[j] = (skimmed ** 2).sum()
+            np.square(skimmed, out=skimmed)
+            row_vals[j] = skimmed.sum()
         return max(0.0, float(np.median(row_vals)))
 
     def nbytes(self) -> int:

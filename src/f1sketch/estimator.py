@@ -309,7 +309,7 @@ class Estimator:
         else:
             uniq, agg = _sorted_sums(items, deltas)
         self.table.update_many(uniq, agg)
-        self.countsketch.update_many(uniq, agg)
+        self.countsketch.scatter_many(uniq, agg)  # keeps no items: isolation hashes its reads
         self.heavy_hitters.update_many(uniq, agg)
         self._updates += int(items.size)
         self._ingest_ns += time.perf_counter_ns() - t0
@@ -336,34 +336,36 @@ class Estimator:
                               threshold=threshold, f2_residual=residual)
 
     def _isolation_table(self, heavy: np.ndarray):
-        """Per-item first isolating row (0-based; -1 if none) and the heavy
-        items' CountSketch cells and signs (`unpack`), read from the
-        touched-item cache: both tables receive every batch, so heavy items
-        are touched in it."""
+        """Per heavy item, its first isolating row of `countsketch` (0-based;
+        -1 if none) and its cell there times the row's sign (0 if none).
+        Row by row: row j's bucket hash over the whole heavy set finds the
+        items alone in their cell, its sign hash runs only over the items
+        that row settles, and no row is hashed once every item is settled."""
         cs = self.countsketch
-        idx, signs = cs.unpack(cs.touched_cells(heavy))
-        isolated = np.bincount(idx.ravel(), minlength=cs.cells.size)[idx] == 1
-        first = np.where(isolated.any(axis=1), isolated.argmax(axis=1), -1)
-        return first, (idx, signs)
+        first = np.full(heavy.size, -1, dtype=np.int64)
+        reads = np.zeros(heavy.size, dtype=np.int64)
+        unsettled = np.arange(heavy.size)
+        for j in range(cs.rows):
+            if unsettled.size == 0:
+                break
+            buckets = cs.bucket_hashes[j].eval_many(heavy)
+            alone = np.bincount(buckets, minlength=cs.cols + 1)[buckets[unsettled]] == 1
+            settled = unsettled[alone]
+            unsettled = unsettled[~alone]
+            signs = 3 - 2 * cs.sign_hashes[j].eval_many(heavy[settled])
+            first[settled] = j
+            reads[settled] = cs.cells[j, buckets[settled] - 1] * signs
+        return first, reads
 
     def heavy_contributions(self, cls: Classification) -> np.ndarray:
-        """Per-item reads aligned with cls.heavy_items, which must all be
-        touched items.
+        """Per-item reads aligned with cls.heavy_items.
 
         A heavy item i contributes cell * sgn(estimate_i) * sign_row(i) from
         its first isolating row, or 0 when no row isolates it.
         """
         self.flush()
-        heavy = cls.heavy_items
-        out = np.zeros(heavy.size)
-        if heavy.size == 0:
-            return out
-        first, (idx, signs) = self._isolation_table(heavy)
-        ok = np.nonzero(first >= 0)[0]
-        rows = first[ok]
-        cells = self.countsketch.cells.reshape(-1)[idx[ok, rows]]
-        out[ok] = cells * cls.heavy_signs[ok] * signs[ok, rows]
-        return out
+        _, reads = self._isolation_table(cls.heavy_items)
+        return (reads * cls.heavy_signs).astype(np.float64)
 
     def heavy_estimate(self, cls: Classification) -> float:
         """Sum of isolated-cell reads over the heavy set."""
@@ -413,8 +415,7 @@ class Estimator:
             "stable_bytes": self.table.nbytes(),
             "countsketch_bytes": self.countsketch.nbytes(),
             "heavy_hitter_bytes": self.heavy_hitters.nbytes(),
-            "touched_bytes": (self.countsketch.touched_nbytes()
-                              + self.heavy_hitters.touched_nbytes()),
+            "touched_bytes": self.heavy_hitters.touched_nbytes(),
             "heavy_clamped": cls.heavy_count > self.config.heavy_clamp,
             "threshold": cls.threshold,
             "f2_residual_estimate": cls.f2_residual,

@@ -9,8 +9,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from f1sketch import Classification, Estimator, EstimatorConfig, ExactState, generate
-from f1sketch import hashing, stable
+from f1sketch import Estimator, EstimatorConfig, generate, hashing, stable
+from f1sketch.estimator import Classification
+from f1sketch.oracle import ExactState
 
 ZIPF_TRIALS = 200
 PLANTED_TRIALS = 200

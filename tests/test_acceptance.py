@@ -7,15 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from f1sketch import (
-    Estimator,
-    EstimatorConfig,
-    ExactState,
-    expected_countsketch_cells,
-    expected_stable_cells,
-    kp_constant,
-    stability_constant,
-)
+from f1sketch import Estimator, EstimatorConfig
+from f1sketch.oracle import ExactState, expected_countsketch_cells, expected_stable_cells
+from f1sketch.stable import kp_constant, stability_constant
 
 
 def report(num: int, name: str, detail: str, ok: bool) -> None:

@@ -4,8 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from f1sketch import ExactState, generate
+from f1sketch import generate
 from f1sketch.cli import CSV_HEADER, exact_f1_of, main
+from f1sketch.oracle import ExactState
 
 
 def run_cli(*args, capsys=None):

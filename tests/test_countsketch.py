@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f1sketch import CountSketchTable, ExactState, SketchInvariantError, generate
-from f1sketch import hashing, seeds
-from f1sketch.countsketch import CELL_LIMIT, HUGE_PAGE, zeroed_cells
-from f1sketch.oracle import (expected_countsketch_cells, expected_hash,
+from f1sketch import SketchInvariantError, countsketch, generate, hashing, seeds
+from f1sketch.countsketch import CELL_LIMIT, HUGE_PAGE, CountSketchTable, zeroed_cells
+from f1sketch.oracle import (ExactState, expected_countsketch_cells, expected_hash,
                              expected_point_estimate, expected_sign)
 
 
 def make_table(rows=3, cols=7, n=20, seed=1, **kwargs) -> CountSketchTable:
     return CountSketchTable.from_seed(seeds.master_key(seed), rows, cols, n, **kwargs)
+
+
+# the kernel (when it loaded) and the numpy reference
+PATHS = [k for k in (hashing._kernel, None) if k is not None] + [None]
 
 
 def check_zeroed_cells(shape_a, shape_b):
@@ -111,6 +114,35 @@ def test_point_estimate_many_matches_scalar():
     items = np.arange(1, 51)
     many = t.point_estimate_many(items)
     assert [expected_point_estimate(t, int(i)) for i in items] == list(many)
+
+
+@pytest.mark.parametrize("kernel", PATHS)
+def test_point_estimate_many_over_several_blocks_matches_scalar(kernel, monkeypatch):
+    # three whole blocks of point estimates and a remainder, from the
+    # cached packed cells and from hashing
+    monkeypatch.setattr(hashing, "_kernel", kernel)
+    size = 3 * countsketch._ESTIMATE_BLOCK + 37
+    t = make_table(rows=5, cols=97, n=5000, seed=10)
+    rng = np.random.default_rng(3)
+    t.update_many(rng.choice(np.arange(1, 5001), size=size, replace=False),
+                  rng.integers(-50, 51, size=size))
+    items = t.touched_items()
+    want = [expected_point_estimate(t, int(i)) for i in items]
+    assert t.point_estimate_many(items, t.touched_cells()).tolist() == want
+    assert t.point_estimate_many(items).tolist() == want
+
+
+@pytest.mark.parametrize("kernel", PATHS)
+def test_scatter_many_adds_what_update_many_adds_and_keeps_nothing(kernel, monkeypatch):
+    monkeypatch.setattr(hashing, "_kernel", kernel)
+    kept, scattered = make_table(rows=4, cols=9, n=50), make_table(rows=4, cols=9, n=50)
+    items, deltas = np.array([7, 3, 7, 41]), np.array([2, -5, 1, 9])
+    kept.update_many(items, deltas)
+    packed = scattered.scatter_many(items, deltas)
+    assert kept.cells.tobytes() == scattered.cells.tobytes()
+    assert packed.tobytes() == scattered.packed_cells(items).tobytes()
+    assert scattered.touched_nbytes() == 0
+    assert scattered.scatter_many(np.zeros(0, dtype=np.int64), []).shape == (0, 4)
 
 
 def test_top_k_single_item():
@@ -332,9 +364,6 @@ def test_hash_matrices_match_per_row_hashes():
 
 
 # -- fused C scatter against the numpy body -----------------------------------
-
-# the kernel (when it loaded) and the numpy reference
-PATHS = [k for k in (hashing._kernel, None) if k is not None] + [None]
 
 
 def run_paths(table_args: dict, batches, start: int = 0) -> list:

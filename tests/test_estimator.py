@@ -6,20 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f1sketch import (
-    Classification,
-    Estimator,
-    EstimatorConfig,
-    ExactState,
-    KWiseHash,
-    SketchInvariantError,
-    expected_stable_cells,
-    generate,
-    stability_constant,
-)
-from f1sketch import estimator, hashing, seeds
-from f1sketch.countsketch import CELL_LIMIT
-from f1sketch.oracle import expected_hash, expected_isolation_row, expected_variate
+from f1sketch import (Estimator, EstimatorConfig, SketchInvariantError, estimator, generate,
+                      hashing, seeds)
+from f1sketch.countsketch import CELL_LIMIT, CountSketchTable
+from f1sketch.estimator import Classification
+from f1sketch.hashing import KWiseHash
+from f1sketch.oracle import (ExactState, expected_hash, expected_isolation_row, expected_sign,
+                             expected_stable_cells, expected_variate)
+from f1sketch.stable import stability_constant
 
 
 def build(n=100, seed=1, accuracy=0.5) -> Estimator:
@@ -500,9 +494,8 @@ def test_estimate_diagnostics_present():
     assert d["updates"] == 1
     assert d["stable_bytes"] == est.config.width * 3 * 8
     assert d["heavy_clamped"] is False
-    # both CountSketch tables: an int64 id plus a uint32 cell per row, per item
-    rows = est.config.table_depth + est.config.hh_depth
-    assert d["touched_bytes"] == 2 * 8 + 4 * rows
+    # the heavy-hitter table alone: an int64 id plus a uint32 cell per row
+    assert d["touched_bytes"] == 8 + 4 * est.config.hh_depth
 
 
 def test_sign_flip_leaves_light_estimate_unchanged():
@@ -624,8 +617,8 @@ def test_cached_cells_are_the_touched_items_hashed(kernel, ops):
                 est.update_many(np.array([i for i, _ in op], dtype=np.int64),
                                 np.array([v for _, v in op], dtype=np.int64))
             elif op[0] == "direct":
-                est.countsketch.update_many(np.array([i for i, _ in op[1]], dtype=np.int64),
-                                            np.array([v for _, v in op[1]], dtype=np.int64))
+                est.heavy_hitters.update_many(np.array([i for i, _ in op[1]], dtype=np.int64),
+                                              np.array([v for _, v in op[1]], dtype=np.int64))
             elif op[0] == "overflow":
                 est.flush()
                 table = est.heavy_hitters
@@ -638,25 +631,39 @@ def test_cached_cells_are_the_touched_items_hashed(kernel, ops):
             else:
                 est.update(*op)
         est.flush()
-        for table in (est.countsketch, est.heavy_hitters):
-            got = table.touched_cells()
-            assert got.dtype == np.uint32 and got.flags.c_contiguous
-            assert got.tobytes() == hashed_cells(table).tobytes()
-            assert table.touched_nbytes() == table.touched_items().size * (8 + 4 * table.rows)
-
-
-def test_touched_cells_of_given_items_come_from_the_cache():
-    est = build(n=50, seed=35)
-    est.update_many(np.array([9, 3, 40, 3]), np.array([1, 2, 3, 4]))
-    est.flush()
-    cs = est.countsketch
-    assert cs.touched_cells([40, 3]).tobytes() == cs.touched_cells()[[2, 0]].tobytes()
-    assert cs.touched_cells(np.zeros(0, dtype=np.int64)).shape == (0, cs.rows)
-    for untouched in ([4], [50], [3, 41]):
+        table = est.heavy_hitters
+        got = table.touched_cells()
+        assert got.dtype == np.uint32 and got.flags.c_contiguous
+        assert got.tobytes() == hashed_cells(table).tobytes()
+        assert table.touched_nbytes() == table.touched_items().size * (8 + 4 * table.rows)
         with pytest.raises(ValueError):
-            cs.touched_cells(untouched)
-    with pytest.raises(ValueError):
-        cs.touched_cells()[0, 0] = 1  # a read-only view of the cache
+            got[0, 0] = 1  # a read-only view of the cache
+        # the isolation table keeps no touched items: it hashes the heavy set
+        assert est.countsketch.touched_nbytes() == 0
+
+
+@pytest.mark.parametrize("kernel", PATHS)
+def test_heavy_contributions_match_the_oracle_on_a_narrow_table(kernel, monkeypatch):
+    # a 4 x 8 isolation table under 12 forced-heavy items, touched or not:
+    # some settle past the first row and some in none
+    monkeypatch.setattr(hashing, "_kernel", kernel)
+    n = 200
+    est = build(n=n, seed=36)
+    est.countsketch = cs = CountSketchTable.from_seed(seeds.master_key(37), 4, 8, n)
+    rng = np.random.default_rng(5)
+    est.update_many(rng.integers(1, n + 1, size=600), rng.integers(-9, 10, size=600))
+    heavy = rng.choice(np.arange(1, n + 1), size=12, replace=False)
+    signs = rng.choice([-1.0, 1.0], size=12)
+    got = est.heavy_contributions(forced_heavy(heavy, signs))
+    rows = [expected_isolation_row(cs.bucket_hashes, int(i), heavy) for i in heavy]
+    assert None in rows and any(r is not None and r >= 2 for r in rows)
+    want = [0.0 if r is None else float(
+        cs.cells[r - 1, expected_hash(cs.bucket_hashes[r - 1], int(i)) - 1]
+        * expected_sign(cs.sign_hashes[r - 1], int(i)) * int(sgn))
+        for i, r, sgn in zip(heavy, rows, signs)]
+    assert got.tolist() == want
+    first, _ = est._isolation_table(heavy)
+    assert [r - 1 if r else -1 for r in rows] == first.tolist()
 
 
 # -- overflow guard, hashing per estimate, numpy reference path ---------------
@@ -791,10 +798,15 @@ def test_estimate_hashes_each_item_once_per_table(monkeypatch):
 
     monkeypatch.setattr(KWiseHash, "eval_many", counting)
     report = est.estimate()
-    # both CountSketch tables read their touched items' cells from the cache
-    # ingest filled; only the heavy set's stable buckets are hashed
+    # the heavy-hitter table reads its touched items' cells from the cache
+    # ingest filled; isolation and the stable buckets hash only the heavy
+    # set or the part of it one isolation row settles
     assert report.heavy_count > 0
-    assert calls == [(est.table.bucket_hash, report.heavy_count)]
+    cs = est.countsketch
+    assert {h for h, _ in calls} <= set(cs.bucket_hashes + cs.sign_hashes) | {est.table.bucket_hash}
+    assert (est.table.bucket_hash, report.heavy_count) in calls
+    assert all(size == report.heavy_count for h, size in calls if h in cs.bucket_hashes)
+    assert all(size <= report.heavy_count for _, size in calls)
 
 
 def test_numpy_path_gives_identical_answers(monkeypatch):

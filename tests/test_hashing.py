@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f1sketch import CountSketchTable, KWiseHash, MERSENNE61
 from f1sketch import hashing, seeds
+from f1sketch.countsketch import CountSketchTable
+from f1sketch.hashing import MERSENNE61, KWiseHash
 from f1sketch.oracle import expected_hash
 
 

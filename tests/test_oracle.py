@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f1sketch import CountSketchTable, ExactState, expected_countsketch_cells
 from f1sketch import seeds
+from f1sketch.countsketch import CountSketchTable
+from f1sketch.oracle import ExactState, expected_countsketch_cells
 
 
 def state_of(freqs) -> ExactState:

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
-from f1sketch import TRUNCATION_CAP, StableVariateSource, kp_constant, stability_constant
 from f1sketch import hashing, seeds
 from f1sketch.oracle import (cauchy_variate, expected_philox4x32, expected_uniform,
                              expected_variate)
-from f1sketch.stable import _VARIATE_BLOCK, cauchy_variates, philox4x32
+from f1sketch.stable import (_VARIATE_BLOCK, TRUNCATION_CAP, StableVariateSource,
+                             cauchy_variates, kp_constant, philox4x32, stability_constant)
 from f1sketch.stable import philox_uniforms as stable_philox_uniforms
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from f1sketch import Distribution, ExactState, Stream, StreamParseError, generate, read_stream, write_stream
-from f1sketch.streams import parse_text
+from f1sketch import generate, read_stream, write_stream
+from f1sketch.oracle import ExactState
+from f1sketch.streams import Distribution, Stream, StreamParseError, parse_text
 
 
 def replay(stream) -> ExactState:
