@@ -1,12 +1,13 @@
 """CountSketch tables: point frequency estimates, top-k, F2 and residual F2.
 
 Cells are signed 64-bit counters; an update (i, v) adds v * sign_j(i) to one
-cell per row. With the C hashing kernel loaded, a batch is hashed and
-scattered in one pass per row; the numpy path (hash matrices plus
-`np.add.at`) is the fallback and the bitwise reference. `update_many`
-keeps the cells of every item it touched, so reads over those items hash
-nothing; `scatter_many` adds a batch and keeps nothing, for a table whose
-reads hash the few items they need.
+cell per row. An item's cells have two forms: the per-row hashes, which
+define them, and packed cells, one uint32 of bucket and sign per row. The
+C kernel hashes and scatters a batch in one pass per row; without it numpy
+runs (`packed_cells`, `unpack`, `np.add.at`), the bitwise reference.
+`update_many` keeps the packed cells of every touched item, so reads over
+them hash nothing; `scatter_many` keeps nothing. Point estimates read
+packed cells; `top_k` and `f2_residual_estimate` rank the touched items.
 Ingestion is single-writer; once the writer quiesces, every read is safe
 from any number of threads. Distinct tables may be written by distinct
 threads.
@@ -94,7 +95,8 @@ class CountSketchTable:
     """rows x cols signed-counter sketch with per-row bucket and sign hashes.
 
     Row j's sign hash is a range-2 `KWiseHash`: bucket 1 is sign +1 and
-    bucket 2 is sign -1.
+    bucket 2 is sign -1. `_coeffs` stacks every row's bucket hash, then every
+    row's sign hash, left-padded with zeros, for one-call hashing.
 
     Every item index `update_many` ever saw is kept in one ascending array
     (space O(distinct items)), the candidates of top-k enumeration, next to
@@ -102,6 +104,8 @@ class CountSketchTable:
     nothing; `scatter_many` keeps no items.
     A packed cell is (bucket - 1) << 1 | (sign == -1) as uint32, laid out
     item-major: the table holds 8 + 4 * rows bytes per touched item.
+    `point_estimate_many` takes packed cells; `top_k` and
+    `f2_residual_estimate` rank the touched items.
     """
 
     def __init__(self, rows: int, cols: int, *, bucket_hashes, sign_hashes):
@@ -117,8 +121,11 @@ class CountSketchTable:
         self.cols = cols
         self.bucket_hashes = tuple(bucket_hashes)
         self.sign_hashes = tuple(sign_hashes)
-        # every row's bucket hash, then every row's sign hash, in one pass
-        self._row_hash = KWiseHash.stack(self.bucket_hashes + self.sign_hashes)
+        hashes = self.bucket_hashes + self.sign_hashes
+        t = max(len(h.coefficients) for h in hashes)
+        self._coeffs = np.array([(0,) * (t - len(h.coefficients)) + h.coefficients
+                                 for h in hashes], dtype=np.uint64)
+        self._ranges = np.array([h.range_size for h in hashes], dtype=np.uint64)
         self.cells = zeroed_cells((rows, cols), np.int64)
         # flat index in `cells` of each row's first cell
         self._row_start = np.arange(rows, dtype=np.int64) * cols
@@ -142,11 +149,6 @@ class CountSketchTable:
         return cls(rows, cols, bucket_hashes=bucket, sign_hashes=sign)
 
     # -- ingestion ---------------------------------------------------------
-
-    def update(self, i: int, v: int) -> None:
-        """Apply one turnstile record (item i, signed delta v)."""
-        self.update_many(np.array([i], dtype=np.int64),
-                         np.array([v], dtype=np.int64))
 
     def update_many(self, items: np.ndarray, deltas: np.ndarray) -> None:
         """Apply a batch with `scatter_many`; if that did not raise, the
@@ -175,12 +177,12 @@ class CountSketchTable:
         if batch_magnitude(deltas) >= CELL_LIMIT:
             raise SketchInvariantError("batch magnitude would overflow counters")
         if hashing._kernel is not None:
-            overflow, packed = hashing.scatter_signed(self._row_hash, items, deltas,
-                                                      self.cells, CELL_LIMIT)
+            overflow, packed = hashing.scatter_signed(self._coeffs, self._ranges, items,
+                                                      deltas, self.cells, CELL_LIMIT)
         else:
-            idx, signed = self.hash_matrices(items)
-            packed = self._pack(idx, signed)
-            signed *= deltas  # in place: (rows x items) temporaries add up
+            packed = self.packed_cells(items)
+            idx, signed = self.unpack(packed)
+            signed *= deltas[:, None]  # in place: (items x rows) temporaries add up
             flat = self.cells.reshape(-1)
             np.add.at(flat, idx, signed)
             touched = flat[idx]
@@ -235,29 +237,16 @@ class CountSketchTable:
         """Bytes of the touched items and their packed cells."""
         return int(self._touched.nbytes + self._packed.nbytes)
 
-    def hash_matrices(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cell and sign of every item in every row, from one multi-row hash
-        evaluation: two (rows, items) int64 arrays, the first indexing the
-        flattened `cells` (row j at j * cols + bucket - 1), the second +-1."""
-        both = self._row_hash.eval_many(np.asarray(items, dtype=np.int64))
-        idx, signs = both[:self.rows], both[self.rows:]
-        idx += self._row_start[:, None] - 1
-        signs *= -2
-        signs += 3  # sign bucket 1 -> +1, bucket 2 -> -1
-        return idx, signs
-
-    def _pack(self, idx: np.ndarray, signs: np.ndarray) -> np.ndarray:
-        """The (items, rows) uint32 packed cells of `hash_matrices` output."""
-        packed = (idx - self._row_start[:, None]) << 1 | (signs < 0)
+    def packed_cells(self, items: np.ndarray) -> np.ndarray:
+        """Packed cells of any items, by hashing them in every row at once:
+        the (items, rows) uint32 array `scatter_signed` returns."""
+        both = hashing.horner_rows(self._coeffs, self._ranges, items)
+        packed = (both[:self.rows] - 1) << 1 | (both[self.rows:] - 1)  # sign bucket 2 is -1
         return np.ascontiguousarray(packed.T, dtype=np.uint32)
 
-    def packed_cells(self, items: np.ndarray) -> np.ndarray:
-        """Packed cells of any items, by hashing them."""
-        return self._pack(*self.hash_matrices(items))
-
     def unpack(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`hash_matrices` of packed cells, item-major: the index in the
-        flattened `cells` and the +-1 sign of each, as (items, rows) int64."""
+        """The index in the flattened `cells` (row j at j * cols + bucket - 1)
+        and the +-1 sign of each packed cell, as (items, rows) int64."""
         signs = packed.astype(np.int64)
         idx = signs >> 1
         idx += self._row_start
@@ -267,67 +256,54 @@ class CountSketchTable:
         return idx, signs
 
     # -- estimation --------------------------------------------------------
-    #
-    # The estimate-side methods take `items` (default: the touched items,
-    # whose packed cells come from the cache) plus, when the caller already
-    # has them, their `packed` cells and `estimates =
-    # point_estimate_many(items, packed)`; items passed without their packed
-    # cells are hashed.
 
-    def point_estimate_many(self, items: np.ndarray, packed=None) -> np.ndarray:
-        """Median over rows of cell * sign: the frequency estimate of each item."""
-        items = np.asarray(items, dtype=np.int64)
-        if packed is None:
-            packed = self.packed_cells(items)
-        out = np.empty(items.size)
-        for lo in range(0, items.size, _ESTIMATE_BLOCK):
+    def point_estimate_many(self, packed: np.ndarray) -> np.ndarray:
+        """Median over rows of cell * sign: the frequency estimate of each
+        item whose (items, rows) packed cells are given, from
+        `touched_cells()` or `packed_cells(items)`."""
+        out = np.empty(packed.shape[0])
+        for lo in range(0, packed.shape[0], _ESTIMATE_BLOCK):
             idx, signs = self.unpack(packed[lo:lo + _ESTIMATE_BLOCK])
             per_item = self.cells.reshape(-1).take(idx)
             per_item *= signs
             out[lo:lo + _ESTIMATE_BLOCK] = row_medians(per_item.astype(np.float64))
         return out
 
-    def _ranked(self, k: int, items, packed, estimates):
-        """(items, packed, estimates, positions of the top k): the positions
-        order |estimate| descending, ties to the smaller index."""
+    def _ranked(self, k: int, estimates):
+        """(estimates of the touched items, positions of the top k among
+        them): the positions order |estimate| descending, ties to the
+        smaller index. `estimates` defaults to those of `touched_cells()`."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        if items is None:
-            items, packed = self.touched_items(), self.touched_cells()
-        if items.size == 0 or k == 0:
-            return items, packed, estimates, np.zeros(0, dtype=np.int64)
-        if packed is None:
-            packed = self.packed_cells(items)
+        if self._touched.size == 0 or k == 0:
+            return estimates, np.zeros(0, dtype=np.int64)
         if estimates is None:
-            estimates = self.point_estimate_many(items, packed)
-        order = np.lexsort((items, -np.abs(estimates)))[:k]
-        return items, packed, estimates, order
+            estimates = self.point_estimate_many(self._packed)
+        return estimates, np.lexsort((self._touched, -np.abs(estimates)))[:k]
 
-    def top_k(self, k: int, items=None, packed=None,
-              estimates=None) -> list[tuple[int, float]]:
-        """k candidates of largest |estimate|, ties to the smaller index.
+    def top_k(self, k: int, estimates=None) -> list[tuple[int, float]]:
+        """k touched items of largest |estimate|, ties to the smaller index.
 
-        Returns all candidates when fewer than k items were touched.
+        Returns all touched items when fewer than k were touched.
         """
-        items, _, est, order = self._ranked(k, items, packed, estimates)
-        return [(int(items[o]), float(est[o])) for o in order]
+        est, order = self._ranked(k, estimates)
+        return [(int(self._touched[o]), float(est[o])) for o in order]
 
     def f2_estimate(self) -> float:
         """Median over rows of the sum of squared cells."""
         return float(np.median((self.cells.astype(float) ** 2).sum(axis=1)))
 
-    def f2_residual_estimate(self, k: int, items=None, packed=None,
-                             estimates=None) -> float:
+    def f2_residual_estimate(self, k: int, estimates=None) -> float:
         """Estimated second moment of everything outside the top-k items.
 
         Per row, the estimated contribution of each top-k item is removed
         from its cell and the squared cells are summed; the median row value
         is returned (clamped at zero). k = 0 reduces to `f2_estimate`.
         """
-        _, packed, est, top = self._ranked(k, items, packed, estimates)
+        est, top = self._ranked(k, estimates)
         if top.size == 0:
             return self.f2_estimate()
-        idx, signs = self.unpack(packed[top])
+        idx, signs = self.unpack(self._packed[top])
         est = est[top]
         # row by row: one row's float copy stays in cache, the whole
         # table's does not (a single scatter over it ran 4x slower)

@@ -18,6 +18,7 @@ seeds) can run fully in parallel.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -76,7 +77,8 @@ class EstimatorConfig:
     `accuracy` is the user-facing relative error target in (0, 1/2]; the
     internal working accuracy is a tenth of it, which keeps the analysis
     precondition eps <= 1/8 satisfied automatically. Items are hashed over
-    GF(2**61 - 1), so the domain size n must lie below 2**61 - 1.
+    GF(2**61 - 1), so the domain size n must lie below 2**61 - 1. `n` and
+    `seed` must be integers (numpy integers are stored as Python ints).
     """
 
     accuracy: float
@@ -84,6 +86,11 @@ class EstimatorConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("n", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if not 0.0 < self.accuracy <= 0.5:
             raise ValueError("accuracy must lie in (0, 1/2]")
         if self.n < 1:
@@ -327,9 +334,8 @@ class Estimator:
         items = hh.touched_items()
         if items.size == 0:
             return Classification.empty()
-        packed = hh.touched_cells()
-        est = hh.point_estimate_many(items, packed)
-        residual = hh.f2_residual_estimate(4 * self.config.budget, items, packed, est)
+        est = hh.point_estimate_many(hh.touched_cells())
+        residual = hh.f2_residual_estimate(4 * self.config.budget, est)
         threshold = 4.0 * residual / self.config.budget
         heavy = est**2 >= threshold
         return Classification(items=items, estimates=est, heavy_mask=heavy,

@@ -18,7 +18,7 @@ once per machine with the local gcc into `$XDG_CACHE_HOME/f1sketch`
 source, and loaded through ctypes when this module is imported. When it
 cannot be built or loaded, or fails its spot check, numpy runs instead:
 the evaluation below (`_mulmod61`/`_addmod61`), the scatter in
-`CountSketchTable.update_many`, the aggregation in
+`CountSketchTable.scatter_many`, the aggregation in
 `estimator._dense_sums` and `stable.philox_uniforms`. Each is also the
 bitwise reference its kernel routine is tested against. `KWISE_BACKEND`
 names the path in use.
@@ -355,15 +355,20 @@ _kernel = _load_kernel()
 KWISE_BACKEND = "numpy" if _kernel is None else "c-kernel"
 
 
-def _horner_rows(coeffs: np.ndarray, ranges: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate every row of a C-contiguous (rows, t) uint64 coefficient
-    matrix at every item of the contiguous uint64 vector x over
-    GF(2**61 - 1); row r is reduced onto [1, ranges[r]]. Returns a
-    (rows, items) int64 array.
+def horner_rows(coeffs: np.ndarray, ranges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Evaluate every row of a (rows, t) coefficient matrix, leading
+    coefficient first, at every item of the vector x over GF(2**61 - 1);
+    row r is reduced onto [1, ranges[r]]. Returns a (rows, items) int64
+    array. Rows of lower degree are padded with leading zeros, which leave
+    Horner's value unchanged.
 
     Runs the C kernel when it loaded, else `_horner_numpy` row by row (rows
     stacked in numpy make temporaries too large for cache, and run slower).
     """
+    coeffs, ranges, x = (np.ascontiguousarray(a, dtype=np.uint64) for a in (coeffs, ranges, x))
+    if coeffs.ndim != 2 or coeffs.shape[1] < 1 or ranges.shape != coeffs.shape[:1] or x.ndim != 1:
+        raise ValueError("horner_rows needs a (rows, t >= 1) matrix, one range per row and "
+                         "a vector of items")
     out = np.empty((coeffs.shape[0], x.size), dtype=np.int64)
     if _kernel is not None:
         _kernel.horner61(coeffs.ctypes.data, ranges.ctypes.data, coeffs.shape[0],
@@ -374,29 +379,30 @@ def _horner_rows(coeffs: np.ndarray, ranges: np.ndarray, x: np.ndarray) -> np.nd
     return out
 
 
-def scatter_signed(row_hash: "KWiseHash", items: np.ndarray, deltas: np.ndarray,
-                   cells: np.ndarray, limit: int) -> tuple[bool, np.ndarray]:
+def scatter_signed(coeffs: np.ndarray, ranges: np.ndarray, items: np.ndarray,
+                   deltas: np.ndarray, cells: np.ndarray, limit: int) -> tuple[bool, np.ndarray]:
     """Add sign_r(i) * delta into cells[r, bucket_r(i) - 1] for every row r
     of the (rows, cols) int64 table `cells` and every item i, in one pass of
-    the C kernel (`scatter61`); `row_hash` stacks the rows' bucket hashes
-    and then their range-2 sign hashes, as `CountSketchTable` builds it.
+    the C kernel (`scatter61`). `coeffs` and `ranges` are a
+    `CountSketchTable`'s (2 * rows, t) matrix and its ranges: every row's
+    bucket hash, then every row's range-2 sign hash.
     Returns whether any cell written ends at |cell| >= limit, and every
     item's packed cell in every row as an (items, rows) uint32 array:
     (bucket - 1) << 1 | (sign == -1).
 
     Needs the kernel loaded (`_kernel` not None) and cols < 2**31, so a
-    packed cell fits 32 bits. Hashing each row into (rows, items) arrays
-    and adding them with `np.add.at` gives the same cells; that numpy body,
-    in `CountSketchTable.update_many`, is the bitwise reference.
+    packed cell fits 32 bits. `packed_cells`, `unpack` and `np.add.at`, in
+    `CountSketchTable.scatter_many`, give the same cells and are the
+    bitwise reference.
     """
     rows, cols = cells.shape
     x = np.ascontiguousarray(items, dtype=np.int64).view(np.uint64)
     d = np.ascontiguousarray(deltas, dtype=np.int64)
-    coeffs, ranges = row_hash._coeff_rows, row_hash._ranges
+    coeffs, ranges = (np.ascontiguousarray(a, dtype=np.uint64) for a in (coeffs, ranges))
     if (cells.dtype != np.int64 or not cells.flags.c_contiguous or not cells.flags.writeable
-            or cols >= 1 << 31 or x.shape != d.shape or x.ndim != 1
-            or coeffs.shape[0] != 2 * rows or (ranges[:rows] > cols).any()
-            or (ranges[rows:] != 2).any()):
+            or cols >= 1 << 31 or x.shape != d.shape or x.ndim != 1 or coeffs.ndim != 2
+            or coeffs.shape[0] != 2 * rows or ranges.shape != (2 * rows,)
+            or (ranges[:rows] > cols).any() or (ranges[rows:] != 2).any()):
         raise ValueError("scatter_signed needs a writable C-contiguous int64 table under "
                          "2**31 columns, one delta per item, and bucket then sign hashes "
                          "for each row")
@@ -452,10 +458,6 @@ class KWiseHash:
     inputs receive jointly uniform field values over a uniform draw of the
     coefficient tuple. Inputs must lie below 2**61 - 1.
     `f1sketch.oracle.expected_hash` is the scalar reference.
-
-    `KWiseHash.stack` joins several hashes into one whose `eval_many`
-    evaluates all of them in a single pass. A stacked hash has a tuple of
-    coefficient rows and a tuple of ranges.
     """
 
     __slots__ = ("coefficients", "range_size", "_coeff_rows", "_ranges")
@@ -482,31 +484,8 @@ class KWiseHash:
             raise ValueError("domain size n must be below 2**61 - 1, the hash field size")
         return cls(seeds.field_elements(key, t, MERSENNE61), range_size)
 
-    @classmethod
-    def stack(cls, hashes) -> "KWiseHash":
-        """One hash whose `eval_many(items)` returns a (rows, *items.shape)
-        array, row j equal to `hashes[j].eval_many(items)`.
-
-        Lower-degree rows are padded with leading zero coefficients, which
-        leave Horner's value unchanged.
-        """
-        hashes = list(hashes)
-        if not hashes or any(h._coeff_rows.shape[0] != 1 for h in hashes):
-            raise ValueError("stack needs one or more single-row hashes")
-        t = max(len(h.coefficients) for h in hashes)
-        stacked = cls.__new__(cls)
-        stacked.coefficients = tuple((0,) * (t - len(h.coefficients)) + h.coefficients
-                                     for h in hashes)
-        stacked.range_size = tuple(h.range_size for h in hashes)
-        stacked._coeff_rows = np.array(stacked.coefficients, dtype=np.uint64)
-        stacked._ranges = np.array(stacked.range_size, dtype=np.uint64)
-        return stacked
-
     def eval_many(self, items: np.ndarray) -> np.ndarray:
         """Bucket in [1, range_size] of each item of an integer array, as
-        int64 of the same shape (a stacked hash adds a leading row axis)."""
+        int64 of the same shape."""
         x = np.asarray(items, dtype=np.uint64)
-        out = _horner_rows(self._coeff_rows, self._ranges, x.ravel())
-        if isinstance(self.range_size, tuple):
-            return out.reshape(out.shape[:1] + x.shape)
-        return out.reshape(x.shape)
+        return horner_rows(self._coeff_rows, self._ranges, x.ravel()).reshape(x.shape)

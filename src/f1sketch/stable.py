@@ -56,7 +56,6 @@ def kp_constant(p: float) -> float:
 PHILOX_M0, PHILOX_M1 = 0xD2511F53, 0xCD9E8D57
 PHILOX_W0, PHILOX_W1 = 0x9E3779B9, 0xBB67AE85
 PHILOX_ROUNDS = 10
-VARIATE_GENERATOR = "Philox4x32-10 (numpy)"
 
 _VARIATE_BLOCK = 1 << 16  # (bucket, item) pairs per Philox pass in `variates_for`
 _LOW32 = np.uint64(0xFFFFFFFF)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from f1sketch import Estimator, EstimatorConfig, generate, hashing, stable
+from f1sketch import Estimator, EstimatorConfig, generate, hashing
 from f1sketch.estimator import Classification
 from f1sketch.oracle import ExactState
 
@@ -19,8 +19,8 @@ LIGHT_TRIALS = 500
 
 
 def pytest_report_header(config):
-    return (f"f1sketch polynomial hashing: {hashing.KWISE_BACKEND}; "
-            f"stable variates: {stable.VARIATE_GENERATOR}")
+    return (f"f1sketch kernel routines (polynomial hashing, CountSketch scatter, "
+            f"dense sums, Philox4x32-10 uniforms): {hashing.KWISE_BACKEND}")
 
 
 @pytest.fixture(scope="session")

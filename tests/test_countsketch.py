@@ -15,6 +15,11 @@ def make_table(rows=3, cols=7, n=20, seed=1, **kwargs) -> CountSketchTable:
     return CountSketchTable.from_seed(seeds.master_key(seed), rows, cols, n, **kwargs)
 
 
+def update(table: CountSketchTable, i: int, v: int) -> None:
+    """Apply one turnstile record (item i, signed delta v)."""
+    table.update_many(np.array([i], dtype=np.int64), np.array([v], dtype=np.int64))
+
+
 # the kernel (when it loaded) and the numpy reference
 PATHS = [k for k in (hashing._kernel, None) if k is not None] + [None]
 
@@ -67,14 +72,14 @@ def test_zeroed_cells_without_huge_pages(refusal, monkeypatch):
 def test_update_then_inverse_restores_state():
     t = make_table()
     before = t.cells.copy()
-    t.update(4, 3)
-    t.update(4, -3)
+    update(t, 4, 3)
+    update(t, 4, -3)
     assert (t.cells == before).all()
 
 
 def test_single_update_touches_one_cell_per_row():
     t = make_table(rows=5, cols=11)
-    t.update(7, 5)
+    update(t, 7, 5)
     changed = np.nonzero(t.cells)
     assert len(changed[0]) == 5
     assert sorted(changed[0]) == list(range(5))
@@ -88,31 +93,31 @@ def test_cells_match_oracle_recomputation():
     for _ in range(100):
         i = int(rng.integers(1, 21))
         v = int(rng.integers(-5, 6))
-        t.update(i, v)
+        update(t, i, v)
         state.update(i, v)
     assert (t.cells == expected_countsketch_cells(state, t)).all()
 
 
 def test_point_estimate_single_item_exact():
     t = make_table(rows=4, cols=64, n=100)
-    t.update(42, 42)
+    update(t, 42, 42)
     assert expected_point_estimate(t, 42) == 42.0
-    assert list(t.point_estimate_many(np.array([42]))) == [42.0]
+    assert list(t.point_estimate_many(t.packed_cells([42]))) == [42.0]
 
 
 def test_point_estimate_empty_table_is_zero():
     t = make_table()
     assert expected_point_estimate(t, 5) == 0.0
-    assert list(t.point_estimate_many(np.array([5]))) == [0.0]
+    assert list(t.point_estimate_many(t.packed_cells([5]))) == [0.0]
 
 
 def test_point_estimate_many_matches_scalar():
     t = make_table(rows=5, cols=17, n=50, seed=9)
     rng = np.random.default_rng(0)
     for _ in range(200):
-        t.update(int(rng.integers(1, 51)), int(rng.integers(-4, 5)))
+        update(t, int(rng.integers(1, 51)), int(rng.integers(-4, 5)))
     items = np.arange(1, 51)
-    many = t.point_estimate_many(items)
+    many = t.point_estimate_many(t.packed_cells(items))
     assert [expected_point_estimate(t, int(i)) for i in items] == list(many)
 
 
@@ -128,8 +133,8 @@ def test_point_estimate_many_over_several_blocks_matches_scalar(kernel, monkeypa
                   rng.integers(-50, 51, size=size))
     items = t.touched_items()
     want = [expected_point_estimate(t, int(i)) for i in items]
-    assert t.point_estimate_many(items, t.touched_cells()).tolist() == want
-    assert t.point_estimate_many(items).tolist() == want
+    assert t.point_estimate_many(t.touched_cells()).tolist() == want
+    assert t.point_estimate_many(t.packed_cells(items)).tolist() == want
 
 
 @pytest.mark.parametrize("kernel", PATHS)
@@ -147,7 +152,7 @@ def test_scatter_many_adds_what_update_many_adds_and_keeps_nothing(kernel, monke
 
 def test_top_k_single_item():
     t = make_table()
-    t.update(3, 9)
+    update(t, 3, 9)
     assert t.top_k(1) == [(3, 9.0)]
 
 
@@ -156,12 +161,12 @@ def test_top_k_planted_ranking():
     t = make_table(rows=7, cols=512, n=10**4, seed=5)
     state = ExactState(10**4)
     for rank in range(10):
-        t.update(rank + 1, 100 - 10 * rank)
+        update(t, rank + 1, 100 - 10 * rank)
         state.update(rank + 1, 100 - 10 * rank)
     rng = np.random.default_rng(11)
     for _ in range(50):
         i = int(rng.integers(100, 10**4))
-        t.update(i, 1)
+        update(t, i, 1)
         state.update(i, 1)
     top3 = [item for item, _ in t.top_k(3)]
     mags = np.abs(state.frequencies)
@@ -172,15 +177,15 @@ def test_top_k_planted_ranking():
 def test_top_k_ties_break_to_smaller_index():
     t = make_table(rows=5, cols=97, n=50, seed=21)
     for i in (9, 4, 30):
-        t.update(i, 6)
+        update(t, i, 6)
     items = [item for item, _ in t.top_k(3)]
     assert items == [4, 9, 30]
 
 
 def test_top_k_beyond_touched_returns_all():
     t = make_table()
-    t.update(1, 2)
-    t.update(2, 3)
+    update(t, 1, 2)
+    update(t, 2, 3)
     assert len(t.top_k(10)) == 2
 
 
@@ -190,7 +195,7 @@ def test_f2_estimate_empty():
 
 def test_f2_estimate_single_item_exact_per_row():
     t = make_table(rows=6, cols=32, n=10)
-    t.update(3, 4)
+    update(t, 3, 4)
     assert ((t.cells.astype(float) ** 2).sum(axis=1) == 16.0).all()
     assert t.f2_estimate() == 16.0
 
@@ -212,19 +217,19 @@ def test_f2_residual_k0_equals_f2():
     t = make_table(rows=5, cols=64, n=30, seed=2)
     rng = np.random.default_rng(1)
     for _ in range(60):
-        t.update(int(rng.integers(1, 31)), int(rng.integers(-9, 10)))
+        update(t, int(rng.integers(1, 31)), int(rng.integers(-9, 10)))
     assert t.f2_residual_estimate(0) == t.f2_estimate()
 
 
 def test_f2_residual_all_items_removed_is_zero():
     t = make_table(rows=4, cols=256, n=10, seed=3)
-    t.update(1, 12)
+    update(t, 1, 12)
     assert t.f2_residual_estimate(1) == 0.0
     # several isolated items whose estimates are exact
     t2 = make_table(rows=4, cols=256, n=10, seed=3)
     for i, v in ((1, 12), (2, -7), (3, 5), (4, 2), (5, -1)):
-        t2.update(i, v)
-    est = dict(zip(range(1, 6), t2.point_estimate_many(np.arange(1, 6))))
+        update(t2, i, v)
+    est = dict(zip(range(1, 6), t2.point_estimate_many(t2.packed_cells(np.arange(1, 6)))))
     assert est == {1: 12.0, 2: -7.0, 3: 5.0, 4: 2.0, 5: -1.0}
     assert t2.f2_residual_estimate(5) == 0.0
 
@@ -251,7 +256,7 @@ def test_f2_residual_monotone_on_separated_instance():
     t = make_table(rows=7, cols=512, n=20, seed=8)
     freqs = [100, 90, 80, 70, 60, 50, 40, 30, 20, 10]
     for i, v in enumerate(freqs, start=1):
-        t.update(i, v)
+        update(t, i, v)
     vals = [t.f2_residual_estimate(k) for k in range(len(freqs) + 1)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert vals[-1] == 0.0
@@ -300,17 +305,17 @@ def test_point_guarantee_fraction():
         t = CountSketchTable.from_seed(seeds.master_key(60_000 + seed), rows, cols, stream.n)
         t.update_many(stream.items, stream.deltas)
         touched = t.touched_items()
-        err = np.abs(t.point_estimate_many(touched) - f[touched - 1])
+        err = np.abs(t.point_estimate_many(t.touched_cells()) - f[touched - 1])
         fracs.append(float((err <= bound).mean()))
     assert np.median(fracs) >= 0.99
 
 
 def test_counter_overflow_raises():
     t = make_table(rows=2, cols=4, n=5)
-    t.update(1, 1 << 61)
+    update(t, 1, 1 << 61)
     sign = int(np.sign(t.cells[0][np.abs(t.cells[0]).argmax()]))
     with pytest.raises(SketchInvariantError):
-        t.update(1, sign * (1 << 61) * expected_sign(t.sign_hashes[0], 1))
+        update(t, 1, sign * (1 << 61) * expected_sign(t.sign_hashes[0], 1))
 
 
 def test_batch_magnitude_overflow_raises():
@@ -327,11 +332,11 @@ def test_permutation_invariance(records, rnd):
     t1 = make_table(rows=3, cols=8, n=15, seed=6)
     t2 = make_table(rows=3, cols=8, n=15, seed=6)
     for i, v in records:
-        t1.update(i, v)
+        update(t1, i, v)
     shuffled = records[:]
     rnd.shuffle(shuffled)
     for i, v in shuffled:
-        t2.update(i, v)
+        update(t2, i, v)
     assert (t1.cells == t2.cells).all()
     assert (t1.touched_items() == t2.touched_items()).all()
 
@@ -354,13 +359,20 @@ def test_linearity(a, b):
     assert (cells(a) + cells(b) == cells(a + b)).all()
 
 
-def test_hash_matrices_match_per_row_hashes():
+@pytest.mark.parametrize("kernel", PATHS)
+def test_packed_cells_match_per_row_hashes(kernel, monkeypatch):
+    monkeypatch.setattr(hashing, "_kernel", kernel)
     t = make_table(rows=5, cols=13, n=500, seed=9)
     items = np.arange(1, 501, dtype=np.int64)
-    idx, signs = t.hash_matrices(items)
-    cols = np.stack([h.eval_many(items) - 1 for h in t.bucket_hashes])
-    assert (idx == cols + 13 * np.arange(5)[:, None]).all()
-    assert (signs == np.stack([3 - 2 * h.eval_many(items) for h in t.sign_hashes])).all()
+    packed = t.packed_cells(items)
+    buckets = np.stack([h.eval_many(items) - 1 for h in t.bucket_hashes], axis=1)
+    negative = np.stack([h.eval_many(items) - 1 for h in t.sign_hashes], axis=1)
+    assert packed.dtype == np.uint32 and packed.flags.c_contiguous
+    assert (packed == buckets << 1 | negative).all()
+    idx, signs = t.unpack(packed)
+    assert (idx == buckets + 13 * np.arange(5)).all()
+    assert (signs == 1 - 2 * negative).all()
+    assert t.packed_cells(items[:0]).shape == (0, 5)
 
 
 # -- fused C scatter against the numpy body -----------------------------------
@@ -464,11 +476,15 @@ def test_table_refuses_sign_hashes_of_range_other_than_two():
 def test_kernel_scatter_refuses_mismatched_arguments():
     t = make_table(rows=3, cols=7, n=20)
     with pytest.raises(ValueError):
-        hashing.scatter_signed(t._row_hash, np.array([1, 2]), np.array([1]), t.cells, CELL_LIMIT)
+        hashing.scatter_signed(t._coeffs, t._ranges, np.array([1, 2]), np.array([1]),
+                               t.cells, CELL_LIMIT)
+    with pytest.raises(ValueError):  # a range missing for the last sign row
+        hashing.scatter_signed(t._coeffs, t._ranges[:-1], np.array([1]), np.array([1]),
+                               t.cells, CELL_LIMIT)
     with pytest.raises(ValueError):  # a table narrower than the bucket range
-        hashing.scatter_signed(t._row_hash, np.array([1]), np.array([1]),
+        hashing.scatter_signed(t._coeffs, t._ranges, np.array([1]), np.array([1]),
                                np.zeros((3, 6), dtype=np.int64), CELL_LIMIT)
-    with pytest.raises(ValueError):  # rows disagree with the stacked hash
-        hashing.scatter_signed(t._row_hash, np.array([1]), np.array([1]),
+    with pytest.raises(ValueError):  # rows disagree with the coefficient matrix
+        hashing.scatter_signed(t._coeffs, t._ranges, np.array([1]), np.array([1]),
                                np.zeros((2, 7), dtype=np.int64), CELL_LIMIT)
     assert not t.cells.any()

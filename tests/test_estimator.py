@@ -45,6 +45,13 @@ def test_config_validation():
         with pytest.raises(ValueError, match="not below 2\\*\\*61 - 1"):
             EstimatorConfig(accuracy=0.5, n=n, seed=0)
     assert EstimatorConfig(accuracy=0.5, n=2**61 - 2, seed=0).hh_depth == 63
+    # n and seed must be integers: a float is refused, not used as a size
+    for kwargs in (dict(n=1000.0, seed=0), dict(n=1000.5, seed=0), dict(n=1000, seed=1.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            EstimatorConfig(accuracy=0.5, **kwargs)
+    cfg = EstimatorConfig(accuracy=0.5, n=np.int64(1000), seed=np.int64(3))
+    assert (cfg.n, cfg.seed) == (1000, 3) and type(cfg.n) is type(cfg.seed) is int
+    assert Estimator(cfg).estimate().total == 0.0
 
 
 def test_memory_cap_rejected():
@@ -585,11 +592,13 @@ def test_touched_items_is_every_item_ever_passed(ops):
 
 
 def hashed_cells(table) -> np.ndarray:
-    """Packed cells of a table's touched items worked out from scratch:
-    (bucket - 1) << 1 | (sign == -1), one row per item."""
-    idx, signs = table.hash_matrices(table.touched_items())
-    buckets = idx - np.arange(table.rows)[:, None] * table.cols
-    return ((buckets << 1) | (signs < 0)).T.astype(np.uint32)
+    """Packed cells of a table's touched items worked out from scratch with
+    each row's own hashes: (bucket - 1) << 1 | (sign == -1), one row per
+    item (sign bucket 2 is -1)."""
+    items = table.touched_items()
+    return np.stack([(b.eval_many(items) - 1) << 1 | (s.eval_many(items) - 1)
+                     for b, s in zip(table.bucket_hashes, table.sign_hashes)],
+                    axis=1).astype(np.uint32)
 
 
 PATHS = [k for k in (hashing._kernel,) if k is not None] + [None]

@@ -130,7 +130,7 @@ def test_bucket_balance_large_domain():
 def row_signs(tag: str, n: int) -> np.ndarray:
     """The signs a one-row CountSketch table gives items 1..n."""
     table = CountSketchTable.from_seed(key(tag), 1, 7, n)
-    return table.hash_matrices(np.arange(1, n + 1))[1][0]
+    return 3 - 2 * table.sign_hashes[0].eval_many(np.arange(1, n + 1))
 
 
 def test_sign_square_is_one():
@@ -225,37 +225,37 @@ def test_kernel_matches_reference_on_random_hashes(seed, t, range_size, items):
     h = KWiseHash.from_seed(key("kernel", seed), t=t, n=2**32, range_size=range_size)
     items = np.array(items, dtype=np.int64)
     active = h.eval_many(items)
-    reference = np.stack([hashing._horner_numpy(h._coeff_rows[0], h._ranges[0],
-                                                items.astype(np.uint64))])[0]
+    reference = hashing._horner_numpy(np.array(h.coefficients, dtype=np.uint64),
+                                      np.uint64(h.range_size), items.astype(np.uint64))
     assert active.tobytes() == reference.tobytes()
     assert active.tolist() == [expected_hash(h, i) for i in items]
 
 
 def test_stacked_rows_equal_single_rows(monkeypatch):
+    # `horner_rows` over a matrix of rows of several degrees, each padded
+    # with leading zeros, as `CountSketchTable` stacks its hashes
     width = 25_600
     rows = [KWiseHash.from_seed(key("stack-b", j), t=8, n=10**4, range_size=width)
             for j in range(5)]
     rows += [KWiseHash.from_seed(key("stack-s", j), t=4, n=10**4, range_size=2)
              for j in range(5)]
     rows.append(KWiseHash([0, 0, 3], range_size=1))
-    stacked = KWiseHash.stack(rows)
+    coeffs = np.array([(0,) * (8 - len(h.coefficients)) + h.coefficients for h in rows],
+                      dtype=np.uint64)
+    ranges = np.array([h.range_size for h in rows], dtype=np.uint64)
     items = np.concatenate([np.arange(1, 3000, dtype=np.int64), EDGE_ITEMS])
+    x = items.astype(np.uint64)
     want = np.stack([h.eval_many(items) for h in rows])
-    got = stacked.eval_many(items)
+    got = hashing.horner_rows(coeffs, ranges, x)
     assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
     with monkeypatch.context() as m:
         m.setattr(hashing, "_kernel", None)
-        assert stacked.eval_many(items).tobytes() == want.tobytes()
-    assert stacked.eval_many(items.reshape(2, -1)).shape == (len(rows), 2, items.size // 2)
-    assert stacked.eval_many(np.zeros(0, dtype=np.int64)).shape == (len(rows), 0)
-
-
-def test_stack_rejects_empty_and_stacked_input():
-    with pytest.raises(ValueError):
-        KWiseHash.stack([])
-    stacked = KWiseHash.stack([KWiseHash([1, 2], range_size=5), KWiseHash([3], range_size=7)])
-    with pytest.raises(ValueError):
-        KWiseHash.stack([stacked])
+        assert hashing.horner_rows(coeffs, ranges, x).tobytes() == want.tobytes()
+    assert hashing.horner_rows(coeffs, ranges, x[:0]).shape == (len(rows), 0)
+    for bad in ((coeffs, ranges[:-1], x), (coeffs[:, :0], ranges, x),
+                (coeffs, ranges, x.reshape(2, -1))):
+        with pytest.raises(ValueError):  # checked before the kernel sees a pointer
+            hashing.horner_rows(*bad)
 
 
 def test_package_imports_and_agrees_without_a_compiler(tmp_path):
