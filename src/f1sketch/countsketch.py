@@ -272,14 +272,19 @@ class CountSketchTable:
     def _ranked(self, k: int, estimates):
         """(estimates of the touched items, positions of the top k among
         them): the positions order |estimate| descending, ties to the
-        smaller index. `estimates` defaults to those of `touched_cells()`."""
+        smaller index. `estimates` defaults to those of `touched_cells()`.
+        Only the items at or above the k-th largest |estimate| are sorted;
+        a stable sort keeps them in item order within a tie."""
         if k < 0:
             raise ValueError("k must be >= 0")
         if self._touched.size == 0 or k == 0:
             return estimates, np.zeros(0, dtype=np.int64)
         if estimates is None:
             estimates = self.point_estimate_many(self._packed)
-        return estimates, np.lexsort((self._touched, -np.abs(estimates)))[:k]
+        mag = np.abs(estimates)
+        cut = max(mag.size - k, 0)
+        cand = np.flatnonzero(mag >= np.partition(mag, cut)[cut])
+        return estimates, cand[np.argsort(-mag[cand], kind="stable")][:k]
 
     def top_k(self, k: int, estimates=None) -> list[tuple[int, float]]:
         """k touched items of largest |estimate|, ties to the smaller index.

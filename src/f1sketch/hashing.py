@@ -11,17 +11,17 @@ threads.
 
 `eval_many` runs a small C kernel (`_HORNER_SOURCE`), which also hashes and
 scatters CountSketch updates in one pass (`scatter_signed`), sums a flush's
-records into dense per-item arrays (`dense_sums`) and draws the Philox
-uniforms behind the stable variates (`philox_uniforms`). It is compiled
-once per machine with the local gcc into `$XDG_CACHE_HOME/f1sketch`
-(default `~/.cache/f1sketch`), under a file name keyed by a hash of the
-source, and loaded through ctypes when this module is imported. When it
-cannot be built or loaded, or fails its spot check, numpy runs instead:
-the evaluation below (`_mulmod61`/`_addmod61`), the scatter in
-`CountSketchTable.scatter_many`, the aggregation in
-`estimator._dense_sums` and `stable.philox_uniforms`. Each is also the
-bitwise reference its kernel routine is tested against. `KWISE_BACKEND`
-names the path in use.
+records into dense per-item arrays (`dense_sums`), draws the Philox
+uniforms behind the stable variates (`philox_uniforms`) and reads plain
+stream text (`parse_plain`). It is compiled once per machine with the
+local gcc into `$XDG_CACHE_HOME/f1sketch` (default `~/.cache/f1sketch`),
+under a file name keyed by a hash of the source, and loaded through ctypes
+when this module is imported. When it cannot be built or loaded, or fails
+its spot check, numpy runs instead: the evaluation below
+(`_mulmod61`/`_addmod61`), the scatter in `CountSketchTable.scatter_many`,
+the aggregation in `estimator._dense_sums`, `stable.philox_uniforms` and
+`streams._plain_records`. Each is also the bitwise reference its kernel
+routine is tested against. `KWISE_BACKEND` names the path in use.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ def _horner_numpy(coeffs: np.ndarray, range_size: np.uint64, x: np.ndarray) -> n
 _HORNER_SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #define P61 0x1FFFFFFFFFFFFFFFULL
 
@@ -237,6 +238,83 @@ void philox_uniforms(const int64_t *buckets, const int64_t *items, size_t n,
         }
     }
 }
+
+#define ONES 0x0101010101010101ULL
+
+/* How many bytes of the little-endian word w, from its first, are ASCII
+   digits before the first that is not (8 if all are). No carry reaches
+   that first non-digit; bytes past it may be misjudged. */
+static inline unsigned digits64(uint64_t w) {
+    const uint64_t t = w ^ (ONES * '0');
+    const uint64_t m = ((t + ONES * 0x76) | t) & (ONES * 0x80);
+    return m ? (unsigned)__builtin_ctzll(m) >> 3 : 8;
+}
+
+/* The value of the first k (1 to 7) bytes of w, ASCII digits, the first
+   most significant: shifted up behind zero bytes, the digits are summed
+   in pairs, then pairs of pairs, then quads, each by one multiply. */
+static inline uint64_t value64(uint64_t w, unsigned k) {
+    w = (w << (64 - 8 * k)) & (ONES * 0x0F);
+    w = (w * 2561) >> 8;
+    w = ((w & 0x00FF00FF00FF00FFULL) * 6553601) >> 16;
+    return ((w & 0x0000FFFF0000FFFFULL) * 42949672960001ULL) >> 32;
+}
+
+/* Records of plain stream text s[0 .. len-1]: lines split by '\n', each
+   either blank (spaces only) or two tokens split by spaces, a token being
+   an optional '-' and 1 to 18 bytes in all, so its value fits int64. The
+   i-th record's tokens go to items[i] and deltas[i]. Returns the number of
+   records, or -1 when the text leaves this shape or holds more than cap
+   records: the caller then reads it another way. A line "<1 to 7 digits>
+   <1 to 7 digits>\n" with 16 bytes left to read is read from two 8-byte
+   words, with no branch per byte: a byte loop mispredicts at the end of
+   every token of varying length. */
+int64_t parse_plain(const char *s, size_t len, int64_t *items, int64_t *deltas,
+                    size_t cap) {
+    size_t i = 0, n = 0;
+    while (i < len) {
+        if (__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__ && i + 16 <= len) {
+            uint64_t w, u;
+            memcpy(&w, s + i, 8);
+            const unsigned a = digits64(w);
+            if (a && a < 8 && (uint8_t)(w >> 8 * a) == ' ') {
+                memcpy(&u, s + i + a + 1, 8);
+                const unsigned b = digits64(u);
+                if (b && b < 8 && (uint8_t)(u >> 8 * b) == '\n' && n < cap) {
+                    items[n] = (int64_t)value64(w, a);
+                    deltas[n++] = (int64_t)value64(u, b);
+                    i += a + b + 2;
+                    continue;
+                }
+            }
+        }
+        int64_t v[2];
+        int tokens = 0;
+        for (;;) {
+            while (i < len && s[i] == ' ')
+                i++;
+            if (i == len || s[i] == '\n')
+                break;
+            const size_t start = i;
+            const int neg = s[i] == '-';
+            uint64_t x = 0;
+            for (i += neg; i < len && (unsigned char)(s[i] - '0') < 10; i++)
+                x = x * 10 + (uint64_t)(s[i] - '0');
+            if (tokens == 2 || i == start + neg || i - start > 18
+                    || (i < len && s[i] != ' ' && s[i] != '\n'))
+                return -1;
+            v[tokens++] = neg ? -(int64_t)x : (int64_t)x;
+        }
+        if (tokens == 1 || (tokens == 2 && n == cap))
+            return -1;
+        if (tokens == 2) {
+            items[n] = v[0];
+            deltas[n++] = v[1];
+        }
+        i++;
+    }
+    return (int64_t)n;
+}
 """
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -279,10 +357,23 @@ _PHILOX_SPOT = (
 )
 
 
+# a spot check of `parse_plain`: text in the shape it reads with the records
+# it holds (its first two lines take the word-wise path), and texts it must
+# decline (a 19-byte token, "--1", a tab and a ':', next to the digits, where
+# the word-wise path looks, a lone token, three tokens, a token that runs
+# into '-')
+_PARSE_SPOT = (b"1234567 7654321\n8 90\n 12 -0\n\n  \n12345678 1\n007 -99999999999999999 \n"
+               b"999999999999999999 5",
+               [[1234567, 7654321], [8, 90], [12, 0], [12345678, 1], [7, -99999999999999999],
+                [999999999999999999, 5]])
+_PARSE_DECLINED = (b"1 -999999999999999999\n", b"1 --1\n", b"1 2\t\n3 4\n5 6\n7 8\n",
+                   b"1:2 3\n4 5\n6 7\n8 9\n", b"1 2\n3\n", b"1 2 3\n", b"1 2-\n")
+
+
 def _load_kernel():
-    """The compiled library (`horner61`, `scatter61`, `dense_sums64` and
-    `philox_uniforms`), or None when it cannot be built or loaded or
-    disagrees with the numpy reference on a spot check."""
+    """The compiled library (`horner61`, `scatter61`, `dense_sums64`,
+    `philox_uniforms` and `parse_plain`), or None when it cannot be built
+    or loaded or disagrees with the numpy reference on a spot check."""
     key = "\0".join((_HORNER_SOURCE, " ".join(_CFLAGS), platform.machine(),
                      platform.system()))
     digest = hashlib.sha256(key.encode("ascii")).hexdigest()[:16]
@@ -292,7 +383,7 @@ def _load_kernel():
             _build_kernel(path)
         lib = ctypes.CDLL(path)
         horner, scatter = lib.horner61, lib.scatter61
-        dense, philox = lib.dense_sums64, lib.philox_uniforms
+        dense, philox, parse = lib.dense_sums64, lib.philox_uniforms, lib.parse_plain
     except (OSError, AttributeError):  # no compiler, unwritable cache, bad library
         return None
     ptr, size, u32 = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_uint32
@@ -304,6 +395,8 @@ def _load_kernel():
     dense.argtypes = [ptr, ptr, size, ptr, ptr, size]
     philox.restype = None
     philox.argtypes = [ptr, ptr, size, u32, u32, ptr]
+    parse.restype = ctypes.c_int64
+    parse.argtypes = [ctypes.c_char_p, size, ptr, ptr, size]
     coeffs = np.array([[MERSENNE61 - 1, 0, 12345, MERSENNE61 - 2], [0, 0, 7, 1 << 60]],
                       dtype=np.uint64)
     ranges = np.array([1000, 2], dtype=np.uint64)
@@ -348,6 +441,12 @@ def _load_kernel():
     want_uniforms = [[((w >> 12) + 0.5) * 2.0 ** -52 for w in words]
                      for _, _, words in _PHILOX_SPOT]
     ok = ok and uniforms.tolist() == want_uniforms
+    text, want = _PARSE_SPOT
+    records = np.empty((2, len(want)), dtype=np.int64)
+    counts = [parse(t, len(t), records[0].ctypes.data, records[1].ctypes.data, len(want))
+              for t in (*_PARSE_DECLINED, text)]
+    ok = (ok and counts == [-1] * len(_PARSE_DECLINED) + [len(want)]
+          and records.T.tolist() == want)
     return lib if ok else None
 
 
@@ -355,20 +454,33 @@ _kernel = _load_kernel()
 KWISE_BACKEND = "numpy" if _kernel is None else "c-kernel"
 
 
+def _field_items(items) -> np.ndarray:
+    """A vector of integer items as contiguous uint64; ValueError unless each
+    lies in [0, 2**61 - 1), past which the kernel and numpy disagree."""
+    x = np.asarray(items)
+    if x.ndim == 1 and (x.size == 0 or x.dtype.kind in "iu"):
+        # as uint64 a negative item is at least 2**63: one maximum checks both ends
+        x = x.view(np.uint64) if x.dtype == np.int64 else x.astype(np.uint64)
+        if x.size == 0 or x.max() < MERSENNE61:
+            return np.ascontiguousarray(x)
+    raise ValueError("items must be a vector of integers in [0, 2**61 - 1)")
+
+
 def horner_rows(coeffs: np.ndarray, ranges: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate every row of a (rows, t) coefficient matrix, leading
     coefficient first, at every item of the vector x over GF(2**61 - 1);
     row r is reduced onto [1, ranges[r]]. Returns a (rows, items) int64
     array. Rows of lower degree are padded with leading zeros, which leave
-    Horner's value unchanged.
+    Horner's value unchanged. ValueError for any item outside
+    [0, 2**61 - 1), on either path.
 
     Runs the C kernel when it loaded, else `_horner_numpy` row by row (rows
     stacked in numpy make temporaries too large for cache, and run slower).
     """
-    coeffs, ranges, x = (np.ascontiguousarray(a, dtype=np.uint64) for a in (coeffs, ranges, x))
-    if coeffs.ndim != 2 or coeffs.shape[1] < 1 or ranges.shape != coeffs.shape[:1] or x.ndim != 1:
-        raise ValueError("horner_rows needs a (rows, t >= 1) matrix, one range per row and "
-                         "a vector of items")
+    x = _field_items(x)
+    coeffs, ranges = (np.ascontiguousarray(a, dtype=np.uint64) for a in (coeffs, ranges))
+    if coeffs.ndim != 2 or coeffs.shape[1] < 1 or ranges.shape != coeffs.shape[:1]:
+        raise ValueError("horner_rows needs a (rows, t >= 1) matrix and one range per row")
     out = np.empty((coeffs.shape[0], x.size), dtype=np.int64)
     if _kernel is not None:
         _kernel.horner61(coeffs.ctypes.data, ranges.ctypes.data, coeffs.shape[0],
@@ -390,17 +502,18 @@ def scatter_signed(coeffs: np.ndarray, ranges: np.ndarray, items: np.ndarray,
     item's packed cell in every row as an (items, rows) uint32 array:
     (bucket - 1) << 1 | (sign == -1).
 
-    Needs the kernel loaded (`_kernel` not None) and cols < 2**31, so a
-    packed cell fits 32 bits. `packed_cells`, `unpack` and `np.add.at`, in
+    Needs the kernel loaded (`_kernel` not None), items in [0, 2**61 - 1)
+    as `horner_rows` does, and cols < 2**31, so a packed cell fits 32 bits.
+    `packed_cells`, `unpack` and `np.add.at`, in
     `CountSketchTable.scatter_many`, give the same cells and are the
     bitwise reference.
     """
     rows, cols = cells.shape
-    x = np.ascontiguousarray(items, dtype=np.int64).view(np.uint64)
+    x = _field_items(items)
     d = np.ascontiguousarray(deltas, dtype=np.int64)
     coeffs, ranges = (np.ascontiguousarray(a, dtype=np.uint64) for a in (coeffs, ranges))
     if (cells.dtype != np.int64 or not cells.flags.c_contiguous or not cells.flags.writeable
-            or cols >= 1 << 31 or x.shape != d.shape or x.ndim != 1 or coeffs.ndim != 2
+            or cols >= 1 << 31 or x.shape != d.shape or coeffs.ndim != 2
             or coeffs.shape[0] != 2 * rows or ranges.shape != (2 * rows,)
             or (ranges[:rows] > cols).any() or (ranges[rows:] != 2).any()):
         raise ValueError("scatter_signed needs a writable C-contiguous int64 table under "
@@ -433,6 +546,20 @@ def dense_sums(items: np.ndarray, deltas: np.ndarray, length: int) -> tuple[np.n
     return sums, seen
 
 
+def parse_plain(text: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """(items, deltas) of stream text with no header, one record a line, as
+    int64 arrays, in one pass of the C kernel (`parse_plain`), which must be
+    loaded. None when the text leaves the shape the kernel reads: tokens of
+    an optional '-' and digits, at most 18 bytes each, two on each non-blank
+    line, split only by ' ' and '\\n'. `streams._plain_records` is the numpy
+    fallback and, where both read a text, the bitwise reference."""
+    # records, not bytes, size the arrays; numpy counts 30x faster than bytes.count
+    cap = np.count_nonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n")) + 1
+    items, deltas = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
+    count = _kernel.parse_plain(text, len(text), items.ctypes.data, deltas.ctypes.data, cap)
+    return None if count < 0 else (items[:count], deltas[:count])
+
+
 def philox_uniforms(buckets: np.ndarray, items: np.ndarray, k0: int, k1: int) -> np.ndarray:
     """The uniforms behind `stable.StableVariateSource`'s three variates of
     each aligned (bucket, item) pair, as a (pairs, 3) float64 array: slot s
@@ -456,7 +583,8 @@ class KWiseHash:
 
     `coefficients` are listed leading coefficient first; any t distinct
     inputs receive jointly uniform field values over a uniform draw of the
-    coefficient tuple. Inputs must lie below 2**61 - 1.
+    coefficient tuple. Inputs must lie in [0, 2**61 - 1); `eval_many`
+    refuses others.
     `f1sketch.oracle.expected_hash` is the scalar reference.
     """
 
@@ -487,5 +615,5 @@ class KWiseHash:
     def eval_many(self, items: np.ndarray) -> np.ndarray:
         """Bucket in [1, range_size] of each item of an integer array, as
         int64 of the same shape."""
-        x = np.asarray(items, dtype=np.uint64)
+        x = np.asarray(items)
         return horner_rows(self._coeff_rows, self._ranges, x.ravel()).reshape(x.shape)

@@ -4,7 +4,9 @@ Text format: newline-delimited records "<i> <v>" with 1-based item index i
 and signed integer delta v. Lines starting with '#' are comments; a header
 comment "# n=<n>" declares the domain size, also when it follows records
 (which must then lie in the domain). Without a header the domain size is
-inferred as the largest item index seen.
+inferred as the largest item index seen. Text is read by the first of
+three readers that takes it, all with identical results: the C kernel
+(`hashing.parse_plain`), numpy (`_plain_records`) and `parse_text`.
 
 Binary format (benchmarks): 8-byte magic "F1SKBIN\\0", little-endian uint64
 n, then little-endian (uint32 i, int64 v) pairs.
@@ -19,6 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import hashing
 
 BINARY_MAGIC = b"F1SKBIN\x00"
 BINARY_RECORD = np.dtype([("i", "<u4"), ("v", "<i8")])  # packed, 12 bytes
@@ -51,7 +55,8 @@ class Stream:
 def read_stream(path: str, binary: bool = False) -> Stream:
     """Parse a stream file ('-' reads text from stdin).
 
-    Text in the plain shape (see `_parse_plain`) is read in one vectorized
+    Text in the plain shape (see `_parse_plain`) is read in one pass of the
+    C kernel, or, if it declines or is not loaded, one vectorized numpy
     pass; any other text goes through `parse_text`, the reference reader,
     with identical results and errors."""
     if binary:
@@ -79,14 +84,9 @@ def read_stream(path: str, binary: bool = False) -> Stream:
 def _parse_plain(data: bytes) -> Stream | None:
     """`parse_text` of `data` when the text has the plain shape, else None.
 
-    Plain: an optional first line "# n=<digits>" with n >= 1, then only
-    digits, '-', spaces and newlines; every line holds 0 or 2 tokens, each
-    token at most `_PLAIN_TOKEN_MAX` bytes with any '-' followed by a digit;
-    numpy reads exactly one value per token; every item lies in [1, n].
-    Each check is needed: `np.fromstring` reads a trailing lone '-' and a
-    blank text as 0, saturates overflowing values, and skips carriage
-    returns, which `parse_text` treats as line breaks.
-    """
+    Plain: an optional first line "# n=<digits>" with n >= 1, then records
+    that `hashing.parse_plain` or else `_plain_records` reads, every item
+    in [1, n]."""
     n = None
     header = _PLAIN_HEADER.match(data)
     if header:
@@ -94,6 +94,28 @@ def _parse_plain(data: bytes) -> Stream | None:
         if n < 1:
             return None
         data = data[header.end():]
+    records = ((hashing.parse_plain(data) if hashing._kernel is not None else None)
+               or _plain_records(data))
+    if records is None:
+        return None
+    items, deltas = records
+    if items.size == 0:
+        return None if n is None else Stream(n, items, deltas)
+    lo, hi = int(items.min()), int(items.max())
+    if lo < 1 or (n is not None and hi > n):
+        return None
+    return Stream(hi if n is None else n, items, deltas)
+
+
+def _plain_records(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """(items, deltas) of headerless text, or None unless it holds only
+    digits, '-', spaces and newlines; every line holds 0 or 2 tokens, each
+    token at most `_PLAIN_TOKEN_MAX` bytes with any '-' followed by a digit;
+    and numpy reads exactly one value per token. Each check is needed:
+    `np.fromstring` reads a trailing lone '-' and a blank text as 0,
+    saturates overflowing values, and skips carriage returns, which
+    `parse_text` treats as line breaks.
+    """
     text = np.frombuffer(data, dtype=np.uint8)
     sep = (text == ord(" ")) | (text == ord("\n"))
     digit = (text - np.uint8(ord("0"))) < 10
@@ -122,13 +144,7 @@ def _parse_plain(data: bytes) -> Stream | None:
         return None
     if values.size != starts.size:
         return None
-    items, deltas = (np.ascontiguousarray(c) for c in values.reshape(-1, 2).T)
-    if items.size == 0:
-        return None if n is None else Stream(n, items, deltas)
-    lo, hi = int(items.min()), int(items.max())
-    if lo < 1 or (n is not None and hi > n):
-        return None
-    return Stream(hi if n is None else n, items, deltas)
+    return tuple(np.ascontiguousarray(c) for c in values.reshape(-1, 2).T)
 
 
 def _text_int(field: str) -> int:

@@ -20,7 +20,8 @@ LIGHT_TRIALS = 500
 
 def pytest_report_header(config):
     return (f"f1sketch kernel routines (polynomial hashing, CountSketch scatter, "
-            f"dense sums, Philox4x32-10 uniforms): {hashing.KWISE_BACKEND}")
+            f"dense sums, Philox4x32-10 uniforms, plain-text parse): "
+            f"{hashing.KWISE_BACKEND}")
 
 
 @pytest.fixture(scope="session")

@@ -189,6 +189,28 @@ def test_top_k_beyond_touched_returns_all():
     assert len(t.top_k(10)) == 2
 
 
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=60), st.integers(0, 70))
+@settings(max_examples=100, deadline=None)
+def test_ranked_matches_the_full_two_key_sort(values, k):
+    # few distinct |estimates|, so the k-th value is usually tied: sorting
+    # only the candidates at or above it must keep the full sort's top k
+    t = make_table(rows=3, cols=31, n=500)
+    t.update_many(np.arange(7, 7 * len(values) + 1, 7), np.ones(len(values), dtype=np.int64))
+    est = np.array(values, dtype=np.float64)
+    _, order = t._ranked(k, est)
+    want = np.lexsort((t.touched_items(), -np.abs(est)))[:k]
+    assert order.dtype == want.dtype and order.tolist() == want.tolist()
+
+
+def test_top_k_ties_at_the_kth_value_keep_item_order():
+    t = make_table(rows=3, cols=31, n=50)
+    t.update_many(np.arange(1, 8), np.ones(7, dtype=np.int64))
+    est = np.array([3.0, -5.0, 3.0, 5.0, -3.0, 1.0, 3.0])
+    assert [i for i, _ in t.top_k(3, est)] == [2, 4, 1]
+    assert [i for i, _ in t.top_k(5, est)] == [2, 4, 1, 3, 5]
+    assert t.top_k(7, est)[-1] == (6, 1.0)
+
+
 def test_f2_estimate_empty():
     assert make_table().f2_estimate() == 0.0
 
@@ -459,6 +481,28 @@ def test_update_many_needs_one_delta_per_item(kernel, monkeypatch):
         with pytest.raises(ValueError):
             t.update_many(np.array([1, 2]), deltas)
     assert not t.cells.any() and t.touched_items().size == 0
+
+
+@pytest.mark.parametrize("kernel", PATHS)
+@pytest.mark.parametrize("item", [-1, -(2**63), hashing.MERSENNE61, 2**63 - 1])
+def test_items_outside_the_field_are_refused_on_both_paths(kernel, item, monkeypatch):
+    # past 2**61 - 1 the kernel reads an item modulo the field and numpy
+    # does not, so both paths refuse it, with one error, before any write
+    monkeypatch.setattr(hashing, "_kernel", kernel)
+    t = make_table()
+    items = np.array([1, item], dtype=np.int64)
+    field = "items must be a vector of integers in \\[0, 2\\*\\*61 - 1\\)"
+    for call in (lambda: t.update_many(items, np.ones(2, dtype=np.int64)),
+                 lambda: t.scatter_many(items, np.ones(2, dtype=np.int64)),
+                 lambda: t.packed_cells(items),
+                 lambda: t.bucket_hashes[0].eval_many(items),
+                 lambda: t.bucket_hashes[0].eval_many([item]),
+                 lambda: t.bucket_hashes[0].eval_many(items.astype(np.uint64))):
+        with pytest.raises(ValueError, match=field):
+            call()
+    assert not t.cells.any() and t.touched_items().size == 0
+    edge = np.array([0, hashing.MERSENNE61 - 1], dtype=np.int64)  # the field's ends still hash
+    assert t.packed_cells(edge).shape == (2, 3)
 
 
 def test_table_refuses_columns_a_packed_cell_cannot_hold():

@@ -307,3 +307,25 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
                            "-o", str(tmp_path / "kernel.so"), str(source)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a C compiler")
+@pytest.mark.parametrize("old, new", [
+    ("i - start > 18", "i - start > 19"),                 # takes a 19-byte token
+    ("neg ? -(int64_t)x : (int64_t)x", "(int64_t)x"),     # drops a token's '-'
+    ("tokens == 1 || ", ""),                              # takes a lone token
+    ("value64(u, b)", "value64(u, a)"),                   # misreads a word-wise delta
+    ("== '\\n' && n < cap", "!= ' ' && n < cap"),         # ends a word-wise line anyhow
+    ("ONES * 0x76", "ONES * 0x75"),                       # reads ':' as a digit
+])
+def test_kernel_whose_parse_disagrees_is_refused(old, new, tmp_path, monkeypatch):
+    # the mutated source builds, but the spot check in `_load_kernel`
+    # refuses the whole library, so a parse that disagrees is never used
+    source = hashing._HORNER_SOURCE
+    assert source.count(old) == 1
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(hashing, "_HORNER_SOURCE", source.replace(old, new))
+    assert hashing._load_kernel() is None
+    assert len(os.listdir(tmp_path / "f1sketch")) == 1  # built, then refused
+    monkeypatch.setattr(hashing, "_HORNER_SOURCE", source)
+    assert hashing._load_kernel() is not None

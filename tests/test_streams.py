@@ -1,13 +1,17 @@
 import io
+import re
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from f1sketch import generate, read_stream, write_stream
+from f1sketch import generate, hashing, read_stream, write_stream
 from f1sketch.oracle import ExactState
-from f1sketch.streams import Distribution, Stream, StreamParseError, parse_text
+from f1sketch.streams import Distribution, Stream, StreamParseError, _plain_records, parse_text
+
+# the kernel (when it loaded) and numpy as the first text reader
+READERS = [k for k in (hashing._kernel,) if k is not None] + [None]
 
 
 def replay(stream) -> ExactState:
@@ -105,6 +109,28 @@ _headers = st.one_of(
 _streams = st.builds(
     lambda header, lines, end: header + "\n".join(lines) + end,
     _headers, st.lists(_lines, max_size=8), st.sampled_from(["\n", ""]))
+
+
+def _typo(text: str, typo) -> str:
+    """`text` with the character at position typo[0] (modulo its length)
+    replaced by typo[1], or unchanged when typo is None."""
+    if typo is None or not text:
+        return text
+    at = typo[0] % len(text)
+    return text[:at] + typo[1] + text[at + 1:]
+
+
+# many records, so most lines take the kernel's word-wise path: tokens of 1
+# to 9 digits, around its 7-digit limit, with blank lines and trailing
+# spaces, and at most one character replaced, such as ':' and '/' that
+# border the digits
+_long_texts = st.builds(
+    _typo,
+    st.lists(st.tuples(st.integers(0, 10**9), st.integers(-(10**9), 10**9), st.integers(0, 2),
+                       st.sampled_from(["\n", "\n", "\n", " \n", "\n\n", "\n \n"])),
+             min_size=1, max_size=80)
+    .map(lambda records: "".join(f"{'0' * z}{i} {d}{end}" for i, d, z, end in records)),
+    st.one_of(st.none(), st.tuples(st.integers(0, 10**6), st.sampled_from(":/\t-+\r \n0"))))
 _soups = st.builds(
     lambda header, body: header + body,
     _headers, st.text(alphabet="0123456789-+_.#n= \t\r\n", max_size=40))
@@ -119,7 +145,7 @@ def _outcome(read):
             s.items.flags.c_contiguous and s.deltas.flags.c_contiguous)
 
 
-@given(st.one_of(_streams, _soups).map(str.encode))
+@given(st.one_of(_streams, _soups, _long_texts).map(str.encode))
 @example(b"# n=0\n")                    # header n >= 1
 @example(b"1 \r2\n")                    # byte set: '\r' breaks the line
 @example(b"1 2\n3 -\n")                 # lone '-' read as 0
@@ -132,17 +158,61 @@ def _outcome(read):
 @example(b"0 1\n")                      # item >= 1
 @example(b"# n=3\n4 1\n")               # item <= n
 @example(b"")                           # no header and no records
+@example(b"# n=5\n1 -100000000000000000\n")   # a 19-byte token: both fast readers decline
+@example(b"# n=5\n3 -0\n")                    # "-0" is 0
+@example(b"# n=5\n1 --1\n")                   # a second '-'
+@example(b"# n=5\n1 2\n3 4")                  # the last record has no line break
+@example(b"\n\n1 2  \n   \n\n\n3 4 \n\n")      # blank runs and trailing spaces
+@example(b"# n=7\n")                          # header only
+@example(b"# n=7")                            # header only, no line break
 @settings(max_examples=400, deadline=None)
 def test_read_stream_matches_line_reader(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("differential") / "s.txt"
     path.write_bytes(data)
     want = _outcome(lambda: parse_text(data.decode("ascii").splitlines()))
-    assert _outcome(lambda: read_stream(str(path))) == want
-    stdin, sys.stdin = sys.stdin, io.StringIO(data.decode("ascii"))
-    try:
-        assert _outcome(lambda: read_stream("-")) == want
-    finally:
-        sys.stdin = stdin
+    for kernel in READERS:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hashing, "_kernel", kernel)
+            assert _outcome(lambda: read_stream(str(path))) == want, kernel
+            m.setattr(sys, "stdin", io.StringIO(data.decode("ascii")))
+            assert _outcome(lambda: read_stream("-")) == want, kernel
+
+
+@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
+@given(st.one_of(_streams, _soups, _long_texts).map(str.encode))
+@example(b"1234567 7654321\n12345678 1\n1 12345678\n9 9\n")  # 7 digits word-wise, 8 not
+@example(b"1 -99999999999999999\n999999999999999999 0")   # 18 bytes: read
+@example(b"1 -999999999999999999\n")                      # 19 bytes: declined
+@example(b"1 1000000000000000000\n")                      # 19 digits: declined
+@example(b"\n \n")                                        # blank: no records
+@settings(max_examples=200, deadline=None)
+def test_kernel_reads_exactly_its_shape(data):
+    # past the header the kernel reads a text exactly when every token is an
+    # optional '-' and digits, 18 bytes at most, two to a non-blank line,
+    # split only by ' ' and '\n'; it then reads each line's two integers
+    body = data.split(b"\n", 1)[1] if data.startswith(b"#") and b"\n" in data else data
+    lines = [line.split() for line in body.split(b"\n")]
+    shaped = set(body) <= set(b"0123456789- \n") and all(
+        not tokens or len(tokens) == 2 and all(re.fullmatch(rb"-?[0-9]{1,17}|[0-9]{18}", t)
+                                               for t in tokens)
+        for tokens in lines)
+    got = hashing.parse_plain(body)
+    assert (got is not None) == shaped
+    if shaped:
+        assert np.stack(got, axis=1).tolist() == [[int(t) for t in tokens]
+                                                  for tokens in lines if tokens]
+        assert all(a.dtype == np.int64 and a.flags.c_contiguous for a in got)
+
+
+def test_kernel_spot_check_table_is_what_numpy_reads():
+    # `hashing._load_kernel` checks the kernel's parse against this table
+    text, records = hashing._PARSE_SPOT
+    want = _plain_records(text)
+    assert np.stack(want, axis=1).tolist() == records
+    stream = parse_text(text.decode("ascii").splitlines())
+    assert np.stack([stream.items, stream.deltas], axis=1).tolist() == records
+    for declined in hashing._PARSE_DECLINED:
+        assert _plain_records(declined) is None
 
 
 def test_read_stream_non_ascii(tmp_path):
