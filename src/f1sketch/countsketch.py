@@ -39,15 +39,15 @@ class SketchInvariantError(RuntimeError):
 
 
 def row_medians(values: np.ndarray) -> np.ndarray:
-    """Bitwise `np.median(values, axis=1)` of an (items, rows) float array
-    without NaNs, sorting `values` in place: one sort along the short,
-    contiguous last axis runs several times faster than median's partition
-    along it."""
+    """Bitwise `np.median(values, axis=1)`, in float64, of an (items, rows)
+    int64 array, sorting `values` in place: a sort along the short last axis
+    runs several times faster than median's partition. Only the middle
+    column or two are converted, as int64 -> float64 rounding is monotone."""
     values.sort(axis=1)
     mid = values.shape[1] // 2
     if values.shape[1] % 2:
-        return values[:, mid].copy()
-    return (values[:, mid - 1] + values[:, mid]) / 2
+        return values[:, mid].astype(np.float64)
+    return (values[:, mid - 1].astype(np.float64) + values[:, mid]) / 2
 
 
 def batch_magnitude(deltas: np.ndarray) -> float:
@@ -266,7 +266,7 @@ class CountSketchTable:
             idx, signs = self.unpack(packed[lo:lo + _ESTIMATE_BLOCK])
             per_item = self.cells.reshape(-1).take(idx)
             per_item *= signs
-            out[lo:lo + _ESTIMATE_BLOCK] = row_medians(per_item.astype(np.float64))
+            out[lo:lo + _ESTIMATE_BLOCK] = row_medians(per_item)
         return out
 
     def _ranked(self, k: int, estimates):

@@ -75,10 +75,10 @@ class EstimatorConfig:
     """Sizing derived from the requested accuracy.
 
     `accuracy` is the user-facing relative error target in (0, 1/2]; the
-    internal working accuracy is a tenth of it, which keeps the analysis
-    precondition eps <= 1/8 satisfied automatically. Items are hashed over
-    GF(2**61 - 1), so the domain size n must lie below 2**61 - 1. `n` and
-    `seed` must be integers (numpy integers are stored as Python ints).
+    internal working accuracy is a quarter of it, the largest share that
+    keeps the analysis precondition eps <= 1/8 for every accuracy. Items are
+    hashed over GF(2**61 - 1), so the domain size n must lie below 2**61 - 1.
+    `n` and `seed` must be integers (numpy integers are stored as Python ints).
     """
 
     accuracy: float
@@ -101,7 +101,7 @@ class EstimatorConfig:
 
     @property
     def eps(self) -> float:
-        return self.accuracy / 10.0
+        return self.accuracy / 4.0
 
     @property
     def budget(self) -> int:

@@ -189,6 +189,23 @@ def test_top_k_beyond_touched_returns_all():
     assert len(t.top_k(10)) == 2
 
 
+# small values tie often; near +-2**62 float64 steps are 1,024 apart, so
+# neighbouring integers there round to one float, or to two
+_reads = st.one_of(st.integers(-3, 3), st.integers(-2**62, 2**62),
+                   st.sampled_from((-2**62, 2**62)).flatmap(
+                       lambda c: st.integers(c - 3000, c + 3000)))
+
+
+@given(st.integers(1, 16).flatmap(lambda rows: st.lists(
+    st.lists(_reads, min_size=rows, max_size=rows), min_size=1, max_size=20)))
+@settings(max_examples=300, deadline=None)
+def test_row_medians_match_numpy_median_of_the_integer_reads(reads):
+    values = np.array(reads, dtype=np.int64)
+    want = np.median(values, axis=1)
+    got = countsketch.row_medians(values.copy())
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=60), st.integers(0, 70))
 @settings(max_examples=100, deadline=None)
 def test_ranked_matches_the_full_two_key_sort(values, k):

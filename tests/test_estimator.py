@@ -25,13 +25,26 @@ def build(n=100, seed=1, accuracy=0.5) -> Estimator:
 
 def test_config_arithmetic():
     c = EstimatorConfig(accuracy=0.5, n=10**4, seed=0)
-    assert c.eps == 0.05
-    assert c.budget == 400
-    assert c.width == 25600
-    assert c.table_depth == 13
+    assert c.eps == 0.125
+    assert c.budget == 64
+    assert c.width == 4096
+    assert c.table_depth == 11
     assert c.hh_depth == math.ceil(math.log2(10**4)) + 2 == 16
-    assert c.independence == 9
-    assert c.heavy_clamp == 2040
+    assert c.independence == 8
+    assert c.heavy_clamp == 327
+
+
+@given(st.floats(0.0, 0.5, exclude_min=True))
+def test_eps_is_a_quarter_of_accuracy_and_meets_the_precondition(accuracy):
+    eps = EstimatorConfig(accuracy=accuracy, n=10, seed=0).eps
+    assert eps == accuracy / 4 and eps <= 1 / 8
+
+
+def test_sketch_bytes_at_accuracy_half():
+    # 3 stable accumulators plus 11 + 16 CountSketch rows, each of 4,096 8-byte cells
+    d = build(n=10**4, seed=0).estimate().diagnostics
+    total = d["stable_bytes"] + d["countsketch_bytes"] + d["heavy_hitter_bytes"]
+    assert total == (3 + 11 + 16) * 4096 * 8 == 983_040
 
 
 def test_config_validation():
@@ -942,7 +955,7 @@ def horner_multiplications(est: Estimator) -> int:
 def test_update_work_grows_polylogarithmically_while_width_grows_quadratically():
     # the paper's claim on update time: hashing work per distinct item is
     # O(log^2 1/eps) while the tables widen as eps^-2. Construction touches
-    # no cell, so even the 700 MB of accuracy 0.05 costs address space only.
+    # no cell, so even the 105 MB of accuracy 0.05 costs address space only.
     accuracies = (0.5, 0.3, 0.2, 0.1, 0.05)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     ests = [build(n=1000, accuracy=a) for a in accuracies]
