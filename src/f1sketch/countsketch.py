@@ -1,7 +1,11 @@
 """CountSketch tables: point frequency estimates, top-k, F2 and residual F2.
 
 Cells are signed 64-bit counters; an update (i, v) adds v * sign_j(i) to one
-cell per row. An item's cells have two forms: the per-row hashes, which
+cell per row. Row j is one 8-wise hash onto [1, 2 * cols]: with w = hash - 1
+the bucket is w mod cols, and the sign is -1 exactly when w >= cols. So
+(bucket, sign) is jointly 8-wise independent, more than CountSketch needs
+(Charikar, Chen & Farach-Colton, ICALP 2002), with a bias of at most
+2 * cols / (2**61 - 1). An item's cells have two forms: the row hashes, which
 define them, and packed cells, one uint32 of bucket and sign per row. The
 C kernel hashes and scatters a batch in one pass per row; without it numpy
 runs (`packed_cells`, `unpack`, `np.add.at`), the bitwise reference.
@@ -24,9 +28,8 @@ from .hashing import KWiseHash
 
 # hard ceiling on |cell|; update streams are sized so m * M stays below it
 CELL_LIMIT = 1 << 62
-# bucket hashes are 8-wise independent; sign hashes are 4-wise, range 2
+# each row's hash, bucket and sign alike, is 8-wise independent
 BUCKET_INDEPENDENCE = 8
-SIGN_INDEPENDENCE = 4
 # bytes in a transparent huge page on 4 KiB-page x86-64 and arm64 kernels
 HUGE_PAGE = 1 << 21
 # items per block of point estimates: a block's (items, rows) temporaries
@@ -92,40 +95,33 @@ def zeroed_cells(shape: tuple, dtype) -> np.ndarray:
 
 
 class CountSketchTable:
-    """rows x cols signed-counter sketch with per-row bucket and sign hashes.
+    """rows x cols signed-counter sketch with one hash per row.
 
-    Row j's sign hash is a range-2 `KWiseHash`: bucket 1 is sign +1 and
-    bucket 2 is sign -1. `_coeffs` stacks every row's bucket hash, then every
-    row's sign hash, left-padded with zeros, for one-call hashing.
+    Row j's hash is a `KWiseHash` onto [1, 2 * cols], read as bucket and
+    sign (see the module docstring); `_coeffs` stacks the rows' coefficients.
 
     Every item index `update_many` ever saw is kept in one ascending array
     (space O(distinct items)), the candidates of top-k enumeration, next to
     its packed cell in every row, so reads over the touched items hash
     nothing; `scatter_many` keeps no items.
-    A packed cell is (bucket - 1) << 1 | (sign == -1) as uint32, laid out
+    A packed cell is bucket << 1 | (sign == -1) as uint32, laid out
     item-major: the table holds 8 + 4 * rows bytes per touched item.
     `point_estimate_many` takes packed cells; `top_k` and
     `f2_residual_estimate` rank the touched items.
     """
 
-    def __init__(self, rows: int, cols: int, *, bucket_hashes, sign_hashes):
+    def __init__(self, rows: int, cols: int, *, hashes):
         if rows < 1 or cols < 1:
             raise ValueError("rows and cols must be >= 1")
         if cols >= 1 << 31:
             raise ValueError("cols must be below 2**31, so a packed cell fits 32 bits")
-        if len(bucket_hashes) != rows or len(sign_hashes) != rows:
-            raise ValueError("need one bucket hash and one sign hash per row")
-        if any(s.range_size != 2 for s in sign_hashes):
-            raise ValueError("sign hashes need range 2")
+        if len(hashes) != rows or any(h.range_size != 2 * cols for h in hashes):
+            raise ValueError("need one hash onto [1, 2 * cols] per row")
         self.rows = rows
         self.cols = cols
-        self.bucket_hashes = tuple(bucket_hashes)
-        self.sign_hashes = tuple(sign_hashes)
-        hashes = self.bucket_hashes + self.sign_hashes
-        t = max(len(h.coefficients) for h in hashes)
-        self._coeffs = np.array([(0,) * (t - len(h.coefficients)) + h.coefficients
-                                 for h in hashes], dtype=np.uint64)
-        self._ranges = np.array([h.range_size for h in hashes], dtype=np.uint64)
+        self.hashes = tuple(hashes)
+        self._coeffs = np.array([h.coefficients for h in hashes], dtype=np.uint64)
+        self._ranges = np.full(rows, 2 * cols, dtype=np.uint64)
         self.cells = zeroed_cells((rows, cols), np.int64)
         # flat index in `cells` of each row's first cell
         self._row_start = np.arange(rows, dtype=np.int64) * cols
@@ -135,18 +131,13 @@ class CountSketchTable:
     @classmethod
     def from_seed(cls, key: bytes, rows: int, cols: int, n: int, *,
                   role: str = "cs") -> "CountSketchTable":
-        """Build a table whose per-row hashes are derived from one PRF key."""
-        bucket = [
+        """Build a table whose row hashes are derived from one PRF key."""
+        hashes = [
             KWiseHash.from_seed(seeds.derive_key(key, role + "-bucket", j),
-                                BUCKET_INDEPENDENCE, n, cols)
+                                BUCKET_INDEPENDENCE, n, 2 * cols)
             for j in range(rows)
         ]
-        sign = [
-            KWiseHash.from_seed(seeds.derive_key(key, role + "-sign", j),
-                                SIGN_INDEPENDENCE, n, 2)
-            for j in range(rows)
-        ]
-        return cls(rows, cols, bucket_hashes=bucket, sign_hashes=sign)
+        return cls(rows, cols, hashes=hashes)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -177,8 +168,8 @@ class CountSketchTable:
         if batch_magnitude(deltas) >= CELL_LIMIT:
             raise SketchInvariantError("batch magnitude would overflow counters")
         if hashing._kernel is not None:
-            overflow, packed = hashing.scatter_signed(self._coeffs, self._ranges, items,
-                                                      deltas, self.cells, CELL_LIMIT)
+            overflow, packed = hashing.scatter_signed(self._coeffs, items, deltas, self.cells,
+                                                      CELL_LIMIT)
         else:
             packed = self.packed_cells(items)
             idx, signed = self.unpack(packed)
@@ -240,12 +231,12 @@ class CountSketchTable:
     def packed_cells(self, items: np.ndarray) -> np.ndarray:
         """Packed cells of any items, by hashing them in every row at once:
         the (items, rows) uint32 array `scatter_signed` returns."""
-        both = hashing.horner_rows(self._coeffs, self._ranges, items)
-        packed = (both[:self.rows] - 1) << 1 | (both[self.rows:] - 1)  # sign bucket 2 is -1
+        w = hashing.horner_rows(self._coeffs, self._ranges, items) - 1
+        packed = (w % self.cols) << 1 | (w >= self.cols)
         return np.ascontiguousarray(packed.T, dtype=np.uint32)
 
     def unpack(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The index in the flattened `cells` (row j at j * cols + bucket - 1)
+        """The index in the flattened `cells` (row j at j * cols + bucket)
         and the +-1 sign of each packed cell, as (items, rows) int64."""
         signs = packed.astype(np.int64)
         idx = signs >> 1

@@ -344,9 +344,9 @@ class Estimator:
     def _isolation_table(self, heavy: np.ndarray):
         """Per heavy item, its first isolating row of `countsketch` (0-based;
         -1 if none) and its cell there times the row's sign (0 if none).
-        Row by row: row j's bucket hash over the whole heavy set finds the
-        items alone in their cell, its sign hash runs only over the items
-        that row settles, and no row is hashed once every item is settled."""
+        Row by row: one pass of row j's hash over the whole heavy set gives
+        every bucket and sign, the buckets find the items alone in their
+        cell, and no row is hashed once every item is settled."""
         cs = self.countsketch
         first = np.full(heavy.size, -1, dtype=np.int64)
         reads = np.zeros(heavy.size, dtype=np.int64)
@@ -354,13 +354,13 @@ class Estimator:
         for j in range(cs.rows):
             if unsettled.size == 0:
                 break
-            buckets = cs.bucket_hashes[j].eval_many(heavy)
-            alone = np.bincount(buckets, minlength=cs.cols + 1)[buckets[unsettled]] == 1
+            w = cs.hashes[j].eval_many(heavy) - 1
+            buckets = w % cs.cols
+            alone = np.bincount(buckets, minlength=cs.cols)[buckets[unsettled]] == 1
             settled = unsettled[alone]
             unsettled = unsettled[~alone]
-            signs = 3 - 2 * cs.sign_hashes[j].eval_many(heavy[settled])
             first[settled] = j
-            reads[settled] = cs.cells[j, buckets[settled] - 1] * signs
+            reads[settled] = cs.cells[j, buckets[settled]] * np.where(w[settled] < cs.cols, 1, -1)
         return first, reads
 
     def heavy_contributions(self, cls: Classification) -> np.ndarray:

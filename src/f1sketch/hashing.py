@@ -4,7 +4,8 @@ A t-wise independent hash is a uniformly random polynomial of degree t-1
 over the field of the Mersenne prime 2**61 - 1, evaluated by Horner's rule
 and reduced onto the bucket range [1, C]. The reduction `(value mod C) + 1`
 skews bucket probabilities by at most C/2**61 relative, below 2**-45 at
-desk-scale C, and is ignored.
+desk-scale C, and is ignored. A CountSketch row is one hash onto
+[1, 2 * cols], read as a bucket and a sign (see `countsketch`).
 
 Hash objects are immutable after construction and safe to share across
 threads.
@@ -147,32 +148,33 @@ void horner61(const uint64_t *coeffs, const uint64_t *ranges, size_t rows,
     }
 }
 
-/* CountSketch update of a (rows, cols) int64 table from a stacked hash of
-   2 * rows polynomials laid out as for horner61: row r's bucket is
-   polynomial r (ranges[r] <= cols < 2^31), its sign polynomial rows + r,
-   whose range must be 2: sign bucket 1 is +1 and 2 is -1. Adds
-   sign * deltas[i] into cell (r, bucket - 1) for every row r and item i,
-   wrapping modulo 2^64 as numpy's int64 adds do. Row by row: hash every
-   item into packed[i * rows + r] as (bucket - 1) << 1 | negative-sign, add,
-   then reread the cells written. Returns 1 when any ends at
+/* CountSketch update of a (rows, cols) int64 table, 0 < cols < 2^31, from
+   one polynomial per row laid out as for horner61: w = (poly_r(x) mod
+   2^61-1) mod 2 * cols gives bucket w mod cols and sign -1 iff w >= cols,
+   found with a mask, as a branch on this coin flip mispredicts half the
+   time. Adds sign * deltas[i] into cell (r, bucket) for every row r and
+   item i, wrapping modulo 2^64 as numpy's int64 adds do. Row by row: hash
+   every item into packed[i * rows + r] as bucket << 1 | negative-sign,
+   add, then reread the cells written. Returns 1 when any ends at
    |cell| >= limit, else 0; |INT64_MIN| wraps negative, as numpy's abs. */
-int scatter61(const uint64_t *coeffs, const uint64_t *ranges, size_t rows,
-              size_t t, const uint64_t *x, const int64_t *deltas, size_t n,
-              int64_t *cells, size_t cols, int64_t limit, uint32_t *packed) {
+int scatter61(const uint64_t *coeffs, size_t rows, size_t t, const uint64_t *x,
+              const int64_t *deltas, size_t n, int64_t *cells, size_t cols,
+              int64_t limit, uint32_t *packed) {
+    const uint64_t m = 2 * (uint64_t)cols;
     int over = 0;
     for (size_t r = 0; r < rows; r++) {
-        const uint64_t *cb = coeffs + r * t, *cs = coeffs + (rows + r) * t;
-        const uint64_t mb = ranges[r];
-        const size_t sb = lead61(cb, t), ss = lead61(cs, t);
+        const uint64_t *c = coeffs + r * t;
+        const size_t s = lead61(c, t);
         uint64_t *row = (uint64_t *)(cells + r * cols);
         uint32_t *p = packed + r;
-        uint64_t vb[4], vs[4];
+        uint64_t v[4];
         for (size_t i = 0; i < n;) {
             const int four = i + 4 <= n;
-            poly61(cb, sb, t, x + i, four, vb);
-            poly61(cs, ss, t, x + i, four, vs);
-            for (int j = 0; j < (four ? 4 : 1); j++, i++)
-                p[i * rows] = (uint32_t)(vb[j] % mb << 1 | (vs[j] & 1));
+            poly61(c, s, t, x + i, four, v);
+            for (int j = 0; j < (four ? 4 : 1); j++, i++) {
+                const uint64_t w = v[j] % m, neg = w >= cols;
+                p[i * rows] = (uint32_t)((w - (cols & (0 - neg))) << 1 | neg);
+            }
         }
         for (size_t i = 0; i < n; i++) {
             const uint32_t q = p[i * rows];
@@ -390,7 +392,7 @@ def _load_kernel():
     horner.restype = None
     horner.argtypes = [ptr, ptr, size, size, ptr, size, ptr]
     scatter.restype = ctypes.c_int
-    scatter.argtypes = [ptr, ptr, size, size, ptr, ptr, size, ptr, size, ctypes.c_int64, ptr]
+    scatter.argtypes = [ptr, size, size, ptr, ptr, size, ptr, size, ctypes.c_int64, ptr]
     dense.restype = ctypes.c_int
     dense.argtypes = [ptr, ptr, size, ptr, ptr, size]
     philox.restype = None
@@ -405,20 +407,23 @@ def _load_kernel():
     horner(coeffs.ctypes.data, ranges.ctypes.data, 2, 4, x.ctypes.data, x.size, out.ctypes.data)
     want = [_horner_numpy(coeffs[r], ranges[r], x) for r in range(2)]
     ok = np.array_equal(out, want)
-    # one table row of 1000 cells (bucket row 0, sign row 1), starting near
-    # the limit, which item 2 (sign +1) crosses, and then at zero
-    limit = 1 << 62
+    # a row of 1000 cells (then 1000 more, to catch a bucket past it) under
+    # poly(x) = x: items on w = 0, cols - 1, cols, 2 * cols - 1 take both
+    # signs; it starts near the limit, which item 0 crosses, then at zero
+    cols, limit = 1000, 1 << 62
+    linear = np.array([0, 0, 1, 0], dtype=np.uint64)
+    x = np.array([0, cols - 1, cols, 2 * cols - 1, 2**32 - 1], dtype=np.uint64)
+    w = _horner_numpy(linear, np.uint64(2 * cols), x) - 1
     deltas = np.array([5, 7, 1 << 40, 3, -1], dtype=np.int64)
     packed = np.empty(x.size, dtype=np.uint32)
-    want_packed = (want[0] - 1) << 1 | (want[1] - 1)
+    want_packed = (w % cols) << 1 | (w >= cols)
     for start in (limit - 4, 0):
-        cells = np.full(1000, start, dtype=np.int64)
+        cells = np.full(2 * cols, start, dtype=np.int64)
         want_cells = cells.copy()
-        np.add.at(want_cells, want[0] - 1, (3 - 2 * want[1]) * deltas)
-        over = scatter(coeffs.ctypes.data, ranges.ctypes.data, 1, 4, x.ctypes.data,
-                       deltas.ctypes.data, x.size, cells.ctypes.data, cells.size, limit,
-                       packed.ctypes.data)
-        want_over = np.abs(want_cells[want[0] - 1]).max() >= limit
+        np.add.at(want_cells, w % cols, np.where(w >= cols, -deltas, deltas))
+        over = scatter(linear.ctypes.data, 1, linear.size, x.ctypes.data, deltas.ctypes.data,
+                       x.size, cells.ctypes.data, cols, limit, packed.ctypes.data)
+        want_over = np.abs(want_cells[w % cols]).max() >= limit
         ok = (ok and np.array_equal(cells, want_cells) and bool(over) == want_over
               and np.array_equal(packed, want_packed))
     # sums that wrap, an item whose deltas cancel, then an item out of range
@@ -491,16 +496,17 @@ def horner_rows(coeffs: np.ndarray, ranges: np.ndarray, x: np.ndarray) -> np.nda
     return out
 
 
-def scatter_signed(coeffs: np.ndarray, ranges: np.ndarray, items: np.ndarray,
-                   deltas: np.ndarray, cells: np.ndarray, limit: int) -> tuple[bool, np.ndarray]:
-    """Add sign_r(i) * delta into cells[r, bucket_r(i) - 1] for every row r
-    of the (rows, cols) int64 table `cells` and every item i, in one pass of
-    the C kernel (`scatter61`). `coeffs` and `ranges` are a
-    `CountSketchTable`'s (2 * rows, t) matrix and its ranges: every row's
-    bucket hash, then every row's range-2 sign hash.
+def scatter_signed(coeffs: np.ndarray, items: np.ndarray, deltas: np.ndarray,
+                   cells: np.ndarray, limit: int) -> tuple[bool, np.ndarray]:
+    """Add sign_r(i) * delta into cells[r, bucket_r(i)] for every row r of
+    the (rows, cols) int64 table `cells` and every item i, in one pass of
+    the C kernel (`scatter61`). `coeffs` is a `CountSketchTable`'s (rows, t)
+    matrix, one polynomial per row; the kernel reduces row r's field value
+    onto w in [0, 2 * cols), whose bucket is w mod cols and whose sign is -1
+    exactly when w >= cols.
     Returns whether any cell written ends at |cell| >= limit, and every
     item's packed cell in every row as an (items, rows) uint32 array:
-    (bucket - 1) << 1 | (sign == -1).
+    bucket << 1 | (sign == -1).
 
     Needs the kernel loaded (`_kernel` not None), items in [0, 2**61 - 1)
     as `horner_rows` does, and cols < 2**31, so a packed cell fits 32 bits.
@@ -511,18 +517,16 @@ def scatter_signed(coeffs: np.ndarray, ranges: np.ndarray, items: np.ndarray,
     rows, cols = cells.shape
     x = _field_items(items)
     d = np.ascontiguousarray(deltas, dtype=np.int64)
-    coeffs, ranges = (np.ascontiguousarray(a, dtype=np.uint64) for a in (coeffs, ranges))
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.uint64)
     if (cells.dtype != np.int64 or not cells.flags.c_contiguous or not cells.flags.writeable
             or cols >= 1 << 31 or x.shape != d.shape or coeffs.ndim != 2
-            or coeffs.shape[0] != 2 * rows or ranges.shape != (2 * rows,)
-            or (ranges[:rows] > cols).any() or (ranges[rows:] != 2).any()):
+            or coeffs.shape[0] != rows):
         raise ValueError("scatter_signed needs a writable C-contiguous int64 table under "
-                         "2**31 columns, one delta per item, and bucket then sign hashes "
-                         "for each row")
+                         "2**31 columns, one delta per item, and one polynomial per row")
     packed = np.empty((x.size, rows), dtype=np.uint32)
-    over = _kernel.scatter61(coeffs.ctypes.data, ranges.ctypes.data, rows, coeffs.shape[1],
-                             x.ctypes.data, d.ctypes.data, x.size, cells.ctypes.data, cols,
-                             limit, packed.ctypes.data)
+    over = _kernel.scatter61(coeffs.ctypes.data, rows, coeffs.shape[1], x.ctypes.data,
+                             d.ctypes.data, x.size, cells.ctypes.data, cols, limit,
+                             packed.ctypes.data)
     return bool(over), packed
 
 

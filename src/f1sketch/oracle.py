@@ -130,10 +130,16 @@ def expected_hash(h, i: int) -> int:
     return v % h.range_size + 1
 
 
+def expected_bucket(h, i: int) -> int:
+    """A CountSketch row's bucket of item i, in [1, cols], from the row's
+    hash onto [1, 2 * cols]: with w = hash - 1, bucket w mod cols + 1."""
+    return (expected_hash(h, i) - 1) % (h.range_size // 2) + 1
+
+
 def expected_sign(h, i: int) -> int:
-    """A CountSketch row's sign of item i from its range-2 sign hash:
-    bucket 1 is +1, bucket 2 is -1."""
-    return 1 if expected_hash(h, i) == 1 else -1
+    """A CountSketch row's sign of item i from the row's hash onto
+    [1, 2 * cols]: -1 exactly when w = hash - 1 is at least cols."""
+    return -1 if expected_hash(h, i) - 1 >= h.range_size // 2 else 1
 
 
 def expected_countsketch_cells(state: ExactState, table) -> np.ndarray:
@@ -142,10 +148,9 @@ def expected_countsketch_cells(state: ExactState, table) -> np.ndarray:
     cells = np.zeros((table.rows, table.cols), dtype=np.int64)
     items = np.nonzero(state.frequencies)[0].astype(np.int64) + 1
     f = state.frequencies[items - 1]
-    for j in range(table.rows):
-        idx = table.bucket_hashes[j].eval_many(items) - 1
-        signs = 3 - 2 * table.sign_hashes[j].eval_many(items)  # bucket 1 -> +1, 2 -> -1
-        np.add.at(cells[j], idx, f * signs)
+    for j, h in enumerate(table.hashes):
+        w = h.eval_many(items) - 1  # bucket w mod cols, sign -1 from cols up
+        np.add.at(cells[j], w % table.cols, np.where(w < table.cols, f, -f))
     return cells
 
 
@@ -166,23 +171,20 @@ def expected_stable_cells(state: ExactState, table) -> np.ndarray:
 def expected_point_estimate(table, i: int) -> float:
     """Scalar reference for `CountSketchTable.point_estimate_many`: the
     median over rows of cell * sign for item i, one hash call per row."""
-    vals = [
-        table.cells[j][expected_hash(table.bucket_hashes[j], i) - 1]
-        * expected_sign(table.sign_hashes[j], i)
-        for j in range(table.rows)
-    ]
+    vals = [table.cells[j][expected_bucket(h, i) - 1] * expected_sign(h, i)
+            for j, h in enumerate(table.hashes)]
     return float(np.median(vals))
 
 
-def expected_isolation_row(bucket_hashes, item: int, heavy_items) -> int | None:
+def expected_isolation_row(hashes, item: int, heavy_items) -> int | None:
     """Scalar reference for the estimator's isolation table: the smallest
-    row index (1-based) whose bucket hash separates `item` from every other
-    member of `heavy_items`, or None if no row does."""
+    row index (1-based) whose hash puts `item` in a bucket apart from every
+    other member of `heavy_items`, or None if no row does."""
     item = int(item)
     others = [int(k) for k in heavy_items if int(k) != item]
-    for j, h in enumerate(bucket_hashes):
-        b = expected_hash(h, item)
-        if all(expected_hash(h, k) != b for k in others):
+    for j, h in enumerate(hashes):
+        b = expected_bucket(h, item)
+        if all(expected_bucket(h, k) != b for k in others):
             return j + 1
     return None
 

@@ -4,9 +4,9 @@ Text format: newline-delimited records "<i> <v>" with 1-based item index i
 and signed integer delta v. Lines starting with '#' are comments; a header
 comment "# n=<n>" declares the domain size, also when it follows records
 (which must then lie in the domain). Without a header the domain size is
-inferred as the largest item index seen. Text is read by the first of
-three readers that takes it, all with identical results: the C kernel
-(`hashing.parse_plain`), numpy (`_plain_records`) and `parse_text`.
+inferred as the largest item index seen. Text is read by the C kernel
+(`hashing.parse_plain`), or numpy (`_plain_records`) where it is not
+loaded, and by `parse_text` if that declines, all with identical results.
 
 Binary format (benchmarks): 8-byte magic "F1SKBIN\\0", little-endian uint64
 n, then little-endian (uint32 i, int64 v) pairs.
@@ -56,9 +56,9 @@ def read_stream(path: str, binary: bool = False) -> Stream:
     """Parse a stream file ('-' reads text from stdin).
 
     Text in the plain shape (see `_parse_plain`) is read in one pass of the
-    C kernel, or, if it declines or is not loaded, one vectorized numpy
-    pass; any other text goes through `parse_text`, the reference reader,
-    with identical results and errors."""
+    C kernel, or, where it is not loaded, one vectorized numpy pass; any
+    other text goes through `parse_text`, the reference reader, with
+    identical results and errors."""
     if binary:
         return _read_binary(path)
     if path == "-":
@@ -85,8 +85,8 @@ def _parse_plain(data: bytes) -> Stream | None:
     """`parse_text` of `data` when the text has the plain shape, else None.
 
     Plain: an optional first line "# n=<digits>" with n >= 1, then records
-    that `hashing.parse_plain` or else `_plain_records` reads, every item
-    in [1, n]."""
+    that `hashing.parse_plain`, or without the kernel `_plain_records`,
+    reads, every item in [1, n]; numpy takes no text the kernel declines."""
     n = None
     header = _PLAIN_HEADER.match(data)
     if header:
@@ -94,8 +94,7 @@ def _parse_plain(data: bytes) -> Stream | None:
         if n < 1:
             return None
         data = data[header.end():]
-    records = ((hashing.parse_plain(data) if hashing._kernel is not None else None)
-               or _plain_records(data))
+    records = hashing.parse_plain(data) if hashing._kernel is not None else _plain_records(data)
     if records is None:
         return None
     items, deltas = records

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from f1sketch import SketchInvariantError, countsketch, generate, hashing, seeds
 from f1sketch.countsketch import CELL_LIMIT, HUGE_PAGE, CountSketchTable, zeroed_cells
-from f1sketch.oracle import (ExactState, expected_countsketch_cells, expected_hash,
+from f1sketch.hashing import KWiseHash
+from f1sketch.oracle import (ExactState, expected_bucket, expected_countsketch_cells,
                              expected_point_estimate, expected_sign)
 
 
@@ -285,8 +286,8 @@ def test_f2_residual_matches_per_row_reference():
         for j in range(t.rows):
             skimmed = t.cells[j].astype(float)
             for item, est in top:
-                bucket = expected_hash(t.bucket_hashes[j], item)
-                skimmed[bucket - 1] -= est * expected_sign(t.sign_hashes[j], item)
+                bucket = expected_bucket(t.hashes[j], item)
+                skimmed[bucket - 1] -= est * expected_sign(t.hashes[j], item)
             rows.append((skimmed ** 2).sum())
         assert t.f2_residual_estimate(k) == max(0.0, float(np.median(rows)))
 
@@ -354,7 +355,7 @@ def test_counter_overflow_raises():
     update(t, 1, 1 << 61)
     sign = int(np.sign(t.cells[0][np.abs(t.cells[0]).argmax()]))
     with pytest.raises(SketchInvariantError):
-        update(t, 1, sign * (1 << 61) * expected_sign(t.sign_hashes[0], 1))
+        update(t, 1, sign * (1 << 61) * expected_sign(t.hashes[0], 1))
 
 
 def test_batch_magnitude_overflow_raises():
@@ -404,14 +405,65 @@ def test_packed_cells_match_per_row_hashes(kernel, monkeypatch):
     t = make_table(rows=5, cols=13, n=500, seed=9)
     items = np.arange(1, 501, dtype=np.int64)
     packed = t.packed_cells(items)
-    buckets = np.stack([h.eval_many(items) - 1 for h in t.bucket_hashes], axis=1)
-    negative = np.stack([h.eval_many(items) - 1 for h in t.sign_hashes], axis=1)
+    # each row's hash onto [1, 26]: w = hash - 1 in [0, 13) is bucket w and
+    # sign +1, in [13, 26) bucket w - 13 and sign -1
+    w = np.stack([h.eval_many(items) - 1 for h in t.hashes], axis=1)
+    negative = (w >= 13).astype(np.int64)
+    buckets = w - 13 * negative
+    assert (buckets >= 0).all() and (buckets < 13).all() and 0 < negative.mean() < 1
     assert packed.dtype == np.uint32 and packed.flags.c_contiguous
     assert (packed == buckets << 1 | negative).all()
     idx, signs = t.unpack(packed)
     assert (idx == buckets + 13 * np.arange(5)).all()
     assert (signs == 1 - 2 * negative).all()
     assert t.packed_cells(items[:0]).shape == (0, 5)
+
+
+@given(st.one_of(st.integers(1, 2**20), st.integers(1, 2**31 - 1)), st.integers(0, 2**16),
+       st.lists(st.integers(0, hashing.MERSENNE61 - 1), min_size=1, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_row_bucket_is_the_hash_onto_the_columns_alone(cols, seed, items):
+    # cols divides 2 * cols, so reducing the field value onto [1, 2 * cols]
+    # and then onto cols buckets is reducing it onto cols buckets: the same
+    # coefficients give the same bucket as a hash onto [1, cols]
+    h = CountSketchTable.from_seed(seeds.master_key(seed), 1, 1, 10).hashes[0]
+    row = KWiseHash(h.coefficients, 2 * cols)
+    items = np.array(items, dtype=np.int64)
+    want = KWiseHash(h.coefficients, cols).eval_many(items) - 1
+    assert ((row.eval_many(items) - 1) % cols == want).all()
+    assert [expected_bucket(row, i) - 1 for i in items] == want.tolist()
+    if cols <= 2**20:  # a table maps its cells, though packed_cells reads none
+        t = CountSketchTable(1, cols, hashes=[row])
+        assert (t.packed_cells(items)[:, 0] >> 1 == want).all()
+
+
+def test_bucket_and_sign_are_near_uniform_over_their_grid():
+    # 1e5 items over the 7 x 2 (bucket, sign) grid of one row: every pair is
+    # hit near 1e5 / 14 times, and the counts pass a chi-square test
+    from scipy.stats import chisquare
+
+    t = make_table(rows=1, cols=7, n=10**5, seed=11)
+    packed = t.packed_cells(np.arange(1, 10**5 + 1))[:, 0]
+    counts = np.bincount(packed, minlength=14)
+    assert counts.size == 14
+    assert np.abs(counts / (10**5 / 14) - 1).max() <= 0.05
+    assert chisquare(counts).pvalue >= 1e-3
+
+
+@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
+@pytest.mark.parametrize("cols", [1, 7, 4095, 2**20 - 3, 2**20 + 1])
+def test_kernel_scatter_matches_numpy_body_at_odd_and_wide_tables(cols):
+    # cells, touched items, packed cells and the overflow outcome, from cells
+    # at zero and from cells near the limit, where some adds cross it
+    rng = np.random.default_rng(cols)
+    items = rng.integers(1, 2**40, size=3000)
+    deltas = rng.integers(-2**32, 2**32, size=3000)
+    batches = [(items[:2000], deltas[:2000]), (items[1000:], deltas[1000:])]
+    for start in (0, CELL_LIMIT - 2**31):
+        kernel, numpy_body = run_paths(dict(rows=2, cols=cols, n=2**40, seed=cols), batches,
+                                       start=start)
+        assert kernel == numpy_body
+        assert ("overflow" in kernel[0]) == (start > 0)
 
 
 # -- fused C scatter against the numpy body -----------------------------------
@@ -512,9 +564,9 @@ def test_items_outside_the_field_are_refused_on_both_paths(kernel, item, monkeyp
     for call in (lambda: t.update_many(items, np.ones(2, dtype=np.int64)),
                  lambda: t.scatter_many(items, np.ones(2, dtype=np.int64)),
                  lambda: t.packed_cells(items),
-                 lambda: t.bucket_hashes[0].eval_many(items),
-                 lambda: t.bucket_hashes[0].eval_many([item]),
-                 lambda: t.bucket_hashes[0].eval_many(items.astype(np.uint64))):
+                 lambda: t.hashes[0].eval_many(items),
+                 lambda: t.hashes[0].eval_many([item]),
+                 lambda: t.hashes[0].eval_many(items.astype(np.uint64))):
         with pytest.raises(ValueError, match=field):
             call()
     assert not t.cells.any() and t.touched_items().size == 0
@@ -524,28 +576,38 @@ def test_items_outside_the_field_are_refused_on_both_paths(kernel, item, monkeyp
 
 def test_table_refuses_columns_a_packed_cell_cannot_hold():
     with pytest.raises(ValueError, match="2\\*\\*31"):
-        CountSketchTable(1, 1 << 31, bucket_hashes=[], sign_hashes=[])
+        CountSketchTable(1, 1 << 31, hashes=[])
 
 
-def test_table_refuses_sign_hashes_of_range_other_than_two():
-    t = make_table(rows=2)
-    with pytest.raises(ValueError, match="range 2"):
-        CountSketchTable(2, 7, bucket_hashes=t.bucket_hashes, sign_hashes=t.bucket_hashes)
+def test_table_refuses_row_hashes_of_range_other_than_twice_its_columns():
+    t = make_table(rows=2, cols=7)
+    assert [h.range_size for h in t.hashes] == [14, 14]
+    assert CountSketchTable(2, 7, hashes=t.hashes).hashes == t.hashes
+    for cols, hashes in ((14, t.hashes), (7, [KWiseHash(h.coefficients, 7) for h in t.hashes]),
+                         (7, [t.hashes[0], KWiseHash(t.hashes[1].coefficients, 15)])):
+        with pytest.raises(ValueError, match="one hash onto \\[1, 2 \\* cols\\] per row"):
+            CountSketchTable(2, cols, hashes=hashes)
+    with pytest.raises(ValueError, match="one hash onto"):
+        CountSketchTable(2, 7, hashes=t.hashes[:1])
+    with pytest.raises(ValueError):  # rows of two degrees do not stack
+        CountSketchTable(2, 7, hashes=[t.hashes[0], KWiseHash(t.hashes[1].coefficients[1:], 14)])
 
 
 @pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
 def test_kernel_scatter_refuses_mismatched_arguments():
     t = make_table(rows=3, cols=7, n=20)
     with pytest.raises(ValueError):
-        hashing.scatter_signed(t._coeffs, t._ranges, np.array([1, 2]), np.array([1]),
-                               t.cells, CELL_LIMIT)
-    with pytest.raises(ValueError):  # a range missing for the last sign row
-        hashing.scatter_signed(t._coeffs, t._ranges[:-1], np.array([1]), np.array([1]),
-                               t.cells, CELL_LIMIT)
-    with pytest.raises(ValueError):  # a table narrower than the bucket range
-        hashing.scatter_signed(t._coeffs, t._ranges, np.array([1]), np.array([1]),
-                               np.zeros((3, 6), dtype=np.int64), CELL_LIMIT)
+        hashing.scatter_signed(t._coeffs, np.array([1, 2]), np.array([1]), t.cells, CELL_LIMIT)
+    with pytest.raises(ValueError):  # a polynomial missing for the last row
+        hashing.scatter_signed(t._coeffs[:-1], np.array([1]), np.array([1]), t.cells,
+                               CELL_LIMIT)
+    with pytest.raises(ValueError):  # one polynomial, not a matrix of them
+        hashing.scatter_signed(t._coeffs[0], np.array([1]), np.array([1]),
+                               np.zeros((1, 7), dtype=np.int64), CELL_LIMIT)
+    with pytest.raises(ValueError):  # a float table
+        hashing.scatter_signed(t._coeffs, np.array([1]), np.array([1]),
+                               np.zeros((3, 7)), CELL_LIMIT)
     with pytest.raises(ValueError):  # rows disagree with the coefficient matrix
-        hashing.scatter_signed(t._coeffs, t._ranges, np.array([1]), np.array([1]),
+        hashing.scatter_signed(t._coeffs, np.array([1]), np.array([1]),
                                np.zeros((2, 7), dtype=np.int64), CELL_LIMIT)
     assert not t.cells.any()

@@ -11,8 +11,8 @@ from f1sketch import (Estimator, EstimatorConfig, SketchInvariantError, estimato
 from f1sketch.countsketch import CELL_LIMIT, CountSketchTable
 from f1sketch.estimator import Classification
 from f1sketch.hashing import KWiseHash
-from f1sketch.oracle import (ExactState, expected_hash, expected_isolation_row, expected_sign,
-                             expected_stable_cells, expected_variate)
+from f1sketch.oracle import (ExactState, expected_bucket, expected_hash, expected_isolation_row,
+                             expected_sign, expected_stable_cells, expected_variate)
 from f1sketch.stable import stability_constant
 
 
@@ -78,9 +78,9 @@ def test_same_seed_bitwise_identical_build():
     a = build(seed=42)
     b = build(seed=42)
     assert a.table.bucket_hash.coefficients == b.table.bucket_hash.coefficients
-    for ha, hb in zip(a.countsketch.bucket_hashes, b.countsketch.bucket_hashes):
+    for ha, hb in zip(a.countsketch.hashes, b.countsketch.hashes):
         assert ha.coefficients == hb.coefficients
-    for ha, hb in zip(a.heavy_hitters.sign_hashes, b.heavy_hitters.sign_hashes):
+    for ha, hb in zip(a.heavy_hitters.hashes, b.heavy_hitters.hashes):
         assert ha.coefficients == hb.coefficients
 
 
@@ -238,19 +238,20 @@ def test_empty_classification():
 def test_isolation_trivial_when_alone():
     est = build(seed=7)
     est.update(5, 100)
-    assert expected_isolation_row(est.countsketch.bucket_hashes, 5, [5]) == 1
+    assert expected_isolation_row(est.countsketch.hashes, 5, [5]) == 1
 
 
 def test_isolation_absent_on_forced_collision():
     # two items forced into the same bucket of every row of a 2-bucket table
+    # (row hashes onto [1, 4], two buckets times two signs)
     i1, i2 = 1, 2
     for seed in range(200):
         hashes = [
             KWiseHash.from_seed(seeds.derive_key(seeds.master_key(seed), "iso", j),
-                                t=2, n=4, range_size=2)
+                                t=2, n=4, range_size=4)
             for j in range(2)
         ]
-        if all(expected_hash(h, i1) == expected_hash(h, i2) for h in hashes):
+        if all(expected_bucket(h, i1) == expected_bucket(h, i2) for h in hashes):
             assert expected_isolation_row(hashes, i1, [i1, i2]) is None
             assert expected_isolation_row(hashes, i2, [i1, i2]) is None
             return
@@ -262,10 +263,10 @@ def test_isolation_smallest_row_wins():
     for seed in range(400):
         hashes = [
             KWiseHash.from_seed(seeds.derive_key(seeds.master_key(seed), "iso2", j),
-                                t=2, n=4, range_size=4)
+                                t=2, n=4, range_size=8)
             for j in range(2)
         ]
-        b1, b2 = ([expected_hash(h, i) for h in hashes] for i in (1, 2))
+        b1, b2 = ([expected_bucket(h, i) for h in hashes] for i in (1, 2))
         if b1[0] == b2[0] and b1[1] != b2[1]:
             assert expected_isolation_row(hashes, 1, [1, 2]) == 2
             return
@@ -304,7 +305,7 @@ def test_isolation_index_matches_vectorized_table():
     heavy = cls.heavy_items
     first, _ = est._isolation_table(heavy)
     for col, item in enumerate(heavy):
-        want = expected_isolation_row(est.countsketch.bucket_hashes, int(item), heavy)
+        want = expected_isolation_row(est.countsketch.hashes, int(item), heavy)
         got = int(first[col]) + 1 if first[col] >= 0 else None
         assert got == want
 
@@ -367,7 +368,7 @@ def test_heavy_pairwise_product_mean():
     for seed in range(400):
         est = build(n=n, seed=30_000 + seed)
         est.update_many(items, deltas)
-        hashes = est.countsketch.bucket_hashes
+        hashes = est.countsketch.hashes
         if (expected_isolation_row(hashes, 1, [1, 2]) is None
                 or expected_isolation_row(hashes, 2, [1, 2]) is None):
             continue
@@ -606,11 +607,11 @@ def test_touched_items_is_every_item_ever_passed(ops):
 
 def hashed_cells(table) -> np.ndarray:
     """Packed cells of a table's touched items worked out from scratch with
-    each row's own hashes: (bucket - 1) << 1 | (sign == -1), one row per
-    item (sign bucket 2 is -1)."""
+    each row's own hash: bucket << 1 | (sign == -1), one row per item, where
+    w = hash - 1 has bucket w mod cols and sign -1 exactly when w >= cols."""
     items = table.touched_items()
-    return np.stack([(b.eval_many(items) - 1) << 1 | (s.eval_many(items) - 1)
-                     for b, s in zip(table.bucket_hashes, table.sign_hashes)],
+    return np.stack([(w % table.cols) << 1 | (w >= table.cols)
+                     for w in (h.eval_many(items) - 1 for h in table.hashes)],
                     axis=1).astype(np.uint32)
 
 
@@ -677,12 +678,14 @@ def test_heavy_contributions_match_the_oracle_on_a_narrow_table(kernel, monkeypa
     heavy = rng.choice(np.arange(1, n + 1), size=12, replace=False)
     signs = rng.choice([-1.0, 1.0], size=12)
     got = est.heavy_contributions(forced_heavy(heavy, signs))
-    rows = [expected_isolation_row(cs.bucket_hashes, int(i), heavy) for i in heavy]
+    rows = [expected_isolation_row(cs.hashes, int(i), heavy) for i in heavy]
     assert None in rows and any(r is not None and r >= 2 for r in rows)
     want = [0.0 if r is None else float(
-        cs.cells[r - 1, expected_hash(cs.bucket_hashes[r - 1], int(i)) - 1]
-        * expected_sign(cs.sign_hashes[r - 1], int(i)) * int(sgn))
+        cs.cells[r - 1, expected_bucket(cs.hashes[r - 1], int(i)) - 1]
+        * expected_sign(cs.hashes[r - 1], int(i)) * int(sgn))
         for i, r, sgn in zip(heavy, rows, signs)]
+    # both signs are read, so a sign taken from the wrong side of cols shows
+    assert {expected_sign(cs.hashes[r - 1], int(i)) for i, r in zip(heavy, rows) if r} == {-1, 1}
     assert got.tolist() == want
     first, _ = est._isolation_table(heavy)
     assert [r - 1 if r else -1 for r in rows] == first.tolist()
@@ -822,13 +825,14 @@ def test_estimate_hashes_each_item_once_per_table(monkeypatch):
     report = est.estimate()
     # the heavy-hitter table reads its touched items' cells from the cache
     # ingest filled; isolation and the stable buckets hash only the heavy
-    # set or the part of it one isolation row settles
+    # set, each isolation row at most once for bucket and sign together
     assert report.heavy_count > 0
     cs = est.countsketch
-    assert {h for h, _ in calls} <= set(cs.bucket_hashes + cs.sign_hashes) | {est.table.bucket_hash}
+    assert {h for h, _ in calls} <= set(cs.hashes) | {est.table.bucket_hash}
     assert (est.table.bucket_hash, report.heavy_count) in calls
-    assert all(size == report.heavy_count for h, size in calls if h in cs.bucket_hashes)
-    assert all(size <= report.heavy_count for _, size in calls)
+    assert all(size == report.heavy_count for _, size in calls)
+    rows = [h for h, _ in calls if h in cs.hashes]
+    assert rows and len(rows) == len(set(rows))
 
 
 def test_numpy_path_gives_identical_answers(monkeypatch):
@@ -944,12 +948,19 @@ def test_one_update_changes_a_fixed_number_of_cells(accuracy, path, monkeypatch)
 
 def horner_multiplications(est: Estimator) -> int:
     """Field multiplications that hashing one distinct item takes: one per
-    Horner step, so the degree of every polynomial of the stable table and
-    of every row (bucket and sign) of both CountSketch tables."""
+    Horner step, so the degree of the stable table's bucket hash and of
+    every row's one hash, for bucket and sign, of both CountSketch tables."""
     hashes = [est.table.bucket_hash]
     for table in (est.countsketch, est.heavy_hitters):
-        hashes += table.bucket_hashes + table.sign_hashes
+        hashes += table.hashes
     return sum(len(h.coefficients) - 1 for h in hashes)
+
+
+def test_one_polynomial_per_countsketch_row():
+    # accuracy 0.5 at n = 1e4: 1 + 11 + 16 polynomials of degree 7
+    est = build(n=10**4)
+    assert (est.countsketch.rows, est.heavy_hitters.rows) == (11, 16)
+    assert horner_multiplications(est) == 196
 
 
 def test_update_work_grows_polylogarithmically_while_width_grows_quadratically():

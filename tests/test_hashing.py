@@ -128,9 +128,11 @@ def test_bucket_balance_large_domain():
 
 
 def row_signs(tag: str, n: int) -> np.ndarray:
-    """The signs a one-row CountSketch table gives items 1..n."""
+    """The signs a one-row CountSketch table gives items 1..n, read off
+    its packed cells."""
     table = CountSketchTable.from_seed(key(tag), 1, 7, n)
-    return 3 - 2 * table.sign_hashes[0].eval_many(np.arange(1, n + 1))
+    negative = table.packed_cells(np.arange(1, n + 1))[:, 0] & 1
+    return 1 - 2 * negative.astype(np.int64)
 
 
 def test_sign_square_is_one():
@@ -148,7 +150,9 @@ def test_exhaustive_fourwise_sign_structure():
     # over all 13^4 coefficient tuples, the field values at 4 distinct
     # points form a bijection with the tuples (exact 4-wise independence);
     # sign-pattern counts then factor exactly as products of the per-point
-    # preimage sizes (7 even field values -> +1, 6 odd -> -1)
+    # preimage sizes. Signs are read as a CountSketch row reads them off its
+    # hash onto 2 * cols values, here cols = 3: v mod 6 below 3 is +1 (the
+    # 7 field values 0-2, 6-8 and 12), from 3 up -1 (the 6 values 3-5, 9-11)
     p = 13
     points = np.array([1, 2, 5, 11])
     grids = np.meshgrid(*[np.arange(p)] * 4, indexing="ij")
@@ -161,14 +165,15 @@ def test_exhaustive_fourwise_sign_structure():
         values.append(v)
     combined = sum(v * p**i for i, v in enumerate(values))
     assert (np.bincount(combined, minlength=p**4) == 1).all()
-    signs = [(v % 2 == 0).astype(int) for v in values]  # 1 marks +1
+    cols = 3
+    signs = [(v % (2 * cols) < cols).astype(int) for v in values]  # 1 marks +1
     pattern = sum(s * 2**i for i, s in enumerate(signs))
     counts = np.bincount(pattern, minlength=16)
-    evens, odds = 7, 6
+    plus, minus = 7, 6
     for code in range(16):
         expect = 1
         for bit in range(4):
-            expect *= evens if (code >> bit) & 1 else odds
+            expect *= plus if (code >> bit) & 1 else minus
         assert counts[code] == expect
 
 
@@ -232,8 +237,8 @@ def test_kernel_matches_reference_on_random_hashes(seed, t, range_size, items):
 
 
 def test_stacked_rows_equal_single_rows(monkeypatch):
-    # `horner_rows` over a matrix of rows of several degrees, each padded
-    # with leading zeros, as `CountSketchTable` stacks its hashes
+    # `horner_rows` over a matrix of rows of several degrees and ranges, each
+    # padded with leading zeros
     width = 25_600
     rows = [KWiseHash.from_seed(key("stack-b", j), t=8, n=10**4, range_size=width)
             for j in range(5)]
@@ -321,6 +326,23 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 def test_kernel_whose_parse_disagrees_is_refused(old, new, tmp_path, monkeypatch):
     # the mutated source builds, but the spot check in `_load_kernel`
     # refuses the whole library, so a parse that disagrees is never used
+    check_mutant_refused(old, new, tmp_path, monkeypatch)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a C compiler")
+@pytest.mark.parametrize("old, new", [
+    ("neg = w >= cols", "neg = w > cols"),  # reads w = cols as sign +1
+    ("<< 1 | neg)", "<< 1)"),               # drops the sign from the packed cell
+    ("cols & (0 - neg)", "cols & neg"),     # leaves a negative item's bucket at w
+])
+def test_kernel_whose_scatter_sign_disagrees_is_refused(old, new, tmp_path, monkeypatch):
+    # the spot check's linear row puts items on both sides of w = cols
+    check_mutant_refused(old, new, tmp_path, monkeypatch)
+
+
+def check_mutant_refused(old, new, tmp_path, monkeypatch):
+    """The kernel source with `old` replaced by `new` builds, and
+    `_load_kernel` refuses it; the unchanged source still loads."""
     source = hashing._HORNER_SOURCE
     assert source.count(old) == 1
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))

@@ -204,6 +204,21 @@ def test_kernel_reads_exactly_its_shape(data):
         assert all(a.dtype == np.int64 and a.flags.c_contiguous for a in got)
 
 
+@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
+@given(st.one_of(_streams, _soups, _long_texts).map(str.encode))
+@example(b"1 2\r\n3 4\r\n")                 # carriage returns
+@example(b"1 -999999999999999999\n")          # a 19-byte token
+@example(b"1 2\n3 -\n")                       # a lone '-'
+@example(b"1 2\n3\n")                         # a lone token
+@settings(max_examples=400, deadline=None)
+def test_numpy_takes_no_text_the_kernel_declines(data):
+    # so `_parse_plain` runs one of the two readers, never both: a text the
+    # kernel declines goes straight to `parse_text`
+    body = data.split(b"\n", 1)[1] if data.startswith(b"#") and b"\n" in data else data
+    if hashing.parse_plain(body) is None:
+        assert _plain_records(body) is None
+
+
 def test_kernel_spot_check_table_is_what_numpy_reads():
     # `hashing._load_kernel` checks the kernel's parse against this table
     text, records = hashing._PARSE_SPOT
