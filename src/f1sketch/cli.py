@@ -117,9 +117,11 @@ def _cmd_eval(args) -> int:
     exact = exact_f1_of(stream)
     # per trial only its parameters; workers get the stream once, at start
     trials = [(args.epsilon, args.seed + t, exact, t) for t in range(args.trials)]
-    if args.jobs > 1:
+    # a forked pool starts all its workers at once, each holding the stream
+    jobs = min(args.jobs, args.trials)
+    if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=args.jobs, initializer=_init_worker, initargs=(stream,)) as pool:
+                max_workers=jobs, initializer=_init_worker, initargs=(stream,)) as pool:
             rows = list(pool.map(_worker_trial, trials))
     else:
         rows = [run_trial(stream, *params) for params in trials]

@@ -12,6 +12,11 @@ runs (`packed_cells`, `unpack`, `np.add.at`), the bitwise reference.
 `update_many` keeps the packed cells of every touched item, so reads over
 them hash nothing; `scatter_many` keeps nothing. Point estimates read
 packed cells; `top_k` and `f2_residual_estimate` rank the touched items.
+Reads take the same split: with the C kernel loaded, point estimates read
+signed cells in one pass (`hashing.signed_reads`) and the residual F2
+skims blocks of rows (`hashing.skim_rows`); without it the numpy bodies
+(`unpack` and a take; a per-row `np.subtract.at`) run, the bitwise
+reference. Medians and row sums are numpy's on both paths.
 Ingestion is single-writer; once the writer quiesces, every read is safe
 from any number of threads. Distinct tables may be written by distinct
 threads.
@@ -35,6 +40,11 @@ HUGE_PAGE = 1 << 21
 # items per block of point estimates: a block's (items, rows) temporaries
 # are reused from the heap instead of mapped afresh and faulted in per query
 _ESTIMATE_BLOCK = 1024
+# bytes of float64 rows the C kernel skims per call: each call adds a
+# numpy row sum, so fewer, larger blocks run faster (8 rows of 4,096
+# columns took 141 us where 128 KiB blocks took 163), and the bound keeps
+# one query's buffer small however wide the table
+_SKIM_BYTES = 1 << 18
 
 
 class SketchInvariantError(RuntimeError):
@@ -253,10 +263,15 @@ class CountSketchTable:
         item whose (items, rows) packed cells are given, from
         `touched_cells()` or `packed_cells(items)`."""
         out = np.empty(packed.shape[0])
+        block = np.empty((min(packed.shape[0], _ESTIMATE_BLOCK), self.rows), dtype=np.int64)
         for lo in range(0, packed.shape[0], _ESTIMATE_BLOCK):
-            idx, signs = self.unpack(packed[lo:lo + _ESTIMATE_BLOCK])
-            per_item = self.cells.reshape(-1).take(idx)
-            per_item *= signs
+            part = packed[lo:lo + _ESTIMATE_BLOCK]
+            if hashing._kernel is not None:
+                per_item = hashing.signed_reads(part, self.cells, block[:part.shape[0]])
+            else:
+                idx, signs = self.unpack(part)
+                per_item = self.cells.reshape(-1).take(idx)
+                per_item *= signs
             out[lo:lo + _ESTIMATE_BLOCK] = row_medians(per_item)
         return out
 
@@ -299,17 +314,24 @@ class CountSketchTable:
         est, top = self._ranked(k, estimates)
         if top.size == 0:
             return self.f2_estimate()
-        idx, signs = self.unpack(self._packed[top])
-        est = est[top]
-        # row by row: one row's float copy stays in cache, the whole
-        # table's does not (a single scatter over it ran 4x slower)
+        packed, est = self._packed[top], est[top]
         row_vals = np.empty(self.rows)
-        skimmed = np.empty(self.cols)
-        for j in range(self.rows):
-            skimmed[:] = self.cells[j]
-            np.subtract.at(skimmed, idx[:, j] - j * self.cols, est * signs[:, j])
-            np.square(skimmed, out=skimmed)
-            row_vals[j] = skimmed.sum()
+        if hashing._kernel is not None:
+            step = max(1, _SKIM_BYTES // (8 * self.cols))
+            skimmed = np.empty((min(step, self.rows), self.cols))
+            for r0 in range(0, self.rows, step):
+                block = hashing.skim_rows(self.cells, r0, packed, est, skimmed[:self.rows - r0])
+                row_vals[r0:r0 + step] = block.sum(axis=1)  # bitwise each row's sum()
+        else:
+            idx, signs = self.unpack(packed)
+            # row by row: one row's float copy stays in cache, the whole
+            # table's does not (a single scatter over it ran 4x slower)
+            skimmed = np.empty(self.cols)
+            for j in range(self.rows):
+                skimmed[:] = self.cells[j]
+                np.subtract.at(skimmed, idx[:, j] - j * self.cols, est * signs[:, j])
+                np.square(skimmed, out=skimmed)
+                row_vals[j] = skimmed.sum()
         return max(0.0, float(np.median(row_vals)))
 
     def nbytes(self) -> int:

@@ -17,6 +17,7 @@ seeds) can run fully in parallel.
 
 from __future__ import annotations
 
+import array
 import math
 import operator
 import time
@@ -45,6 +46,17 @@ def integer_array(values, name: str) -> np.ndarray:
     if not (out == arr).all():
         raise ValueError(f"{name} must be integers within the int64 range")
     return out
+
+
+def _int64_list(values: list, name: str) -> np.ndarray:
+    """`integer_array` of a list, read through `array.array('q')` first:
+    about a third faster on Python ints. An entry it refuses, such as a
+    float or a value outside int64, sends the whole list to
+    `integer_array`, so its rules hold either way."""
+    try:
+        return np.frombuffer(array.array("q", values), dtype=np.int64)
+    except (TypeError, OverflowError):
+        return integer_array(values, name)
 
 
 def _sorted_sums(items: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,8 +313,8 @@ class Estimator:
         t0 = time.perf_counter_ns()
         self._pending_items, self._pending_deltas, self._pending_batches = [], [], []
         if scalar_items:
-            batches.append((integer_array(scalar_items, "items"),
-                            integer_array(scalar_deltas, "deltas")))
+            batches.append((_int64_list(scalar_items, "items"),
+                            _int64_list(scalar_deltas, "deltas")))
         if len(batches) == 1:
             items, deltas = batches[0]
         else:
@@ -363,19 +375,21 @@ class Estimator:
             reads[settled] = cs.cells[j, buckets[settled]] * np.where(w[settled] < cs.cols, 1, -1)
         return first, reads
 
-    def heavy_contributions(self, cls: Classification) -> np.ndarray:
+    def heavy_contributions(self, cls: Classification, reads=None) -> np.ndarray:
         """Per-item reads aligned with cls.heavy_items.
 
         A heavy item i contributes cell * sgn(estimate_i) * sign_row(i) from
-        its first isolating row, or 0 when no row isolates it.
+        its first isolating row, or 0 when no row isolates it. `reads` are
+        the isolation table's reads of cls.heavy_items when already taken.
         """
-        self.flush()
-        _, reads = self._isolation_table(cls.heavy_items)
+        if reads is None:
+            self.flush()
+            _, reads = self._isolation_table(cls.heavy_items)
         return (reads * cls.heavy_signs).astype(np.float64)
 
-    def heavy_estimate(self, cls: Classification) -> float:
+    def heavy_estimate(self, cls: Classification, reads=None) -> float:
         """Sum of isolated-cell reads over the heavy set."""
-        return float(self.heavy_contributions(cls).sum())
+        return float(self.heavy_contributions(cls, reads).sum())
 
     def _collision_free_mask(self, heavy: np.ndarray) -> np.ndarray:
         """Over the StableTable's buckets: True where no heavy item hashes."""
@@ -408,7 +422,8 @@ class Estimator:
         t0 = time.perf_counter_ns()
         cls = self.classify()
         t1 = time.perf_counter_ns()
-        heavy = self.heavy_estimate(cls)
+        first, reads = self._isolation_table(cls.heavy_items)
+        heavy = self.heavy_estimate(cls, reads)
         t2 = time.perf_counter_ns()
         light = self.light_estimate(cls)
         t3 = time.perf_counter_ns()
@@ -423,6 +438,7 @@ class Estimator:
             "heavy_hitter_bytes": self.heavy_hitters.nbytes(),
             "touched_bytes": self.heavy_hitters.touched_nbytes(),
             "heavy_clamped": cls.heavy_count > self.config.heavy_clamp,
+            "isolation_failures": int((first < 0).sum()),
             "threshold": cls.threshold,
             "f2_residual_estimate": cls.f2_residual,
         }

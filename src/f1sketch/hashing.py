@@ -10,19 +10,25 @@ desk-scale C, and is ignored. A CountSketch row is one hash onto
 Hash objects are immutable after construction and safe to share across
 threads.
 
-`eval_many` runs a small C kernel (`_HORNER_SOURCE`), which also hashes and
-scatters CountSketch updates in one pass (`scatter_signed`), sums a flush's
-records into dense per-item arrays (`dense_sums`), draws the Philox
-uniforms behind the stable variates (`philox_uniforms`) and reads plain
-stream text (`parse_plain`). It is compiled once per machine with the
-local gcc into `$XDG_CACHE_HOME/f1sketch` (default `~/.cache/f1sketch`),
-under a file name keyed by a hash of the source, and loaded through ctypes
-when this module is imported. When it cannot be built or loaded, or fails
-its spot check, numpy runs instead: the evaluation below
-(`_mulmod61`/`_addmod61`), the scatter in `CountSketchTable.scatter_many`,
-the aggregation in `estimator._dense_sums`, `stable.philox_uniforms` and
-`streams._plain_records`. Each is also the bitwise reference its kernel
-routine is tested against. `KWISE_BACKEND` names the path in use.
+A small C kernel (`_HORNER_SOURCE`) has seven routines: `horner61` runs
+`eval_many`, `scatter61` hashes and scatters CountSketch updates in one
+pass (`scatter_signed`), `dense_sums64` sums a flush's records into dense
+per-item arrays (`dense_sums`), `philox_uniforms` draws the Philox
+uniforms behind the stable variates, `parse_plain` reads plain stream
+text, `reads61` reads the signed cells behind CountSketch point estimates
+(`signed_reads`) and `skim61` removes the top items from CountSketch rows
+for the residual F2 (`skim_rows`). It is compiled once per machine with
+the local gcc into `$XDG_CACHE_HOME/f1sketch` (default
+`~/.cache/f1sketch`), under a file name keyed by a hash of the source, and
+loaded through ctypes when this module is imported. When it cannot be
+built or loaded, or fails its spot check, numpy runs instead: the
+evaluation below (`_mulmod61`/`_addmod61`), the scatter in
+`CountSketchTable.scatter_many`, the aggregation in
+`estimator._dense_sums`, `stable.philox_uniforms`,
+`streams._plain_records`, and the numpy bodies of
+`CountSketchTable.point_estimate_many` and `f2_residual_estimate`. Each is
+also the bitwise reference its kernel routine is tested against.
+`KWISE_BACKEND` names the path in use.
 """
 
 from __future__ import annotations
@@ -317,6 +323,55 @@ int64_t parse_plain(const char *s, size_t len, int64_t *items, int64_t *deltas,
     }
     return (int64_t)n;
 }
+
+/* Signed reads of a (rows, cols) int64 table: for every item i < n and row
+   r, out[i * rows + r] = cells[r * cols + q / 2] times -1 if q is odd, for
+   the packed cell q = packed[i * rows + r]. The sign is applied with a
+   mask, not a branch, and -INT64_MIN wraps as numpy's int64 does. Returns
+   1 at the first bucket outside [0, cols), leaving out partly written. */
+int reads61(const uint32_t *packed, size_t n, size_t rows, const int64_t *cells,
+            size_t cols, int64_t *out) {
+    for (size_t i = 0; i < n * rows; i += rows)
+        for (size_t r = 0; r < rows; r++) {
+            const uint32_t q = packed[i + r];
+            if (q >> 1 >= cols)
+                return 1;
+            const uint64_t c = (uint64_t)cells[r * cols + (q >> 1)], s = 0 - (uint64_t)(q & 1);
+            out[i + r] = (int64_t)((c ^ s) - s);
+        }
+    return 0;
+}
+
+/* Residual rows r0 .. r0 + nr - 1 of a (rows, cols) int64 table: row r as
+   float64 into out[(r - r0) * cols ..], less est[t] times the sign of
+   packed cell q = packed[t * rows + r] at bucket q / 2, for t = 0 .. k - 1
+   in turn (float subtraction does not commute), then squared in place. The
+   sign flips est[t]'s sign bit: a branch on it mispredicts half the time.
+   Returns 1 at the first bucket outside [0, cols), leaving out partly
+   written. */
+int skim61(const int64_t *cells, size_t rows, size_t cols, size_t r0, size_t nr,
+           const uint32_t *packed, const double *est, size_t k, double *out) {
+    for (size_t r = r0; r < r0 + nr; r++) {
+        const int64_t *row = cells + r * cols;
+        double *o = out + (r - r0) * cols;
+        for (size_t b = 0; b < cols; b++)
+            o[b] = (double)row[b];
+        for (size_t t = 0; t < k; t++) {
+            const uint32_t q = packed[t * rows + r];
+            if (q >> 1 >= cols)
+                return 1;
+            uint64_t e;  /* est[t] with its sign bit flipped when q is odd */
+            memcpy(&e, est + t, 8);
+            e ^= (uint64_t)(q & 1) << 63;
+            double v;
+            memcpy(&v, &e, 8);
+            o[q >> 1] -= v;
+        }
+        for (size_t b = 0; b < cols; b++)
+            o[b] *= o[b];
+    }
+    return 0;
+}
 """
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -374,8 +429,9 @@ _PARSE_DECLINED = (b"1 -999999999999999999\n", b"1 --1\n", b"1 2\t\n3 4\n5 6\n7 
 
 def _load_kernel():
     """The compiled library (`horner61`, `scatter61`, `dense_sums64`,
-    `philox_uniforms` and `parse_plain`), or None when it cannot be built
-    or loaded or disagrees with the numpy reference on a spot check."""
+    `philox_uniforms`, `parse_plain`, `reads61` and `skim61`), or None when
+    it cannot be built or loaded or disagrees with the numpy reference on a
+    spot check."""
     key = "\0".join((_HORNER_SOURCE, " ".join(_CFLAGS), platform.machine(),
                      platform.system()))
     digest = hashlib.sha256(key.encode("ascii")).hexdigest()[:16]
@@ -386,6 +442,7 @@ def _load_kernel():
         lib = ctypes.CDLL(path)
         horner, scatter = lib.horner61, lib.scatter61
         dense, philox, parse = lib.dense_sums64, lib.philox_uniforms, lib.parse_plain
+        reads, skim = lib.reads61, lib.skim61
     except (OSError, AttributeError):  # no compiler, unwritable cache, bad library
         return None
     ptr, size, u32 = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_uint32
@@ -399,6 +456,9 @@ def _load_kernel():
     philox.argtypes = [ptr, ptr, size, u32, u32, ptr]
     parse.restype = ctypes.c_int64
     parse.argtypes = [ctypes.c_char_p, size, ptr, ptr, size]
+    reads.restype = skim.restype = ctypes.c_int
+    reads.argtypes = [ptr, size, size, ptr, size, ptr]
+    skim.argtypes = [ptr, size, size, size, size, ptr, ptr, size, ptr]
     coeffs = np.array([[MERSENNE61 - 1, 0, 12345, MERSENNE61 - 2], [0, 0, 7, 1 << 60]],
                       dtype=np.uint64)
     ranges = np.array([1000, 2], dtype=np.uint64)
@@ -452,6 +512,31 @@ def _load_kernel():
               for t in (*_PARSE_DECLINED, text)]
     ok = (ok and counts == [-1] * len(_PARSE_DECLINED) + [len(want)]
           and records.T.tolist() == want)
+    # signed reads of a 2 x 3 table at both signs and at INT64_MIN, which
+    # wraps; then a bucket past the row, which is refused
+    cells = np.array([[5, -7, 1 << 62], [-(1 << 63), 0, 9]], dtype=np.int64)
+    packed = np.array([[0, 1], [3, 4], [5, 5], [2, 0], [6, 0]], dtype=np.uint32)
+    out = np.empty(packed.shape, dtype=np.int64)
+    signs = 1 - 2 * (packed & 1).astype(np.int64)
+    ok = (ok and reads(packed.ctypes.data, 4, 2, cells.ctypes.data, 3, out.ctypes.data) == 0
+          and np.array_equal(out[:4], cells[[0, 1], packed[:4] >> 1] * signs[:4])
+          and reads(packed.ctypes.data, 5, 2, cells.ctypes.data, 3, out.ctypes.data) == 1)
+    # rows 1 and 2 of a 3 x 4 table skimmed of three items, which all share
+    # row 1's bucket 2, where reversing the subtractions gives -1, not 0
+    cells = np.array([[1, 2, 3, 4], [-3, 1 << 62, 0, 7], [5, 0, 1 - (1 << 62), 2]],
+                     dtype=np.int64)
+    packed = np.array([[0, 4, 1], [2, 4, 6], [7, 4, 0], [8, 0, 0]], dtype=np.uint32)
+    signs = 1 - 2 * (packed & 1).astype(np.int64)
+    est = np.array([2.0**53, 1.0, -2.0**53, 0.0])
+    want = cells[1:].astype(np.float64)
+    for j in (1, 2):
+        np.subtract.at(want[j - 1], packed[:3, j] >> 1, est[:3] * signs[:3, j])
+    out = np.empty((2, 4))
+    ok = (ok and skim(cells.ctypes.data, 3, 4, 1, 2, packed.ctypes.data, est.ctypes.data, 3,
+                      out.ctypes.data) == 0
+          and out.tobytes() == np.square(want).tobytes()
+          and skim(cells.ctypes.data, 3, 4, 0, 1, packed.ctypes.data, est.ctypes.data, 4,
+                   out.ctypes.data) == 1)
     return lib if ok else None
 
 
@@ -579,6 +664,54 @@ def philox_uniforms(buckets: np.ndarray, items: np.ndarray, k0: int, k1: int) ->
         raise ValueError("philox_uniforms needs one bucket per item")
     out = np.empty((x.size, 3))
     _kernel.philox_uniforms(b.ctypes.data, x.ctypes.data, x.size, k0, k1, out.ctypes.data)
+    return out
+
+
+def _packed_args(packed: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """`packed` as C-contiguous (items, rows) uint32 cells of the (rows, cols)
+    C-contiguous int64 table `cells`; ValueError for any other shape."""
+    p = np.ascontiguousarray(packed, dtype=np.uint32)
+    if (cells.dtype != np.int64 or not cells.flags.c_contiguous or cells.ndim != 2
+            or p.ndim != 2 or p.shape[1] != cells.shape[0]):
+        raise ValueError("need (items, rows) packed cells of a C-contiguous int64 table")
+    return p
+
+
+def signed_reads(packed: np.ndarray, cells: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """cell * sign of every (items, rows) packed cell of the (rows, cols)
+    int64 table `cells`, written into `out`, a C-contiguous int64 array of
+    the same shape as `packed`, and returned. One pass of the C kernel
+    (`reads61`), which must be loaded; `CountSketchTable.unpack` plus a take
+    is the bitwise reference. ValueError for a bucket outside the row."""
+    p = _packed_args(packed, cells)
+    if out.dtype != np.int64 or not out.flags.c_contiguous or out.shape != p.shape:
+        raise ValueError("signed_reads needs a C-contiguous int64 out of the packed shape")
+    if _kernel.reads61(p.ctypes.data, p.shape[0], p.shape[1], cells.ctypes.data,
+                       cells.shape[1], out.ctypes.data):
+        raise ValueError("packed cell outside the table")
+    return out
+
+
+def skim_rows(cells: np.ndarray, r0: int, packed: np.ndarray, est: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """Rows r0 .. r0 + len(out) - 1 of the (rows, cols) int64 table `cells`
+    as float64, each less est[t] * sign at item t's bucket for every item t
+    in turn, then squared, written into `out`, a C-contiguous (rows in
+    block, cols) float64 array, and returned. `packed` holds the items'
+    (items, rows) packed cells. One pass of the C kernel (`skim61`), which
+    must be loaded; the per-row `np.subtract.at` loop in
+    `CountSketchTable.f2_residual_estimate` is the bitwise reference.
+    ValueError for a bucket outside the row."""
+    p = _packed_args(packed, cells)
+    e = np.ascontiguousarray(est, dtype=np.float64)
+    if (out.dtype != np.float64 or not out.flags.c_contiguous or out.ndim != 2
+            or out.shape[1] != cells.shape[1] or not 0 <= r0 <= cells.shape[0] - out.shape[0]
+            or e.shape != p.shape[:1]):
+        raise ValueError("skim_rows needs rows inside the table, one estimate per item, "
+                         "and a C-contiguous float64 out of whole rows")
+    if _kernel.skim61(cells.ctypes.data, cells.shape[0], cells.shape[1], r0, out.shape[0],
+                      p.ctypes.data, e.ctypes.data, e.size, out.ctypes.data):
+        raise ValueError("packed cell outside the table")
     return out
 
 

@@ -136,6 +136,41 @@ def test_eval_parallel_with_more_trials_than_jobs(tmp_path, capsys):
     assert [row[:2] for row in rows[1:]] == [[str(t), str(11 + t)] for t in range(7)]
 
 
+@pytest.mark.parametrize("jobs, trials, workers", [("64", "2", 2), ("3", "5", 3), ("8", "1", None)])
+def test_eval_starts_no_more_workers_than_trials(jobs, trials, workers, tmp_path, capsys,
+                                                 monkeypatch):
+    # a forked pool starts every worker at once, each holding the stream;
+    # this stand-in records the pool size and runs the trials in-process
+    import concurrent.futures
+
+    from f1sketch import cli
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, params):
+            return map(fn, params)
+
+    monkeypatch.setattr(cli, "_worker_stream", None)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    path = gen(tmp_path, m=1500)
+    out = str(tmp_path / "rows.csv")
+    assert run_cli("eval", path, "--epsilon", "0.5", "--trials", trials, "--jobs", jobs,
+                   "--out", out, capsys=capsys)[0] == 0
+    assert sizes == ([] if workers is None else [workers])
+    assert len(open(out).read().splitlines()) == 1 + int(trials)
+
+
 def test_eval_summary_statistics(tmp_path, capsys):
     path = gen(tmp_path)
     out_csv = str(tmp_path / "rows.csv")

@@ -611,3 +611,92 @@ def test_kernel_scatter_refuses_mismatched_arguments():
         hashing.scatter_signed(t._coeffs, np.array([1]), np.array([1]),
                                np.zeros((2, 7), dtype=np.int64), CELL_LIMIT)
     assert not t.cells.any()
+
+
+# -- compiled reads (reads61, skim61) against the numpy bodies ------------------
+
+
+def reads_on_both_paths(t: CountSketchTable, k: int, estimates=None) -> list:
+    """Per path: the touched items' point estimates and the residual F2
+    after the top k, as bytes and repr, so -0.0 and 0.0 differ."""
+    results = []
+    for kernel in PATHS:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hashing, "_kernel", kernel)
+            points = t.point_estimate_many(t.touched_cells())
+            results.append((points.tobytes(), repr(t.f2_residual_estimate(k, estimates))))
+    return results
+
+
+EDGE_CELLS = [0, 1, -1, 3, CELL_LIMIT - 1, -(CELL_LIMIT - 1), CELL_LIMIT - 2, 2**53 + 1]
+
+
+@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
+@given(st.integers(1, 13), st.integers(1, 9), st.integers(0, 2**16), st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_reads_and_skim_match_numpy_bodies(rows, cols, seed, data):
+    # few columns, so top items share buckets, and cells up to +-(2**62 - 1),
+    # where the order of the float subtractions changes the result
+    t = make_table(rows=rows, cols=cols, n=200, seed=seed)
+    items = data.draw(st.lists(st.integers(1, 200), min_size=1, max_size=40, unique=True))
+    t.update_many(np.array(items), np.ones(len(items), dtype=np.int64))
+    t.cells[:] = np.array(data.draw(st.lists(st.sampled_from(EDGE_CELLS) | st.integers(-99, 99),
+                                             min_size=rows * cols, max_size=rows * cols)),
+                          dtype=np.int64).reshape(rows, cols)
+    k = data.draw(st.integers(0, len(items) + 1))
+    kernel, numpy_body = reads_on_both_paths(t, k)
+    assert kernel == numpy_body
+
+
+@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
+def test_skim_subtracts_top_items_in_rank_order():
+    # three items share the one cell: with their signs, subtracting 2**53,
+    # then 1, then 1 leaves -2**53 (each 1 is rounded away), while the
+    # reverse order leaves -(2**53 + 2)
+    t = make_table(rows=1, cols=1, n=10, seed=4)
+    t.update_many(np.array([1, 2, 3]), np.zeros(3, dtype=np.int64))
+    sign = [expected_sign(t.hashes[0], i) for i in (1, 2, 3)]
+    estimates = np.array([2.0**53 * sign[0], 1.0 * sign[1], 1.0 * sign[2]])
+    assert 0.0 - 2.0**53 - 1.0 - 1.0 != 0.0 - 1.0 - 1.0 - 2.0**53
+    kernel, numpy_body = reads_on_both_paths(t, 3, estimates)
+    assert kernel == numpy_body
+    assert kernel[1] == repr(2.0**106)
+
+
+@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
+@pytest.mark.parametrize("rows, cols", [(13, 4096), (16, 4096), (3, 2**15 + 1), (2, 2**16)])
+def test_kernel_skim_blocks_match_numpy_body(rows, cols):
+    # 8 rows of 4,096 columns per 256 KiB block, then a short last block;
+    # past 32,768 columns one row per block
+    s = generate("zipf(1.1)", n=5000, m=20_000, seed=rows)
+    t = make_table(rows=rows, cols=cols, n=s.n, seed=cols)
+    t.update_many(s.items, s.deltas)
+    kernel, numpy_body = reads_on_both_paths(t, 256)
+    assert kernel == numpy_body
+
+
+@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
+def test_kernel_reads_and_skim_refuse_bad_arguments():
+    t = make_table(rows=3, cols=7, n=20)
+    t.update_many(np.array([1, 2]), np.array([5, -3]))
+    packed = t.touched_cells()
+    est = np.array([5.0, -3.0])
+    out = np.empty((2, 3), dtype=np.int64)
+    assert hashing.signed_reads(packed, t.cells, out) is out
+    for bad in ((packed[:, :2], t.cells, out[:, :2]),  # a row of cells missing
+                (packed, t.cells, out[:1]),  # out too short
+                (packed, t.cells, out.astype(np.float64)),
+                (packed, t.cells.astype(np.float64), out),
+                (np.full((2, 3), 14, dtype=np.uint32), t.cells, out)):  # bucket 7 of 7
+        with pytest.raises(ValueError):
+            hashing.signed_reads(*bad)
+    rows = np.empty((2, 7))
+    assert hashing.skim_rows(t.cells, 1, packed, est, rows) is rows
+    for r0, p, e, o in ((2, packed, est, rows),  # rows 2 and 3 of 3
+                        (-1, packed, est, rows),
+                        (0, packed, est[:1], rows),  # an estimate missing
+                        (0, packed, est, np.empty((2, 6))),
+                        (0, packed, est, np.empty((2, 7), dtype=np.float32)),
+                        (0, np.full((2, 3), 14, dtype=np.uint32), est, rows)):
+        with pytest.raises(ValueError):
+            hashing.skim_rows(t.cells, r0, p, e, o)

@@ -510,7 +510,7 @@ def test_estimate_diagnostics_present():
     d = est.estimate().diagnostics
     for key in ("updates", "ingest_ns", "classify_ns", "heavy_ns", "light_ns",
                 "stable_bytes", "countsketch_bytes", "heavy_hitter_bytes",
-                "heavy_clamped", "threshold", "f2_residual_estimate"):
+                "heavy_clamped", "isolation_failures", "threshold", "f2_residual_estimate"):
         assert key in d
     assert d["updates"] == 1
     assert d["stable_bytes"] == est.config.width * 3 * 8
@@ -979,3 +979,75 @@ def test_update_work_grows_polylogarithmically_while_width_grows_quadratically()
     assert ests[-1].config.width == 100 * ests[0].config.width
     assert work == sorted(work)
     assert all(w / sq <= work[0] / squared_logs[0] for w, sq in zip(work, squared_logs))
+
+
+# -- isolation failures, scalar records, compiled reads ---------------------------
+
+
+def test_isolation_failures_count_heavy_items_no_row_isolates(monkeypatch):
+    # constant row hashes put every item in one bucket of every isolation
+    # row, so two or more heavy items are never alone in a cell
+    def stream(est):
+        est.update_many(np.array([1, 2, 3, 4]), np.array([900, -700, 2, 1]))
+        return est
+
+    est = build(n=50, seed=40)
+    cs = est.countsketch
+    est.countsketch = CountSketchTable(cs.rows, cs.cols, hashes=[
+        KWiseHash([5 + j], range_size=2 * cs.cols) for j in range(cs.rows)])
+    stream(est).flush()
+    calls = []
+    original = Estimator._isolation_table
+
+    def counting(self, heavy):
+        calls.append(heavy.size)
+        return original(self, heavy)
+
+    monkeypatch.setattr(Estimator, "_isolation_table", counting)
+    r = est.estimate()
+    assert calls == [r.heavy_count] and r.heavy_count >= 2
+    assert r.diagnostics["isolation_failures"] == r.heavy_count and r.heavy == 0.0
+    assert stream(build(n=50, seed=40)).estimate().diagnostics["isolation_failures"] == 0
+
+
+def test_scalar_updates_take_numpy_ints_bools_and_mixed_lists():
+    # each list is read as `update_many` reads the same values as an array
+    records = [(np.int64(3), np.int32(-2)), (True, 5), (4, True), (np.uint64(5), np.int8(7)),
+               (6, 2**60), (7, -(2**60)), (3, np.False_)]
+    for extra in ([], [(8, 4.0)], [(np.uint8(9), np.float64(-3.0))]):
+        scalar, batch = build(n=10, seed=41), build(n=10, seed=41)
+        for i, v in records + extra:
+            scalar.update(i, v)
+        items, deltas = zip(*records, *extra)
+        batch.update_many(np.array([int(i) for i in items]), np.array([int(v) for v in deltas]))
+        scalar.flush()
+        batch.flush()
+        assert scalar.heavy_hitters.cells.tobytes() == batch.heavy_hitters.cells.tobytes()
+        assert scalar.touched_items().tolist() == batch.touched_items().tolist()
+    for bad in (2**63, 2.5):
+        est = build(n=10, seed=41)
+        est.update(1, 3)
+        est.update(2, bad)
+        with pytest.raises(ValueError, match="deltas"):
+            est.flush()
+
+
+@given(st.lists(st.tuples(st.integers(1, 2000), st.integers(-300, 300)), min_size=1,
+                max_size=400),
+       st.sampled_from([0.5, 0.3]), st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_kernel_and_numpy_reads_give_identical_reports_at_13_rows(records, accuracy, seed):
+    # n = 2000: 13 heavy-hitter rows, so the skim's last block is a short one
+    def run():
+        est = build(n=2000, seed=seed, accuracy=accuracy)
+        items, deltas = zip(*records)
+        est.update_many(np.array(items), np.array(deltas))
+        r, c = est.estimate(), est.classify()
+        return (repr((r.total, r.heavy, r.light, r.heavy_count, r.diagnostics["threshold"],
+                      r.diagnostics["f2_residual_estimate"])), c.estimates.tobytes())
+
+    assert build(n=2000).heavy_hitters.rows == 13
+    active = run()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hashing, "_kernel", None)
+        assert run() == active

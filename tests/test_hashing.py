@@ -1,5 +1,7 @@
+import ctypes
 import itertools
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -338,6 +340,52 @@ def test_kernel_whose_parse_disagrees_is_refused(old, new, tmp_path, monkeypatch
 def test_kernel_whose_scatter_sign_disagrees_is_refused(old, new, tmp_path, monkeypatch):
     # the spot check's linear row puts items on both sides of w = cols
     check_mutant_refused(old, new, tmp_path, monkeypatch)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a C compiler")
+@pytest.mark.parametrize("old, new", [
+    ("0 - (uint64_t)(q & 1)", "0 - (uint64_t)(~q & 1)"),           # reads61 flips the sign
+    ("for (size_t t = 0; t < k; t++)", "for (size_t t = k; t-- > 0;)"),  # skim61 runs backwards
+    ("e ^= (uint64_t)(q & 1) << 63;", ""),                         # skim61 drops the sign
+    ("o[b] *= o[b];", "o[b] *= 1.0;"),                             # skim61 does not square
+])
+def test_kernel_whose_reads_or_skim_disagree_is_refused(old, new, tmp_path, monkeypatch):
+    # the spot check's three items share a bucket where reversing the
+    # subtractions gives -1, not 0
+    check_mutant_refused(old, new, tmp_path, monkeypatch)
+
+
+@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
+def test_every_exported_kernel_routine_is_bound_and_spot_checked(monkeypatch):
+    # every non-static function of the source must be looked up and called
+    # by `_load_kernel`, so none reaches a caller unchecked
+    exported = set(re.findall(r"^(?!static\b)\w[\w\s*]*?\b(\w+)\(", hashing._HORNER_SOURCE,
+                              re.MULTILINE))
+    assert {"horner61", "scatter61", "reads61", "skim61"} <= exported
+    called = set()
+
+    class Routine:
+        def __init__(self, name, fn):
+            object.__setattr__(self, "_name", name)
+            object.__setattr__(self, "_fn", fn)
+
+        def __setattr__(self, attr, value):  # restype and argtypes
+            setattr(self._fn, attr, value)
+
+        def __call__(self, *args):
+            called.add(self._name)
+            return self._fn(*args)
+
+    class Library:
+        def __init__(self, path, load=ctypes.CDLL):
+            self._lib = load(path)
+
+        def __getattr__(self, name):
+            return Routine(name, getattr(self._lib, name))
+
+    monkeypatch.setattr(hashing.ctypes, "CDLL", Library)
+    assert hashing._load_kernel() is not None
+    assert called == exported
 
 
 def check_mutant_refused(old, new, tmp_path, monkeypatch):
