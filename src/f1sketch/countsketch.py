@@ -7,10 +7,12 @@ the bucket is w mod cols, and the sign is -1 exactly when w >= cols. So
 (Charikar, Chen & Farach-Colton, ICALP 2002), with a bias of at most
 2 * cols / (2**61 - 1). An item's cells have two forms: the row hashes, which
 define them, and packed cells, one uint32 of bucket and sign per row. The
-C kernel hashes and scatters a batch in one pass per row; without it numpy
-runs (`packed_cells`, `unpack`, `np.add.at`), the bitwise reference.
-`update_many` keeps the packed cells of every touched item, so reads over
-them hash nothing; `scatter_many` keeps nothing. Point estimates read
+C kernel hashes and scatters a batch in blocks of items, every row per
+block; without it numpy runs (`packed_cells`, `unpack`, `np.add.at`), the
+bitwise reference. Both refuse a batch whose sum of |delta| reaches 2**62,
+summed exactly (`batch_reaches_limit`). `update_many` keeps the packed
+cells of every touched item, so reads over them hash nothing;
+`scatter_many` keeps nothing and may skip them. Point estimates read
 packed cells; `top_k` and `f2_residual_estimate` rank the touched items.
 Reads take the same split: with the C kernel loaded, point estimates read
 signed cells in one pass (`hashing.signed_reads`) and the residual F2
@@ -63,10 +65,18 @@ def row_medians(values: np.ndarray) -> np.ndarray:
     return (values[:, mid - 1].astype(np.float64) + values[:, mid]) / 2
 
 
-def batch_magnitude(deltas: np.ndarray) -> float:
-    """Sum of |delta| over a batch, in float64: a batch below CELL_LIMIT
-    cannot wrap an int64 sum of its deltas."""
-    return float(np.abs(np.asarray(deltas, dtype=np.float64)).sum())
+def batch_reaches_limit(deltas: np.ndarray) -> bool:
+    """Whether a batch's exact sum of |delta| reaches CELL_LIMIT; a batch
+    below it cannot wrap an int64 sum of its deltas. One pass of the C
+    kernel when it is loaded; the numpy body, which sums the high and low
+    32-bit halves of |delta| apart so neither sum can wrap, is the fallback
+    and bitwise reference."""
+    deltas = np.asarray(deltas, dtype=np.int64)
+    if hashing._kernel is not None:
+        return hashing.abs_sum_reaches(deltas, CELL_LIMIT)
+    mag = np.abs(deltas).view(np.uint64)  # |-2**63| wraps to 2**63 as uint64
+    high = int((mag >> np.uint64(32)).sum())
+    return (high << 32) + int((mag & np.uint64(0xFFFFFFFF)).sum()) >= CELL_LIMIT
 
 
 def zeroed_cells(shape: tuple, dtype) -> np.ndarray:
@@ -157,32 +167,35 @@ class CountSketchTable:
         items = np.asarray(items, dtype=np.int64)
         self._remember(items, self.scatter_many(items, deltas))
 
-    def scatter_many(self, items: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    def scatter_many(self, items: np.ndarray, deltas: np.ndarray,
+                     packed: bool = True) -> np.ndarray | None:
         """Apply a batch of records; equivalent to per-record updates.
-        Returns each item's packed cells, an (items, rows) uint32 array.
+        Returns each item's packed cells, an (items, rows) uint32 array, or
+        None when `packed` is False.
 
-        With the C kernel each row is hashed and scattered in one pass
-        (`hashing.scatter_signed`). Without it the numpy body below runs;
-        it is also the bitwise reference the kernel is tested against.
-        Either way the whole batch is added, and then SketchInvariantError
-        is raised if a cell it wrote ends at |cell| >= 2**62.
+        With the C kernel the batch is hashed and scattered in blocks of
+        items, every row per block (`hashing.scatter_signed`). Without it
+        the numpy body below runs; it is also the bitwise reference the
+        kernel is tested against. Either way the whole batch is added, and
+        then SketchInvariantError is raised if a cell it wrote ends at
+        |cell| >= 2**62.
         """
         items = np.asarray(items, dtype=np.int64)
         if items.size == 0:
-            return np.zeros((0, self.rows), dtype=np.uint32)
+            return np.zeros((0, self.rows), dtype=np.uint32) if packed else None
         deltas = np.asarray(deltas, dtype=np.int64)
         if deltas.shape != items.shape:
             raise ValueError("need one delta per item")
         # a batch whose total magnitude reaches 2**62 could wrap int64
         # before the post-add check below sees it
-        if batch_magnitude(deltas) >= CELL_LIMIT:
+        if batch_reaches_limit(deltas):
             raise SketchInvariantError("batch magnitude would overflow counters")
         if hashing._kernel is not None:
-            overflow, packed = hashing.scatter_signed(self._coeffs, items, deltas, self.cells,
-                                                      CELL_LIMIT)
+            overflow, out = hashing.scatter_signed(self._coeffs, items, deltas, self.cells,
+                                                   CELL_LIMIT, packed)
         else:
-            packed = self.packed_cells(items)
-            idx, signed = self.unpack(packed)
+            out = self.packed_cells(items)
+            idx, signed = self.unpack(out)
             signed *= deltas[:, None]  # in place: (items x rows) temporaries add up
             flat = self.cells.reshape(-1)
             np.add.at(flat, idx, signed)
@@ -190,12 +203,17 @@ class CountSketchTable:
             overflow = np.abs(touched, out=touched).max() >= CELL_LIMIT
         if overflow:
             raise SketchInvariantError("counter overflow: |cell| >= 2**62")
-        return packed
+        return out if packed else None
 
     def _remember(self, items: np.ndarray, packed: np.ndarray) -> None:
         """Insert the batch's items not yet touched, once each, with their
         packed cells. Both arrays stay ascending by item; the cached rows
-        are moved into place whole, not gathered by index."""
+        are moved into place whole, not gathered by index. The first batch
+        of a table, ascending with no repeats as a flush's is, becomes the
+        touched items as it is."""
+        if self._touched.size == 0 and (items[1:] > items[:-1]).all():
+            self._touched, self._packed = items.copy(), packed
+            return
         pos = np.searchsorted(self._touched, items)
         if self._touched.size:
             fresh = np.flatnonzero(self._touched.take(pos, mode="clip") != items)

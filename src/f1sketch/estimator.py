@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hashing, seeds
-from .countsketch import (CELL_LIMIT, CountSketchTable, SketchInvariantError,
-                          batch_magnitude, zeroed_cells)
+from .countsketch import (CountSketchTable, SketchInvariantError, batch_reaches_limit,
+                          zeroed_cells)
 from .hashing import MERSENNE61, KWiseHash
 from .stable import StableVariateSource, stability_constant
 
@@ -37,15 +37,37 @@ MEMORY_CAP_BYTES = 1 << 30
 
 def integer_array(values, name: str) -> np.ndarray:
     """`values` as an int64 array; ValueError if any entry is not a whole
-    number that int64 holds (a float 2.7 is refused, not truncated)."""
+    number that int64 holds (a float 2.7 is refused, not truncated). A
+    sequence numpy would hold as floats or objects, such as a list mixing
+    whole floats with ints beyond 2**53, is read entry by entry, so no int
+    is rounded through float64."""
     arr = np.asarray(values)
     if arr.dtype.kind in "bi" or (arr.dtype.kind == "u" and arr.dtype.itemsize < 8):
         return arr.astype(np.int64, copy=False)
+    if arr.ndim == 1 and (arr.dtype.kind == "O" or (arr.dtype.kind == "f" and arr is not values)):
+        return np.array([_whole(v, name) for v in values], dtype=np.int64)
     with np.errstate(invalid="ignore"):
-        out = arr.astype(np.int64)
-    if not (out == arr).all():
+        try:
+            out = arr.astype(np.int64)
+        except OverflowError:  # an object array holding an int beyond int64
+            out = None
+    if out is None or not (out == arr).all():
         raise ValueError(f"{name} must be integers within the int64 range")
     return out
+
+
+def _whole(value, name: str) -> int:
+    """One entry of a sequence as an exact Python int, under the rules of
+    `integer_array`."""
+    if isinstance(value, (float, np.floating, np.bool_)) and float(value).is_integer():
+        value = int(value)
+    try:
+        whole = operator.index(value)
+    except TypeError:
+        whole = None
+    if whole is None or not -(1 << 63) <= whole < 1 << 63:
+        raise ValueError(f"{name} must be integers within the int64 range")
+    return whole
 
 
 def _int64_list(values: list, name: str) -> np.ndarray:
@@ -221,11 +243,20 @@ class StableTable:
         self.cells = zeroed_cells((cols, 3), np.float64)
 
     def update_many(self, items: np.ndarray, deltas: np.ndarray) -> None:
+        """Add each int64 delta times its item's three variates into its
+        bucket, item by item: in one pass of the C kernel
+        (`hashing.stable_add`) when it is loaded, else by `np.add.at`, the
+        fallback and bitwise reference. SketchInvariantError if any
+        accumulator then is not finite."""
         if len(items) == 0:
             return
+        deltas = np.asarray(deltas, dtype=np.int64)
         buckets = self.bucket_hash.eval_many(items)
         variates = self.source.variates_for(buckets, items)
-        np.add.at(self.cells, buckets - 1, deltas[:, None] * variates)
+        if hashing._kernel is not None:
+            hashing.stable_add(self.cells, buckets, deltas, variates)
+        else:
+            np.add.at(self.cells, buckets - 1, deltas[:, None] * variates)
         if not np.isfinite(self.cells).all():
             raise SketchInvariantError("stable accumulator is not finite")
 
@@ -320,7 +351,7 @@ class Estimator:
         else:
             items = np.concatenate([b[0] for b in batches])
             deltas = np.concatenate([b[1] for b in batches])
-        if batch_magnitude(deltas) >= CELL_LIMIT:
+        if batch_reaches_limit(deltas):
             raise SketchInvariantError("batch magnitude would overflow counters")
         # an (n + 1)-array is O(batch) scratch when n <= 4 * records
         if self.config.n <= 4 * items.size:
@@ -328,7 +359,8 @@ class Estimator:
         else:
             uniq, agg = _sorted_sums(items, deltas)
         self.table.update_many(uniq, agg)
-        self.countsketch.scatter_many(uniq, agg)  # keeps no items: isolation hashes its reads
+        # keeps no items, nor their packed cells: isolation hashes its reads
+        self.countsketch.scatter_many(uniq, agg, packed=False)
         self.heavy_hitters.update_many(uniq, agg)
         self._updates += int(items.size)
         self._ingest_ns += time.perf_counter_ns() - t0

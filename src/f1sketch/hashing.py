@@ -10,20 +10,27 @@ desk-scale C, and is ignored. A CountSketch row is one hash onto
 Hash objects are immutable after construction and safe to share across
 threads.
 
-A small C kernel (`_HORNER_SOURCE`) has seven routines: `horner61` runs
-`eval_many`, `scatter61` hashes and scatters CountSketch updates in one
-pass (`scatter_signed`), `dense_sums64` sums a flush's records into dense
-per-item arrays (`dense_sums`), `philox_uniforms` draws the Philox
-uniforms behind the stable variates, `parse_plain` reads plain stream
-text, `reads61` reads the signed cells behind CountSketch point estimates
-(`signed_reads`) and `skim61` removes the top items from CountSketch rows
-for the residual F2 (`skim_rows`). It is compiled once per machine with
-the local gcc into `$XDG_CACHE_HOME/f1sketch` (default
+A small C kernel (`_HORNER_SOURCE`) has nine routines: `horner61` runs
+`eval_many`; `scatter61` hashes and scatters CountSketch updates in
+blocks of 1,024 items, every row per block, each add in the hash loop,
+and judges the cells written against the counter limit once the whole
+batch is added (`scatter_signed`); `abs_sum_reaches` is the exact integer
+overflow guard, whether a batch's sum of |delta| reaches 2**62;
+`stable_add3` adds delta * variate into the stable accumulators in item
+order (`stable_add`); `dense_sums64` sums a flush's records into dense
+per-item arrays (`dense_sums`); `philox_uniforms` draws the Philox
+uniforms behind the stable variates; `parse_plain` reads plain stream
+text; `reads61` reads the signed cells behind CountSketch point estimates
+(`signed_reads`); and `skim61` removes the top items from CountSketch
+rows for the residual F2 (`skim_rows`). It is compiled once per machine
+with the local gcc into `$XDG_CACHE_HOME/f1sketch` (default
 `~/.cache/f1sketch`), under a file name keyed by a hash of the source, and
 loaded through ctypes when this module is imported. When it cannot be
 built or loaded, or fails its spot check, numpy runs instead: the
 evaluation below (`_mulmod61`/`_addmod61`), the scatter in
-`CountSketchTable.scatter_many`, the aggregation in
+`CountSketchTable.scatter_many`, the guard in
+`countsketch.batch_reaches_limit`, the `np.add.at` in
+`estimator.StableTable.update_many`, the aggregation in
 `estimator._dense_sums`, `stable.philox_uniforms`,
 `streams._plain_records`, and the numpy bodies of
 `CountSketchTable.point_estimate_many` and `f2_residual_estimate`. Each is
@@ -154,45 +161,114 @@ void horner61(const uint64_t *coeffs, const uint64_t *ranges, size_t rows,
     }
 }
 
+/* Items per block of scatter61: every row hashes a block, then adds it,
+   so the whole batch no longer streams through memory once per row. */
+#define BLOCK61 1024
+
+/* |c| >= limit for an int64 cell c; |INT64_MIN| wraps negative, as numpy's
+   abs does, so it never counts. */
+static inline int over61(uint64_t c, int64_t limit) {
+    return (int64_t)((int64_t)c < 0 ? 0 - c : c) >= limit;
+}
+
+/* One block of scatter61, items [lo, hi), hi - lo <= BLOCK61. Row by row:
+   the block's packed cells are hashed into q (4 KiB, in L1); unless
+   reread, each delta is added into its cell; then the cells are read
+   back, and the packed cells copied out unless packed is NULL. Returns
+   whether a cell read back is at |cell| >= limit. Hashing, adding and
+   reading in separate loops ran faster than adding in the hash loop, and
+   an add whose result is not read is one instruction, so a first write to
+   a fresh page faults once, not first to read and then to write. */
+static inline int block61(const uint64_t *coeffs, size_t rows, size_t t, const uint64_t *x,
+                          const int64_t *deltas, size_t lo, size_t hi, int64_t *cells,
+                          size_t cols, int64_t limit, uint32_t *packed, int reread) {
+    const uint64_t m = 2 * (uint64_t)cols;
+    uint32_t q[BLOCK61];
+    int hit = 0;
+    for (size_t r = 0; r < rows; r++) {
+        const uint64_t *c = coeffs + r * t;
+        const size_t s = lead61(c, t);
+        uint64_t *row = (uint64_t *)(cells + r * cols);
+        uint64_t v[4];
+        for (size_t i = lo; i < hi;) {
+            const int four = i + 4 <= hi;
+            poly61(c, s, t, x + i, four, v);
+            for (int j = 0; j < (four ? 4 : 1); j++, i++) {
+                const uint64_t w = v[j] % m, neg = w >= cols;
+                q[i - lo] = (uint32_t)((w - (cols & (0 - neg))) << 1 | neg);
+            }
+        }
+        for (size_t i = 0; !reread && i < hi - lo; i++) {
+            const uint64_t sign = 0 - (uint64_t)(q[i] & 1);
+            row[q[i] >> 1] += ((uint64_t)deltas[lo + i] ^ sign) - sign;
+        }
+        for (size_t i = 0; i < hi - lo; i++)
+            hit |= over61(row[q[i] >> 1], limit);
+        for (size_t i = 0; packed && i < hi - lo; i++)
+            packed[(lo + i) * rows + r] = q[i];
+    }
+    return hit;
+}
+
 /* CountSketch update of a (rows, cols) int64 table, 0 < cols < 2^31, from
    one polynomial per row laid out as for horner61: w = (poly_r(x) mod
    2^61-1) mod 2 * cols gives bucket w mod cols and sign -1 iff w >= cols,
    found with a mask, as a branch on this coin flip mispredicts half the
    time. Adds sign * deltas[i] into cell (r, bucket) for every row r and
-   item i, wrapping modulo 2^64 as numpy's int64 adds do. Row by row: hash
-   every item into packed[i * rows + r] as bucket << 1 | negative-sign,
-   add, then reread the cells written. Returns 1 when any ends at
-   |cell| >= limit, else 0; |INT64_MIN| wraps negative, as numpy's abs. */
+   item i, wrapping modulo 2^64 as numpy's int64 adds do, BLOCK61 items at
+   a time, every row per block. Unless packed is NULL, item i's packed cell
+   in row r goes to packed[i * rows + r] as bucket << 1 | negative-sign.
+   Returns 1 when a cell written ends the batch at |cell| >= limit (see
+   over61), else 0. Each block reads back the cells it wrote; a cell that
+   ends the batch there was there when the block of its last add read it,
+   so the batch is hashed again, to read every cell it wrote, only when
+   some block read one there: the whole batch is added before any cell is
+   judged. */
 int scatter61(const uint64_t *coeffs, size_t rows, size_t t, const uint64_t *x,
               const int64_t *deltas, size_t n, int64_t *cells, size_t cols,
               int64_t limit, uint32_t *packed) {
-    const uint64_t m = 2 * (uint64_t)cols;
-    int over = 0;
-    for (size_t r = 0; r < rows; r++) {
-        const uint64_t *c = coeffs + r * t;
-        const size_t s = lead61(c, t);
-        uint64_t *row = (uint64_t *)(cells + r * cols);
-        uint32_t *p = packed + r;
-        uint64_t v[4];
-        for (size_t i = 0; i < n;) {
-            const int four = i + 4 <= n;
-            poly61(c, s, t, x + i, four, v);
-            for (int j = 0; j < (four ? 4 : 1); j++, i++) {
-                const uint64_t w = v[j] % m, neg = w >= cols;
-                p[i * rows] = (uint32_t)((w - (cols & (0 - neg))) << 1 | neg);
-            }
-        }
-        for (size_t i = 0; i < n; i++) {
-            const uint32_t q = p[i * rows];
-            const uint64_t d = (uint64_t)deltas[i];
-            row[q >> 1] += q & 1 ? 0 - d : d;
-        }
-        for (size_t i = 0; i < n; i++) {
-            const uint64_t c = row[p[i * rows] >> 1];
-            over |= (int64_t)((int64_t)c < 0 ? 0 - c : c) >= limit;
-        }
-    }
+    int near = 0, over = 0;
+    for (size_t lo = 0; lo < n; lo += BLOCK61)
+        near |= block61(coeffs, rows, t, x, deltas, lo, n - lo < BLOCK61 ? n : lo + BLOCK61,
+                        cells, cols, limit, packed, 0);
+    for (size_t lo = 0; near && lo < n; lo += BLOCK61)
+        over |= block61(coeffs, rows, t, x, deltas, lo, n - lo < BLOCK61 ? n : lo + BLOCK61,
+                        cells, cols, limit, NULL, 1);
     return over;
+}
+
+/* 1 when |deltas[0]| + ... + |deltas[n-1]|, summed exactly, reaches
+   limit, at most 2^63, else 0; |INT64_MIN| counts as 2^63. The sum stops
+   at the first partial sum that reaches limit, so it never wraps. */
+int abs_sum_reaches(const int64_t *deltas, size_t n, uint64_t limit) {
+    uint64_t sum = 0;
+    for (size_t i = 0; i < n; i++) {
+        const uint64_t d = (uint64_t)deltas[i];
+        sum += (int64_t)d < 0 ? 0 - d : d;
+        if (sum >= limit)
+            return 1;
+    }
+    return 0;
+}
+
+/* Stable accumulators of a (cols, 3) float64 table: for every i < n in
+   turn, cells[3 * (buckets[i] - 1) + s] += (double)deltas[i] *
+   variates[3 * i + s] for slots s = 0, 1, 2, in item order, as np.add.at
+   adds, so every sum rounds alike. The product is rounded before the add:
+   the kernel is built with -ffp-contract=off, so no fused multiply-add.
+   Returns 1 at the first bucket outside [1, cols], leaving cells partly
+   written, else 0. */
+int stable_add3(double *cells, size_t cols, const int64_t *buckets, const int64_t *deltas,
+                const double *variates, size_t n) {
+    for (size_t i = 0; i < n; i++) {
+        const uint64_t b = (uint64_t)buckets[i] - 1;
+        if (b >= cols)
+            return 1;
+        const double d = (double)deltas[i];
+        for (size_t s = 0; s < 3; s++)
+            cells[3 * b + s] += d * variates[3 * i + s];
+    }
+    return 0;
 }
 
 /* Exact dense aggregation: for every i < n, sums[items[i]] += deltas[i],
@@ -373,7 +449,7 @@ int skim61(const int64_t *cells, size_t rows, size_t cols, size_t r0, size_t nr,
     return 0;
 }
 """
-_CFLAGS = ("-O2", "-shared", "-fPIC")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _cache_dir() -> str:
@@ -427,9 +503,14 @@ _PARSE_DECLINED = (b"1 -999999999999999999\n", b"1 --1\n", b"1 2\t\n3 4\n5 6\n7 
                    b"1:2 3\n4 5\n6 7\n8 9\n", b"1 2\n3\n", b"1 2 3\n", b"1 2-\n")
 
 
+# items per block of `scatter61`, BLOCK61 in its source
+_SCATTER_BLOCK = 1024
+
+
 def _load_kernel():
-    """The compiled library (`horner61`, `scatter61`, `dense_sums64`,
-    `philox_uniforms`, `parse_plain`, `reads61` and `skim61`), or None when
+    """The compiled library (`horner61`, `scatter61`, `abs_sum_reaches`,
+    `stable_add3`, `dense_sums64`, `philox_uniforms`, `parse_plain`,
+    `reads61` and `skim61`), or None when
     it cannot be built or loaded or disagrees with the numpy reference on a
     spot check."""
     key = "\0".join((_HORNER_SOURCE, " ".join(_CFLAGS), platform.machine(),
@@ -441,6 +522,7 @@ def _load_kernel():
             _build_kernel(path)
         lib = ctypes.CDLL(path)
         horner, scatter = lib.horner61, lib.scatter61
+        reaches, stable = lib.abs_sum_reaches, lib.stable_add3
         dense, philox, parse = lib.dense_sums64, lib.philox_uniforms, lib.parse_plain
         reads, skim = lib.reads61, lib.skim61
     except (OSError, AttributeError):  # no compiler, unwritable cache, bad library
@@ -450,7 +532,9 @@ def _load_kernel():
     horner.argtypes = [ptr, ptr, size, size, ptr, size, ptr]
     scatter.restype = ctypes.c_int
     scatter.argtypes = [ptr, size, size, ptr, ptr, size, ptr, size, ctypes.c_int64, ptr]
-    dense.restype = ctypes.c_int
+    reaches.restype = stable.restype = dense.restype = ctypes.c_int
+    reaches.argtypes = [ptr, size, ctypes.c_uint64]
+    stable.argtypes = [ptr, size, ptr, ptr, ptr, size]
     dense.argtypes = [ptr, ptr, size, ptr, ptr, size]
     philox.restype = None
     philox.argtypes = [ptr, ptr, size, u32, u32, ptr]
@@ -486,6 +570,55 @@ def _load_kernel():
         want_over = np.abs(want_cells[w % cols]).max() >= limit
         ok = (ok and np.array_equal(cells, want_cells) and bool(over) == want_over
               and np.array_equal(packed, want_packed))
+    # two rows of 2 columns under x and x + 1, a third as a margin, over a
+    # batch two items longer than a block, with and without packed cells.
+    # From cells at +-(limit - 4), the +-1 deltas stay within 4 of the
+    # start; item 1023, in the first block, takes a cell of each row past
+    # the limit, and item 1025, in the second, brings both back unless its
+    # delta is 0: only a reread after the whole batch judges that right
+    n, cols = _SCATTER_BLOCK + 2, 2
+    x = np.arange(n, dtype=np.uint64)
+    coeffs = np.array([[0, 0, 1, 0], [0, 0, 1, 1]], dtype=np.uint64)
+    w = np.stack([_horner_numpy(c, np.uint64(2 * cols), x) - 1 for c in coeffs], axis=1)
+    want_packed = ((w % cols) << 1 | (w >= cols)).astype(np.uint32)
+    deltas = np.ones(n, dtype=np.int64)
+    deltas[-3:-1] = -8, 1
+    for last, want_over in ((-16, False), (0, True)):
+        deltas[-1] = last
+        for packed in (np.empty((n, 2), dtype=np.uint32), None):
+            cells = np.array([[limit - 4] * cols, [4 - limit] * cols, [0] * cols],
+                             dtype=np.int64)
+            want_cells = cells.copy()
+            for r in (0, 1):
+                np.add.at(want_cells[r], w[:, r] % cols, np.where(w[:, r] < cols, deltas, -deltas))
+            over = scatter(coeffs.ctypes.data, 2, 4, x.ctypes.data, deltas.ctypes.data, n,
+                           cells.ctypes.data, cols, limit,
+                           None if packed is None else packed.ctypes.data)
+            ok = (ok and np.array_equal(cells, want_cells) and bool(over) == want_over
+                  and want_over == (np.abs(want_cells).max() >= limit)
+                  and (packed is None or np.array_equal(packed, want_packed)))
+    # the exact guard at its boundary: just below the limit, exactly at it
+    # (where float64 sums round), and |INT64_MIN|, which counts as 2**63
+    for deltas in ([limit - 1], [limit - 1, 0, -1], [1 - limit, 1], [-(1 << 63)],
+                   [(1 << 63) - 1, -(1 << 63)], [-3, 2, -5], []):
+        d = np.array(deltas, dtype=np.int64)
+        want = sum(abs(v) for v in deltas) >= limit
+        ok = ok and reaches(d.ctypes.data, d.size, limit) == want
+    # stable adds where the order of the adds matters (bucket 2, slot 0 sums
+    # 2**53, 1 and -2**53: 2**53 + 1 rounds down, -2**53 + 1 does not), a
+    # delta that rounds as a double, then a bucket past the table, refused
+    buckets = np.array([2, 1, 2, 2, 3], dtype=np.int64)
+    deltas = np.array([1, -3, 1, -1, (1 << 53) + 1], dtype=np.int64)
+    variates = np.array([[2.0**53, 0.5, -1.0], [1.5, 2.0, 3.0], [1.0, -1.0, 1e-3],
+                         [2.0**53, 1.0, 0.25], [-2.5, 1e290, 0.0]])
+    cells = np.zeros((3, 3))
+    want = cells.copy()
+    np.add.at(want, buckets - 1, deltas[:, None] * variates)
+    ok = (ok and stable(cells.ctypes.data, 3, buckets.ctypes.data, deltas.ctypes.data,
+                        variates.ctypes.data, buckets.size) == 0
+          and cells.tobytes() == want.tobytes()
+          and stable(cells.ctypes.data, 2, buckets.ctypes.data, deltas.ctypes.data,
+                     variates.ctypes.data, buckets.size) == 1)
     # sums that wrap, an item whose deltas cancel, then an item out of range
     items = np.array([3, 1, 3, 0, 5, 1], dtype=np.int64)
     deltas = np.array([2**63 - 1, -4, 1, 0, 7, 4], dtype=np.int64)
@@ -582,16 +715,17 @@ def horner_rows(coeffs: np.ndarray, ranges: np.ndarray, x: np.ndarray) -> np.nda
 
 
 def scatter_signed(coeffs: np.ndarray, items: np.ndarray, deltas: np.ndarray,
-                   cells: np.ndarray, limit: int) -> tuple[bool, np.ndarray]:
+                   cells: np.ndarray, limit: int,
+                   packed: bool = True) -> tuple[bool, np.ndarray | None]:
     """Add sign_r(i) * delta into cells[r, bucket_r(i)] for every row r of
-    the (rows, cols) int64 table `cells` and every item i, in one pass of
-    the C kernel (`scatter61`). `coeffs` is a `CountSketchTable`'s (rows, t)
-    matrix, one polynomial per row; the kernel reduces row r's field value
-    onto w in [0, 2 * cols), whose bucket is w mod cols and whose sign is -1
-    exactly when w >= cols.
-    Returns whether any cell written ends at |cell| >= limit, and every
-    item's packed cell in every row as an (items, rows) uint32 array:
-    bucket << 1 | (sign == -1).
+    the (rows, cols) int64 table `cells` and every item i, in cache-blocked
+    passes of the C kernel (`scatter61`). `coeffs` is a `CountSketchTable`'s
+    (rows, t) matrix, one polynomial per row; the kernel reduces row r's
+    field value onto w in [0, 2 * cols), whose bucket is w mod cols and
+    whose sign is -1 exactly when w >= cols.
+    Returns whether any cell written ends the batch at |cell| >= limit, and
+    every item's packed cell in every row as an (items, rows) uint32 array,
+    bucket << 1 | (sign == -1), or None when `packed` is False.
 
     Needs the kernel loaded (`_kernel` not None), items in [0, 2**61 - 1)
     as `horner_rows` does, and cols < 2**31, so a packed cell fits 32 bits.
@@ -608,11 +742,42 @@ def scatter_signed(coeffs: np.ndarray, items: np.ndarray, deltas: np.ndarray,
             or coeffs.shape[0] != rows):
         raise ValueError("scatter_signed needs a writable C-contiguous int64 table under "
                          "2**31 columns, one delta per item, and one polynomial per row")
-    packed = np.empty((x.size, rows), dtype=np.uint32)
+    out = np.empty((x.size, rows), dtype=np.uint32) if packed else None
     over = _kernel.scatter61(coeffs.ctypes.data, rows, coeffs.shape[1], x.ctypes.data,
                              d.ctypes.data, x.size, cells.ctypes.data, cols, limit,
-                             packed.ctypes.data)
-    return bool(over), packed
+                             None if out is None else out.ctypes.data)
+    return bool(over), out
+
+
+def abs_sum_reaches(deltas: np.ndarray, limit: int) -> bool:
+    """Whether the exact sum of |delta| over an int64 vector reaches
+    `limit`, at most 2**63, counting |-2**63| as 2**63. One pass of the C
+    kernel (`abs_sum_reaches`), which must be loaded;
+    `countsketch.batch_reaches_limit`'s numpy body is the fallback and
+    bitwise reference."""
+    d = np.ascontiguousarray(deltas, dtype=np.int64)
+    return bool(_kernel.abs_sum_reaches(d.ctypes.data, d.size, limit))
+
+
+def stable_add(cells: np.ndarray, buckets: np.ndarray, deltas: np.ndarray,
+               variates: np.ndarray) -> None:
+    """Add deltas[i] * variates[i] into row buckets[i] - 1 of the (cols, 3)
+    float64 table `cells`, item by item, in one pass of the C kernel
+    (`stable_add3`), which must be loaded. `np.add.at(cells, buckets - 1,
+    deltas[:, None] * variates)`, in `estimator.StableTable.update_many`,
+    adds in the same order and is the fallback and bitwise reference.
+    ValueError for a bucket outside [1, cols], after the adds before it."""
+    b = np.ascontiguousarray(buckets, dtype=np.int64)
+    d = np.ascontiguousarray(deltas, dtype=np.int64)
+    v = np.ascontiguousarray(variates, dtype=np.float64)
+    if (cells.dtype != np.float64 or not cells.flags.c_contiguous or not cells.flags.writeable
+            or cells.ndim != 2 or cells.shape[1] != 3 or b.ndim != 1 or d.shape != b.shape
+            or v.shape != (b.size, 3)):
+        raise ValueError("stable_add needs a writable C-contiguous (cols, 3) float64 table "
+                         "and one delta and three variates per bucket")
+    if _kernel.stable_add3(cells.ctypes.data, cells.shape[0], b.ctypes.data, d.ctypes.data,
+                           v.ctypes.data, b.size):
+        raise ValueError("bucket outside the stable table")
 
 
 def dense_sums(items: np.ndarray, deltas: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:

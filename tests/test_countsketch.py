@@ -149,6 +149,13 @@ def test_scatter_many_adds_what_update_many_adds_and_keeps_nothing(kernel, monke
     assert packed.tobytes() == scattered.packed_cells(items).tobytes()
     assert scattered.touched_nbytes() == 0
     assert scattered.scatter_many(np.zeros(0, dtype=np.int64), []).shape == (0, 4)
+    # without its packed cells the batch adds the same, and the guard holds
+    assert scattered.scatter_many(items, -deltas, packed=False) is None
+    assert scattered.scatter_many(items[:0], deltas[:0], packed=False) is None
+    assert not scattered.cells.any() and scattered.touched_nbytes() == 0
+    scattered.cells[:] = CELL_LIMIT - 1
+    with pytest.raises(SketchInvariantError, match="counter overflow"):
+        scattered.scatter_many(items[-1:], deltas[-1:], packed=False)
 
 
 def test_top_k_single_item():
@@ -501,6 +508,69 @@ def test_kernel_scatter_matches_numpy_body(rows, cols, n, seed, data):
     batches = [tuple(zip(*b)) if b else ((), ()) for b in data.draw(st.lists(batch, max_size=4))]
     kernel, numpy_body = run_paths(dict(rows=rows, cols=cols, n=n, seed=seed), batches)
     assert kernel == numpy_body
+
+
+@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
+def test_kernel_scatter_across_block_boundaries_matches_numpy_body():
+    # two blocks and a short third, with items repeated on both sides of
+    # each boundary: from cells at zero, random deltas; from cells near the
+    # limit, item 7 takes its cells past it just before the first boundary
+    # and back just after it (ok), and past it again in the next batch
+    block = hashing._SCATTER_BLOCK
+    rng = np.random.default_rng(17)
+    items = rng.integers(1, 60, size=2 * block + 5)
+    items[block - 2:block + 2] = items[2 * block - 1:2 * block + 3] = [9, 7, 9, 7]
+    deltas = rng.integers(-2**20, 2**20, size=items.size)
+    table = dict(rows=5, cols=11, n=60, seed=3)
+    kernel, numpy_body = run_paths(table, [(items, deltas), (items[::-1], deltas)])
+    assert kernel == numpy_body and kernel[0] == ["ok", "ok"]
+    assert (make_table(**table).packed_cells(np.array([7])) & 1 == 0).any()  # a + row
+    deltas = np.zeros(items.size, dtype=np.int64)
+    deltas[[block - 1, block + 1]] = 100, -100
+    kernel, numpy_body = run_paths(table, [(items, deltas), ([7], [61])], start=CELL_LIMIT - 60)
+    assert kernel == numpy_body and kernel[0] == ["ok", "overflow"]
+
+
+@pytest.mark.parametrize("kernel", PATHS)
+def test_batch_guard_is_exact_at_its_boundary(kernel, monkeypatch):
+    # float64 rounded 2**62 - 1 up to 2**62 and refused it; the exact sum
+    # takes it and refuses a sum of exactly 2**62, and |-2**63| counts
+    monkeypatch.setattr(hashing, "_kernel", kernel)
+    t = make_table(rows=2, cols=4, n=5)
+    t.update_many(np.array([1]), np.array([CELL_LIMIT - 1]))
+    assert (np.abs(t.cells).max(axis=1) == CELL_LIMIT - 1).all()
+    for deltas in ([CELL_LIMIT - 1, -1], [1 << 61, 1 << 61], [-(1 << 63)], [2**63 - 1, 0]):
+        fresh = make_table(rows=2, cols=4, n=5)
+        with pytest.raises(SketchInvariantError, match="batch magnitude"):
+            fresh.update_many(np.arange(1, len(deltas) + 1), np.array(deltas))
+        assert not fresh.cells.any() and fresh.touched_items().size == 0
+
+
+@given(st.lists(st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-2**62, 2**62),
+                          st.integers(-2**33, 2**33)), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_batch_guard_matches_the_exact_sum_on_both_paths(deltas):
+    want = sum(abs(d) for d in deltas) >= CELL_LIMIT
+    for kernel in PATHS:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hashing, "_kernel", kernel)
+            assert countsketch.batch_reaches_limit(np.array(deltas, dtype=np.int64)) == want
+
+
+@pytest.mark.parametrize("kernel", PATHS)
+def test_first_batch_becomes_the_touched_items_whole(kernel, monkeypatch):
+    # an ascending first batch is kept as it is, as a copy; any other first
+    # batch, and every later one, is merged into the touched items
+    monkeypatch.setattr(hashing, "_kernel", kernel)
+    for first in ([2, 5, 9], [9, 2, 5, 2]):
+        t = make_table(rows=3, cols=7, n=20)
+        items = np.array(first)
+        t.update_many(items, np.ones(items.size, dtype=np.int64))
+        items[:] = 1
+        assert t.touched_items().tolist() == [2, 5, 9]
+        t.update_many(np.array([9, 4]), np.array([1, 1]))
+        assert t.touched_items().tolist() == [2, 4, 5, 9]
+        assert t.touched_cells().tobytes() == t.packed_cells(t.touched_items()).tobytes()
 
 
 @pytest.mark.parametrize("direction", [1, -1])

@@ -13,7 +13,7 @@ from f1sketch.estimator import Classification
 from f1sketch.hashing import KWiseHash
 from f1sketch.oracle import (ExactState, expected_bucket, expected_hash, expected_isolation_row,
                              expected_sign, expected_stable_cells, expected_variate)
-from f1sketch.stable import stability_constant
+from f1sketch.stable import StableVariateSource, stability_constant
 
 
 def build(n=100, seed=1, accuracy=0.5) -> Estimator:
@@ -1051,3 +1051,141 @@ def test_kernel_and_numpy_reads_give_identical_reports_at_13_rows(records, accur
     with pytest.MonkeyPatch.context() as m:
         m.setattr(hashing, "_kernel", None)
         assert run() == active
+
+
+# -- compiled stable adds, the exact guard and exact integer input ------------
+
+
+def stable_table(cols: int, seed: int = 5) -> estimator.StableTable:
+    key = seeds.master_key(seed)
+    return estimator.StableTable(cols, KWiseHash.from_seed(seeds.derive_key(key, "b"), 8, 10**6,
+                                                           cols),
+                                 StableVariateSource(seeds.derive_key(key, "v")))
+
+
+@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
+@pytest.mark.parametrize("cols", [1, 5, 4096])
+def test_kernel_stable_add_matches_np_add_at_bitwise(cols):
+    # repeated buckets, deltas large enough to round as doubles, two batches
+    rng = np.random.default_rng(cols)
+    items = rng.integers(1, 10**6, size=300)
+    items[150:] = items[:150]
+    deltas = rng.integers(-2**61, 2**61, size=300) >> rng.integers(0, 60, size=300)
+    cells = []
+    for kernel in (hashing._kernel, None):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hashing, "_kernel", kernel)
+            t = stable_table(cols)
+            t.update_many(items, deltas)
+            t.update_many(items[::-1], -deltas // 3)
+            cells.append(t.cells.tobytes())
+    assert cells[0] == cells[1]
+
+
+@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
+def test_kernel_stable_add_takes_non_finite_products_as_np_add_at_does():
+    buckets = np.array([1, 2, 1, 3])
+    deltas = np.array([1, -2, 3, 0])
+    variates = np.array([[np.inf, 1.0, 2.0], [np.nan, -np.inf, 0.5], [-np.inf, 3.0, 1e308],
+                         [np.inf, 1.0, 1.0]])  # 0 * inf is nan
+    want, got = np.zeros((3, 3)), np.zeros((3, 3))
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.add.at(want, buckets - 1, deltas[:, None] * variates)
+        hashing.stable_add(got, buckets, deltas, variates)
+    assert got.tobytes() == want.tobytes() and not np.isfinite(got).all()
+    for bad in ((got, buckets, deltas[:3], variates), (got, buckets, deltas, variates[:, :2]),
+                (np.zeros((3, 4)), buckets, deltas, variates),
+                (got.astype(np.float32), buckets, deltas, variates)):
+        with pytest.raises(ValueError, match="stable_add needs"):
+            hashing.stable_add(*bad)
+    with pytest.raises(ValueError, match="bucket outside"):
+        hashing.stable_add(np.zeros((3, 3)), np.array([4]), np.array([1]), np.ones((1, 3)))
+
+
+@pytest.mark.parametrize("kernel", [k for k in (hashing._kernel,) if k is not None] + [None])
+def test_non_finite_stable_product_raises_on_both_paths(kernel, monkeypatch):
+    monkeypatch.setattr(hashing, "_kernel", kernel)
+    class Infinite:
+        def variates_for(self, buckets, items):
+            return np.full((len(items), 3), np.inf)
+
+    t = stable_table(7)
+    t.source = Infinite()
+    with pytest.raises(SketchInvariantError, match="not finite"):
+        t.update_many(np.array([1, 2]), np.array([1, -1]))
+
+
+@pytest.mark.parametrize("kernel", [k for k in (hashing._kernel,) if k is not None] + [None])
+def test_flush_guard_is_exact_at_its_boundary(kernel, monkeypatch):
+    # a delta of 2**62 - 1 was refused when float64 summed it; a batch whose
+    # exact sum of |delta| is 2**62, or that holds -2**63, still is
+    monkeypatch.setattr(hashing, "_kernel", kernel)
+    est = build(n=10)
+    est.update(3, CELL_LIMIT - 1)
+    est.flush()
+    assert est.touched_items().tolist() == [3]
+    assert np.abs(est.heavy_hitters.cells).max() == CELL_LIMIT - 1
+    for deltas in ([CELL_LIMIT - 1, 1], [-(1 << 61), 1 << 61], [-(1 << 63)]):
+        est = build(n=10)
+        est.update_many(np.arange(1, len(deltas) + 1), np.array(deltas))
+        with pytest.raises(SketchInvariantError, match="batch magnitude"):
+            est.flush()
+        assert est.touched_items().size == 0 and not est.table.cells.any()
+
+
+def test_whole_floats_next_to_large_ints_do_not_round_them():
+    # float64 holds 2**60 + 1 as 2**60: a float in the batch once sent every
+    # int in it through float64, so the counters differed from the int batch
+    big = 2**60 + 1
+    want = build(n=10, seed=43)
+    want.update_many(np.array([1, 2, 3]), np.array([big, 3, -big]))
+    want.flush()
+    scalar, listed = build(n=10, seed=43), build(n=10, seed=43)
+    for i, v in ((1, big), (2, 3.0), (3, -big)):
+        scalar.update(i, v)
+    listed.update_many([1.0, 2, 3], [big, np.float64(3.0), -big])
+    for est in (scalar, listed):
+        est.flush()
+        for name in ("heavy_hitters", "countsketch"):
+            assert getattr(est, name).cells.tobytes() == getattr(want, name).cells.tobytes()
+        assert est.table.cells.tobytes() == want.table.cells.tobytes()
+    with pytest.raises(ValueError, match="deltas"):
+        listed.update_many([1, 2], [big, 2.5])
+
+
+def test_ints_beyond_int64_are_refused_with_value_error():
+    # below -2**63 numpy made an object array whose conversion raised
+    # OverflowError; both ends, on both ways in, now raise ValueError
+    for bad in (-(2**63) - 1, 2**63, 2**64, -(2**70)):
+        est = build(n=10)
+        est.update(1, 3)
+        est.update(2, bad)
+        with pytest.raises(ValueError, match="deltas"):
+            est.flush()
+        with pytest.raises(ValueError, match="deltas"):
+            est.update_many([1, 2], [3, bad])
+        with pytest.raises(ValueError, match="deltas"):
+            est.update_many(np.array([1, 2]), np.array([3, bad], dtype=object))
+        with pytest.raises(ValueError, match="items"):
+            est.update_many([1, bad], [3, 4])
+        assert est.touched_items().size == 0
+
+
+@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
+def test_flush_of_scalar_records_and_arrays_gives_identical_cells_on_both_paths():
+    rng = np.random.default_rng(44)
+    items = rng.integers(1, 3000, size=2500)
+    deltas = rng.integers(-2**40, 2**40, size=2500)
+    states = []
+    for kernel in (hashing._kernel, None):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hashing, "_kernel", kernel)
+            est = build(n=3000, seed=45)
+            for i, v in zip(items[:1200].tolist(), deltas[:1200].tolist()):
+                est.update(i, v)
+            est.update_many(items[1200:], deltas[1200:])
+            est.flush()
+            states.append([a.tobytes() for a in (est.table.cells, est.countsketch.cells,
+                                                 est.heavy_hitters.cells, est.touched_items(),
+                                                 est.heavy_hitters.touched_cells())])
+    assert states[0] == states[1]

@@ -355,6 +355,33 @@ def test_kernel_whose_reads_or_skim_disagree_is_refused(old, new, tmp_path, monk
     check_mutant_refused(old, new, tmp_path, monkeypatch)
 
 
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a C compiler")
+@pytest.mark.parametrize("old, new", [
+    ("    return over;\n}", "    return near;\n}"),            # trusts the first read-back
+    ("near && lo < n", "0 && lo < n"),                          # never rereads
+    ("deltas[lo + i] ^ sign", "deltas[i] ^ sign"),              # reuses block 0's deltas
+    ("packed[(lo + i) * rows + r]", "packed[i * rows + r]"),    # packs every block at 0
+    ("        if (sum >= limit)", "        if (sum > limit)"),  # passes a sum of 2**62
+    ("sum += (int64_t)d < 0 ? 0 - d : d;", "sum += d;"),        # sums deltas, not |delta|
+    ("for (size_t i = 0; i < n; i++) {\n        const uint64_t b",
+     "for (size_t i = n; i-- > 0;) {\n        const uint64_t b"),  # adds in reverse
+    ("+= d * variates[3 * i + s];", "+= (double)(float)(d * variates[3 * i + s]);"),
+    ("if (b >= cols)\n            return 1;\n        const double",
+     "if (b > cols)\n            return 1;\n        const double"),  # takes bucket cols + 1
+])
+def test_kernel_whose_blocked_scatter_guard_or_stable_add_disagrees_is_refused(
+        old, new, tmp_path, monkeypatch):
+    # the spot check scatters across a block boundary from cells near the
+    # limit, sums |delta| at 2**62 exactly, and adds where order rounds
+    check_mutant_refused(old, new, tmp_path, monkeypatch)
+
+
+def test_scatter_block_matches_the_kernel_source():
+    # the spot check and the tests cross a block boundary only if this holds
+    assert re.search(r"#define BLOCK61 (\d+)", hashing._HORNER_SOURCE)[1] == str(
+        hashing._SCATTER_BLOCK)
+
+
 @pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
 def test_every_exported_kernel_routine_is_bound_and_spot_checked(monkeypatch):
     # every non-static function of the source must be looked up and called
