@@ -6,19 +6,16 @@ the bucket is w mod cols, and the sign is -1 exactly when w >= cols. So
 (bucket, sign) is jointly 8-wise independent, more than CountSketch needs
 (Charikar, Chen & Farach-Colton, ICALP 2002), with a bias of at most
 2 * cols / (2**61 - 1). An item's cells have two forms: the row hashes, which
-define them, and packed cells, one uint32 of bucket and sign per row. The
-C kernel hashes and scatters a batch in blocks of items, every row per
-block; without it numpy runs (`packed_cells`, `unpack`, `np.add.at`), the
-bitwise reference. Both refuse a batch whose sum of |delta| reaches 2**62,
-summed exactly (`batch_reaches_limit`). `update_many` keeps the packed
-cells of every touched item, so reads over them hash nothing;
+define them, and packed cells, one uint32 of bucket and sign per row. A
+batch is hashed and scattered in blocks of items, every row per block
+(`hashing.scatter_signed`), and refused when its sum of |delta| reaches
+2**62, summed exactly (`batch_reaches_limit`). `update_many` keeps the
+packed cells of every touched item, so reads over them hash nothing;
 `scatter_many` keeps nothing and may skip them. Point estimates read
-packed cells; `top_k` and `f2_residual_estimate` rank the touched items.
-Reads take the same split: with the C kernel loaded, point estimates read
-signed cells in one pass (`hashing.signed_reads`) and the residual F2
-skims blocks of rows (`hashing.skim_rows`); without it the numpy bodies
-(`unpack` and a take; a per-row `np.subtract.at`) run, the bitwise
-reference. Medians and row sums are numpy's on both paths.
+signed cells off packed cells (`hashing.signed_reads`); `top_k` and
+`f2_residual_estimate` rank the touched items, and the residual F2 skims
+blocks of rows (`hashing.skim_rows`). `hashing` runs each of these in its C
+kernel or in the numpy twin of it; medians and row sums are numpy's.
 Ingestion is single-writer; once the writer quiesces, every read is safe
 from any number of threads. Distinct tables may be written by distinct
 threads.
@@ -42,7 +39,7 @@ HUGE_PAGE = 1 << 21
 # items per block of point estimates: a block's (items, rows) temporaries
 # are reused from the heap instead of mapped afresh and faulted in per query
 _ESTIMATE_BLOCK = 1024
-# bytes of float64 rows the C kernel skims per call: each call adds a
+# bytes of float64 rows `hashing.skim_rows` skims per call: each call adds a
 # numpy row sum, so fewer, larger blocks run faster (8 rows of 4,096
 # columns took 141 us where 128 KiB blocks took 163), and the bound keeps
 # one query's buffer small however wide the table
@@ -67,16 +64,8 @@ def row_medians(values: np.ndarray) -> np.ndarray:
 
 def batch_reaches_limit(deltas: np.ndarray) -> bool:
     """Whether a batch's exact sum of |delta| reaches CELL_LIMIT; a batch
-    below it cannot wrap an int64 sum of its deltas. One pass of the C
-    kernel when it is loaded; the numpy body, which sums the high and low
-    32-bit halves of |delta| apart so neither sum can wrap, is the fallback
-    and bitwise reference."""
-    deltas = np.asarray(deltas, dtype=np.int64)
-    if hashing._kernel is not None:
-        return hashing.abs_sum_reaches(deltas, CELL_LIMIT)
-    mag = np.abs(deltas).view(np.uint64)  # |-2**63| wraps to 2**63 as uint64
-    high = int((mag >> np.uint64(32)).sum())
-    return (high << 32) + int((mag & np.uint64(0xFFFFFFFF)).sum()) >= CELL_LIMIT
+    below it cannot wrap an int64 sum of its deltas."""
+    return hashing.abs_sum_reaches(deltas, CELL_LIMIT)
 
 
 def zeroed_cells(shape: tuple, dtype) -> np.ndarray:
@@ -143,8 +132,6 @@ class CountSketchTable:
         self._coeffs = np.array([h.coefficients for h in hashes], dtype=np.uint64)
         self._ranges = np.full(rows, 2 * cols, dtype=np.uint64)
         self.cells = zeroed_cells((rows, cols), np.int64)
-        # flat index in `cells` of each row's first cell
-        self._row_start = np.arange(rows, dtype=np.int64) * cols
         self._touched = np.zeros(0, dtype=np.int64)
         self._packed = np.zeros((0, rows), dtype=np.uint32)
 
@@ -173,11 +160,8 @@ class CountSketchTable:
         Returns each item's packed cells, an (items, rows) uint32 array, or
         None when `packed` is False.
 
-        With the C kernel the batch is hashed and scattered in blocks of
-        items, every row per block (`hashing.scatter_signed`). Without it
-        the numpy body below runs; it is also the bitwise reference the
-        kernel is tested against. Either way the whole batch is added, and
-        then SketchInvariantError is raised if a cell it wrote ends at
+        The whole batch is added (`hashing.scatter_signed`), and then
+        SketchInvariantError is raised if a cell it wrote ends at
         |cell| >= 2**62.
         """
         items = np.asarray(items, dtype=np.int64)
@@ -190,17 +174,8 @@ class CountSketchTable:
         # before the post-add check below sees it
         if batch_reaches_limit(deltas):
             raise SketchInvariantError("batch magnitude would overflow counters")
-        if hashing._kernel is not None:
-            overflow, out = hashing.scatter_signed(self._coeffs, items, deltas, self.cells,
-                                                   CELL_LIMIT, packed)
-        else:
-            out = self.packed_cells(items)
-            idx, signed = self.unpack(out)
-            signed *= deltas[:, None]  # in place: (items x rows) temporaries add up
-            flat = self.cells.reshape(-1)
-            np.add.at(flat, idx, signed)
-            touched = flat[idx]
-            overflow = np.abs(touched, out=touched).max() >= CELL_LIMIT
+        overflow, out = hashing.scatter_signed(self._coeffs, items, deltas, self.cells,
+                                               CELL_LIMIT, packed)
         if overflow:
             raise SketchInvariantError("counter overflow: |cell| >= 2**62")
         return out if packed else None
@@ -263,17 +238,6 @@ class CountSketchTable:
         packed = (w % self.cols) << 1 | (w >= self.cols)
         return np.ascontiguousarray(packed.T, dtype=np.uint32)
 
-    def unpack(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The index in the flattened `cells` (row j at j * cols + bucket)
-        and the +-1 sign of each packed cell, as (items, rows) int64."""
-        signs = packed.astype(np.int64)
-        idx = signs >> 1
-        idx += self._row_start
-        signs &= 1
-        signs *= -2
-        signs += 1
-        return idx, signs
-
     # -- estimation --------------------------------------------------------
 
     def point_estimate_many(self, packed: np.ndarray) -> np.ndarray:
@@ -284,12 +248,7 @@ class CountSketchTable:
         block = np.empty((min(packed.shape[0], _ESTIMATE_BLOCK), self.rows), dtype=np.int64)
         for lo in range(0, packed.shape[0], _ESTIMATE_BLOCK):
             part = packed[lo:lo + _ESTIMATE_BLOCK]
-            if hashing._kernel is not None:
-                per_item = hashing.signed_reads(part, self.cells, block[:part.shape[0]])
-            else:
-                idx, signs = self.unpack(part)
-                per_item = self.cells.reshape(-1).take(idx)
-                per_item *= signs
+            per_item = hashing.signed_reads(part, self.cells, block[:part.shape[0]])
             out[lo:lo + _ESTIMATE_BLOCK] = row_medians(per_item)
         return out
 
@@ -334,22 +293,11 @@ class CountSketchTable:
             return self.f2_estimate()
         packed, est = self._packed[top], est[top]
         row_vals = np.empty(self.rows)
-        if hashing._kernel is not None:
-            step = max(1, _SKIM_BYTES // (8 * self.cols))
-            skimmed = np.empty((min(step, self.rows), self.cols))
-            for r0 in range(0, self.rows, step):
-                block = hashing.skim_rows(self.cells, r0, packed, est, skimmed[:self.rows - r0])
-                row_vals[r0:r0 + step] = block.sum(axis=1)  # bitwise each row's sum()
-        else:
-            idx, signs = self.unpack(packed)
-            # row by row: one row's float copy stays in cache, the whole
-            # table's does not (a single scatter over it ran 4x slower)
-            skimmed = np.empty(self.cols)
-            for j in range(self.rows):
-                skimmed[:] = self.cells[j]
-                np.subtract.at(skimmed, idx[:, j] - j * self.cols, est * signs[:, j])
-                np.square(skimmed, out=skimmed)
-                row_vals[j] = skimmed.sum()
+        step = max(1, _SKIM_BYTES // (8 * self.cols))
+        skimmed = np.empty((min(step, self.rows), self.cols))
+        for r0 in range(0, self.rows, step):
+            block = hashing.skim_rows(self.cells, r0, packed, est, skimmed[:self.rows - r0])
+            row_vals[r0:r0 + step] = block.sum(axis=1)  # bitwise each row's sum()
         return max(0.0, float(np.median(row_vals)))
 
     def nbytes(self) -> int:

@@ -92,14 +92,8 @@ def _sorted_sums(items: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.
 def _dense_sums(items: np.ndarray, deltas: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """`_sorted_sums` of items in [1, n] through (n + 1)-length arrays. An
     item is present when it has a record, so items whose deltas cancel are
-    kept, as the sort keeps them. One pass of the C kernel when it is
-    loaded; the numpy body is the fallback and the bitwise reference."""
-    if hashing._kernel is not None:
-        agg, seen = hashing.dense_sums(items, deltas, n + 1)
-    else:
-        agg = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(agg, items, deltas)
-        seen = np.bincount(items, minlength=n + 1)
+    kept, as the sort keeps them."""
+    agg, seen = hashing.dense_sums(items, deltas, n + 1)
     uniq = np.flatnonzero(seen)
     return uniq, agg[uniq]
 
@@ -244,19 +238,14 @@ class StableTable:
 
     def update_many(self, items: np.ndarray, deltas: np.ndarray) -> None:
         """Add each int64 delta times its item's three variates into its
-        bucket, item by item: in one pass of the C kernel
-        (`hashing.stable_add`) when it is loaded, else by `np.add.at`, the
-        fallback and bitwise reference. SketchInvariantError if any
-        accumulator then is not finite."""
+        bucket, item by item (`hashing.stable_add`). SketchInvariantError if
+        any accumulator then is not finite."""
         if len(items) == 0:
             return
         deltas = np.asarray(deltas, dtype=np.int64)
         buckets = self.bucket_hash.eval_many(items)
         variates = self.source.variates_for(buckets, items)
-        if hashing._kernel is not None:
-            hashing.stable_add(self.cells, buckets, deltas, variates)
-        else:
-            np.add.at(self.cells, buckets - 1, deltas[:, None] * variates)
+        hashing.stable_add(self.cells, buckets, deltas, variates)
         if not np.isfinite(self.cells).all():
             raise SketchInvariantError("stable accumulator is not finite")
 

@@ -1,4 +1,4 @@
-"""Limited-independence hash families over GF(2**61 - 1).
+"""Limited-independence hash families over GF(2**61 - 1), and the C kernel.
 
 A t-wise independent hash is a uniformly random polynomial of degree t-1
 over the field of the Mersenne prime 2**61 - 1, evaluated by Horner's rule
@@ -11,37 +11,35 @@ Hash objects are immutable after construction and safe to share across
 threads.
 
 A small C kernel (`_HORNER_SOURCE`) has nine routines: `horner61` runs
-`eval_many`; `scatter61` hashes and scatters CountSketch updates in
-blocks of 1,024 items, every row per block, each add in the hash loop,
-and judges the cells written against the counter limit once the whole
-batch is added (`scatter_signed`); `abs_sum_reaches` is the exact integer
-overflow guard, whether a batch's sum of |delta| reaches 2**62;
-`stable_add3` adds delta * variate into the stable accumulators in item
-order (`stable_add`); `dense_sums64` sums a flush's records into dense
-per-item arrays (`dense_sums`); `philox_uniforms` draws the Philox
-uniforms behind the stable variates; `parse_plain` reads plain stream
-text; `reads61` reads the signed cells behind CountSketch point estimates
-(`signed_reads`); and `skim61` removes the top items from CountSketch
-rows for the residual F2 (`skim_rows`). It is compiled once per machine
-with the local gcc into `$XDG_CACHE_HOME/f1sketch` (default
-`~/.cache/f1sketch`), under a file name keyed by a hash of the source, and
-loaded through ctypes when this module is imported. When it cannot be
-built or loaded, or fails its spot check, numpy runs instead: the
-evaluation below (`_mulmod61`/`_addmod61`), the scatter in
-`CountSketchTable.scatter_many`, the guard in
-`countsketch.batch_reaches_limit`, the `np.add.at` in
-`estimator.StableTable.update_many`, the aggregation in
-`estimator._dense_sums`, `stable.philox_uniforms`,
-`streams._plain_records`, and the numpy bodies of
-`CountSketchTable.point_estimate_many` and `f2_residual_estimate`. Each is
-also the bitwise reference its kernel routine is tested against.
-`KWISE_BACKEND` names the path in use.
+`eval_many`; `scatter61` hashes CountSketch updates in blocks of 1,024
+items, every row per block, adds each block's deltas and reads its cells
+back in loops of their own, and judges the cells written against the
+counter limit once the whole batch is added (`scatter_signed`);
+`abs_sum_reaches` is the exact integer overflow guard, whether a batch's
+sum of |delta| reaches 2**62; `stable_add3` adds delta * variate into the
+stable accumulators in item order (`stable_add`); `dense_sums64` sums a
+flush's records into dense per-item arrays (`dense_sums`);
+`philox_uniforms` draws the Philox uniforms behind the stable variates;
+`parse_plain` reads plain stream text; `reads61` reads the signed cells
+behind CountSketch point estimates (`signed_reads`); and `skim61` removes
+the top items from CountSketch rows for the residual F2 (`skim_rows`). It is
+compiled once per machine with the local gcc into `$XDG_CACHE_HOME/f1sketch`
+(default `~/.cache/f1sketch`), under a file name keyed by a hash of the
+source, and loaded through ctypes when this module is imported.
+
+Each routine has a numpy twin next to the wrapper that runs it, listed in
+`_ROUTINES`: the same arguments, with arrays in place of pointers, the same
+return value and the same writes. A wrapper runs the kernel when it loaded
+and the twin otherwise; no other module chooses. A kernel that cannot be
+built or loaded, or that disagrees with a twin on the edge cases of
+`_spot_cases`, is not used. `KWISE_BACKEND` names the path in use.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import platform
 
@@ -479,202 +477,30 @@ def _build_kernel(path: str) -> None:
         os.replace(built, path)
 
 
-# a spot check of `philox_uniforms`: under key (k0, k1), (bucket, item)
-# pairs and the Philox4x32-10 words c0:c1 of their slots 0, 1 and 2, as
-# `stable.philox4x32` computes them (tests/test_stable.py checks this table)
-_PHILOX_SPOT_KEY = (0x89ABCDEF, 0x01234567)
-_PHILOX_SPOT = (
-    (1, 7, (0x616FE086A7D3DCFE, 0xD1ADE77EDA758A27, 0xAA665DDE279EEEAD)),
-    ((1 << 31) - 1, (1 << 40) + 12345,
-     (0xE9541D2B31D0A727, 0x8335D1C7267EDD5D, 0x7D7713C264656A46)),
-)
+def _run(routine: str, *args):
+    """Routine `routine` of the kernel source on `args`, in its order, with
+    arrays in place of pointers: the loaded kernel's, else its numpy twin."""
+    if _kernel is None:
+        return _ROUTINES[routine][0](*args)
+    return _c_call(_kernel, routine, args)
 
 
-# a spot check of `parse_plain`: text in the shape it reads with the records
-# it holds (its first two lines take the word-wise path), and texts it must
-# decline (a 19-byte token, "--1", a tab and a ':', next to the digits, where
-# the word-wise path looks, a lone token, three tokens, a token that runs
-# into '-')
-_PARSE_SPOT = (b"1234567 7654321\n8 90\n 12 -0\n\n  \n12345678 1\n007 -99999999999999999 \n"
-               b"999999999999999999 5",
-               [[1234567, 7654321], [8, 90], [12, 0], [12345678, 1], [7, -99999999999999999],
-                [999999999999999999, 5]])
-_PARSE_DECLINED = (b"1 -999999999999999999\n", b"1 --1\n", b"1 2\t\n3 4\n5 6\n7 8\n",
-                   b"1:2 3\n4 5\n6 7\n8 9\n", b"1 2\n3\n", b"1 2 3\n", b"1 2-\n")
+def _c_call(lib, routine: str, args):
+    """`routine` of the library `lib` on `args`, each array passed as a
+    pointer to its data."""
+    return getattr(lib, routine)(*[a.ctypes.data if isinstance(a, np.ndarray) else a
+                                   for a in args])
 
 
-# items per block of `scatter61`, BLOCK61 in its source
-_SCATTER_BLOCK = 1024
+def _view(a: np.ndarray, *shape: int) -> np.ndarray:
+    """The first entries of the C-contiguous array `a` as a view of
+    `shape`, as a C routine reads memory through a pointer."""
+    return a.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
-def _load_kernel():
-    """The compiled library (`horner61`, `scatter61`, `abs_sum_reaches`,
-    `stable_add3`, `dense_sums64`, `philox_uniforms`, `parse_plain`,
-    `reads61` and `skim61`), or None when
-    it cannot be built or loaded or disagrees with the numpy reference on a
-    spot check."""
-    key = "\0".join((_HORNER_SOURCE, " ".join(_CFLAGS), platform.machine(),
-                     platform.system()))
-    digest = hashlib.sha256(key.encode("ascii")).hexdigest()[:16]
-    path = os.path.join(_cache_dir(), f"horner61-{digest}.so")
-    try:
-        if not os.path.exists(path):
-            _build_kernel(path)
-        lib = ctypes.CDLL(path)
-        horner, scatter = lib.horner61, lib.scatter61
-        reaches, stable = lib.abs_sum_reaches, lib.stable_add3
-        dense, philox, parse = lib.dense_sums64, lib.philox_uniforms, lib.parse_plain
-        reads, skim = lib.reads61, lib.skim61
-    except (OSError, AttributeError):  # no compiler, unwritable cache, bad library
-        return None
-    ptr, size, u32 = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_uint32
-    horner.restype = None
-    horner.argtypes = [ptr, ptr, size, size, ptr, size, ptr]
-    scatter.restype = ctypes.c_int
-    scatter.argtypes = [ptr, size, size, ptr, ptr, size, ptr, size, ctypes.c_int64, ptr]
-    reaches.restype = stable.restype = dense.restype = ctypes.c_int
-    reaches.argtypes = [ptr, size, ctypes.c_uint64]
-    stable.argtypes = [ptr, size, ptr, ptr, ptr, size]
-    dense.argtypes = [ptr, ptr, size, ptr, ptr, size]
-    philox.restype = None
-    philox.argtypes = [ptr, ptr, size, u32, u32, ptr]
-    parse.restype = ctypes.c_int64
-    parse.argtypes = [ctypes.c_char_p, size, ptr, ptr, size]
-    reads.restype = skim.restype = ctypes.c_int
-    reads.argtypes = [ptr, size, size, ptr, size, ptr]
-    skim.argtypes = [ptr, size, size, size, size, ptr, ptr, size, ptr]
-    coeffs = np.array([[MERSENNE61 - 1, 0, 12345, MERSENNE61 - 2], [0, 0, 7, 1 << 60]],
-                      dtype=np.uint64)
-    ranges = np.array([1000, 2], dtype=np.uint64)
-    x = np.array([1, 2, 3, 2**32 - 1, MERSENNE61 - 1], dtype=np.uint64)
-    out = np.empty((2, x.size), dtype=np.int64)
-    horner(coeffs.ctypes.data, ranges.ctypes.data, 2, 4, x.ctypes.data, x.size, out.ctypes.data)
-    want = [_horner_numpy(coeffs[r], ranges[r], x) for r in range(2)]
-    ok = np.array_equal(out, want)
-    # a row of 1000 cells (then 1000 more, to catch a bucket past it) under
-    # poly(x) = x: items on w = 0, cols - 1, cols, 2 * cols - 1 take both
-    # signs; it starts near the limit, which item 0 crosses, then at zero
-    cols, limit = 1000, 1 << 62
-    linear = np.array([0, 0, 1, 0], dtype=np.uint64)
-    x = np.array([0, cols - 1, cols, 2 * cols - 1, 2**32 - 1], dtype=np.uint64)
-    w = _horner_numpy(linear, np.uint64(2 * cols), x) - 1
-    deltas = np.array([5, 7, 1 << 40, 3, -1], dtype=np.int64)
-    packed = np.empty(x.size, dtype=np.uint32)
-    want_packed = (w % cols) << 1 | (w >= cols)
-    for start in (limit - 4, 0):
-        cells = np.full(2 * cols, start, dtype=np.int64)
-        want_cells = cells.copy()
-        np.add.at(want_cells, w % cols, np.where(w >= cols, -deltas, deltas))
-        over = scatter(linear.ctypes.data, 1, linear.size, x.ctypes.data, deltas.ctypes.data,
-                       x.size, cells.ctypes.data, cols, limit, packed.ctypes.data)
-        want_over = np.abs(want_cells[w % cols]).max() >= limit
-        ok = (ok and np.array_equal(cells, want_cells) and bool(over) == want_over
-              and np.array_equal(packed, want_packed))
-    # two rows of 2 columns under x and x + 1, a third as a margin, over a
-    # batch two items longer than a block, with and without packed cells.
-    # From cells at +-(limit - 4), the +-1 deltas stay within 4 of the
-    # start; item 1023, in the first block, takes a cell of each row past
-    # the limit, and item 1025, in the second, brings both back unless its
-    # delta is 0: only a reread after the whole batch judges that right
-    n, cols = _SCATTER_BLOCK + 2, 2
-    x = np.arange(n, dtype=np.uint64)
-    coeffs = np.array([[0, 0, 1, 0], [0, 0, 1, 1]], dtype=np.uint64)
-    w = np.stack([_horner_numpy(c, np.uint64(2 * cols), x) - 1 for c in coeffs], axis=1)
-    want_packed = ((w % cols) << 1 | (w >= cols)).astype(np.uint32)
-    deltas = np.ones(n, dtype=np.int64)
-    deltas[-3:-1] = -8, 1
-    for last, want_over in ((-16, False), (0, True)):
-        deltas[-1] = last
-        for packed in (np.empty((n, 2), dtype=np.uint32), None):
-            cells = np.array([[limit - 4] * cols, [4 - limit] * cols, [0] * cols],
-                             dtype=np.int64)
-            want_cells = cells.copy()
-            for r in (0, 1):
-                np.add.at(want_cells[r], w[:, r] % cols, np.where(w[:, r] < cols, deltas, -deltas))
-            over = scatter(coeffs.ctypes.data, 2, 4, x.ctypes.data, deltas.ctypes.data, n,
-                           cells.ctypes.data, cols, limit,
-                           None if packed is None else packed.ctypes.data)
-            ok = (ok and np.array_equal(cells, want_cells) and bool(over) == want_over
-                  and want_over == (np.abs(want_cells).max() >= limit)
-                  and (packed is None or np.array_equal(packed, want_packed)))
-    # the exact guard at its boundary: just below the limit, exactly at it
-    # (where float64 sums round), and |INT64_MIN|, which counts as 2**63
-    for deltas in ([limit - 1], [limit - 1, 0, -1], [1 - limit, 1], [-(1 << 63)],
-                   [(1 << 63) - 1, -(1 << 63)], [-3, 2, -5], []):
-        d = np.array(deltas, dtype=np.int64)
-        want = sum(abs(v) for v in deltas) >= limit
-        ok = ok and reaches(d.ctypes.data, d.size, limit) == want
-    # stable adds where the order of the adds matters (bucket 2, slot 0 sums
-    # 2**53, 1 and -2**53: 2**53 + 1 rounds down, -2**53 + 1 does not), a
-    # delta that rounds as a double, then a bucket past the table, refused
-    buckets = np.array([2, 1, 2, 2, 3], dtype=np.int64)
-    deltas = np.array([1, -3, 1, -1, (1 << 53) + 1], dtype=np.int64)
-    variates = np.array([[2.0**53, 0.5, -1.0], [1.5, 2.0, 3.0], [1.0, -1.0, 1e-3],
-                         [2.0**53, 1.0, 0.25], [-2.5, 1e290, 0.0]])
-    cells = np.zeros((3, 3))
-    want = cells.copy()
-    np.add.at(want, buckets - 1, deltas[:, None] * variates)
-    ok = (ok and stable(cells.ctypes.data, 3, buckets.ctypes.data, deltas.ctypes.data,
-                        variates.ctypes.data, buckets.size) == 0
-          and cells.tobytes() == want.tobytes()
-          and stable(cells.ctypes.data, 2, buckets.ctypes.data, deltas.ctypes.data,
-                     variates.ctypes.data, buckets.size) == 1)
-    # sums that wrap, an item whose deltas cancel, then an item out of range
-    items = np.array([3, 1, 3, 0, 5, 1], dtype=np.int64)
-    deltas = np.array([2**63 - 1, -4, 1, 0, 7, 4], dtype=np.int64)
-    sums, seen = np.zeros(6, dtype=np.int64), np.zeros(6, dtype=np.uint8)
-    want_sums = sums.copy()
-    np.add.at(want_sums, items, deltas)
-    bad = dense(items.ctypes.data, deltas.ctypes.data, items.size, sums.ctypes.data,
-                seen.ctypes.data, sums.size)
-    ok = (ok and bad == 0 and np.array_equal(sums, want_sums)
-          and np.array_equal(seen, np.bincount(items, minlength=6) > 0)
-          and dense(items.ctypes.data, deltas.ctypes.data, items.size, sums.ctypes.data,
-                    seen.ctypes.data, 5) == 1)
-    buckets = np.array([b for b, _, _ in _PHILOX_SPOT], dtype=np.int64)
-    items = np.array([i for _, i, _ in _PHILOX_SPOT], dtype=np.int64)
-    uniforms = np.empty((items.size, 3))
-    philox(buckets.ctypes.data, items.ctypes.data, items.size, *_PHILOX_SPOT_KEY,
-           uniforms.ctypes.data)
-    want_uniforms = [[((w >> 12) + 0.5) * 2.0 ** -52 for w in words]
-                     for _, _, words in _PHILOX_SPOT]
-    ok = ok and uniforms.tolist() == want_uniforms
-    text, want = _PARSE_SPOT
-    records = np.empty((2, len(want)), dtype=np.int64)
-    counts = [parse(t, len(t), records[0].ctypes.data, records[1].ctypes.data, len(want))
-              for t in (*_PARSE_DECLINED, text)]
-    ok = (ok and counts == [-1] * len(_PARSE_DECLINED) + [len(want)]
-          and records.T.tolist() == want)
-    # signed reads of a 2 x 3 table at both signs and at INT64_MIN, which
-    # wraps; then a bucket past the row, which is refused
-    cells = np.array([[5, -7, 1 << 62], [-(1 << 63), 0, 9]], dtype=np.int64)
-    packed = np.array([[0, 1], [3, 4], [5, 5], [2, 0], [6, 0]], dtype=np.uint32)
-    out = np.empty(packed.shape, dtype=np.int64)
-    signs = 1 - 2 * (packed & 1).astype(np.int64)
-    ok = (ok and reads(packed.ctypes.data, 4, 2, cells.ctypes.data, 3, out.ctypes.data) == 0
-          and np.array_equal(out[:4], cells[[0, 1], packed[:4] >> 1] * signs[:4])
-          and reads(packed.ctypes.data, 5, 2, cells.ctypes.data, 3, out.ctypes.data) == 1)
-    # rows 1 and 2 of a 3 x 4 table skimmed of three items, which all share
-    # row 1's bucket 2, where reversing the subtractions gives -1, not 0
-    cells = np.array([[1, 2, 3, 4], [-3, 1 << 62, 0, 7], [5, 0, 1 - (1 << 62), 2]],
-                     dtype=np.int64)
-    packed = np.array([[0, 4, 1], [2, 4, 6], [7, 4, 0], [8, 0, 0]], dtype=np.uint32)
-    signs = 1 - 2 * (packed & 1).astype(np.int64)
-    est = np.array([2.0**53, 1.0, -2.0**53, 0.0])
-    want = cells[1:].astype(np.float64)
-    for j in (1, 2):
-        np.subtract.at(want[j - 1], packed[:3, j] >> 1, est[:3] * signs[:3, j])
-    out = np.empty((2, 4))
-    ok = (ok and skim(cells.ctypes.data, 3, 4, 1, 2, packed.ctypes.data, est.ctypes.data, 3,
-                      out.ctypes.data) == 0
-          and out.tobytes() == np.square(want).tobytes()
-          and skim(cells.ctypes.data, 3, 4, 0, 1, packed.ctypes.data, est.ctypes.data, 4,
-                   out.ctypes.data) == 1)
-    return lib if ok else None
-
-
-_kernel = _load_kernel()
-KWISE_BACKEND = "numpy" if _kernel is None else "c-kernel"
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True of a 1-D bool array, or its size if none."""
+    return int(mask.argmax()) if mask.any() else mask.size
 
 
 def _field_items(items) -> np.ndarray:
@@ -689,49 +515,65 @@ def _field_items(items) -> np.ndarray:
     raise ValueError("items must be a vector of integers in [0, 2**61 - 1)")
 
 
+# -- the routines' numpy twins, each next to the wrapper that runs it ----------
+
+
+def _horner61(coeffs, ranges, rows, t, x, n, out) -> None:
+    """Numpy twin of `horner61`: `_horner_numpy` row by row (rows stacked in
+    numpy make temporaries too large for cache, and run slower)."""
+    coeffs, out = _view(coeffs, rows, t), _view(out, rows, n)
+    for r in range(rows):
+        out[r] = _horner_numpy(coeffs[r], ranges[r], x[:n])
+
+
 def horner_rows(coeffs: np.ndarray, ranges: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate every row of a (rows, t) coefficient matrix, leading
     coefficient first, at every item of the vector x over GF(2**61 - 1);
     row r is reduced onto [1, ranges[r]]. Returns a (rows, items) int64
     array. Rows of lower degree are padded with leading zeros, which leave
     Horner's value unchanged. ValueError for any item outside
-    [0, 2**61 - 1), on either path.
-
-    Runs the C kernel when it loaded, else `_horner_numpy` row by row (rows
-    stacked in numpy make temporaries too large for cache, and run slower).
-    """
+    [0, 2**61 - 1), on either path."""
     x = _field_items(x)
     coeffs, ranges = (np.ascontiguousarray(a, dtype=np.uint64) for a in (coeffs, ranges))
     if coeffs.ndim != 2 or coeffs.shape[1] < 1 or ranges.shape != coeffs.shape[:1]:
         raise ValueError("horner_rows needs a (rows, t >= 1) matrix and one range per row")
     out = np.empty((coeffs.shape[0], x.size), dtype=np.int64)
-    if _kernel is not None:
-        _kernel.horner61(coeffs.ctypes.data, ranges.ctypes.data, coeffs.shape[0],
-                         coeffs.shape[1], x.ctypes.data, x.size, out.ctypes.data)
-    else:
-        for r in range(coeffs.shape[0]):
-            out[r] = _horner_numpy(coeffs[r], ranges[r], x)
+    _run("horner61", coeffs, ranges, coeffs.shape[0], coeffs.shape[1], x, x.size, out)
     return out
+
+
+def _scatter61(coeffs, rows, t, x, deltas, n, cells, cols, limit, packed) -> int:
+    """Numpy twin of `scatter61`: every row hashed at once, then
+    `np.add.at`, then the cells written read back."""
+    if n == 0:
+        return 0
+    coeffs, cells = _view(coeffs, rows, t), cells.reshape(-1)
+    w = np.stack([_horner_numpy(coeffs[r], np.uint64(2 * cols), x[:n]) - 1
+                  for r in range(rows)], axis=1)
+    negative = w >= cols
+    w -= cols * negative  # the bucket
+    if packed is not None:
+        _view(packed, n, rows)[:] = w << 1 | negative
+    w += np.arange(rows) * cols  # the index in the flattened table
+    d = deltas[:n, None]
+    np.add.at(cells, w, np.where(negative, -d, d))
+    return int(np.abs(cells[w]).max() >= limit)
 
 
 def scatter_signed(coeffs: np.ndarray, items: np.ndarray, deltas: np.ndarray,
                    cells: np.ndarray, limit: int,
                    packed: bool = True) -> tuple[bool, np.ndarray | None]:
     """Add sign_r(i) * delta into cells[r, bucket_r(i)] for every row r of
-    the (rows, cols) int64 table `cells` and every item i, in cache-blocked
-    passes of the C kernel (`scatter61`). `coeffs` is a `CountSketchTable`'s
-    (rows, t) matrix, one polynomial per row; the kernel reduces row r's
-    field value onto w in [0, 2 * cols), whose bucket is w mod cols and
-    whose sign is -1 exactly when w >= cols.
+    the (rows, cols) int64 table `cells` and every item i (`scatter61`).
+    `coeffs` is a `CountSketchTable`'s (rows, t) matrix, one polynomial per
+    row; row r's field value is reduced onto w in [0, 2 * cols), whose
+    bucket is w mod cols and whose sign is -1 exactly when w >= cols.
     Returns whether any cell written ends the batch at |cell| >= limit, and
     every item's packed cell in every row as an (items, rows) uint32 array,
     bucket << 1 | (sign == -1), or None when `packed` is False.
 
-    Needs the kernel loaded (`_kernel` not None), items in [0, 2**61 - 1)
-    as `horner_rows` does, and cols < 2**31, so a packed cell fits 32 bits.
-    `packed_cells`, `unpack` and `np.add.at`, in
-    `CountSketchTable.scatter_many`, give the same cells and are the
-    bitwise reference.
+    Needs items in [0, 2**61 - 1), as `horner_rows` does, and cols < 2**31,
+    so a packed cell fits 32 bits.
     """
     rows, cols = cells.shape
     x = _field_items(items)
@@ -743,30 +585,40 @@ def scatter_signed(coeffs: np.ndarray, items: np.ndarray, deltas: np.ndarray,
         raise ValueError("scatter_signed needs a writable C-contiguous int64 table under "
                          "2**31 columns, one delta per item, and one polynomial per row")
     out = np.empty((x.size, rows), dtype=np.uint32) if packed else None
-    over = _kernel.scatter61(coeffs.ctypes.data, rows, coeffs.shape[1], x.ctypes.data,
-                             d.ctypes.data, x.size, cells.ctypes.data, cols, limit,
-                             None if out is None else out.ctypes.data)
+    over = _run("scatter61", coeffs, rows, coeffs.shape[1], x, d, x.size, cells, cols, limit, out)
     return bool(over), out
+
+
+def _abs_sum_reaches(deltas, n, limit) -> int:
+    """Numpy twin of `abs_sum_reaches`: the high and low 32-bit halves of
+    |delta| are summed apart, so neither sum can wrap."""
+    mag = np.abs(deltas[:n]).view(np.uint64)  # |-2**63| wraps to 2**63 as uint64
+    high = int((mag >> np.uint64(32)).sum())
+    return int((high << 32) + int((mag & np.uint64(0xFFFFFFFF)).sum()) >= limit)
 
 
 def abs_sum_reaches(deltas: np.ndarray, limit: int) -> bool:
     """Whether the exact sum of |delta| over an int64 vector reaches
-    `limit`, at most 2**63, counting |-2**63| as 2**63. One pass of the C
-    kernel (`abs_sum_reaches`), which must be loaded;
-    `countsketch.batch_reaches_limit`'s numpy body is the fallback and
-    bitwise reference."""
+    `limit`, at most 2**63, counting |-2**63| as 2**63."""
     d = np.ascontiguousarray(deltas, dtype=np.int64)
-    return bool(_kernel.abs_sum_reaches(d.ctypes.data, d.size, limit))
+    return bool(_run("abs_sum_reaches", d, d.size, limit))
+
+
+def _stable_add3(cells, cols, buckets, deltas, variates, n) -> int:
+    """Numpy twin of `stable_add3`: `np.add.at`, which adds in item order
+    too, up to the first bucket outside [1, cols]."""
+    b = buckets[:n] - 1
+    stop = _first(b.view(np.uint64) >= cols)
+    np.add.at(_view(cells, cols, 3), b[:stop], deltas[:stop, None] * _view(variates, n, 3)[:stop])
+    return int(stop < n)
 
 
 def stable_add(cells: np.ndarray, buckets: np.ndarray, deltas: np.ndarray,
                variates: np.ndarray) -> None:
     """Add deltas[i] * variates[i] into row buckets[i] - 1 of the (cols, 3)
-    float64 table `cells`, item by item, in one pass of the C kernel
-    (`stable_add3`), which must be loaded. `np.add.at(cells, buckets - 1,
-    deltas[:, None] * variates)`, in `estimator.StableTable.update_many`,
-    adds in the same order and is the fallback and bitwise reference.
-    ValueError for a bucket outside [1, cols], after the adds before it."""
+    float64 table `cells`, item by item (`stable_add3`), so every sum
+    rounds as `np.add.at`'s does. ValueError for a bucket outside
+    [1, cols], after the adds before it."""
     b = np.ascontiguousarray(buckets, dtype=np.int64)
     d = np.ascontiguousarray(deltas, dtype=np.int64)
     v = np.ascontiguousarray(variates, dtype=np.float64)
@@ -775,60 +627,155 @@ def stable_add(cells: np.ndarray, buckets: np.ndarray, deltas: np.ndarray,
             or v.shape != (b.size, 3)):
         raise ValueError("stable_add needs a writable C-contiguous (cols, 3) float64 table "
                          "and one delta and three variates per bucket")
-    if _kernel.stable_add3(cells.ctypes.data, cells.shape[0], b.ctypes.data, d.ctypes.data,
-                           v.ctypes.data, b.size):
+    if _run("stable_add3", cells, cells.shape[0], b, d, v, b.size):
         raise ValueError("bucket outside the stable table")
+
+
+def _dense_sums64(items, deltas, n, sums, seen, length) -> int:
+    """Numpy twin of `dense_sums64`: `np.add.at` and a scatter of ones, up to
+    the first item outside [0, length)."""
+    stop = _first(items[:n].view(np.uint64) >= length)
+    np.add.at(sums, items[:stop], deltas[:stop])
+    seen[items[:stop]] = 1
+    return int(stop < n)
 
 
 def dense_sums(items: np.ndarray, deltas: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
     """(sums, seen) over the indices [0, length): sums[i] the int64 sum of
     the deltas of item i, wrapping as numpy's int64 adds do, and seen[i] 1
     where item i has a record (so an item whose deltas cancel is seen), as
-    a uint8 array. One pass of the C kernel (`dense_sums64`), which must be
-    loaded; `np.add.at` plus `np.bincount`, in `estimator._dense_sums`, is
-    the bitwise reference. ValueError if an item lies outside [0, length).
-    """
+    a uint8 array (`dense_sums64`). ValueError if an item lies outside
+    [0, length)."""
     x = np.ascontiguousarray(items, dtype=np.int64)
     d = np.ascontiguousarray(deltas, dtype=np.int64)
     if x.shape != d.shape or x.ndim != 1:
         raise ValueError("dense_sums needs one delta per item")
     sums = np.zeros(length, dtype=np.int64)
     seen = np.zeros(length, dtype=np.uint8)
-    if _kernel.dense_sums64(x.ctypes.data, d.ctypes.data, x.size, sums.ctypes.data,
-                            seen.ctypes.data, length):
+    if _run("dense_sums64", x, d, x.size, sums, seen, length):
         raise ValueError(f"item outside [0, {length})")
     return sums, seen
 
 
+def _parse_plain(s: bytes, length: int, items, deltas, cap: int) -> int:
+    """Numpy twin of `parse_plain`, in whole-array passes. It finds the first
+    token that is not an optional '-' and digits, 1 to 18 bytes in all, and
+    the first that breaks the pairing of tokens two to a line; the records
+    of the lines before it are read by `np.fromstring`."""
+    text = np.frombuffer(s, dtype=np.uint8, count=length)
+    sep = (text == ord(" ")) | (text == ord("\n"))
+    digit = text - np.uint8(ord("0")) < 10
+    minus = text == ord("-")
+    edges = np.flatnonzero(np.diff(sep, prepend=True, append=True))
+    starts, ends = edges[0::2], edges[1::2]
+    if starts.size == 0:
+        return 0
+    # the first byte no token may hold: neither a digit nor a '-', or a '-'
+    # that does not open its token or has no digit after it
+    signs = np.flatnonzero(minus)
+    opens = (signs == 0) | sep[signs - 1]
+    closes = (signs + 1 < length) & digit[np.minimum(signs + 1, length - 1)]
+    misplaced = signs[~(opens & closes)]
+    stray = min(_first(~(sep | digit | minus)), misplaced[0] if misplaced.size else length)
+    # whether a line break follows each token before the next one: never
+    # after the first of a record, always after the second
+    follows = np.append(np.logical_or.reduceat(text[:ends[-1]] == ord("\n"), ends[:-1]), True)
+    first = min(np.searchsorted(starts, stray, side="right") - 1 if stray < length
+                else starts.size, _first(ends - starts > 18),
+                _first(follows != (np.arange(starts.size) % 2 == 1)))
+    read = first - first % 2  # tokens on the lines before the first token's
+    count = min(read // 2, cap)
+    if count:
+        values = np.fromstring(s[:ends[2 * count - 1]], dtype=np.int64, sep=" ")
+        items[:count], deltas[:count] = values[0::2], values[1::2]
+    return -1 if first < starts.size or read // 2 > cap else count
+
+
 def parse_plain(text: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """(items, deltas) of stream text with no header, one record a line, as
-    int64 arrays, in one pass of the C kernel (`parse_plain`), which must be
-    loaded. None when the text leaves the shape the kernel reads: tokens of
-    an optional '-' and digits, at most 18 bytes each, two on each non-blank
-    line, split only by ' ' and '\\n'. `streams._plain_records` is the numpy
-    fallback and, where both read a text, the bitwise reference."""
+    int64 arrays (`parse_plain`). None when the text leaves the shape the
+    routine reads: tokens of an optional '-' and digits, at most 18 bytes
+    each, two on each non-blank line, split only by ' ' and '\\n'."""
     # records, not bytes, size the arrays; numpy counts 30x faster than bytes.count
     cap = np.count_nonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n")) + 1
     items, deltas = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
-    count = _kernel.parse_plain(text, len(text), items.ctypes.data, deltas.ctypes.data, cap)
+    count = _run("parse_plain", text, len(text), items, deltas, cap)
     return None if count < 0 else (items[:count], deltas[:count])
+
+
+# Philox4x32-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC 2011): round multipliers and Weyl key increments
+PHILOX_M0, PHILOX_M1 = 0xD2511F53, 0xCD9E8D57
+PHILOX_W0, PHILOX_W1 = 0x9E3779B9, 0xBB67AE85
+PHILOX_ROUNDS = 10
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
+
+def philox4x32(c0, c1, c2, c3, k0: int, k1: int) -> tuple:
+    """Philox4x32-10 blocks for aligned counter words, one block per element.
+
+    Counter words are arrays of 32-bit values and (k0, k1) the 32-bit key
+    words; returns the four output words as uint64 arrays. Every 32x32-bit
+    product is exact in uint64, so a round is a few whole-array operations.
+    `f1sketch.oracle.expected_philox4x32` is the scalar reference.
+    """
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3))
+    for r in range(PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + PHILOX_W0) & 0xFFFFFFFF
+            k1 = (k1 + PHILOX_W1) & 0xFFFFFFFF
+        p0 = c0 * np.uint64(PHILOX_M0)
+        p1 = c2 * np.uint64(PHILOX_M1)
+        # (hi(p1) ^ c1 ^ k0, lo(p1), hi(p0) ^ c3 ^ k1, lo(p0)); in place on
+        # the fresh arrays only, never on the caller's counter words
+        c0 = p1 >> _32
+        c0 ^= c1
+        c0 ^= np.uint64(k0)
+        c2 = p0 >> _32
+        c2 ^= c3
+        c2 ^= np.uint64(k1)
+        p1 &= _LOW32
+        p0 &= _LOW32
+        c1, c3 = p1, p0
+    return c0, c1, c2, c3
+
+
+def _uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Uniform in (0, 1) from the 64-bit word hi:lo: its top 52 bits,
+    offset by half a step so neither end is reachable."""
+    return ((((hi << _32) | lo) >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0 ** -52
+
+
+def _philox_uniforms(buckets, items, n, k0, k1, out) -> None:
+    """Numpy twin of `philox_uniforms`: `philox4x32` over every slot of
+    every pair at once."""
+    x = items[:n].view(np.uint64)[:, None]
+    shape = (n, 3)
+    c0, c1, _, _ = philox4x32(
+        np.broadcast_to(x & _LOW32, shape),
+        np.broadcast_to(x >> _32, shape),
+        np.broadcast_to(buckets[:n, None].view(np.uint64) & _LOW32, shape),
+        np.broadcast_to(np.arange(3, dtype=np.uint64), shape),
+        k0, k1,
+    )
+    _view(out, n, 3)[:] = _uniform(c0, c1)
 
 
 def philox_uniforms(buckets: np.ndarray, items: np.ndarray, k0: int, k1: int) -> np.ndarray:
     """The uniforms behind `stable.StableVariateSource`'s three variates of
     each aligned (bucket, item) pair, as a (pairs, 3) float64 array: slot s
     is the Philox4x32-10 block of counter (item mod 2**32, item // 2**32,
-    bucket, s) under key (k0, k1), its words c0:c1 made a uniform by
-    `stable._uniform`. One pass of the C kernel (`philox_uniforms`), which
-    must be loaded; `stable.philox_uniforms` is the numpy fallback and
-    bitwise reference. Items must be non-negative and buckets below 2**32.
-    """
+    bucket, s) under key (k0, k1), its words c0:c1 made a uniform as
+    `_uniform` makes it (`philox_uniforms`). Items must be non-negative and
+    buckets below 2**32."""
     b = np.ascontiguousarray(buckets, dtype=np.int64)
     x = np.ascontiguousarray(items, dtype=np.int64)
     if b.shape != x.shape or x.ndim != 1:
         raise ValueError("philox_uniforms needs one bucket per item")
     out = np.empty((x.size, 3))
-    _kernel.philox_uniforms(b.ctypes.data, x.ctypes.data, x.size, k0, k1, out.ctypes.data)
+    _run("philox_uniforms", b, x, x.size, k0, k1, out)
     return out
 
 
@@ -842,19 +789,50 @@ def _packed_args(packed: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return p
 
 
+def _reads61(packed, n, rows, cells, cols, out) -> int:
+    """Numpy twin of `reads61`: a take from the flattened table, up to the
+    first packed cell outside the row."""
+    sign = _view(packed, n, rows).astype(np.int64)
+    index = sign >> 1
+    stop = _first(index.reshape(-1) >= cols)
+    index += np.arange(rows) * cols
+    sign &= 1  # in place, to +-1: (items, rows) temporaries add up
+    sign *= -2
+    sign += 1
+    values = cells.reshape(-1).take(index, mode="clip").reshape(-1)
+    np.multiply(values[:stop], sign.reshape(-1)[:stop], out=_view(out, n * rows)[:stop])
+    return int(stop < sign.size)
+
+
 def signed_reads(packed: np.ndarray, cells: np.ndarray, out: np.ndarray) -> np.ndarray:
     """cell * sign of every (items, rows) packed cell of the (rows, cols)
     int64 table `cells`, written into `out`, a C-contiguous int64 array of
-    the same shape as `packed`, and returned. One pass of the C kernel
-    (`reads61`), which must be loaded; `CountSketchTable.unpack` plus a take
-    is the bitwise reference. ValueError for a bucket outside the row."""
+    the same shape as `packed`, and returned (`reads61`). ValueError for a
+    bucket outside the row."""
     p = _packed_args(packed, cells)
     if out.dtype != np.int64 or not out.flags.c_contiguous or out.shape != p.shape:
         raise ValueError("signed_reads needs a C-contiguous int64 out of the packed shape")
-    if _kernel.reads61(p.ctypes.data, p.shape[0], p.shape[1], cells.ctypes.data,
-                       cells.shape[1], out.ctypes.data):
+    if _run("reads61", p, p.shape[0], p.shape[1], cells, cells.shape[1], out):
         raise ValueError("packed cell outside the table")
     return out
+
+
+def _skim61(cells, rows, cols, r0, nr, packed, est, k, out) -> int:
+    """Numpy twin of `skim61`: row by row, a float copy of the row less a
+    `np.subtract.at`, which subtracts in item order too, then squared."""
+    cells, out = _view(cells, rows, cols), _view(out, nr, cols)
+    q = _view(packed, k, rows).astype(np.int64)
+    e = est[:k, None]
+    signed = np.where(q & 1, -e, e)
+    for r in range(r0, r0 + nr):
+        o = out[r - r0]
+        o[:] = cells[r]
+        stop = _first(q[:, r] >> 1 >= cols)
+        np.subtract.at(o, q[:stop, r] >> 1, signed[:stop, r])
+        if stop < k:
+            return 1
+        np.square(o, out=o)
+    return 0
 
 
 def skim_rows(cells: np.ndarray, r0: int, packed: np.ndarray, est: np.ndarray,
@@ -862,11 +840,9 @@ def skim_rows(cells: np.ndarray, r0: int, packed: np.ndarray, est: np.ndarray,
     """Rows r0 .. r0 + len(out) - 1 of the (rows, cols) int64 table `cells`
     as float64, each less est[t] * sign at item t's bucket for every item t
     in turn, then squared, written into `out`, a C-contiguous (rows in
-    block, cols) float64 array, and returned. `packed` holds the items'
-    (items, rows) packed cells. One pass of the C kernel (`skim61`), which
-    must be loaded; the per-row `np.subtract.at` loop in
-    `CountSketchTable.f2_residual_estimate` is the bitwise reference.
-    ValueError for a bucket outside the row."""
+    block, cols) float64 array, and returned (`skim61`). `packed` holds the
+    items' (items, rows) packed cells. ValueError for a bucket outside the
+    row."""
     p = _packed_args(packed, cells)
     e = np.ascontiguousarray(est, dtype=np.float64)
     if (out.dtype != np.float64 or not out.flags.c_contiguous or out.ndim != 2
@@ -874,10 +850,157 @@ def skim_rows(cells: np.ndarray, r0: int, packed: np.ndarray, est: np.ndarray,
             or e.shape != p.shape[:1]):
         raise ValueError("skim_rows needs rows inside the table, one estimate per item, "
                          "and a C-contiguous float64 out of whole rows")
-    if _kernel.skim61(cells.ctypes.data, cells.shape[0], cells.shape[1], r0, out.shape[0],
-                      p.ctypes.data, e.ctypes.data, e.size, out.ctypes.data):
+    if _run("skim61", cells, cells.shape[0], cells.shape[1], r0, out.shape[0], p, e, e.size,
+            out):
         raise ValueError("packed cell outside the table")
     return out
+
+
+_P, _N = ctypes.c_void_p, ctypes.c_size_t
+# each routine of the kernel source: its numpy twin, then its ctypes
+# restype and argtypes (_P a pointer, _N a size_t)
+_ROUTINES = {
+    "horner61": (_horner61, None, [_P, _P, _N, _N, _P, _N, _P]),
+    "scatter61": (_scatter61, ctypes.c_int, [_P, _N, _N, _P, _P, _N, _P, _N, ctypes.c_int64, _P]),
+    "abs_sum_reaches": (_abs_sum_reaches, ctypes.c_int, [_P, _N, ctypes.c_uint64]),
+    "stable_add3": (_stable_add3, ctypes.c_int, [_P, _N, _P, _P, _P, _N]),
+    "dense_sums64": (_dense_sums64, ctypes.c_int, [_P, _P, _N, _P, _P, _N]),
+    "philox_uniforms": (_philox_uniforms, None,
+                        [_P, _P, _N, ctypes.c_uint32, ctypes.c_uint32, _P]),
+    "parse_plain": (_parse_plain, ctypes.c_int64, [ctypes.c_char_p, _N, _P, _P, _N]),
+    "reads61": (_reads61, ctypes.c_int, [_P, _N, _N, _P, _N, _P]),
+    "skim61": (_skim61, ctypes.c_int, [_P, _N, _N, _N, _N, _P, _P, _N, _P]),
+}
+
+
+# items per block of `scatter61`, BLOCK61 in its source
+_SCATTER_BLOCK = 1024
+
+# `parse_plain` spot-check texts: one in the shape it reads (its first two
+# lines take the word-wise path), and texts it must decline (a 19-byte
+# token, "--1", a tab and a ':', next to the digits, where the word-wise
+# path looks, a lone token, three tokens, a token that runs into '-')
+_PARSE_SPOT = (b"1234567 7654321\n8 90\n 12 -0\n\n  \n12345678 1\n007 -99999999999999999 \n"
+               b"999999999999999999 5")
+_PARSE_DECLINED = (b"1 -999999999999999999\n", b"1 --1\n", b"1 2\t\n3 4\n5 6\n7 8\n",
+                   b"1:2 3\n4 5\n6 7\n8 9\n", b"1 2\n3\n", b"1 2 3\n", b"1 2-\n")
+
+
+def _spot_cases():
+    """(routine, arguments) pairs on which a kernel must return and write
+    what the numpy twins do. Every output starts filled with a fixed value,
+    so a cell a routine leaves unwritten shows."""
+    m61, limit, i64 = MERSENNE61, 1 << 62, np.int64
+    coeffs = np.array([[m61 - 1, 0, 12345, m61 - 2], [0, 0, 7, 1 << 60]], dtype=np.uint64)
+    x = np.array([1, 2, 3, 2**32 - 1, m61 - 1], dtype=np.uint64)
+    yield "horner61", (coeffs, np.array([1000, 2], dtype=np.uint64), 2, 4, x, x.size,
+                       np.full((2, x.size), -7, dtype=i64))
+    # a row of 1000 cells (and 1000 more, to catch a bucket past it) under
+    # poly(x) = x: items on w = 0, cols - 1, cols, 2 * cols - 1 take both
+    # signs; it starts near the limit, which item 0 crosses, then at zero
+    cols = 1000
+    linear = np.array([0, 0, 1, 0], dtype=np.uint64)
+    x = np.array([0, cols - 1, cols, 2 * cols - 1, 2**32 - 1], dtype=np.uint64)
+    deltas = np.array([5, 7, 1 << 40, 3, -1], dtype=i64)
+    for start in (limit - 4, 0):
+        yield "scatter61", (linear, 1, 4, x, deltas, x.size, np.full((2, cols), start, dtype=i64),
+                            cols, limit, np.full(x.size, 7, dtype=np.uint32))
+    # two rows of 2 columns under x and x + 1, a third as a margin, over a
+    # batch two items longer than a block, with and without packed cells.
+    # From cells at +-(limit - 4), the +-1 deltas stay within 4 of the
+    # start; item 1023, in the first block, takes a cell of each row past
+    # the limit, and item 1025, in the second, brings both back unless its
+    # delta is 0: only a reread after the whole batch judges that right
+    n, cols = _SCATTER_BLOCK + 2, 2
+    x = np.arange(n, dtype=np.uint64)
+    coeffs = np.array([[0, 0, 1, 0], [0, 0, 1, 1]], dtype=np.uint64)
+    cells = np.array([[limit - 4] * cols, [4 - limit] * cols, [0] * cols], dtype=i64)
+    for last in (-16, 0):
+        deltas = np.ones(n, dtype=i64)
+        deltas[-3:] = -8, 1, last
+        for packed in (np.full((n, 2), 7, dtype=np.uint32), None):
+            yield "scatter61", (coeffs, 2, 4, x, deltas, n, cells, cols, limit, packed)
+    # the exact guard at its boundary: just below the limit, exactly at it
+    # (where float64 sums round), and |INT64_MIN|, which counts as 2**63
+    for deltas in ([limit - 1], [limit - 1, 0, -1], [1 - limit, 1], [-(1 << 63)],
+                   [(1 << 63) - 1, -(1 << 63)], [-3, 2, -5], []):
+        yield "abs_sum_reaches", (np.array(deltas, dtype=i64), len(deltas), limit)
+    # stable adds where the order of the adds matters (bucket 2, slot 0 sums
+    # 2**53, 1 and -2**53: 2**53 + 1 rounds down, -2**53 + 1 does not), a
+    # delta that rounds as a double, then a bucket past the table
+    buckets = np.array([2, 1, 2, 2, 3], dtype=i64)
+    deltas = np.array([1, -3, 1, -1, (1 << 53) + 1], dtype=i64)
+    variates = np.array([[2.0**53, 0.5, -1.0], [1.5, 2.0, 3.0], [1.0, -1.0, 1e-3],
+                         [2.0**53, 1.0, 0.25], [-2.5, 1e290, 0.0]])
+    for cols in (3, 2):
+        yield "stable_add3", (np.zeros((3, 3)), cols, buckets, deltas, variates, buckets.size)
+    # sums that wrap, an item whose deltas cancel, then an item out of range
+    items = np.array([3, 1, 3, 0, 5, 1], dtype=i64)
+    deltas = np.array([2**63 - 1, -4, 1, 0, 7, 4], dtype=i64)
+    for length in (6, 5):
+        yield "dense_sums64", (items, deltas, items.size, np.full(6, 9, dtype=i64),
+                               np.full(6, 2, dtype=np.uint8), length)
+    # items past 2**32 take the second counter word
+    buckets = np.array([1, (1 << 31) - 1, 0], dtype=i64)
+    items = np.array([7, (1 << 40) + 12345, (1 << 63) - 1], dtype=i64)
+    yield "philox_uniforms", (buckets, items, items.size, 0x89ABCDEF, 0x01234567,
+                              np.full((items.size, 3), -1.0))
+    # the texts at a cap of six records, and the text in shape at five
+    for text, cap in [(t, 6) for t in (_PARSE_SPOT, *_PARSE_DECLINED)] + [(_PARSE_SPOT, 5)]:
+        yield "parse_plain", (text, len(text), np.full(6, -7, dtype=i64),
+                              np.full(6, -7, dtype=i64), cap)
+    # signed reads of a 2 x 3 table at both signs and at INT64_MIN, which
+    # wraps; then a bucket past the row
+    cells = np.array([[5, -7, 1 << 62], [-(1 << 63), 0, 9]], dtype=i64)
+    packed = np.array([[0, 1], [3, 4], [5, 5], [2, 0], [6, 0]], dtype=np.uint32)
+    for n in (4, 5):
+        yield "reads61", (packed, n, 2, cells, 3, np.full((5, 2), -7, dtype=i64))
+    # rows 1 and 2 of a 3 x 4 table skimmed of three items, which all share
+    # row 1's bucket 2, where reversing the subtractions gives -1, not 0;
+    # then row 0 skimmed of a fourth item whose bucket is past the row
+    cells = np.array([[1, 2, 3, 4], [-3, 1 << 62, 0, 7], [5, 0, 1 - (1 << 62), 2]], dtype=i64)
+    packed = np.array([[0, 4, 1], [2, 4, 6], [7, 4, 0], [8, 0, 0]], dtype=np.uint32)
+    est = np.array([2.0**53, 1.0, -2.0**53, 0.0])
+    for r0, nr, k in ((1, 2, 3), (0, 1, 4)):
+        yield "skim61", (cells, 3, 4, r0, nr, packed, est, k, np.full((2, 4), -7.0))
+
+
+def _agrees(lib) -> bool:
+    """Whether every routine of `lib` returns and writes what its numpy twin
+    does on every case of `_spot_cases`, bytewise, its inputs included."""
+    for routine, args in _spot_cases():
+        outcomes = []
+        for run in (lambda *a: _c_call(lib, routine, a), _ROUTINES[routine][0]):
+            mine = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+            result = run(*mine)
+            outcomes.append((result, [a.tobytes() for a in mine if isinstance(a, np.ndarray)]))
+        if outcomes[0] != outcomes[1]:
+            return False
+    return True
+
+
+def _load_kernel():
+    """The compiled library, its routines bound as `_ROUTINES` declares, or
+    None when it cannot be built or loaded or disagrees with a numpy twin
+    (`_agrees`)."""
+    key = "\0".join((_HORNER_SOURCE, " ".join(_CFLAGS), platform.machine(),
+                     platform.system()))
+    digest = hashlib.sha256(key.encode("ascii")).hexdigest()[:16]
+    path = os.path.join(_cache_dir(), f"horner61-{digest}.so")
+    try:
+        if not os.path.exists(path):
+            _build_kernel(path)
+        lib = ctypes.CDLL(path)
+        for name, (_, restype, argtypes) in _ROUTINES.items():
+            routine = getattr(lib, name)
+            routine.restype, routine.argtypes = restype, argtypes
+    except (OSError, AttributeError):  # no compiler, unwritable cache, bad library
+        return None
+    return lib if _agrees(lib) else None
+
+
+_kernel = _load_kernel()
+KWISE_BACKEND = "numpy" if _kernel is None else "c-kernel"
 
 
 class KWiseHash:

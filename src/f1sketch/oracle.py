@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hashing import MERSENNE61
-from .stable import PHILOX_M0, PHILOX_M1, PHILOX_ROUNDS, PHILOX_W0, PHILOX_W1, TRUNCATION_CAP
+from .hashing import MERSENNE61, PHILOX_M0, PHILOX_M1, PHILOX_ROUNDS, PHILOX_W0, PHILOX_W1
+from .stable import TRUNCATION_CAP
 
 
 class TailBoundCheck(NamedTuple):
@@ -190,7 +190,7 @@ def expected_isolation_row(hashes, item: int, heavy_items) -> int | None:
 
 
 def expected_philox4x32(counter, key) -> tuple:
-    """Scalar reference for `stable.philox4x32`: one Philox4x32-10 block of
+    """Scalar reference for `hashing.philox4x32`: one Philox4x32-10 block of
     four 32-bit counter words under two 32-bit key words, in Python ints."""
     c0, c1, c2, c3 = counter
     k0, k1 = key

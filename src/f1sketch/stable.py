@@ -1,9 +1,9 @@
 """Cauchy (1-stable) variates and the moment constants of stable laws.
 
-Covers the replayable variate source behind the sketch (a vectorized
-Philox4x32-10 counter-based generator feeding the Cauchy inverse CDF) and
-the moment constants C(p, q) and K_p that the light decode and its
-analysis use.
+Covers the replayable variate source behind the sketch (the Philox4x32-10
+counter-based uniforms of `hashing.philox_uniforms` feeding the Cauchy
+inverse CDF) and the moment constants C(p, q) and K_p that the light decode
+and its analysis use.
 """
 
 from __future__ import annotations
@@ -51,49 +51,7 @@ def kp_constant(p: float) -> float:
     return stability_constant(p, p / 3.0) ** -6 * stability_constant(p, 2.0 * p / 3.0) ** 3
 
 
-# Philox4x32-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-# 3", SC 2011): round multipliers and Weyl key increments
-PHILOX_M0, PHILOX_M1 = 0xD2511F53, 0xCD9E8D57
-PHILOX_W0, PHILOX_W1 = 0x9E3779B9, 0xBB67AE85
-PHILOX_ROUNDS = 10
-
 _VARIATE_BLOCK = 1 << 16  # (bucket, item) pairs per Philox pass in `variates_for`
-_LOW32 = np.uint64(0xFFFFFFFF)
-_32 = np.uint64(32)
-
-
-def philox4x32(c0, c1, c2, c3, k0: int, k1: int) -> tuple:
-    """Philox4x32-10 blocks for aligned counter words, one block per element.
-
-    Counter words are arrays of 32-bit values and (k0, k1) the 32-bit key
-    words; returns the four output words as uint64 arrays. Every 32x32-bit
-    product is exact in uint64, so a round is a few whole-array operations.
-    """
-    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3))
-    for r in range(PHILOX_ROUNDS):
-        if r:
-            k0 = (k0 + PHILOX_W0) & 0xFFFFFFFF
-            k1 = (k1 + PHILOX_W1) & 0xFFFFFFFF
-        p0 = c0 * np.uint64(PHILOX_M0)
-        p1 = c2 * np.uint64(PHILOX_M1)
-        # (hi(p1) ^ c1 ^ k0, lo(p1), hi(p0) ^ c3 ^ k1, lo(p0)); in place on
-        # the fresh arrays only, never on the caller's counter words
-        c0 = p1 >> _32
-        c0 ^= c1
-        c0 ^= np.uint64(k0)
-        c2 = p0 >> _32
-        c2 ^= c3
-        c2 ^= np.uint64(k1)
-        p1 &= _LOW32
-        p0 &= _LOW32
-        c1, c3 = p1, p0
-    return c0, c1, c2, c3
-
-
-def _uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Uniform in (0, 1) from the 64-bit word hi:lo: its top 52 bits,
-    offset by half a step so neither end is reachable."""
-    return ((((hi << _32) | lo) >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0 ** -52
 
 
 class StableVariateSource:
@@ -127,29 +85,6 @@ class StableVariateSource:
         out = np.empty((items.shape[0], 3))
         for lo in range(0, items.shape[0], _VARIATE_BLOCK):
             block = slice(lo, lo + _VARIATE_BLOCK)
-            out[block] = self._block_variates(buckets[block], items[block])
+            out[block] = cauchy_variates(
+                hashing.philox_uniforms(buckets[block], items[block], *self.philox_key))
         return out
-
-    def _block_variates(self, buckets: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Variates of one block of pairs. The uniforms come from the C
-        kernel when it is loaded, else from `philox_uniforms`, its bitwise
-        reference; `tan` is numpy's either way."""
-        draw = hashing.philox_uniforms if hashing._kernel is not None else philox_uniforms
-        return cauchy_variates(draw(buckets, items, *self.philox_key))
-
-
-def philox_uniforms(buckets: np.ndarray, items: np.ndarray, k0: int, k1: int) -> np.ndarray:
-    """The (pairs, 3) uniforms of `StableVariateSource`'s slots for aligned
-    (bucket, item) pairs under key (k0, k1), in numpy: the fallback and
-    bitwise reference of `hashing.philox_uniforms`."""
-    items = items.astype(np.uint64)[:, None]
-    buckets = buckets.astype(np.uint64)[:, None]
-    shape = (items.shape[0], 3)
-    c0, c1, _, _ = philox4x32(
-        np.broadcast_to(items & _LOW32, shape),
-        np.broadcast_to(items >> _32, shape),
-        np.broadcast_to(buckets, shape),
-        np.broadcast_to(np.arange(3, dtype=np.uint64), shape),
-        k0, k1,
-    )
-    return _uniform(c0, c1)

@@ -4,9 +4,9 @@ Text format: newline-delimited records "<i> <v>" with 1-based item index i
 and signed integer delta v. Lines starting with '#' are comments; a header
 comment "# n=<n>" declares the domain size, also when it follows records
 (which must then lie in the domain). Without a header the domain size is
-inferred as the largest item index seen. Text is read by the C kernel
-(`hashing.parse_plain`), or numpy (`_plain_records`) where it is not
-loaded, and by `parse_text` if that declines, all with identical results.
+inferred as the largest item index seen. Text is read by
+`hashing.parse_plain`, and by `parse_text` if that declines, with
+identical results.
 
 Binary format (benchmarks): 8-byte magic "F1SKBIN\\0", little-endian uint64
 n, then little-endian (uint32 i, int64 v) pairs.
@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 import struct
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ BINARY_MAGIC = b"F1SKBIN\x00"
 BINARY_RECORD = np.dtype([("i", "<u4"), ("v", "<i8")])  # packed, 12 bytes
 
 _PLAIN_HEADER = re.compile(rb"# n=(\d{1,18})(?:\n|\Z)")
-_PLAIN_TOKEN_MAX = 18  # 18 digits, or "-" and 17: always inside int64
 _TEXT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
@@ -55,10 +53,9 @@ class Stream:
 def read_stream(path: str, binary: bool = False) -> Stream:
     """Parse a stream file ('-' reads text from stdin).
 
-    Text in the plain shape (see `_parse_plain`) is read in one pass of the
-    C kernel, or, where it is not loaded, one vectorized numpy pass; any
-    other text goes through `parse_text`, the reference reader, with
-    identical results and errors."""
+    Text in the plain shape (see `_parse_plain`) is read in one pass
+    (`hashing.parse_plain`); any other text goes through `parse_text`, the
+    reference reader, with identical results and errors."""
     if binary:
         return _read_binary(path)
     if path == "-":
@@ -85,8 +82,7 @@ def _parse_plain(data: bytes) -> Stream | None:
     """`parse_text` of `data` when the text has the plain shape, else None.
 
     Plain: an optional first line "# n=<digits>" with n >= 1, then records
-    that `hashing.parse_plain`, or without the kernel `_plain_records`,
-    reads, every item in [1, n]; numpy takes no text the kernel declines."""
+    that `hashing.parse_plain` reads, every item in [1, n]."""
     n = None
     header = _PLAIN_HEADER.match(data)
     if header:
@@ -94,7 +90,7 @@ def _parse_plain(data: bytes) -> Stream | None:
         if n < 1:
             return None
         data = data[header.end():]
-    records = hashing.parse_plain(data) if hashing._kernel is not None else _plain_records(data)
+    records = hashing.parse_plain(data)
     if records is None:
         return None
     items, deltas = records
@@ -104,46 +100,6 @@ def _parse_plain(data: bytes) -> Stream | None:
     if lo < 1 or (n is not None and hi > n):
         return None
     return Stream(hi if n is None else n, items, deltas)
-
-
-def _plain_records(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """(items, deltas) of headerless text, or None unless it holds only
-    digits, '-', spaces and newlines; every line holds 0 or 2 tokens, each
-    token at most `_PLAIN_TOKEN_MAX` bytes with any '-' followed by a digit;
-    and numpy reads exactly one value per token. Each check is needed:
-    `np.fromstring` reads a trailing lone '-' and a blank text as 0,
-    saturates overflowing values, and skips carriage returns, which
-    `parse_text` treats as line breaks.
-    """
-    text = np.frombuffer(data, dtype=np.uint8)
-    sep = (text == ord(" ")) | (text == ord("\n"))
-    digit = (text - np.uint8(ord("0"))) < 10
-    minus = text == ord("-")
-    if not (sep | digit | minus).all():
-        return None
-    signs = np.flatnonzero(minus)
-    if signs.size and (signs[-1] + 1 == text.size or not digit[signs + 1].all()):
-        return None
-    edges = np.flatnonzero(np.diff(sep, prepend=True, append=True))
-    starts, ends = edges[0::2], edges[1::2]
-    if starts.size % 2 or (ends - starts > _PLAIN_TOKEN_MAX).any():
-        return None
-    if starts.size:
-        # whether a line break follows each token but the last, before the
-        # next token: never inside a record, always between two
-        breaks = np.logical_or.reduceat(text[:ends[-1]] == ord("\n"), ends[:-1])
-        if breaks[0::2].any() or not breaks[1::2].all():
-            return None
-    try:
-        with warnings.catch_warnings():
-            # older numpy only warns when it stops short of the end
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring(data, dtype=np.int64, sep=" ")
-    except (ValueError, DeprecationWarning):
-        return None
-    if values.size != starts.size:
-        return None
-    return tuple(np.ascontiguousarray(c) for c in values.reshape(-1, 2).T)
 
 
 def _text_int(field: str) -> int:

@@ -420,9 +420,9 @@ def test_packed_cells_match_per_row_hashes(kernel, monkeypatch):
     assert (buckets >= 0).all() and (buckets < 13).all() and 0 < negative.mean() < 1
     assert packed.dtype == np.uint32 and packed.flags.c_contiguous
     assert (packed == buckets << 1 | negative).all()
-    idx, signs = t.unpack(packed)
-    assert (idx == buckets + 13 * np.arange(5)).all()
-    assert (signs == 1 - 2 * negative).all()
+    t.cells[:] = np.arange(5 * 13).reshape(5, 13)
+    reads = hashing.signed_reads(packed, t.cells, np.empty(packed.shape, dtype=np.int64))
+    assert (reads == (buckets + 13 * np.arange(5)) * (1 - 2 * negative)).all()
     assert t.packed_cells(items[:0]).shape == (0, 5)
 
 
@@ -473,7 +473,7 @@ def test_kernel_scatter_matches_numpy_body_at_odd_and_wide_tables(cols):
         assert ("overflow" in kernel[0]) == (start > 0)
 
 
-# -- fused C scatter against the numpy body -----------------------------------
+# -- fused C scatter against the numpy twin -----------------------------------
 
 
 def run_paths(table_args: dict, batches, start: int = 0) -> list:
@@ -663,27 +663,30 @@ def test_table_refuses_row_hashes_of_range_other_than_twice_its_columns():
         CountSketchTable(2, 7, hashes=[t.hashes[0], KWiseHash(t.hashes[1].coefficients[1:], 14)])
 
 
-@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
 def test_kernel_scatter_refuses_mismatched_arguments():
-    t = make_table(rows=3, cols=7, n=20)
-    with pytest.raises(ValueError):
-        hashing.scatter_signed(t._coeffs, np.array([1, 2]), np.array([1]), t.cells, CELL_LIMIT)
-    with pytest.raises(ValueError):  # a polynomial missing for the last row
-        hashing.scatter_signed(t._coeffs[:-1], np.array([1]), np.array([1]), t.cells,
-                               CELL_LIMIT)
-    with pytest.raises(ValueError):  # one polynomial, not a matrix of them
-        hashing.scatter_signed(t._coeffs[0], np.array([1]), np.array([1]),
-                               np.zeros((1, 7), dtype=np.int64), CELL_LIMIT)
-    with pytest.raises(ValueError):  # a float table
-        hashing.scatter_signed(t._coeffs, np.array([1]), np.array([1]),
-                               np.zeros((3, 7)), CELL_LIMIT)
-    with pytest.raises(ValueError):  # rows disagree with the coefficient matrix
-        hashing.scatter_signed(t._coeffs, np.array([1]), np.array([1]),
-                               np.zeros((2, 7), dtype=np.int64), CELL_LIMIT)
-    assert not t.cells.any()
+    for kernel in PATHS:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hashing, "_kernel", kernel)
+            t = make_table(rows=3, cols=7, n=20)
+            with pytest.raises(ValueError):
+                hashing.scatter_signed(t._coeffs, np.array([1, 2]), np.array([1]), t.cells,
+                                       CELL_LIMIT)
+            with pytest.raises(ValueError):  # a polynomial missing for the last row
+                hashing.scatter_signed(t._coeffs[:-1], np.array([1]), np.array([1]), t.cells,
+                                       CELL_LIMIT)
+            with pytest.raises(ValueError):  # one polynomial, not a matrix of them
+                hashing.scatter_signed(t._coeffs[0], np.array([1]), np.array([1]),
+                                       np.zeros((1, 7), dtype=np.int64), CELL_LIMIT)
+            with pytest.raises(ValueError):  # a float table
+                hashing.scatter_signed(t._coeffs, np.array([1]), np.array([1]),
+                                       np.zeros((3, 7)), CELL_LIMIT)
+            with pytest.raises(ValueError):  # rows disagree with the coefficient matrix
+                hashing.scatter_signed(t._coeffs, np.array([1]), np.array([1]),
+                                       np.zeros((2, 7), dtype=np.int64), CELL_LIMIT)
+            assert not t.cells.any()
 
 
-# -- compiled reads (reads61, skim61) against the numpy bodies ------------------
+# -- compiled reads (reads61, skim61) against the numpy twins -------------------
 
 
 def reads_on_both_paths(t: CountSketchTable, k: int, estimates=None) -> list:
@@ -745,28 +748,30 @@ def test_kernel_skim_blocks_match_numpy_body(rows, cols):
     assert kernel == numpy_body
 
 
-@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
 def test_kernel_reads_and_skim_refuse_bad_arguments():
-    t = make_table(rows=3, cols=7, n=20)
-    t.update_many(np.array([1, 2]), np.array([5, -3]))
-    packed = t.touched_cells()
-    est = np.array([5.0, -3.0])
-    out = np.empty((2, 3), dtype=np.int64)
-    assert hashing.signed_reads(packed, t.cells, out) is out
-    for bad in ((packed[:, :2], t.cells, out[:, :2]),  # a row of cells missing
-                (packed, t.cells, out[:1]),  # out too short
-                (packed, t.cells, out.astype(np.float64)),
-                (packed, t.cells.astype(np.float64), out),
-                (np.full((2, 3), 14, dtype=np.uint32), t.cells, out)):  # bucket 7 of 7
-        with pytest.raises(ValueError):
-            hashing.signed_reads(*bad)
-    rows = np.empty((2, 7))
-    assert hashing.skim_rows(t.cells, 1, packed, est, rows) is rows
-    for r0, p, e, o in ((2, packed, est, rows),  # rows 2 and 3 of 3
-                        (-1, packed, est, rows),
-                        (0, packed, est[:1], rows),  # an estimate missing
-                        (0, packed, est, np.empty((2, 6))),
-                        (0, packed, est, np.empty((2, 7), dtype=np.float32)),
-                        (0, np.full((2, 3), 14, dtype=np.uint32), est, rows)):
-        with pytest.raises(ValueError):
-            hashing.skim_rows(t.cells, r0, p, e, o)
+    for kernel in PATHS:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hashing, "_kernel", kernel)
+            t = make_table(rows=3, cols=7, n=20)
+            t.update_many(np.array([1, 2]), np.array([5, -3]))
+            packed = t.touched_cells()
+            est = np.array([5.0, -3.0])
+            out = np.empty((2, 3), dtype=np.int64)
+            assert hashing.signed_reads(packed, t.cells, out) is out
+            for bad in ((packed[:, :2], t.cells, out[:, :2]),  # a row of cells missing
+                        (packed, t.cells, out[:1]),  # out too short
+                        (packed, t.cells, out.astype(np.float64)),
+                        (packed, t.cells.astype(np.float64), out),
+                        (np.full((2, 3), 14, dtype=np.uint32), t.cells, out)):  # bucket 7 of 7
+                with pytest.raises(ValueError):
+                    hashing.signed_reads(*bad)
+            rows = np.empty((2, 7))
+            assert hashing.skim_rows(t.cells, 1, packed, est, rows) is rows
+            for r0, p, e, o in ((2, packed, est, rows),  # rows 2 and 3 of 3
+                                (-1, packed, est, rows),
+                                (0, packed, est[:1], rows),  # an estimate missing
+                                (0, packed, est, np.empty((2, 6))),
+                                (0, packed, est, np.empty((2, 7), dtype=np.float32)),
+                                (0, np.full((2, 3), 14, dtype=np.uint32), est, rows)):
+                with pytest.raises(ValueError):
+                    hashing.skim_rows(t.cells, r0, p, e, o)

@@ -880,7 +880,7 @@ def test_flush_partitions_keep_counters_and_near_stable_cells(records, cuts):
 
 
 def numpy_dense_sums(items, deltas, n):
-    """`estimator._dense_sums` on its numpy path, the kernel's reference."""
+    """`estimator._dense_sums` through the numpy twin of `dense_sums64`."""
     kernel = hashing._kernel
     hashing._kernel = None
     try:
@@ -916,13 +916,15 @@ def test_dense_and_sorted_aggregation_agree(records, extra):
     assert ordered[1].tolist() == [sums[i] for i in sorted(sums)]
 
 
-@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
 def test_kernel_dense_sums_refuse_items_outside_the_arrays():
-    for items in ([1, 5], [-1, 2]):
-        with pytest.raises(ValueError, match="outside"):
-            hashing.dense_sums(np.array(items), np.array([1, 1]), 5)
-    with pytest.raises(ValueError, match="one delta per item"):
-        hashing.dense_sums(np.array([1, 2]), np.array([1]), 5)
+    for kernel in PATHS:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hashing, "_kernel", kernel)
+            for items in ([1, 5], [-1, 2]):
+                with pytest.raises(ValueError, match="outside"):
+                    hashing.dense_sums(np.array(items), np.array([1, 1]), 5)
+            with pytest.raises(ValueError, match="one delta per item"):
+                hashing.dense_sums(np.array([1, 2]), np.array([1]), 5)
 
 
 @pytest.mark.parametrize("accuracy", [0.5, 0.3])
@@ -1082,24 +1084,30 @@ def test_kernel_stable_add_matches_np_add_at_bitwise(cols):
     assert cells[0] == cells[1]
 
 
-@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
 def test_kernel_stable_add_takes_non_finite_products_as_np_add_at_does():
     buckets = np.array([1, 2, 1, 3])
     deltas = np.array([1, -2, 3, 0])
     variates = np.array([[np.inf, 1.0, 2.0], [np.nan, -np.inf, 0.5], [-np.inf, 3.0, 1e308],
                          [np.inf, 1.0, 1.0]])  # 0 * inf is nan
-    want, got = np.zeros((3, 3)), np.zeros((3, 3))
+    want = np.zeros((3, 3))
     with np.errstate(invalid="ignore", over="ignore"):
         np.add.at(want, buckets - 1, deltas[:, None] * variates)
-        hashing.stable_add(got, buckets, deltas, variates)
-    assert got.tobytes() == want.tobytes() and not np.isfinite(got).all()
-    for bad in ((got, buckets, deltas[:3], variates), (got, buckets, deltas, variates[:, :2]),
-                (np.zeros((3, 4)), buckets, deltas, variates),
-                (got.astype(np.float32), buckets, deltas, variates)):
-        with pytest.raises(ValueError, match="stable_add needs"):
-            hashing.stable_add(*bad)
-    with pytest.raises(ValueError, match="bucket outside"):
-        hashing.stable_add(np.zeros((3, 3)), np.array([4]), np.array([1]), np.ones((1, 3)))
+    for kernel in PATHS:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hashing, "_kernel", kernel)
+            got = np.zeros((3, 3))
+            with np.errstate(invalid="ignore", over="ignore"):
+                hashing.stable_add(got, buckets, deltas, variates)
+            assert got.tobytes() == want.tobytes() and not np.isfinite(got).all()
+            for bad in ((got, buckets, deltas[:3], variates),
+                        (got, buckets, deltas, variates[:, :2]),
+                        (np.zeros((3, 4)), buckets, deltas, variates),
+                        (got.astype(np.float32), buckets, deltas, variates)):
+                with pytest.raises(ValueError, match="stable_add needs"):
+                    hashing.stable_add(*bad)
+            with pytest.raises(ValueError, match="bucket outside"):
+                hashing.stable_add(np.zeros((3, 3)), np.array([4]), np.array([1]),
+                                   np.ones((1, 3)))
 
 
 @pytest.mark.parametrize("kernel", [k for k in (hashing._kernel,) if k is not None] + [None])

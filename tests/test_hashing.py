@@ -1,6 +1,7 @@
 import ctypes
 import itertools
 import os
+import pathlib
 import re
 import shutil
 import subprocess
@@ -382,12 +383,17 @@ def test_scatter_block_matches_the_kernel_source():
         hashing._SCATTER_BLOCK)
 
 
+def exported_routines() -> set:
+    """Names of the non-static functions of the kernel source."""
+    return set(re.findall(r"^(?!static\b)\w[\w\s*]*?\b(\w+)\(", hashing._HORNER_SOURCE,
+                          re.MULTILINE))
+
+
 @pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
 def test_every_exported_kernel_routine_is_bound_and_spot_checked(monkeypatch):
     # every non-static function of the source must be looked up and called
     # by `_load_kernel`, so none reaches a caller unchecked
-    exported = set(re.findall(r"^(?!static\b)\w[\w\s*]*?\b(\w+)\(", hashing._HORNER_SOURCE,
-                              re.MULTILINE))
+    exported = exported_routines()
     assert {"horner61", "scatter61", "reads61", "skim61"} <= exported
     called = set()
 
@@ -413,6 +419,18 @@ def test_every_exported_kernel_routine_is_bound_and_spot_checked(monkeypatch):
     monkeypatch.setattr(hashing.ctypes, "CDLL", Library)
     assert hashing._load_kernel() is not None
     assert called == exported
+
+
+def test_only_hashing_chooses_between_kernel_and_twin():
+    # no other module reads `_kernel`, and every exported routine of the
+    # source has a numpy twin the wrappers fall back to
+    package = pathlib.Path(hashing.__file__).parent
+    naming = [path.name for path in sorted(package.glob("*.py"))
+              if "_kernel" in path.read_text(encoding="utf-8")]
+    assert naming == ["hashing.py"]
+    exported = exported_routines()
+    assert len(exported) == 9 and set(hashing._ROUTINES) == exported
+    assert all(callable(twin) for twin, _, _ in hashing._ROUTINES.values())
 
 
 def check_mutant_refused(old, new, tmp_path, monkeypatch):

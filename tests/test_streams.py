@@ -8,10 +8,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from f1sketch import generate, hashing, read_stream, write_stream
 from f1sketch.oracle import ExactState
-from f1sketch.streams import Distribution, Stream, StreamParseError, _plain_records, parse_text
+from f1sketch.streams import Distribution, Stream, StreamParseError, parse_text
 
 # the kernel (when it loaded) and numpy as the first text reader
 READERS = [k for k in (hashing._kernel,) if k is not None] + [None]
+
+
+def numpy_parse(body: bytes):
+    """`hashing.parse_plain` through its numpy twin."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hashing, "_kernel", None)
+        return hashing.parse_plain(body)
 
 
 def replay(stream) -> ExactState:
@@ -178,7 +185,6 @@ def test_read_stream_matches_line_reader(tmp_path_factory, data):
             assert _outcome(lambda: read_stream("-")) == want, kernel
 
 
-@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
 @given(st.one_of(_streams, _soups, _long_texts).map(str.encode))
 @example(b"1234567 7654321\n12345678 1\n1 12345678\n9 9\n")  # 7 digits word-wise, 8 not
 @example(b"1 -99999999999999999\n999999999999999999 0")   # 18 bytes: read
@@ -187,21 +193,25 @@ def test_read_stream_matches_line_reader(tmp_path_factory, data):
 @example(b"\n \n")                                        # blank: no records
 @settings(max_examples=200, deadline=None)
 def test_kernel_reads_exactly_its_shape(data):
-    # past the header the kernel reads a text exactly when every token is an
-    # optional '-' and digits, 18 bytes at most, two to a non-blank line,
-    # split only by ' ' and '\n'; it then reads each line's two integers
+    # past the header the kernel, and its numpy twin, read a text exactly
+    # when every token is an optional '-' and digits, 18 bytes at most, two
+    # to a non-blank line, split only by ' ' and '\n'; they then read each
+    # line's two integers
     body = data.split(b"\n", 1)[1] if data.startswith(b"#") and b"\n" in data else data
     lines = [line.split() for line in body.split(b"\n")]
     shaped = set(body) <= set(b"0123456789- \n") and all(
         not tokens or len(tokens) == 2 and all(re.fullmatch(rb"-?[0-9]{1,17}|[0-9]{18}", t)
                                                for t in tokens)
         for tokens in lines)
-    got = hashing.parse_plain(body)
-    assert (got is not None) == shaped
-    if shaped:
-        assert np.stack(got, axis=1).tolist() == [[int(t) for t in tokens]
-                                                  for tokens in lines if tokens]
-        assert all(a.dtype == np.int64 and a.flags.c_contiguous for a in got)
+    for kernel in READERS:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hashing, "_kernel", kernel)
+            got = hashing.parse_plain(body)
+        assert (got is not None) == shaped
+        if shaped:
+            assert np.stack(got, axis=1).tolist() == [[int(t) for t in tokens]
+                                                      for tokens in lines if tokens]
+            assert all(a.dtype == np.int64 and a.flags.c_contiguous for a in got)
 
 
 @pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
@@ -210,24 +220,29 @@ def test_kernel_reads_exactly_its_shape(data):
 @example(b"1 -999999999999999999\n")          # a 19-byte token
 @example(b"1 2\n3 -\n")                       # a lone '-'
 @example(b"1 2\n3\n")                         # a lone token
+@example(b"\n \n")                            # blank: no records
 @settings(max_examples=400, deadline=None)
 def test_numpy_takes_no_text_the_kernel_declines(data):
-    # so `_parse_plain` runs one of the two readers, never both: a text the
-    # kernel declines goes straight to `parse_text`
+    # the numpy twin reads what the kernel reads and declines what it
+    # declines, so a text the kernel declines goes straight to `parse_text`
     body = data.split(b"\n", 1)[1] if data.startswith(b"#") and b"\n" in data else data
-    if hashing.parse_plain(body) is None:
-        assert _plain_records(body) is None
+    got, want = numpy_parse(body), hashing.parse_plain(body)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_kernel_spot_check_table_is_what_numpy_reads():
-    # `hashing._load_kernel` checks the kernel's parse against this table
-    text, records = hashing._PARSE_SPOT
-    want = _plain_records(text)
-    assert np.stack(want, axis=1).tolist() == records
-    stream = parse_text(text.decode("ascii").splitlines())
-    assert np.stack([stream.items, stream.deltas], axis=1).tolist() == records
+    # `hashing._load_kernel` checks the kernel's parse against the numpy
+    # twin on these texts: the twin reads the first as `parse_text` does
+    # and declines the others
+    stream = parse_text(hashing._PARSE_SPOT.decode("ascii").splitlines())
+    got = numpy_parse(hashing._PARSE_SPOT)
+    assert np.stack(got, axis=1).tolist() == np.stack([stream.items, stream.deltas],
+                                                      axis=1).tolist()
+    assert len(stream) == 6
     for declined in hashing._PARSE_DECLINED:
-        assert _plain_records(declined) is None
+        assert numpy_parse(declined) is None
 
 
 def test_read_stream_non_ascii(tmp_path):
