@@ -235,18 +235,20 @@ class StableTable:
         self.bucket_hash = bucket_hash
         self.source = source
         self.cells = zeroed_cells((cols, 3), np.float64)
+        self.finite = True  # no add has left a cell infinite or NaN
 
     def update_many(self, items: np.ndarray, deltas: np.ndarray) -> None:
         """Add each int64 delta times its item's three variates into its
         bucket, item by item (`hashing.stable_add`). SketchInvariantError if
-        any accumulator then is not finite."""
+        any accumulator then is not finite: one this batch wrote, or one an
+        earlier batch left so, as no add makes it finite again."""
         if len(items) == 0:
             return
         deltas = np.asarray(deltas, dtype=np.int64)
         buckets = self.bucket_hash.eval_many(items)
         variates = self.source.variates_for(buckets, items)
-        hashing.stable_add(self.cells, buckets, deltas, variates)
-        if not np.isfinite(self.cells).all():
+        self.finite &= not hashing.stable_add(self.cells, buckets, deltas, variates)
+        if not self.finite:
             raise SketchInvariantError("stable accumulator is not finite")
 
     def nbytes(self) -> int:

@@ -1123,6 +1123,43 @@ def test_non_finite_stable_product_raises_on_both_paths(kernel, monkeypatch):
         t.update_many(np.array([1, 2]), np.array([1, -1]))
 
 
+@pytest.mark.parametrize("kernel", PATHS)
+def test_stable_add_reports_only_the_cells_it_writes(kernel, monkeypatch):
+    # the guard judges the rows a batch writes, not the whole table
+    monkeypatch.setattr(hashing, "_kernel", kernel)
+    cells = np.zeros((4, 3))
+    assert hashing.stable_add(cells, np.array([1, 2]), np.array([1, -1]), np.ones((2, 3))) is False
+    with np.errstate(over="ignore"):
+        assert hashing.stable_add(cells, np.array([2, 1]), np.array([2**62, 3]),
+                                  np.array([[1e300, 1.0, 1.0], [1.0, 1.0, 1.0]])) is True
+    assert not np.isfinite(cells[1, 0]) and np.isfinite(np.delete(cells, 1, axis=0)).all()
+    assert hashing.stable_add(cells, np.array([3, 4]), np.array([1, 1]), np.ones((2, 3))) is False
+    assert hashing.stable_add(cells, np.array([3, 2]), np.array([1, 1]), np.ones((2, 3))) is True
+
+
+@pytest.mark.parametrize("kernel", PATHS)
+def test_flush_after_a_refused_non_finite_flush_still_raises(kernel, monkeypatch):
+    # a later batch that writes only finite cells leaves the earlier
+    # infinite one in the table, so its flush is refused too
+    monkeypatch.setattr(hashing, "_kernel", kernel)
+    est = build(n=100)
+    source = est.table.source
+
+    class Infinite:
+        def variates_for(self, buckets, items):
+            return np.full((len(items), 3), np.inf)
+
+    est.table.source = Infinite()
+    est.update(1, 1)
+    with pytest.raises(SketchInvariantError, match="not finite"):
+        est.flush()
+    est.table.source = source
+    for item in (2, 3):
+        est.update(item, 1)
+        with pytest.raises(SketchInvariantError, match="not finite"):
+            est.flush()
+
+
 @pytest.mark.parametrize("kernel", [k for k in (hashing._kernel,) if k is not None] + [None])
 def test_flush_guard_is_exact_at_its_boundary(kernel, monkeypatch):
     # a delta of 2**62 - 1 was refused when float64 summed it; a batch whose

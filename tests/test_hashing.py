@@ -2,6 +2,7 @@ import ctypes
 import itertools
 import os
 import pathlib
+import platform
 import re
 import shutil
 import subprocess
@@ -210,6 +211,8 @@ def three_paths(h: KWiseHash, items: np.ndarray, monkeypatch):
     return active, reference, scalar
 
 
+PATHS = [k for k in (hashing._kernel,) if k is not None] + [None]
+
 EDGE_ITEMS = np.array([1, 2, 3, 10**4, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**40 + 17],
                       dtype=np.int64)
 
@@ -260,8 +263,10 @@ def test_stacked_rows_equal_single_rows(monkeypatch):
         m.setattr(hashing, "_kernel", None)
         assert hashing.horner_rows(coeffs, ranges, x).tobytes() == want.tobytes()
     assert hashing.horner_rows(coeffs, ranges, x[:0]).shape == (len(rows), 0)
+    zero_range = ranges.copy()
+    zero_range[3] = 0  # no bucket to reduce onto; the kernel would divide by it
     for bad in ((coeffs, ranges[:-1], x), (coeffs[:, :0], ranges, x),
-                (coeffs, ranges, x.reshape(2, -1))):
+                (coeffs, ranges, x.reshape(2, -1)), (coeffs, zero_range, x)):
         with pytest.raises(ValueError):  # checked before the kernel sees a pointer
             hashing.horner_rows(*bad)
 
@@ -375,6 +380,80 @@ def test_kernel_whose_blocked_scatter_guard_or_stable_add_disagrees_is_refused(
     # the spot check scatters across a block boundary from cells near the
     # limit, sums |delta| at 2**62 exactly, and adds where order rounds
     check_mutant_refused(old, new, tmp_path, monkeypatch)
+
+
+def cpu_runs_avx512f() -> bool:
+    """Whether this host lists AVX-512F, so the kernel's vector bodies run."""
+    try:
+        flags = pathlib.Path("/proc/cpuinfo").read_text(encoding="ascii", errors="replace")
+    except OSError:
+        return False
+    return platform.machine() == "x86_64" and re.search(r"\bavx512f\b", flags) is not None
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None or not cpu_runs_avx512f(),
+                    reason="needs a C compiler and an AVX-512F CPU")
+@pytest.mark.parametrize("old, new", [
+    ("(1LL << 29) - 1", "(1LL << 30) - 1"),             # splits the middle product at bit 30
+    ("_mm512_mul_epu32(vh, xh), 3)", "_mm512_mul_epu32(vh, xh), 2)"),  # folds 2^64 as 4
+    ("_mm512_min_epu64(a, _mm512_sub_epi64(a, p))", "a"),  # leaves 2^61 - 1 unreduced
+    ("c[3], k1, 0x96)", "c[3], k0, 0x96)"),             # keys Philox word c2 with k0
+    ("0x1p52 - 0.5", "0x1p52"),                         # drops the uniform's half step
+])
+def test_kernel_whose_vector_body_disagrees_is_refused(old, new, tmp_path, monkeypatch):
+    # the spot check runs 70 items through horner61 and scatter61 and 19
+    # pairs through philox_uniforms, so two full vector groups and a tail each
+    check_mutant_refused(old, new, tmp_path, monkeypatch)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a C compiler")
+def test_kernel_built_without_the_cpu_check_loads_and_agrees(tmp_path, monkeypatch):
+    # with the CPU check replaced by 0 every routine runs its scalar body,
+    # which must pass the spot check and give what the loaded kernel gives
+    check = '__builtin_cpu_supports("avx512f")'
+    assert hashing._HORNER_SOURCE.count(check) == 1
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(hashing, "_HORNER_SOURCE", hashing._HORNER_SOURCE.replace(check, "0"))
+    scalar = hashing._load_kernel()
+    assert scalar is not None
+    rng = np.random.default_rng(19)
+    coeffs = rng.integers(MERSENNE61 - 2**40, MERSENNE61, size=(5, 8), dtype=np.uint64)
+    ranges = np.array([1, 8192, 11392, 2**40, MERSENNE61], dtype=np.uint64)
+    items = rng.integers(0, MERSENNE61, size=1001, dtype=np.uint64)
+    items[::7] = np.resize(np.array([0, 1, 2**32 - 1, 2**32, MERSENNE61 - 1], dtype=np.uint64),
+                           items[::7].size)
+    buckets = rng.integers(0, 2**32, size=1001)
+    outputs = []
+    for kernel in (hashing._kernel, scalar):
+        monkeypatch.setattr(hashing, "_kernel", kernel)
+        cells = np.zeros((5, 4096), dtype=np.int64)
+        _, packed = hashing.scatter_signed(coeffs, items, np.arange(1001) - 500, cells, 1 << 62)
+        outputs.append([hashing.horner_rows(coeffs, ranges, items).tobytes(), cells.tobytes(),
+                        packed.tobytes(), hashing.philox_uniforms(buckets, items.view(np.int64) >> 1,
+                                                                  7, 9).tobytes()])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 64, 70, 1001])
+def test_kernel_matches_numpy_across_vector_groups(n, monkeypatch):
+    # items in full groups of 32 (8 for Philox) and a tail, at a power-of-two
+    # range and others, against the numpy twins
+    rng = np.random.default_rng(n)
+    coeffs = rng.integers(0, MERSENNE61, size=(4, 8), dtype=np.uint64)
+    coeffs[3, :3] = 0  # leading zeros
+    ranges = np.array([4096, 11392, MERSENNE61, 3], dtype=np.uint64)
+    items = rng.integers(0, MERSENNE61, size=n, dtype=np.uint64)
+    buckets = rng.integers(0, 2**32, size=n)
+    outputs = []
+    for kernel in PATHS:
+        monkeypatch.setattr(hashing, "_kernel", kernel)
+        cells = np.zeros((4, 1000), dtype=np.int64)
+        _, packed = hashing.scatter_signed(coeffs, items, np.ones(n, dtype=np.int64), cells,
+                                           1 << 62)
+        outputs.append([hashing.horner_rows(coeffs, ranges, items).tobytes(), cells.tobytes(),
+                        packed.tobytes(),
+                        hashing.philox_uniforms(buckets, items.view(np.int64), 5, 6).tobytes()])
+    assert all(out == outputs[0] for out in outputs)
 
 
 def test_scatter_block_matches_the_kernel_source():
