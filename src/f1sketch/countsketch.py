@@ -130,7 +130,6 @@ class CountSketchTable:
         self.cols = cols
         self.hashes = tuple(hashes)
         self._coeffs = np.array([h.coefficients for h in hashes], dtype=np.uint64)
-        self._ranges = np.full(rows, 2 * cols, dtype=np.uint64)
         self.cells = zeroed_cells((rows, cols), np.int64)
         self._touched = np.zeros(0, dtype=np.int64)
         self._packed = np.zeros((0, rows), dtype=np.uint32)
@@ -178,7 +177,7 @@ class CountSketchTable:
                                                CELL_LIMIT, packed)
         if overflow:
             raise SketchInvariantError("counter overflow: |cell| >= 2**62")
-        return out if packed else None
+        return out
 
     def _remember(self, items: np.ndarray, packed: np.ndarray) -> None:
         """Insert the batch's items not yet touched, once each, with their
@@ -234,7 +233,7 @@ class CountSketchTable:
     def packed_cells(self, items: np.ndarray) -> np.ndarray:
         """Packed cells of any items, by hashing them in every row at once:
         the (items, rows) uint32 array `scatter_signed` returns."""
-        w = hashing.horner_rows(self._coeffs, self._ranges, items) - 1
+        w = hashing.horner_rows(self._coeffs, 2 * self.cols, items) - 1
         packed = (w % self.cols) << 1 | (w >= self.cols)
         return np.ascontiguousarray(packed.T, dtype=np.uint32)
 

@@ -34,6 +34,9 @@ from .stable import StableVariateSource, stability_constant
 # an estimator whose sketch arrays would exceed this is rejected up front
 MEMORY_CAP_BYTES = 1 << 30
 
+# the light decode's moment constant C(1, 1/3)^-3 (see `light_estimate`)
+_LIGHT_SCALE = stability_constant(1.0, 1.0 / 3.0) ** -3
+
 
 def integer_array(values, name: str) -> np.ndarray:
     """`values` as an int64 array; ValueError if any entry is not a whole
@@ -437,7 +440,7 @@ class Estimator:
         prod = np.abs(cells[:, 0] * cells[:, 1] * cells[:, 2])
         total = float((prod[mask] ** (1.0 / 3.0)).sum())
         correction = self.config.light_correction(cls.heavy_count)
-        return correction * stability_constant(1.0, 1.0 / 3.0) ** -3 * total
+        return correction * _LIGHT_SCALE * total
 
     def estimate(self) -> EstimateReport:
         """Classify, estimate both parts, and report their exact sum."""

@@ -19,9 +19,7 @@ LIGHT_TRIALS = 500
 
 
 def pytest_report_header(config):
-    return (f"f1sketch kernel routines (polynomial hashing, CountSketch scatter, "
-            f"dense sums, Philox4x32-10 uniforms, plain-text parse): "
-            f"{hashing.KWISE_BACKEND}")
+    return f"f1sketch kernel routines ({', '.join(hashing._ROUTINES)}): {hashing.KWISE_BACKEND}"
 
 
 @pytest.fixture(scope="session")

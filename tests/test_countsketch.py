@@ -670,19 +670,22 @@ def test_kernel_scatter_refuses_mismatched_arguments():
             t = make_table(rows=3, cols=7, n=20)
             with pytest.raises(ValueError):
                 hashing.scatter_signed(t._coeffs, np.array([1, 2]), np.array([1]), t.cells,
-                                       CELL_LIMIT)
+                                       CELL_LIMIT, True)
             with pytest.raises(ValueError):  # a polynomial missing for the last row
                 hashing.scatter_signed(t._coeffs[:-1], np.array([1]), np.array([1]), t.cells,
-                                       CELL_LIMIT)
+                                       CELL_LIMIT, True)
+            with pytest.raises(ValueError):  # polynomials with no coefficient to start from
+                hashing.scatter_signed(t._coeffs[:, :0], np.array([1]), np.array([1]), t.cells,
+                                       CELL_LIMIT, True)
             with pytest.raises(ValueError):  # one polynomial, not a matrix of them
                 hashing.scatter_signed(t._coeffs[0], np.array([1]), np.array([1]),
-                                       np.zeros((1, 7), dtype=np.int64), CELL_LIMIT)
+                                       np.zeros((1, 7), dtype=np.int64), CELL_LIMIT, True)
             with pytest.raises(ValueError):  # a float table
                 hashing.scatter_signed(t._coeffs, np.array([1]), np.array([1]),
-                                       np.zeros((3, 7)), CELL_LIMIT)
+                                       np.zeros((3, 7)), CELL_LIMIT, True)
             with pytest.raises(ValueError):  # rows disagree with the coefficient matrix
                 hashing.scatter_signed(t._coeffs, np.array([1]), np.array([1]),
-                                       np.zeros((2, 7), dtype=np.int64), CELL_LIMIT)
+                                       np.zeros((2, 7), dtype=np.int64), CELL_LIMIT, True)
             assert not t.cells.any()
 
 

@@ -236,39 +236,36 @@ def test_kernel_matches_reference_on_random_hashes(seed, t, range_size, items):
     h = KWiseHash.from_seed(key("kernel", seed), t=t, n=2**32, range_size=range_size)
     items = np.array(items, dtype=np.int64)
     active = h.eval_many(items)
-    reference = hashing._horner_numpy(np.array(h.coefficients, dtype=np.uint64),
-                                      np.uint64(h.range_size), items.astype(np.uint64))
-    assert active.tobytes() == reference.tobytes()
+    reference = hashing._horner_numpy(np.array([h.coefficients], dtype=np.uint64),
+                                      h.range_size, items.astype(np.uint64))
+    assert active.tobytes() == reference[0].tobytes()
     assert active.tolist() == [expected_hash(h, i) for i in items]
 
 
 def test_stacked_rows_equal_single_rows(monkeypatch):
-    # `horner_rows` over a matrix of rows of several degrees and ranges, each
-    # padded with leading zeros
-    width = 25_600
-    rows = [KWiseHash.from_seed(key("stack-b", j), t=8, n=10**4, range_size=width)
-            for j in range(5)]
-    rows += [KWiseHash.from_seed(key("stack-s", j), t=4, n=10**4, range_size=2)
-             for j in range(5)]
-    rows.append(KWiseHash([0, 0, 3], range_size=1))
-    coeffs = np.array([(0,) * (8 - len(h.coefficients)) + h.coefficients for h in rows],
-                      dtype=np.uint64)
-    ranges = np.array([h.range_size for h in rows], dtype=np.uint64)
+    # `horner_rows` over a matrix of rows under one shared range, two of
+    # them with leading zeros, against each row's own `eval_many`, on both
+    # paths
     items = np.concatenate([np.arange(1, 3000, dtype=np.int64), EDGE_ITEMS])
     x = items.astype(np.uint64)
-    want = np.stack([h.eval_many(items) for h in rows])
-    got = hashing.horner_rows(coeffs, ranges, x)
-    assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
-    with monkeypatch.context() as m:
-        m.setattr(hashing, "_kernel", None)
-        assert hashing.horner_rows(coeffs, ranges, x).tobytes() == want.tobytes()
-    assert hashing.horner_rows(coeffs, ranges, x[:0]).shape == (len(rows), 0)
-    zero_range = ranges.copy()
-    zero_range[3] = 0  # no bucket to reduce onto; the kernel would divide by it
-    for bad in ((coeffs, ranges[:-1], x), (coeffs[:, :0], ranges, x),
-                (coeffs, ranges, x.reshape(2, -1)), (coeffs, zero_range, x)):
-        with pytest.raises(ValueError):  # checked before the kernel sees a pointer
-            hashing.horner_rows(*bad)
+    for range_size, kernel in itertools.product([1, 2, 8192, 25_600, MERSENNE61], PATHS):
+        rows = [KWiseHash.from_seed(key("stack", j), t=8, n=10**4, range_size=range_size)
+                for j in range(5)]
+        rows += [KWiseHash([0] * 6 + [3, 5], range_size), KWiseHash([0] * 8, range_size)]
+        coeffs = np.array([h.coefficients for h in rows], dtype=np.uint64)
+        monkeypatch.setattr(hashing, "_kernel", kernel)
+        want = np.stack([h.eval_many(items) for h in rows])
+        got = hashing.horner_rows(coeffs, range_size, x)
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+        assert hashing.horner_rows(coeffs, range_size, x[:0]).shape == (len(rows), 0)
+        # no bucket to reduce onto (the kernel would divide by 0), a range
+        # past the field, arrays of ranges, no coefficients, items not a vector
+        for bad in ((coeffs, 0, x), (coeffs, MERSENNE61 + 1, x),
+                    (coeffs, np.full(len(rows), range_size, dtype=np.uint64), x),
+                    (coeffs, np.array([range_size]), x), (coeffs[:, :0], range_size, x),
+                    (coeffs, range_size, x.reshape(-1, 1))):
+            with pytest.raises(ValueError):  # checked before the kernel sees a pointer
+                hashing.horner_rows(*bad)
 
 
 def test_package_imports_and_agrees_without_a_compiler(tmp_path):
@@ -418,7 +415,6 @@ def test_kernel_built_without_the_cpu_check_loads_and_agrees(tmp_path, monkeypat
     assert scalar is not None
     rng = np.random.default_rng(19)
     coeffs = rng.integers(MERSENNE61 - 2**40, MERSENNE61, size=(5, 8), dtype=np.uint64)
-    ranges = np.array([1, 8192, 11392, 2**40, MERSENNE61], dtype=np.uint64)
     items = rng.integers(0, MERSENNE61, size=1001, dtype=np.uint64)
     items[::7] = np.resize(np.array([0, 1, 2**32 - 1, 2**32, MERSENNE61 - 1], dtype=np.uint64),
                            items[::7].size)
@@ -427,10 +423,12 @@ def test_kernel_built_without_the_cpu_check_loads_and_agrees(tmp_path, monkeypat
     for kernel in (hashing._kernel, scalar):
         monkeypatch.setattr(hashing, "_kernel", kernel)
         cells = np.zeros((5, 4096), dtype=np.int64)
-        _, packed = hashing.scatter_signed(coeffs, items, np.arange(1001) - 500, cells, 1 << 62)
-        outputs.append([hashing.horner_rows(coeffs, ranges, items).tobytes(), cells.tobytes(),
-                        packed.tobytes(), hashing.philox_uniforms(buckets, items.view(np.int64) >> 1,
-                                                                  7, 9).tobytes()])
+        _, packed = hashing.scatter_signed(coeffs, items, np.arange(1001) - 500, cells, 1 << 62,
+                                           True)
+        uniforms = hashing.philox_uniforms(buckets, items.view(np.int64) >> 1, 7, 9)
+        outputs.append([hashing.horner_rows(coeffs, m, items).tobytes()
+                        for m in (1, 8192, 11392, 2**40, MERSENNE61)]
+                       + [cells.tobytes(), packed.tobytes(), uniforms.tobytes()])
     assert outputs[0] == outputs[1]
 
 
@@ -441,7 +439,6 @@ def test_kernel_matches_numpy_across_vector_groups(n, monkeypatch):
     rng = np.random.default_rng(n)
     coeffs = rng.integers(0, MERSENNE61, size=(4, 8), dtype=np.uint64)
     coeffs[3, :3] = 0  # leading zeros
-    ranges = np.array([4096, 11392, MERSENNE61, 3], dtype=np.uint64)
     items = rng.integers(0, MERSENNE61, size=n, dtype=np.uint64)
     buckets = rng.integers(0, 2**32, size=n)
     outputs = []
@@ -449,10 +446,11 @@ def test_kernel_matches_numpy_across_vector_groups(n, monkeypatch):
         monkeypatch.setattr(hashing, "_kernel", kernel)
         cells = np.zeros((4, 1000), dtype=np.int64)
         _, packed = hashing.scatter_signed(coeffs, items, np.ones(n, dtype=np.int64), cells,
-                                           1 << 62)
-        outputs.append([hashing.horner_rows(coeffs, ranges, items).tobytes(), cells.tobytes(),
-                        packed.tobytes(),
-                        hashing.philox_uniforms(buckets, items.view(np.int64), 5, 6).tobytes()])
+                                           1 << 62, True)
+        outputs.append([hashing.horner_rows(coeffs, m, items).tobytes()
+                        for m in (4096, 11392, MERSENNE61, 3)]
+                       + [cells.tobytes(), packed.tobytes(),
+                          hashing.philox_uniforms(buckets, items.view(np.int64), 5, 6).tobytes()])
     assert all(out == outputs[0] for out in outputs)
 
 
@@ -510,6 +508,18 @@ def test_only_hashing_chooses_between_kernel_and_twin():
     exported = exported_routines()
     assert len(exported) == 9 and set(hashing._ROUTINES) == exported
     assert all(callable(twin) for twin, _, _ in hashing._ROUTINES.values())
+
+
+def test_kernel_source_ships_with_the_package():
+    # `hashing` reads its C kernel from a file next to it at import, so an
+    # installed package must carry that file as package data
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(hashing.__file__).parents[2]
+    with open(root / "pyproject.toml", "rb") as fh:
+        package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    assert "kernel61.c" in package_data["f1sketch"]
+    source = pathlib.Path(hashing.__file__).with_name("kernel61.c")
+    assert source.read_text(encoding="ascii") == hashing._HORNER_SOURCE
 
 
 def check_mutant_refused(old, new, tmp_path, monkeypatch):
