@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import sys
 import time
 from dataclasses import dataclass
@@ -24,9 +25,13 @@ CSV_HEADER = ("trial,seed,exact_f1,est_f1,rel_err,est_heavy,est_light,"
 
 @dataclass(frozen=True)
 class TrialRow:
+    """One CSV row; `exact_f1` is None when no exact value was computed
+    (`run` without `--oracle`), and then `rel_err` is None too and both
+    fields are left empty."""
+
     trial: int
     seed: int
-    exact_f1: float
+    exact_f1: float | None
     est_f1: float
     est_heavy: float
     est_light: float
@@ -34,17 +39,21 @@ class TrialRow:
     wall_ns_per_update: float
 
     @property
-    def rel_err(self) -> float:
+    def rel_err(self) -> float | None:
+        if self.exact_f1 is None:
+            return None
         return abs(self.est_f1 - self.exact_f1) / max(self.exact_f1, 1.0)
 
     def csv(self) -> str:
-        return (f"{self.trial},{self.seed},{self.exact_f1!r},{self.est_f1!r},"
-                f"{self.rel_err!r},{self.est_heavy!r},{self.est_light!r},"
+        exact, err = ("", "") if self.exact_f1 is None else (repr(self.exact_f1),
+                                                             repr(self.rel_err))
+        return (f"{self.trial},{self.seed},{exact},{self.est_f1!r},"
+                f"{err},{self.est_heavy!r},{self.est_light!r},"
                 f"{self.heavy_count},{self.wall_ns_per_update!r}")
 
 
 def run_trial(stream: Stream, accuracy: float, seed: int,
-              exact_f1: float, trial: int = 0) -> TrialRow:
+              exact_f1: float | None, trial: int = 0) -> TrialRow:
     """One independent estimator pass over a parsed stream."""
     est = Estimator(EstimatorConfig(accuracy=accuracy, n=stream.n, seed=seed))
     t0 = time.perf_counter_ns()
@@ -81,7 +90,7 @@ def _cmd_run(args) -> int:
     stream = read_stream(args.stream, binary=args.binary)
     # a bad accuracy or domain is refused before the oracle runs
     EstimatorConfig(accuracy=args.epsilon, n=stream.n, seed=args.seed)
-    exact = exact_f1_of(stream) if args.oracle else 0.0
+    exact = exact_f1_of(stream) if args.oracle else None
     row = run_trial(stream, args.epsilon, args.seed, exact)
     print(CSV_HEADER)
     print(row.csv())
@@ -173,10 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses status 2 for usage errors; 2 is reserved for parse errors
         return 1 if exc.code not in (0, None) else 0

@@ -17,7 +17,6 @@ seeds) can run fully in parallel.
 
 from __future__ import annotations
 
-import array
 import math
 import operator
 import time
@@ -25,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import hashing, seeds
+from . import hashing, records, seeds
 from .countsketch import (CountSketchTable, SketchInvariantError, batch_reaches_limit,
                           zeroed_cells)
 from .hashing import MERSENNE61, KWiseHash
+from .records import integer_array
 from .stable import StableVariateSource, stability_constant
 
 # an estimator whose sketch arrays would exceed this is rejected up front
@@ -36,52 +36,6 @@ MEMORY_CAP_BYTES = 1 << 30
 
 # the light decode's moment constant C(1, 1/3)^-3 (see `light_estimate`)
 _LIGHT_SCALE = stability_constant(1.0, 1.0 / 3.0) ** -3
-
-
-def integer_array(values, name: str) -> np.ndarray:
-    """`values` as an int64 array; ValueError if any entry is not a whole
-    number that int64 holds (a float 2.7 is refused, not truncated). A
-    sequence numpy would hold as floats or objects, such as a list mixing
-    whole floats with ints beyond 2**53, is read entry by entry, so no int
-    is rounded through float64."""
-    arr = np.asarray(values)
-    if arr.dtype.kind in "bi" or (arr.dtype.kind == "u" and arr.dtype.itemsize < 8):
-        return arr.astype(np.int64, copy=False)
-    if arr.ndim == 1 and (arr.dtype.kind == "O" or (arr.dtype.kind == "f" and arr is not values)):
-        return np.array([_whole(v, name) for v in values], dtype=np.int64)
-    with np.errstate(invalid="ignore"):
-        try:
-            out = arr.astype(np.int64)
-        except OverflowError:  # an object array holding an int beyond int64
-            out = None
-    if out is None or not (out == arr).all():
-        raise ValueError(f"{name} must be integers within the int64 range")
-    return out
-
-
-def _whole(value, name: str) -> int:
-    """One entry of a sequence as an exact Python int, under the rules of
-    `integer_array`."""
-    if isinstance(value, (float, np.floating, np.bool_)) and float(value).is_integer():
-        value = int(value)
-    try:
-        whole = operator.index(value)
-    except TypeError:
-        whole = None
-    if whole is None or not -(1 << 63) <= whole < 1 << 63:
-        raise ValueError(f"{name} must be integers within the int64 range")
-    return whole
-
-
-def _int64_list(values: list, name: str) -> np.ndarray:
-    """`integer_array` of a list, read through `array.array('q')` first:
-    about a third faster on Python ints. An entry it refuses, such as a
-    float or a value outside int64, sends the whole list to
-    `integer_array`, so its rules hold either way."""
-    try:
-        return np.frombuffer(array.array("q", values), dtype=np.int64)
-    except (TypeError, OverflowError):
-        return integer_array(values, name)
 
 
 def _sorted_sums(items: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,8 +212,11 @@ class StableTable:
         return int(self.cells.nbytes)
 
 
-class Estimator:
-    """Streaming F1 estimator; see module docstring for the structure."""
+class Estimator(records.RecordBuffer):
+    """Streaming F1 estimator; see module docstring for the structure.
+
+    Scalar records from `update` wait in the record buffer it inherits
+    (`f1sketch.records`); arrays from `update_many` wait in a list."""
 
     def __init__(self, config: EstimatorConfig):
         self.config = config
@@ -281,22 +238,17 @@ class Estimator:
             seeds.derive_key(key, "cs"), c.table_depth, c.width, c.n, role="cs")
         self.heavy_hitters = CountSketchTable.from_seed(
             seeds.derive_key(key, "hh"), c.hh_depth, c.width, c.n, role="hh")
-        # scalar records from `update`, and the arrays from `update_many`
-        self._pending_items: list[int] = []
-        self._pending_deltas: list[int] = []
+        self._open(c.n)
         self._pending_batches: list[tuple[np.ndarray, np.ndarray]] = []
         self._updates = 0
         self._ingest_ns = 0
 
     # -- ingestion ---------------------------------------------------------
 
-    def update(self, i: int, v: int) -> None:
-        """Apply one turnstile record; a non-integer i or v is refused at
-        the next `flush`."""
-        if not 1 <= i <= self.config.n:
-            raise ValueError(f"item {i} outside domain [1, {self.config.n}]")
-        self._pending_items.append(i)
-        self._pending_deltas.append(v)
+    # one C call a record on the compiled buffer: update(i, v) applies one
+    # turnstile record, refusing an item outside [1, n] at the call and a
+    # non-integer item or delta at the next flush
+    update = records.RecordBuffer.push
 
     def update_many(self, items: np.ndarray, deltas: np.ndarray) -> None:
         """Apply a batch of records (order of records never matters).
@@ -331,15 +283,11 @@ class Estimator:
         `updates` diagnostic counts only the records of flushes that
         succeeded.
         """
-        batches = self._pending_batches
-        scalar_items, scalar_deltas = self._pending_items, self._pending_deltas
-        if not batches and not scalar_items:
-            return
         t0 = time.perf_counter_ns()
-        self._pending_items, self._pending_deltas, self._pending_batches = [], [], []
-        if scalar_items:
-            batches.append((_int64_list(scalar_items, "items"),
-                            _int64_list(scalar_deltas, "deltas")))
+        batches, self._pending_batches = self._pending_batches, []
+        batches += self._take()
+        if not batches:
+            return
         if len(batches) == 1:
             items, deltas = batches[0]
         else:

@@ -114,25 +114,34 @@ def _cache_dir() -> str:
     return os.path.join(base, "f1sketch")
 
 
-def _build_kernel(path: str) -> None:
-    """Compile the kernel to `path`. Each builder compiles in a private
-    directory and renames the finished library into place, so concurrent
-    builders (say, `eval --jobs` workers) never load a partial file."""
+def _library_path(name: str, source: str, flags, *key: str) -> str:
+    """Where the library `name` built from `source` with `flags` is cached:
+    a file name keyed by a hash of both, of the machine and of `key`."""
+    text = "\0".join((source, " ".join(flags), platform.machine(), platform.system(), *key))
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+    return os.path.join(_cache_dir(), f"{name}-{digest}.so")
+
+
+def _build_library(path: str, source: str, flags) -> None:
+    """Compile `source` with `flags` to the shared library `path`. Each
+    builder compiles in a private directory and renames the finished library
+    into place, so concurrent builders (say, `eval --jobs` workers) never
+    load a partial file."""
     import subprocess
     import tempfile
 
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=directory) as tmp:
-        source = os.path.join(tmp, "horner61.c")
-        with open(source, "w", encoding="ascii") as fh:
-            fh.write(_HORNER_SOURCE)
-        built = os.path.join(tmp, "horner61.so")
+        source_path = os.path.join(tmp, "library.c")
+        with open(source_path, "w", encoding="ascii") as fh:
+            fh.write(source)
+        built = os.path.join(tmp, "library.so")
         try:
-            subprocess.run(["gcc", *_CFLAGS, "-o", built, source],
+            subprocess.run(["gcc", *flags, "-o", built, source_path],
                            check=True, capture_output=True, timeout=120)
         except subprocess.SubprocessError as exc:
-            raise OSError(f"cannot compile the hashing kernel: {exc}") from exc
+            raise OSError(f"cannot compile {os.path.basename(path)}: {exc}") from exc
         os.replace(built, path)
 
 
@@ -676,13 +685,10 @@ def _load_kernel():
     """The compiled library, its routines bound as `_ROUTINES` declares, or
     None when it cannot be built or loaded or disagrees with a numpy twin
     (`_agrees`)."""
-    key = "\0".join((_HORNER_SOURCE, " ".join(_CFLAGS), platform.machine(),
-                     platform.system()))
-    digest = hashlib.sha256(key.encode("ascii")).hexdigest()[:16]
-    path = os.path.join(_cache_dir(), f"horner61-{digest}.so")
+    path = _library_path("horner61", _HORNER_SOURCE, _CFLAGS)
     try:
         if not os.path.exists(path):
-            _build_kernel(path)
+            _build_library(path, _HORNER_SOURCE, _CFLAGS)
         lib = ctypes.CDLL(path)
         for name, (_, restype, argtypes) in _ROUTINES.items():
             routine = getattr(lib, name)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from f1sketch import Estimator, EstimatorConfig, generate, hashing
+from f1sketch import Estimator, EstimatorConfig, generate, hashing, records
 from f1sketch.estimator import Classification
 from f1sketch.oracle import ExactState
 
@@ -19,7 +19,23 @@ LIGHT_TRIALS = 500
 
 
 def pytest_report_header(config):
-    return f"f1sketch kernel routines ({', '.join(hashing._ROUTINES)}): {hashing.KWISE_BACKEND}"
+    return (f"f1sketch kernel routines ({', '.join(hashing._ROUTINES)}): "
+            f"{hashing.KWISE_BACKEND}; record buffer: {records.RECORDS_BACKEND}")
+
+
+class TwinEstimator(Estimator):
+    """An estimator whose `update` takes the record buffer's Python path,
+    `records.TwinBuffer`, for every record, whichever buffer is loaded."""
+
+    update = records.TwinBuffer.push
+    _take = records.TwinBuffer._take
+
+
+@pytest.fixture(scope="session")
+def record_paths():
+    """The estimator classes of both record-buffer paths: the one in use
+    (compiled when it loaded) and the Python twin."""
+    return [Estimator, TwinEstimator]
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from f1sketch import generate
-from f1sketch.cli import CSV_HEADER, exact_f1_of, main
+from f1sketch import Estimator, EstimatorConfig, generate, read_stream
+from f1sketch.cli import CSV_HEADER, build_parser, exact_f1_of, main
 from f1sketch.oracle import ExactState
 
 
@@ -41,6 +41,42 @@ def test_generate_run_round_trip(tmp_path, capsys):
     assert len(fields) == 9
     assert float(fields[2]) == 5000.0  # insert-only stream: exact F1 = m
     assert "relative error" in out.out
+
+
+@pytest.mark.parametrize("oracle", [True, False])
+def test_run_row_is_pinned(oracle, tmp_path, capsys):
+    # every field but the timing is a function of the stream and the seed;
+    # without --oracle no exact F1 is computed, and it and rel_err are empty
+    path = gen(tmp_path, seed=4)
+    code, out = run_cli("run", path, "--epsilon", "0.5", "--seed", "3",
+                        *(["--oracle"] if oracle else []), capsys=capsys)
+    assert code == 0
+    stream = read_stream(path)
+    est = Estimator(EstimatorConfig(accuracy=0.5, n=stream.n, seed=3))
+    est.update_many(stream.items, stream.deltas)
+    r = est.estimate()
+    exact = exact_f1_of(stream)
+    head = f"0,3,{exact!r},{r.total!r},{abs(r.total - exact) / exact!r}," if oracle else \
+        f"0,3,,{r.total!r},,"
+    row = out.out.splitlines()[1]
+    assert row.startswith(f"{head}{r.heavy!r},{r.light!r},{r.heavy_count},")
+    assert row.count(",") == 8 and float(row.rsplit(",", 1)[1]) > 0
+    assert ("relative error" in out.out) == oracle
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    import f1sketch.cli as cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        path = gen(tmp_path, m=100)
+        assert run_cli("run", path, "--epsilon", "0.5", capsys=capsys)[0] == 0
+        assert main(["run"]) == 1 and main(["--help"]) == 0
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_run_empty_stream(tmp_path, capsys):

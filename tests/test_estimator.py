@@ -16,8 +16,8 @@ from f1sketch.oracle import (ExactState, expected_bucket, expected_hash, expecte
 from f1sketch.stable import StableVariateSource, stability_constant
 
 
-def build(n=100, seed=1, accuracy=0.5) -> Estimator:
-    return Estimator(EstimatorConfig(accuracy=accuracy, n=n, seed=seed))
+def build(n=100, seed=1, accuracy=0.5, cls=Estimator) -> Estimator:
+    return cls(EstimatorConfig(accuracy=accuracy, n=n, seed=seed))
 
 
 # -- configuration ------------------------------------------------------------
@@ -101,12 +101,14 @@ def test_single_item_exact_recovery():
     assert rep.heavy_count == 1
 
 
-def test_update_rejects_out_of_domain():
-    est = build(n=10)
-    with pytest.raises(ValueError):
-        est.update(0, 1)
-    with pytest.raises(ValueError):
-        est.update(11, 1)
+def test_update_rejects_out_of_domain(record_paths):
+    for cls in record_paths:
+        est = build(n=10, cls=cls)
+        for i in (0, 11, -(1 << 63), 1 << 63, np.int64(0), 11.0, False):
+            with pytest.raises(ValueError, match=f"^item {i} outside domain \\[1, 10\\]$"):
+                est.update(i, 1)
+        est.update(10, 1)
+        assert est.touched_items().tolist() == [10]
 
 
 def test_inverse_updates_restore_all_structures():
@@ -749,56 +751,64 @@ def test_update_many_refuses_broadcast_and_multi_dimensional_arrays():
     assert not est.table.cells.any() and not est.countsketch.cells.any()
 
 
-def test_scalar_update_rejects_non_integer_at_flush():
-    est = build(n=10)
-    est.update(1, 2.7)
-    est.update(2, 5)
-    with pytest.raises(ValueError, match="deltas"):
-        est.flush()
-    # the refused batch is dropped whole, like one that trips the overflow guard
-    assert est.touched_items().size == 0 and not est.table.cells.any()
-    est.update(1.5, 1)
-    with pytest.raises(ValueError, match="items"):
-        est.estimate()
-    est.update(3, 4.0)
-    est.update(np.int64(5), 2)
-    assert est.touched_items().tolist() == [3, 5]
+def test_scalar_update_rejects_non_integer_at_flush(record_paths):
+    for cls in record_paths:
+        est = build(n=10, cls=cls)
+        est.update(1, 2.7)
+        est.update(2, 5)
+        with pytest.raises(ValueError, match="deltas"):
+            est.flush()
+        # the refused batch is dropped whole, like one that trips the overflow guard
+        assert est.touched_items().size == 0 and not est.table.cells.any()
+        est.update(1.5, 1)
+        with pytest.raises(ValueError, match="items"):
+            est.estimate()
+        est.update(3, 4.0)
+        est.update(np.int64(5), 2)
+        assert est.touched_items().tolist() == [3, 5]
 
 
-def test_updates_count_only_the_records_of_flushes_that_succeeded():
-    est = build(n=10)
-    est.update(1, 2.7)
-    est.update(2, 5)
-    with pytest.raises(ValueError, match="deltas"):
-        est.flush()
-    est.update_many([1, 2, 3, 4], [2**62] * 4)
-    with pytest.raises(SketchInvariantError):
-        est.flush()
-    rep = est.estimate()
-    assert est.touched_items().size == 0 and rep.total == 0.0
-    assert rep.diagnostics["updates"] == 0
-    est.update(3, 4)
-    est.update_many([5, 6], [1, -1])
-    assert est.estimate().diagnostics["updates"] == 3
+def test_updates_count_only_the_records_of_flushes_that_succeeded(record_paths):
+    for cls in record_paths:
+        est = build(n=10, cls=cls)
+        est.update(1, 2.7)
+        est.update(2, 5)
+        with pytest.raises(ValueError, match="deltas"):
+            est.flush()
+        est.update_many([1, 2, 3, 4], [2**62] * 4)
+        est.update(5, 1)
+        with pytest.raises(SketchInvariantError):
+            est.flush()
+        rep = est.estimate()
+        assert est.touched_items().size == 0 and rep.total == 0.0
+        assert rep.diagnostics["updates"] == 0
+        est.update(3, 4)
+        est.update_many([5, 6], [1, -1])
+        assert est.estimate().diagnostics["updates"] == 3
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_writes_never_reach_the_parent():
-    est = build(n=100, seed=40)
-    pid = os.fork()
-    if pid == 0:  # the child ingests into its copy and reports by exit code
-        code = 1
-        try:
-            est.update_many(np.arange(1, 51), np.ones(50, dtype=np.int64))
-            est.flush()
-            code = 0 if est.countsketch.cells.any() and est.table.cells.any() else 2
-        finally:
-            os._exit(code)
-    _, status = os.waitpid(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    for cells in (est.table.cells, est.countsketch.cells, est.heavy_hitters.cells):
-        assert not cells.any()
-    assert est.touched_items().size == 0 and est.estimate().total == 0.0
+def test_forked_child_writes_never_reach_the_parent(record_paths):
+    # the parent's buffered record stays its own too: the child flushes it
+    for cls in record_paths:
+        est = build(n=100, seed=40, cls=cls)
+        est.update(7, 3)
+        pid = os.fork()
+        if pid == 0:  # the child ingests into its copy and reports by exit code
+            code = 1
+            try:
+                est.update_many(np.arange(1, 51), np.ones(50, dtype=np.int64))
+                est.update(60, 2)
+                est.flush()
+                code = 0 if est.touched_items().tolist() == list(range(1, 51)) + [60] else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        for cells in (est.table.cells, est.countsketch.cells, est.heavy_hitters.cells):
+            assert not cells.any()
+        assert est.touched_items().tolist() == [7]
+        assert est.estimate().diagnostics["updates"] == 1
 
 
 def test_overflow_guard_runs_before_aggregation_batch():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f1sketch import hashing, seeds
+from f1sketch import hashing, records, seeds
 from f1sketch.countsketch import CountSketchTable
 from f1sketch.hashing import MERSENNE61, KWiseHash
 from f1sketch.oracle import expected_hash
@@ -270,16 +270,20 @@ def test_stacked_rows_equal_single_rows(monkeypatch):
 
 def test_package_imports_and_agrees_without_a_compiler(tmp_path):
     # a fresh interpreter with no gcc on PATH and an empty kernel cache must
-    # fall back to numpy and give the same estimate as this process
+    # fall back to numpy and the Python record buffer, and give the same
+    # estimate as this process
     from f1sketch import Estimator, EstimatorConfig, generate
 
     script = (
-        "from f1sketch import Estimator, EstimatorConfig, generate, hashing\n"
+        "from f1sketch import Estimator, EstimatorConfig, generate, hashing, records\n"
         "s = generate('zipf(1.1)', n=2000, m=20000, seed=4)\n"
         "e = Estimator(EstimatorConfig(accuracy=0.5, n=s.n, seed=9))\n"
-        "e.update_many(s.items, s.deltas)\n"
+        "e.update_many(s.items[100:], s.deltas[100:])\n"
+        "for i, v in zip(s.items[:100].tolist(), s.deltas[:100].tolist()):\n"
+        "    e.update(i, v)\n"
         "r = e.estimate()\n"
-        "print(hashing.KWISE_BACKEND, repr(r.total), repr(r.heavy), r.heavy_count)\n"
+        "print(hashing.KWISE_BACKEND, records.RECORDS_BACKEND, repr(r.total), repr(r.heavy),\n"
+        "      r.heavy_count)\n"
     )
     env = dict(os.environ, PATH=str(tmp_path), XDG_CACHE_HOME=str(tmp_path / "cache"),
                PYTHONPATH=os.pathsep.join(sys.path))
@@ -288,25 +292,31 @@ def test_package_imports_and_agrees_without_a_compiler(tmp_path):
     assert proc.returncode == 0, proc.stderr
     s = generate("zipf(1.1)", n=2000, m=20000, seed=4)
     e = Estimator(EstimatorConfig(accuracy=0.5, n=s.n, seed=9))
-    e.update_many(s.items, s.deltas)
+    e.update_many(s.items[100:], s.deltas[100:])
+    for i, v in zip(s.items[:100].tolist(), s.deltas[:100].tolist()):
+        e.update(i, v)
     r = e.estimate()
-    assert proc.stdout.split() == ["numpy", repr(r.total), repr(r.heavy), str(r.heavy_count)]
+    assert proc.stdout.split() == ["numpy", "python", repr(r.total), repr(r.heavy),
+                                   str(r.heavy_count)]
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a C compiler")
 def test_concurrent_first_imports_share_one_cached_kernel(tmp_path):
     # several fresh interpreters building into one empty cache at once must
-    # all load a whole library and leave exactly one file behind
+    # all load whole libraries and leave exactly one file of each behind:
+    # the kernel and the record buffer
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=os.pathsep.join(sys.path))
-    script = "from f1sketch import hashing; print(hashing.KWISE_BACKEND)"
+    script = ("from f1sketch import hashing, records\n"
+              "print(hashing.KWISE_BACKEND, records.RECORDS_BACKEND)")
     procs = [subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
              for _ in range(3)]
     outs = [p.communicate(timeout=300) for p in procs]
     assert [p.returncode for p in procs] == [0, 0, 0], [err for _, err in outs]
-    assert [out.strip() for out, _ in outs] == ["c-kernel"] * 3
-    cached = os.listdir(tmp_path / "f1sketch")
-    assert len(cached) == 1 and cached[0].endswith(".so")
+    assert [out.split() for out, _ in outs] == [["c-kernel", records.RECORDS_BACKEND]] * 3
+    cached = sorted(os.listdir(tmp_path / "f1sketch"))
+    assert [name.split("-")[0] for name in cached] == ["horner61", "records"]
+    assert all(name.endswith(".so") for name in cached)
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a C compiler")
@@ -511,15 +521,17 @@ def test_only_hashing_chooses_between_kernel_and_twin():
 
 
 def test_kernel_source_ships_with_the_package():
-    # `hashing` reads its C kernel from a file next to it at import, so an
-    # installed package must carry that file as package data
+    # `hashing` and `records` read their C sources from files next to them
+    # at import, so an installed package must carry both as package data
     tomllib = pytest.importorskip("tomllib")
     root = pathlib.Path(hashing.__file__).parents[2]
     with open(root / "pyproject.toml", "rb") as fh:
         package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
-    assert "kernel61.c" in package_data["f1sketch"]
-    source = pathlib.Path(hashing.__file__).with_name("kernel61.c")
-    assert source.read_text(encoding="ascii") == hashing._HORNER_SOURCE
+    for name, module, text in (("kernel61.c", hashing, hashing._HORNER_SOURCE),
+                               ("records.c", records, records._SOURCE)):
+        assert name in package_data["f1sketch"]
+        source = pathlib.Path(module.__file__).with_name(name)
+        assert source.read_text(encoding="ascii") == text
 
 
 def check_mutant_refused(old, new, tmp_path, monkeypatch):
