@@ -5,7 +5,7 @@ cell per row. Row j is one 8-wise hash onto [1, 2 * cols]: with w = hash - 1
 the bucket is w mod cols, and the sign is -1 exactly when w >= cols. So
 (bucket, sign) is jointly 8-wise independent, more than CountSketch needs
 (Charikar, Chen & Farach-Colton, ICALP 2002), with a bias of at most
-2 * cols / (2**61 - 1). An item's cells have two forms: the row hashes, which
+2 * cols / (2**61 - 1). An item's cells have two forms: the matrix rows, which
 define them, and packed cells, one uint32 of bucket and sign per row. A
 batch is hashed and scattered in blocks of items, every row per block
 (`hashing.scatter_signed`), and refused when its sum of |delta| reaches
@@ -28,7 +28,7 @@ import mmap
 import numpy as np
 
 from . import hashing, seeds
-from .hashing import KWiseHash
+from .hashing import MERSENNE61, KWiseHash
 
 # hard ceiling on |cell|; update streams are sized so m * M stays below it
 CELL_LIMIT = 1 << 62
@@ -106,8 +106,8 @@ def zeroed_cells(shape: tuple, dtype) -> np.ndarray:
 class CountSketchTable:
     """rows x cols signed-counter sketch with one hash per row.
 
-    Row j's hash is a `KWiseHash` onto [1, 2 * cols], read as bucket and
-    sign (see the module docstring); `_coeffs` stacks the rows' coefficients.
+    Row j's hash is `coeffs[j]`, one polynomial onto [1, 2 * cols], read as
+    bucket and sign (see the module docstring); `coeffs` is read-only.
 
     Every item index `update_many` ever saw is kept in one ascending array
     (space O(distinct items)), the candidates of top-k enumeration, next to
@@ -119,31 +119,34 @@ class CountSketchTable:
     `f2_residual_estimate` rank the touched items.
     """
 
-    def __init__(self, rows: int, cols: int, *, hashes):
-        if rows < 1 or cols < 1:
-            raise ValueError("rows and cols must be >= 1")
-        if cols >= 1 << 31:
-            raise ValueError("cols must be below 2**31, so a packed cell fits 32 bits")
-        if len(hashes) != rows or any(h.range_size != 2 * cols for h in hashes):
-            raise ValueError("need one hash onto [1, 2 * cols] per row")
-        self.rows = rows
+    def __init__(self, coeffs, cols: int):
+        coeffs = np.array(coeffs, dtype=np.uint64)
+        if coeffs.ndim != 2 or 0 in coeffs.shape or (coeffs >= MERSENNE61).any():
+            raise ValueError("need a non-empty 2-D matrix of coefficients below 2**61 - 1")
+        if not 1 <= cols < 1 << 31:
+            raise ValueError("cols must lie in [1, 2**31), so a packed cell fits 32 bits")
+        coeffs.flags.writeable = False
+        self.coeffs = coeffs
+        self.rows = coeffs.shape[0]
         self.cols = cols
-        self.hashes = tuple(hashes)
-        self._coeffs = np.array([h.coefficients for h in hashes], dtype=np.uint64)
-        self.cells = zeroed_cells((rows, cols), np.int64)
+        self.cells = zeroed_cells((self.rows, cols), np.int64)
         self._touched = np.zeros(0, dtype=np.int64)
-        self._packed = np.zeros((0, rows), dtype=np.uint32)
+        self._packed = np.zeros((0, self.rows), dtype=np.uint32)
 
     @classmethod
     def from_seed(cls, key: bytes, rows: int, cols: int, n: int, *,
                   role: str = "cs") -> "CountSketchTable":
-        """Build a table whose row hashes are derived from one PRF key."""
-        hashes = [
-            KWiseHash.from_seed(seeds.derive_key(key, role + "-bucket", j),
-                                BUCKET_INDEPENDENCE, n, 2 * cols)
-            for j in range(rows)
-        ]
-        return cls(rows, cols, hashes=hashes)
+        """A table over the domain [1, n], row j drawn as `KWiseHash.from_seed` would."""
+        if not 1 <= n < MERSENNE61:
+            raise ValueError("domain size n must lie in [1, 2**61 - 1), the hash field")
+        return cls([seeds.field_elements(seeds.derive_key(key, role + "-bucket", j),
+                                         BUCKET_INDEPENDENCE, MERSENNE61)
+                    for j in range(rows)], cols)
+
+    @property
+    def hashes(self) -> tuple:
+        """Each row as a `KWiseHash` onto [1, 2 * cols], built on request."""
+        return tuple(KWiseHash(row, 2 * self.cols) for row in self.coeffs.tolist())
 
     # -- ingestion ---------------------------------------------------------
 
@@ -164,8 +167,6 @@ class CountSketchTable:
         |cell| >= 2**62.
         """
         items = np.asarray(items, dtype=np.int64)
-        if items.size == 0:
-            return np.zeros((0, self.rows), dtype=np.uint32) if packed else None
         deltas = np.asarray(deltas, dtype=np.int64)
         if deltas.shape != items.shape:
             raise ValueError("need one delta per item")
@@ -173,7 +174,7 @@ class CountSketchTable:
         # before the post-add check below sees it
         if batch_reaches_limit(deltas):
             raise SketchInvariantError("batch magnitude would overflow counters")
-        overflow, out = hashing.scatter_signed(self._coeffs, items, deltas, self.cells,
+        overflow, out = hashing.scatter_signed(self.coeffs, items, deltas, self.cells,
                                                CELL_LIMIT, packed)
         if overflow:
             raise SketchInvariantError("counter overflow: |cell| >= 2**62")
@@ -233,7 +234,7 @@ class CountSketchTable:
     def packed_cells(self, items: np.ndarray) -> np.ndarray:
         """Packed cells of any items, by hashing them in every row at once:
         the (items, rows) uint32 array `scatter_signed` returns."""
-        w = hashing.horner_rows(self._coeffs, 2 * self.cols, items) - 1
+        w = hashing.horner_rows(self.coeffs, 2 * self.cols, items) - 1
         packed = (w % self.cols) << 1 | (w >= self.cols)
         return np.ascontiguousarray(packed.T, dtype=np.uint32)
 
@@ -253,14 +254,14 @@ class CountSketchTable:
 
     def _ranked(self, k: int, estimates):
         """(estimates of the touched items, positions of the top k among
-        them): the positions order |estimate| descending, ties to the
-        smaller index. `estimates` defaults to those of `touched_cells()`.
-        Only the items at or above the k-th largest |estimate| are sorted;
-        a stable sort keeps them in item order within a tie."""
+        them), both empty when k is 0 or nothing was touched: the positions
+        order |estimate| descending, ties to the smaller index. `estimates`
+        defaults to those of `touched_cells()`. Only the items at or above
+        the k-th largest |estimate| are sorted, stably, keeping item order."""
         if k < 0:
             raise ValueError("k must be >= 0")
         if self._touched.size == 0 or k == 0:
-            return estimates, np.zeros(0, dtype=np.int64)
+            return np.zeros(0), np.zeros(0, dtype=np.int64)
         if estimates is None:
             estimates = self.point_estimate_many(self._packed)
         mag = np.abs(estimates)
@@ -277,19 +278,17 @@ class CountSketchTable:
         return [(int(self._touched[o]), float(est[o])) for o in order]
 
     def f2_estimate(self) -> float:
-        """Median over rows of the sum of squared cells."""
-        return float(np.median((self.cells.astype(float) ** 2).sum(axis=1)))
+        """Median over rows of the sum of squared cells: the residual F2 of k = 0."""
+        return self.f2_residual_estimate(0)
 
     def f2_residual_estimate(self, k: int, estimates=None) -> float:
         """Estimated second moment of everything outside the top-k items.
 
         Per row, the estimated contribution of each top-k item is removed
         from its cell and the squared cells are summed; the median row value
-        is returned (clamped at zero). k = 0 reduces to `f2_estimate`.
+        is returned (clamped at zero).
         """
         est, top = self._ranked(k, estimates)
-        if top.size == 0:
-            return self.f2_estimate()
         packed, est = self._packed[top], est[top]
         row_vals = np.empty(self.rows)
         step = max(1, _SKIM_BYTES // (8 * self.cols))

@@ -153,10 +153,6 @@ class Classification:
         return np.where(self.heavy_estimates >= 0, 1, -1).astype(np.int64)
 
     @property
-    def light_items(self) -> np.ndarray:
-        return self.items[~self.heavy_mask]
-
-    @property
     def heavy_count(self) -> int:
         return int(self.heavy_mask.sum())
 
@@ -199,8 +195,6 @@ class StableTable:
         bucket, item by item (`hashing.stable_add`). SketchInvariantError if
         any accumulator then is not finite: one this batch wrote, or one an
         earlier batch left so, as no add makes it finite again."""
-        if len(items) == 0:
-            return
         deltas = np.asarray(deltas, dtype=np.int64)
         buckets = self.bucket_hash.eval_many(items)
         variates = self.source.variates_for(buckets, items)
@@ -255,7 +249,7 @@ class Estimator(records.RecordBuffer):
 
         `items` and `deltas` are 1-D arrays of one shape, one delta per
         item. Raises ValueError, and buffers nothing, when they are not, or
-        when an item or delta is not integer-valued.
+        when an item is outside [1, n] or any entry is not integer-valued.
         """
         items = integer_array(items, "items")
         deltas = integer_array(deltas, "deltas")
@@ -263,7 +257,8 @@ class Estimator(records.RecordBuffer):
             raise ValueError("items and deltas must be 1-D arrays of one shape, "
                              "one delta per item")
         if items.size and (items.min() < 1 or items.max() > self.config.n):
-            raise ValueError("item outside domain")
+            bad = items[(items < 1) | (items > self.config.n)][0]
+            raise ValueError(f"item {bad} outside domain [1, {self.config.n}]")
         self._pending_batches.append((items, deltas))
 
     def flush(self) -> None:
@@ -330,9 +325,9 @@ class Estimator(records.RecordBuffer):
     def _isolation_table(self, heavy: np.ndarray):
         """Per heavy item, its first isolating row of `countsketch` (0-based;
         -1 if none) and its cell there times the row's sign (0 if none).
-        Row by row: one pass of row j's hash over the whole heavy set gives
-        every bucket and sign, the buckets find the items alone in their
-        cell, and no row is hashed once every item is settled."""
+        Row by row: one pass of row j, `cs.coeffs[j]`, over the heavy set
+        gives every bucket and sign, the buckets find the items alone in
+        their cell, and no row is hashed once every item is settled."""
         cs = self.countsketch
         first = np.full(heavy.size, -1, dtype=np.int64)
         reads = np.zeros(heavy.size, dtype=np.int64)
@@ -340,7 +335,7 @@ class Estimator(records.RecordBuffer):
         for j in range(cs.rows):
             if unsettled.size == 0:
                 break
-            w = cs.hashes[j].eval_many(heavy) - 1
+            w = hashing.horner_rows(cs.coeffs[j:j + 1], 2 * cs.cols, heavy)[0] - 1
             buckets = w % cs.cols
             alone = np.bincount(buckets, minlength=cs.cols)[buckets[unsettled]] == 1
             settled = unsettled[alone]

@@ -33,10 +33,10 @@ from . import hashing
 
 def integer_array(values, name: str) -> np.ndarray:
     """`values` as an int64 array; ValueError if any entry is not a whole
-    number that int64 holds (a float 2.7 is refused, not truncated). A
-    sequence numpy would hold as floats or objects, such as a list mixing
-    whole floats with ints beyond 2**53, is read entry by entry, so no int
-    is rounded through float64."""
+    number that int64 holds (a float 2.7 or a complex 2+0j is refused, not
+    cast). A sequence numpy would hold as floats or objects, such as a list
+    mixing whole floats with ints beyond 2**53, is read entry by entry, so
+    no int is rounded through float64."""
     arr = np.asarray(values)
     if arr.dtype.kind in "bi" or (arr.dtype.kind == "u" and arr.dtype.itemsize < 8):
         return arr.astype(np.int64, copy=False)
@@ -44,7 +44,7 @@ def integer_array(values, name: str) -> np.ndarray:
         return np.array([_whole(v, name) for v in values], dtype=np.int64)
     with np.errstate(invalid="ignore"):
         try:
-            out = arr.astype(np.int64)
+            out = None if arr.dtype.kind == "c" else arr.astype(np.int64)
         except OverflowError:  # an object array holding an int beyond int64
             out = None
     if out is None or not (out == arr).all():
@@ -67,14 +67,20 @@ def _whole(value, name: str) -> int:
 
 
 def _int64_list(values: list, name: str) -> np.ndarray:
-    """`integer_array` of a list, read through `array.array('q')` first:
-    about a third faster on Python ints. An entry it refuses, such as a
-    float or a value outside int64, sends the whole list to
-    `integer_array`, so its rules hold either way."""
+    """`integer_array` of a list of scalars, refusing any other entry, read
+    through `array.array('q')` first: about a third faster on Python ints.
+    An entry it refuses, such as a float or a value outside int64, sends
+    the whole list to `integer_array`, so its rules hold either way."""
     try:
         return np.frombuffer(array.array("q", values), dtype=np.int64)
     except (TypeError, OverflowError):
-        return integer_array(values, name)
+        try:
+            out = integer_array(values, name)
+        except ValueError:  # numpy's own too, for entries of unequal shapes
+            out = None
+    if out is None or out.ndim != 1:  # an entry was itself a sequence
+        raise ValueError(f"{name} must be integers within the int64 range")
+    return out
 
 
 class TwinBuffer:

@@ -6,6 +6,8 @@ criteria and the module-level statistical tests share one run each.
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,13 @@ LIGHT_TRIALS = 500
 
 
 def pytest_report_header(config):
+    # the line count of `cat src/f1sketch/*.py src/f1sketch/*.c | wc -l`
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "f1sketch"
+    lines = sum(f.read_bytes().count(b"\n")
+                for pattern in ("*.py", "*.c") for f in package.glob(pattern))
     return (f"f1sketch kernel routines ({', '.join(hashing._ROUTINES)}): "
-            f"{hashing.KWISE_BACKEND}; record buffer: {records.RECORDS_BACKEND}")
+            f"{hashing.KWISE_BACKEND}; record buffer: {records.RECORDS_BACKEND}; "
+            f"src lines: {lines}")
 
 
 class TwinEstimator(Estimator):

@@ -265,7 +265,22 @@ def test_f2_residual_k0_equals_f2():
     rng = np.random.default_rng(1)
     for _ in range(60):
         update(t, int(rng.integers(1, 31)), int(rng.integers(-9, 10)))
-    assert t.f2_residual_estimate(0) == t.f2_estimate()
+    want = float(np.median((t.cells.astype(float) ** 2).sum(axis=1)))
+    assert t.f2_residual_estimate(0) == t.f2_estimate() == want
+
+
+def test_reads_of_no_items_compute_no_point_estimate(monkeypatch):
+    # k = 0, or a table nothing touched, ranks nothing, so it estimates nothing
+    def refuse(self, packed):
+        raise AssertionError("point estimates computed")
+
+    t, untouched = make_table(rows=5, cols=64, n=30, seed=2), make_table()
+    t.update_many(np.arange(1, 31), np.arange(-15, 15))
+    untouched.scatter_many(np.array([4, 9]), np.array([3, -8]))
+    want = [float(np.median((x.cells.astype(float) ** 2).sum(axis=1))) for x in (t, untouched)]
+    monkeypatch.setattr(CountSketchTable, "point_estimate_many", refuse)
+    assert t.top_k(0) == [] and untouched.top_k(5) == []
+    assert [t.f2_estimate(), untouched.f2_residual_estimate(5)] == want and min(want) > 0
 
 
 def test_f2_residual_all_items_removed_is_zero():
@@ -290,11 +305,11 @@ def test_f2_residual_matches_per_row_reference():
     for k in (1, 10, 100, 5000):
         top = t.top_k(k)
         rows = []
-        for j in range(t.rows):
+        for j, h in enumerate(t.hashes):
             skimmed = t.cells[j].astype(float)
             for item, est in top:
-                bucket = expected_bucket(t.hashes[j], item)
-                skimmed[bucket - 1] -= est * expected_sign(t.hashes[j], item)
+                bucket = expected_bucket(h, item)
+                skimmed[bucket - 1] -= est * expected_sign(h, item)
             rows.append((skimmed ** 2).sum())
         assert t.f2_residual_estimate(k) == max(0.0, float(np.median(rows)))
 
@@ -433,14 +448,14 @@ def test_row_bucket_is_the_hash_onto_the_columns_alone(cols, seed, items):
     # cols divides 2 * cols, so reducing the field value onto [1, 2 * cols]
     # and then onto cols buckets is reducing it onto cols buckets: the same
     # coefficients give the same bucket as a hash onto [1, cols]
-    h = CountSketchTable.from_seed(seeds.master_key(seed), 1, 1, 10).hashes[0]
-    row = KWiseHash(h.coefficients, 2 * cols)
+    coeffs = CountSketchTable.from_seed(seeds.master_key(seed), 1, 1, 10).coeffs[0].tolist()
+    row = KWiseHash(coeffs, 2 * cols)
     items = np.array(items, dtype=np.int64)
-    want = KWiseHash(h.coefficients, cols).eval_many(items) - 1
+    want = KWiseHash(coeffs, cols).eval_many(items) - 1
     assert ((row.eval_many(items) - 1) % cols == want).all()
     assert [expected_bucket(row, i) - 1 for i in items] == want.tolist()
     if cols <= 2**20:  # a table maps its cells, though packed_cells reads none
-        t = CountSketchTable(1, cols, hashes=[row])
+        t = CountSketchTable([coeffs], cols)
         assert (t.packed_cells(items)[:, 0] >> 1 == want).all()
 
 
@@ -613,12 +628,17 @@ def test_corrupt_cells_wrap_alike_on_both_paths():
 
 @pytest.mark.parametrize("kernel", PATHS)
 def test_update_many_needs_one_delta_per_item(kernel, monkeypatch):
-    # a scalar delta is refused on both paths, not broadcast by one of them
+    # a scalar delta is refused on both paths, not broadcast by one of them,
+    # and an empty batch, which writes nothing, is held to one delta per item
     monkeypatch.setattr(hashing, "_kernel", kernel)
     t = make_table()
-    for deltas in (np.int64(5), np.array([1, 2, 3])):
-        with pytest.raises(ValueError):
-            t.update_many(np.array([1, 2]), deltas)
+    none = np.zeros(0, dtype=np.int64)
+    for items, deltas in ((np.array([1, 2]), np.int64(5)), (np.array([1, 2]), np.array([1, 2, 3])),
+                          (none, np.int64(5)), (none, np.array([1]))):
+        for call in (t.update_many, t.scatter_many):
+            with pytest.raises(ValueError, match="one delta per item"):
+                call(items, deltas)
+    t.update_many(none, none)
     assert not t.cells.any() and t.touched_items().size == 0
 
 
@@ -645,22 +665,49 @@ def test_items_outside_the_field_are_refused_on_both_paths(kernel, item, monkeyp
 
 
 def test_table_refuses_columns_a_packed_cell_cannot_hold():
-    with pytest.raises(ValueError, match="2\\*\\*31"):
-        CountSketchTable(1, 1 << 31, hashes=[])
+    for cols in (1 << 31, 0, -1):
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            CountSketchTable([[1]], cols)
 
 
-def test_table_refuses_row_hashes_of_range_other_than_twice_its_columns():
-    t = make_table(rows=2, cols=7)
-    assert [h.range_size for h in t.hashes] == [14, 14]
-    assert CountSketchTable(2, 7, hashes=t.hashes).hashes == t.hashes
-    for cols, hashes in ((14, t.hashes), (7, [KWiseHash(h.coefficients, 7) for h in t.hashes]),
-                         (7, [t.hashes[0], KWiseHash(t.hashes[1].coefficients, 15)])):
-        with pytest.raises(ValueError, match="one hash onto \\[1, 2 \\* cols\\] per row"):
-            CountSketchTable(2, cols, hashes=hashes)
-    with pytest.raises(ValueError, match="one hash onto"):
-        CountSketchTable(2, 7, hashes=t.hashes[:1])
-    with pytest.raises(ValueError):  # rows of two degrees do not stack
-        CountSketchTable(2, 7, hashes=[t.hashes[0], KWiseHash(t.hashes[1].coefficients[1:], 14)])
+def test_table_holds_each_row_once_as_a_read_only_row_of_its_matrix():
+    key = seeds.master_key(5)
+    for role, rows, cols, n in (("cs", 3, 7, 20), ("hh", 5, 1, 1), ("x", 2, 9, 2**61 - 2)):
+        t = CountSketchTable.from_seed(key, rows, cols, n, role=role)
+        assert t.coeffs.dtype == np.uint64 and t.coeffs.shape == (rows, 8)
+        assert not t.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            t.coeffs[0, 0] = 1
+        for j in range(rows):
+            h = KWiseHash.from_seed(seeds.derive_key(key, role + "-bucket", j), 8, n, 2 * cols)
+            assert t.coeffs[j].tolist() == list(h.coefficients)
+        # the row hashes are a view of the matrix, built on request
+        assert [(h.coefficients, h.range_size) for h in t.hashes] == [
+            (tuple(row), 2 * cols) for row in t.coeffs.tolist()]
+        assert not any(isinstance(v, (KWiseHash, tuple, list)) for v in vars(t).values())
+        assert [a for a in vars(t).values()
+                if isinstance(a, np.ndarray) and a.dtype == np.uint64] == [t.coeffs]
+    # a table keeps its own copy: the caller's matrix stays writable and apart
+    mine = np.array([[3, 4], [5, 6]], dtype=np.uint64)
+    t = CountSketchTable(mine, 7)
+    mine[0, 0] = 9
+    assert t.coeffs.tolist() == [[3, 4], [5, 6]] and mine.flags.writeable
+
+
+def test_table_refuses_a_coefficient_matrix_it_cannot_hash():
+    matrix = "non-empty 2-D matrix of coefficients below 2\\*\\*61 - 1"
+    for coeffs in ([1, 2], [[[1]]], [], [[]], np.zeros((0, 8), dtype=np.uint64),
+                   np.zeros((3, 0), dtype=np.uint64), [[1, hashing.MERSENNE61]],
+                   [[0], [2**64 - 1]]):
+        with pytest.raises(ValueError, match=matrix):
+            CountSketchTable(coeffs, 7)
+    assert CountSketchTable([[hashing.MERSENNE61 - 1]], 7).rows == 1
+    # from_seed still refuses a domain the field cannot hold
+    for n in (0, -1, hashing.MERSENNE61, 2**64):
+        with pytest.raises(ValueError, match="domain size n"):
+            make_table(n=n)
+    with pytest.raises(ValueError, match=matrix):
+        make_table(rows=0)
 
 
 def test_kernel_scatter_refuses_mismatched_arguments():
@@ -669,22 +716,22 @@ def test_kernel_scatter_refuses_mismatched_arguments():
             m.setattr(hashing, "_kernel", kernel)
             t = make_table(rows=3, cols=7, n=20)
             with pytest.raises(ValueError):
-                hashing.scatter_signed(t._coeffs, np.array([1, 2]), np.array([1]), t.cells,
+                hashing.scatter_signed(t.coeffs, np.array([1, 2]), np.array([1]), t.cells,
                                        CELL_LIMIT, True)
             with pytest.raises(ValueError):  # a polynomial missing for the last row
-                hashing.scatter_signed(t._coeffs[:-1], np.array([1]), np.array([1]), t.cells,
+                hashing.scatter_signed(t.coeffs[:-1], np.array([1]), np.array([1]), t.cells,
                                        CELL_LIMIT, True)
             with pytest.raises(ValueError):  # polynomials with no coefficient to start from
-                hashing.scatter_signed(t._coeffs[:, :0], np.array([1]), np.array([1]), t.cells,
+                hashing.scatter_signed(t.coeffs[:, :0], np.array([1]), np.array([1]), t.cells,
                                        CELL_LIMIT, True)
             with pytest.raises(ValueError):  # one polynomial, not a matrix of them
-                hashing.scatter_signed(t._coeffs[0], np.array([1]), np.array([1]),
+                hashing.scatter_signed(t.coeffs[0], np.array([1]), np.array([1]),
                                        np.zeros((1, 7), dtype=np.int64), CELL_LIMIT, True)
             with pytest.raises(ValueError):  # a float table
-                hashing.scatter_signed(t._coeffs, np.array([1]), np.array([1]),
+                hashing.scatter_signed(t.coeffs, np.array([1]), np.array([1]),
                                        np.zeros((3, 7)), CELL_LIMIT, True)
             with pytest.raises(ValueError):  # rows disagree with the coefficient matrix
-                hashing.scatter_signed(t._coeffs, np.array([1]), np.array([1]),
+                hashing.scatter_signed(t.coeffs, np.array([1]), np.array([1]),
                                        np.zeros((2, 7), dtype=np.int64), CELL_LIMIT, True)
             assert not t.cells.any()
 

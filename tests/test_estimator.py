@@ -78,10 +78,8 @@ def test_same_seed_bitwise_identical_build():
     a = build(seed=42)
     b = build(seed=42)
     assert a.table.bucket_hash.coefficients == b.table.bucket_hash.coefficients
-    for ha, hb in zip(a.countsketch.hashes, b.countsketch.hashes):
-        assert ha.coefficients == hb.coefficients
-    for ha, hb in zip(a.heavy_hitters.hashes, b.heavy_hitters.hashes):
-        assert ha.coefficients == hb.coefficients
+    assert a.countsketch.coeffs.tobytes() == b.countsketch.coeffs.tobytes()
+    assert a.heavy_hitters.coeffs.tobytes() == b.heavy_hitters.coeffs.tobytes()
 
 
 # -- ingestion ----------------------------------------------------------------
@@ -215,7 +213,7 @@ def test_uniform_ones_domain_all_light():
     cls = est.classify()
     assert cls.heavy_count == 0
     assert cls.threshold > 1.0
-    assert len(cls.light_items) == n
+    assert (~cls.heavy_mask).sum() == n
 
 
 def test_classification_signs():
@@ -680,14 +678,15 @@ def test_heavy_contributions_match_the_oracle_on_a_narrow_table(kernel, monkeypa
     heavy = rng.choice(np.arange(1, n + 1), size=12, replace=False)
     signs = rng.choice([-1.0, 1.0], size=12)
     got = est.heavy_contributions(forced_heavy(heavy, signs))
-    rows = [expected_isolation_row(cs.hashes, int(i), heavy) for i in heavy]
+    hashes = cs.hashes
+    rows = [expected_isolation_row(hashes, int(i), heavy) for i in heavy]
     assert None in rows and any(r is not None and r >= 2 for r in rows)
     want = [0.0 if r is None else float(
-        cs.cells[r - 1, expected_bucket(cs.hashes[r - 1], int(i)) - 1]
-        * expected_sign(cs.hashes[r - 1], int(i)) * int(sgn))
+        cs.cells[r - 1, expected_bucket(hashes[r - 1], int(i)) - 1]
+        * expected_sign(hashes[r - 1], int(i)) * int(sgn))
         for i, r, sgn in zip(heavy, rows, signs)]
     # both signs are read, so a sign taken from the wrong side of cols shows
-    assert {expected_sign(cs.hashes[r - 1], int(i)) for i, r in zip(heavy, rows) if r} == {-1, 1}
+    assert {expected_sign(hashes[r - 1], int(i)) for i, r in zip(heavy, rows) if r} == {-1, 1}
     assert got.tolist() == want
     first, _ = est._isolation_table(heavy)
     assert [r - 1 if r else -1 for r in rows] == first.tolist()
@@ -714,9 +713,11 @@ def test_update_many_rejects_non_integer_input():
         est.update_many(np.array([1.9, 2.2]), np.array([2, 1]))
     with pytest.raises(ValueError, match="deltas"):
         est.update_many(np.array([1, 2]), np.array([2.7, -0.5]))
-    for bad in (np.nan, np.inf, 2.0**63):
+    for bad in (np.nan, np.inf, 2.0**63, 2 + 0j):  # complex even with no imaginary part
         with pytest.raises(ValueError, match="deltas"):
             est.update_many(np.array([1, 2]), np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="items"):
+        est.update_many([1 + 0j, 2], [1, 1])
     with pytest.raises(ValueError, match="deltas"):
         est.update_many(np.array([1]), np.array([2**63], dtype=np.uint64))
     # whole-valued floats and every integer dtype are accepted as they are
@@ -725,6 +726,34 @@ def test_update_many_rejects_non_integer_input():
     est.update_many([4], [True])
     assert est.touched_items().tolist() == [1, 2, 3, 4]
     assert est.estimate().total > 0
+
+
+def test_update_many_names_the_first_item_outside_the_domain():
+    est = build(n=10)
+    est.update_many([4], [1])
+    for items, bad in (([1, 11, 0], 11), ([0, 12], 0), (np.array([3, -(2**63)]), -(2**63)),
+                       ([10.0, 2**62], 2**62)):
+        with pytest.raises(ValueError, match=f"^item {bad} outside domain \\[1, 10\\]$"):
+            est.update_many(items, np.ones(len(items), dtype=np.int64))
+    assert est.touched_items().tolist() == [4]
+
+
+def test_a_sequence_passed_as_one_delta_is_refused_at_flush(record_paths):
+    # on either record path, with or without exact-int records buffered, and
+    # on a domain of four, summed densely, and of 1e6, summed by sorting
+    message = "^deltas must be integers within the int64 range$"
+    for cls in record_paths:
+        for n in (4, 10**6):
+            for value in ([5], np.array([5]), (5,), np.array([[5]])):
+                for exact in ([], [(2, 3)]):
+                    est = build(n=n, cls=cls)
+                    for record in exact + [(1, value)]:
+                        est.update(*record)
+                    with pytest.raises(ValueError, match=message):
+                        est.flush()
+                    assert est.touched_items().size == 0 and not est.table.cells.any()
+                    est.update(4, 2)
+                    assert est.touched_items().tolist() == [4]
 
 
 def test_update_many_refuses_a_batch_of_unequal_lengths_at_the_call():
@@ -763,6 +792,9 @@ def test_scalar_update_rejects_non_integer_at_flush(record_paths):
         est.update(1.5, 1)
         with pytest.raises(ValueError, match="items"):
             est.estimate()
+        est.update(2, 2 + 0j)
+        with pytest.raises(ValueError, match="deltas"):
+            est.flush()
         est.update(3, 4.0)
         est.update(np.int64(5), 2)
         assert est.touched_items().tolist() == [3, 5]
@@ -825,24 +857,30 @@ def test_estimate_hashes_each_item_once_per_table(monkeypatch):
     est.update_many(s.items, s.deltas)
     est.flush()
     calls = []
-    original = KWiseHash.eval_many
+    original = hashing.horner_rows
 
-    def counting(self, items):
-        calls.append((self, int(np.size(items))))
-        return original(self, items)
+    def counting(coeffs, range_size, items):
+        calls.append((np.asarray(coeffs).tobytes(), range_size, np.array(items)))
+        return original(coeffs, range_size, items)
 
-    monkeypatch.setattr(KWiseHash, "eval_many", counting)
+    # every hash of a read goes through `horner_rows`, a stable bucket hash
+    # by `KWiseHash.eval_many` and an isolation row straight off the matrix
+    monkeypatch.setattr(hashing, "horner_rows", counting)
     report = est.estimate()
     # the heavy-hitter table reads its touched items' cells from the cache
     # ingest filled; isolation and the stable buckets hash only the heavy
     # set, each isolation row at most once for bucket and sign together
     assert report.heavy_count > 0
+    heavy = est.classify().heavy_items
+    assert all(np.array_equal(items, heavy) for _, _, items in calls)
+    bucket = (np.array([est.table.bucket_hash.coefficients], dtype=np.uint64).tobytes(),
+              est.config.width)
+    assert sum((c, r) == bucket for c, r, _ in calls) == 1
     cs = est.countsketch
-    assert {h for h, _ in calls} <= set(cs.hashes) | {est.table.bucket_hash}
-    assert (est.table.bucket_hash, report.heavy_count) in calls
-    assert all(size == report.heavy_count for _, size in calls)
-    rows = [h for h, _ in calls if h in cs.hashes]
-    assert rows and len(rows) == len(set(rows))
+    row_bytes = [cs.coeffs[j:j + 1].tobytes() for j in range(cs.rows)]
+    rows = [row_bytes.index(c) for c, r, _ in calls if (c, r) != bucket]
+    assert all(r == 2 * cs.cols for c, r, _ in calls if (c, r) != bucket)
+    assert rows and rows == list(range(len(rows)))
 
 
 def test_numpy_path_gives_identical_answers(monkeypatch):
@@ -962,10 +1000,8 @@ def horner_multiplications(est: Estimator) -> int:
     """Field multiplications that hashing one distinct item takes: one per
     Horner step, so the degree of the stable table's bucket hash and of
     every row's one hash, for bucket and sign, of both CountSketch tables."""
-    hashes = [est.table.bucket_hash]
-    for table in (est.countsketch, est.heavy_hitters):
-        hashes += table.hashes
-    return sum(len(h.coefficients) - 1 for h in hashes)
+    return len(est.table.bucket_hash.coefficients) - 1 + sum(
+        t.rows * (t.coeffs.shape[1] - 1) for t in (est.countsketch, est.heavy_hitters))
 
 
 def test_one_polynomial_per_countsketch_row():
@@ -1005,8 +1041,7 @@ def test_isolation_failures_count_heavy_items_no_row_isolates(monkeypatch):
 
     est = build(n=50, seed=40)
     cs = est.countsketch
-    est.countsketch = CountSketchTable(cs.rows, cs.cols, hashes=[
-        KWiseHash([5 + j], range_size=2 * cs.cols) for j in range(cs.rows)])
+    est.countsketch = CountSketchTable([[5 + j] for j in range(cs.rows)], cs.cols)
     stream(est).flush()
     calls = []
     original = Estimator._isolation_table
@@ -1073,6 +1108,22 @@ def stable_table(cols: int, seed: int = 5) -> estimator.StableTable:
     return estimator.StableTable(cols, KWiseHash.from_seed(seeds.derive_key(key, "b"), 8, 10**6,
                                                            cols),
                                  StableVariateSource(seeds.derive_key(key, "v")))
+
+
+@pytest.mark.parametrize("kernel", PATHS)
+def test_stable_table_empty_batch_writes_nothing_but_still_needs_one_delta_per_item(
+        kernel, monkeypatch):
+    monkeypatch.setattr(hashing, "_kernel", kernel)
+    t = stable_table(7)
+    t.update_many(np.array([3, 9]), np.array([2, -5]))
+    before = t.cells.tobytes()
+    none = np.zeros(0, dtype=np.int64)
+    t.update_many(none, none)
+    t.update_many([], [])
+    for deltas in (np.array([1]), np.int64(1)):
+        with pytest.raises(ValueError, match="one delta and three variates per bucket"):
+            t.update_many(none, deltas)
+    assert t.cells.tobytes() == before and t.finite
 
 
 @pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
