@@ -11,11 +11,12 @@ batch is hashed and scattered in blocks of items, every row per block
 (`hashing.scatter_signed`), and refused when its sum of |delta| reaches
 2**62, summed exactly (`batch_reaches_limit`). `update_many` keeps the
 packed cells of every touched item, so reads over them hash nothing;
-`scatter_many` keeps nothing and may skip them. Point estimates read
-signed cells off packed cells (`hashing.signed_reads`); `top_k` and
-`f2_residual_estimate` rank the touched items, and the residual F2 skims
-blocks of rows (`hashing.skim_rows`). `hashing` runs each of these in its C
-kernel or in the numpy twin of it; medians and row sums are numpy's.
+`scatter_many` keeps nothing and may skip them. Point estimates are the
+medians of the signed cells at packed cells, read and sorted in one pass
+(`hashing.signed_medians`); `top_k` and `f2_residual_estimate` rank the
+touched items, and the residual F2 skims blocks of rows
+(`hashing.skim_rows`). `hashing` runs each of these in its C kernel or in
+the numpy twin of it; the row sums of the residual F2 are numpy's.
 Ingestion is single-writer; once the writer quiesces, every read is safe
 from any number of threads. Distinct tables may be written by distinct
 threads.
@@ -36,9 +37,6 @@ CELL_LIMIT = 1 << 62
 BUCKET_INDEPENDENCE = 8
 # bytes in a transparent huge page on 4 KiB-page x86-64 and arm64 kernels
 HUGE_PAGE = 1 << 21
-# items per block of point estimates: a block's (items, rows) temporaries
-# are reused from the heap instead of mapped afresh and faulted in per query
-_ESTIMATE_BLOCK = 1024
 # bytes of float64 rows `hashing.skim_rows` skims per call: each call adds a
 # numpy row sum, so fewer, larger blocks run faster (8 rows of 4,096
 # columns took 141 us where 128 KiB blocks took 163), and the bound keeps
@@ -48,18 +46,6 @@ _SKIM_BYTES = 1 << 18
 
 class SketchInvariantError(RuntimeError):
     """An internal accumulator invariant was violated (overflow / NaN)."""
-
-
-def row_medians(values: np.ndarray) -> np.ndarray:
-    """Bitwise `np.median(values, axis=1)`, in float64, of an (items, rows)
-    int64 array, sorting `values` in place: a sort along the short last axis
-    runs several times faster than median's partition. Only the middle
-    column or two are converted, as int64 -> float64 rounding is monotone."""
-    values.sort(axis=1)
-    mid = values.shape[1] // 2
-    if values.shape[1] % 2:
-        return values[:, mid].astype(np.float64)
-    return (values[:, mid - 1].astype(np.float64) + values[:, mid]) / 2
 
 
 def batch_reaches_limit(deltas: np.ndarray) -> bool:
@@ -120,9 +106,11 @@ class CountSketchTable:
     """
 
     def __init__(self, coeffs, cols: int):
-        coeffs = np.array(coeffs, dtype=np.uint64)
-        if coeffs.ndim != 2 or 0 in coeffs.shape or (coeffs >= MERSENNE61).any():
+        coeffs = np.array(coeffs)  # no dtype: as uint64, -1 overflows and 1.5 truncates
+        if (coeffs.dtype.kind not in "iu" or coeffs.ndim != 2 or 0 in coeffs.shape
+                or (coeffs < 0).any() or (coeffs >= MERSENNE61).any()):
             raise ValueError("need a non-empty 2-D matrix of coefficients below 2**61 - 1")
+        coeffs = coeffs.astype(np.uint64)
         if not 1 <= cols < 1 << 31:
             raise ValueError("cols must lie in [1, 2**31), so a packed cell fits 32 bits")
         coeffs.flags.writeable = False
@@ -244,13 +232,7 @@ class CountSketchTable:
         """Median over rows of cell * sign: the frequency estimate of each
         item whose (items, rows) packed cells are given, from
         `touched_cells()` or `packed_cells(items)`."""
-        out = np.empty(packed.shape[0])
-        block = np.empty((min(packed.shape[0], _ESTIMATE_BLOCK), self.rows), dtype=np.int64)
-        for lo in range(0, packed.shape[0], _ESTIMATE_BLOCK):
-            part = packed[lo:lo + _ESTIMATE_BLOCK]
-            per_item = hashing.signed_reads(part, self.cells, block[:part.shape[0]])
-            out[lo:lo + _ESTIMATE_BLOCK] = row_medians(per_item)
-        return out
+        return hashing.signed_medians(packed, self.cells)
 
     def _ranked(self, k: int, estimates):
         """(estimates of the touched items, positions of the top k among

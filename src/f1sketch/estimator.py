@@ -17,6 +17,7 @@ seeds) can run fully in parallel.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import time
@@ -140,19 +141,20 @@ class Classification:
     threshold: float
     f2_residual: float
 
-    @property
+    # each computed once, on first read: `estimate()` reads some several times
+    @functools.cached_property
     def heavy_items(self) -> np.ndarray:
         return self.items[self.heavy_mask]
 
-    @property
+    @functools.cached_property
     def heavy_estimates(self) -> np.ndarray:
         return self.estimates[self.heavy_mask]
 
-    @property
+    @functools.cached_property
     def heavy_signs(self) -> np.ndarray:
         return np.where(self.heavy_estimates >= 0, 1, -1).astype(np.int64)
 
-    @property
+    @functools.cached_property
     def heavy_count(self) -> int:
         return int(self.heavy_mask.sum())
 

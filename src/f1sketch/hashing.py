@@ -22,21 +22,23 @@ sum of |delta| reaches 2**62; `stable_add3` adds delta * variate into the
 stable accumulators in item order (`stable_add`); `dense_sums64` sums a
 flush's records into dense per-item arrays (`dense_sums`);
 `philox_uniforms` draws the Philox uniforms behind the stable variates;
-`parse_plain` reads plain stream text; `reads61` reads the signed cells
-behind CountSketch point estimates (`signed_reads`); and `skim61` removes
-the top items from CountSketch rows for the residual F2 (`skim_rows`). It is
+`parse_plain` reads plain stream text; `medians61` reads the signed cells
+behind CountSketch point estimates and takes each item's median with a
+sorting network (`signed_medians`); and `skim61` removes the top items
+from CountSketch rows for the residual F2 (`skim_rows`). It is
 compiled once per machine with the local gcc into `$XDG_CACHE_HOME/f1sketch`
 (default `~/.cache/f1sketch`), under a file name keyed by a hash of the
 source, and loaded through ctypes when this module is imported.
 
 On an x86-64 CPU with AVX-512F, `horner61` and `scatter61` hash 32 items
 per pass (`poly61x32`: four vectors of eight items, the mulmod in 32-bit
-limbs) and `philox_uniforms` draws eight pairs per vector (`philox8`).
-The library is built for the baseline x86-64 and asks the CPU once, when
-it loads (`__builtin_cpu_supports`); other CPUs, and the items after the
-last full group, run the scalar body (`poly61`, `philox_c0c1`), which
-gives the same bits. Ranges that are powers of two are reduced with a
-mask (`reduce61`).
+limbs), `philox_uniforms` draws eight pairs per vector (`philox8`) and
+`medians61` sorts eight items' reads per vector (`median8`). The library
+is built for the baseline x86-64 and asks the CPU once, when it loads
+(`__builtin_cpu_supports`); other CPUs, and the items after the last full
+group, run the scalar body (`poly61`, `philox_c0c1`, one item at a time
+through the same comparators), which gives the same bits. Ranges that
+are powers of two are reduced with a mask (`reduce61`).
 
 Each routine has a numpy twin next to the wrapper that runs it, listed in
 `_ROUTINES`: the same arguments, with arrays in place of pointers, the same
@@ -49,6 +51,7 @@ built or loaded, or that disagrees with a twin on the edge cases of
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import math
 import os
@@ -470,30 +473,67 @@ def _packed_args(packed: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return p
 
 
-def _reads61(packed, n, rows, cells, cols, out) -> int:
-    """Numpy twin of `reads61`: a take from the flattened table, up to the
-    first packed cell outside the row."""
-    sign = _view(packed, n, rows).astype(np.int64)
-    index = sign >> 1
-    stop = _first(index.reshape(-1) >= cols)
-    index += np.arange(rows) * cols
-    sign &= 1  # in place, to +-1: (items, rows) temporaries add up
-    sign *= -2
-    sign += 1
-    values = cells.reshape(-1).take(index, mode="clip").reshape(-1)
-    np.multiply(values[:stop], sign.reshape(-1)[:stop], out=_view(out, n * rows)[:stop])
-    return int(stop < sign.size)
+@functools.cache
+def _merge_exchange(rows: int) -> np.ndarray:
+    """The comparators of Batcher's merge-exchange sort of `rows` keys
+    (Batcher, AFIPS 1968; Knuth, TAOCP vol. 3, 5.2.2, Algorithm M), in the
+    order they apply, as a read-only (pairs, 2) uint32 array of positions
+    a < b: putting the smaller key at a, in turn, sorts any keys."""
+    net, t = [], (rows - 1).bit_length()
+    p = 1 << t >> 1
+    while p:
+        q, r, d = 1 << t >> 1, 0, p
+        while True:
+            net += [(i, i + d) for i in range(rows - d) if i & p == r]
+            if q == p:
+                break
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+    net = np.array(net, dtype=np.uint32).reshape(-1, 2)
+    net.flags.writeable = False
+    return net
 
 
-def signed_reads(packed: np.ndarray, cells: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """cell * sign of every (items, rows) packed cell of the (rows, cols)
-    int64 table `cells`, written into `out`, a C-contiguous int64 array of
-    the same shape as `packed`, and returned (`reads61`). ValueError for a
-    bucket outside the row."""
+def _medians61(packed, n, rows, cells, cols, net, pairs, work, out) -> int:
+    """Numpy twin of `medians61`: in blocks of items, the signed reads taken
+    from the flattened table, a bucket past its row clipped to the row's
+    last cell, then sorted along rows by numpy, not by `net`; `work` is
+    zeroed, as the kernel leaves it."""
+    packed, flat = _view(packed, n, rows), cells.reshape(-1)
+    mid, bad = rows // 2, False
+    step = max(1, _TWIN_CELLS // rows)
+    for lo in range(0, n, step):
+        sign = packed[lo:lo + step].astype(np.int64)
+        index = sign >> 1
+        bad |= bool((index >= cols).any())
+        np.minimum(index, cols - 1, out=index)
+        index += np.arange(rows) * cols
+        sign &= 1  # in place, to +-1: (items, rows) temporaries add up
+        sign *= -2
+        sign += 1
+        values = flat.take(index)
+        values *= sign
+        values.sort(axis=1)  # along the short last axis, faster than median's partition
+        if rows % 2:
+            out[lo:lo + step] = values[:, mid]
+        else:
+            out[lo:lo + step] = (values[:, mid - 1].astype(np.float64) + values[:, mid]) / 2
+    work[:8 * (rows + 1)] = 0
+    return int(bad)
+
+
+def signed_medians(packed: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Median over rows of cell * sign for every item's (items, rows)
+    packed cells of the (rows, cols) int64 table `cells`, as float64,
+    bitwise `np.median` of each item's int64 signed reads (`medians61`).
+    ValueError for a bucket outside the row, or a table with no cell."""
     p = _packed_args(packed, cells)
-    if out.dtype != np.int64 or not out.flags.c_contiguous or out.shape != p.shape:
-        raise ValueError("signed_reads needs a C-contiguous int64 out of the packed shape")
-    if _run("reads61", p, p.shape[0], p.shape[1], cells, cells.shape[1], out):
+    rows, cols = cells.shape
+    if rows < 1 or cols < 1:
+        raise ValueError("signed_medians needs a table of at least one row and column")
+    net, out = _merge_exchange(rows), np.empty(p.shape[0])
+    if _run("medians61", p, p.shape[0], rows, cells, cols, net, net.shape[0],
+            np.empty(8 * (rows + 1), dtype=np.int64), out):
         raise ValueError("packed cell outside the table")
     return out
 
@@ -549,7 +589,7 @@ _ROUTINES = {
     "philox_uniforms": (_philox_uniforms, None,
                         [_P, _P, _N, ctypes.c_uint32, ctypes.c_uint32, _P]),
     "parse_plain": (_parse_plain, ctypes.c_int64, [ctypes.c_char_p, _N, _P, _P, _N]),
-    "reads61": (_reads61, ctypes.c_int, [_P, _N, _N, _P, _N, _P]),
+    "medians61": (_medians61, ctypes.c_int, [_P, _N, _N, _P, _N, _P, _N, _P, _P]),
     "skim61": (_skim61, ctypes.c_int, [_P, _N, _N, _N, _N, _P, _P, _N, _P]),
 }
 
@@ -650,12 +690,24 @@ def _spot_cases():
     for text, cap in [(t, 6) for t in (_PARSE_SPOT, *_PARSE_DECLINED)] + [(_PARSE_SPOT, 5)]:
         yield "parse_plain", (text, len(text), np.full(6, -7, dtype=i64),
                               np.full(6, -7, dtype=i64), cap)
-    # signed reads of a 2 x 3 table at both signs and at INT64_MIN, which
-    # wraps; then a bucket past the row
-    cells = np.array([[5, -7, 1 << 62], [-(1 << 63), 0, 9]], dtype=i64)
-    packed = np.array([[0, 1], [3, 4], [5, 5], [2, 0], [6, 0]], dtype=np.uint32)
-    for n in (4, 5):
-        yield "reads61", (packed, n, 2, cells, 3, np.full((5, 2), -7, dtype=i64))
+    # medians of 19 items, two groups of eight for the AVX-512 body and a
+    # tail of three, over 1, 2, 5 and 16 rows of 4 cells: INT64_MIN, which
+    # wraps, both signs of the largest cells, ties, and neighbours of 2**53
+    # whose float64 mean rounds unlike their integer mean; then with a
+    # bucket past the row in the first group and in the tail
+    values = np.array([-(1 << 63), (1 << 63) - 1, 1 - (1 << 62), 0, 0, 3, -3, 2**53 + 1,
+                       2**53 + 3, -2**53 - 1], dtype=i64)
+    for rows in (1, 2, 5, 16):
+        cells = values[(np.arange(4 * rows) * 3 + rows) % values.size].reshape(rows, 4)
+        # bucket and sign from the top three bits of a multiplicative hash
+        spread = np.arange(19 * rows, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        packed = (spread >> np.uint64(61)).astype(np.uint32).reshape(19, rows)
+        net = _merge_exchange(rows)
+        for bad in ([], [3], [17]):
+            wrong = packed.copy()
+            wrong[bad, 0] = 9  # bucket 4 of 4
+            yield "medians61", (wrong, 19, rows, cells, 4, net, net.shape[0],
+                                np.full(8 * (rows + 1), -7, dtype=i64), np.full(19, -7.0))
     # rows 1 and 2 of a 3 x 4 table skimmed of three items, which all share
     # row 1's bucket 2, where reversing the subtractions gives -1, not 0;
     # then row 0 skimmed of a fourth item whose bucket is past the row

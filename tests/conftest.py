@@ -30,6 +30,12 @@ def pytest_report_header(config):
             f"src lines: {lines}")
 
 
+def pytest_terminal_summary(terminalreporter, config):
+    # -q hides the report header, so a quiet run prints its line here
+    if terminalreporter.verbosity < 0:
+        terminalreporter.write_line(pytest_report_header(config))
+
+
 class TwinEstimator(Estimator):
     """An estimator whose `update` takes the record buffer's Python path,
     `records.TwinBuffer`, for every record, whichever buffer is loaded."""

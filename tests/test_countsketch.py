@@ -124,10 +124,10 @@ def test_point_estimate_many_matches_scalar():
 
 @pytest.mark.parametrize("kernel", PATHS)
 def test_point_estimate_many_over_several_blocks_matches_scalar(kernel, monkeypatch):
-    # three whole blocks of point estimates and a remainder, from the
-    # cached packed cells and from hashing
+    # 3,109 items, whole vector groups of eight and a tail of five, from
+    # the cached packed cells and from hashing
     monkeypatch.setattr(hashing, "_kernel", kernel)
-    size = 3 * countsketch._ESTIMATE_BLOCK + 37
+    size = 3 * 1024 + 37
     t = make_table(rows=5, cols=97, n=5000, seed=10)
     rng = np.random.default_rng(3)
     t.update_many(rng.choice(np.arange(1, 5001), size=size, replace=False),
@@ -198,20 +198,72 @@ def test_top_k_beyond_touched_returns_all():
 
 
 # small values tie often; near +-2**62 float64 steps are 1,024 apart, so
-# neighbouring integers there round to one float, or to two
-_reads = st.one_of(st.integers(-3, 3), st.integers(-2**62, 2**62),
+# neighbouring integers there round to one float, or to two; -INT64_MIN
+# wraps to itself
+_cells = st.one_of(st.integers(-3, 3), st.integers(-2**62, 2**62),
                    st.sampled_from((-2**62, 2**62)).flatmap(
-                       lambda c: st.integers(c - 3000, c + 3000)))
+                       lambda c: st.integers(c - 3000, c + 3000)),
+                   st.just(-2**63))
 
 
-@given(st.integers(1, 16).flatmap(lambda rows: st.lists(
-    st.lists(_reads, min_size=rows, max_size=rows), min_size=1, max_size=20)))
-@settings(max_examples=300, deadline=None)
-def test_row_medians_match_numpy_median_of_the_integer_reads(reads):
-    values = np.array(reads, dtype=np.int64)
-    want = np.median(values, axis=1)
-    got = countsketch.row_medians(values.copy())
-    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+def medians_on(kernel, packed: np.ndarray, cells: np.ndarray) -> tuple[int, np.ndarray]:
+    """(status, medians) of `medians61` called directly on one path, the
+    kernel's or, for None, the numpy twin's, from outputs filled with -7;
+    its scratch must come back zeroed."""
+    rows, cols = cells.shape
+    net = hashing._merge_exchange(rows)
+    work, out = np.full(8 * (rows + 1), -7, dtype=np.int64), np.full(packed.shape[0], -7.0)
+    args = (packed, packed.shape[0], rows, cells, cols, net, net.shape[0], work, out)
+    status = (hashing._c_call(kernel, "medians61", args) if kernel is not None
+              else hashing._medians61(*args))
+    assert not work.any()
+    return status, out
+
+
+@given(st.integers(1, 40), st.sampled_from([0, 1, 7, 8, 9, 3 * 1024 + 37]),
+       st.sampled_from(["none", "group", "tail"]), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_kernel_and_twin_medians_match_numpy_median_of_the_signed_reads(rows, n, bad, seed,
+                                                                         data):
+    # odd and even rows; items in whole groups of eight and a tail; a bucket
+    # past its row, in a group of eight or in the tail, is read at the row's
+    # last cell, every item is finished, and both paths report it
+    cols = data.draw(st.integers(1, 5))
+    cells = np.array(data.draw(st.lists(_cells, min_size=rows * cols, max_size=rows * cols)),
+                     dtype=np.int64).reshape(rows, cols)
+    rng = np.random.default_rng(seed)
+    packed = rng.integers(0, 2 * cols, size=(n, rows), dtype=np.uint32)
+    whole = n - n % 8
+    where = {"group": range(whole), "tail": range(whole, n)}.get(bad, range(0))
+    if len(where):
+        packed[rng.choice(where), rng.integers(rows)] = 2 * cols + rng.integers(2)
+    q = packed.astype(np.int64)
+    reads = cells[np.arange(rows), np.minimum(q >> 1, cols - 1)]
+    reads[q & 1 == 1] *= -1
+    want = np.median(reads, axis=1) if n else np.zeros(0)
+    for kernel in PATHS:
+        status, got = medians_on(kernel, packed, cells)
+        assert status == (len(where) > 0) and got.tobytes() == want.tobytes()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hashing, "_kernel", kernel)
+            if len(where):
+                with pytest.raises(ValueError, match="packed cell outside the table"):
+                    hashing.signed_medians(packed, cells)
+            else:
+                assert hashing.signed_medians(packed, cells).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", range(1, 17))
+def test_merge_exchange_sorts_every_zero_one_input(rows):
+    # a comparator network that sorts every 0-1 input sorts every input
+    # (Knuth, TAOCP vol. 3, 5.3.4, Theorem Z)
+    keys = (np.arange(2**rows)[:, None] >> np.arange(rows) & 1).astype(bool)
+    net = hashing._merge_exchange(rows)
+    assert net.dtype == np.uint32 and not net.flags.writeable
+    for a, b in net:
+        assert a < b < rows
+        keys[:, a], keys[:, b] = keys[:, a] & keys[:, b], keys[:, a] | keys[:, b]
+    assert (keys[:, :-1] <= keys[:, 1:]).all()
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=60), st.integers(0, 70))
@@ -436,7 +488,9 @@ def test_packed_cells_match_per_row_hashes(kernel, monkeypatch):
     assert packed.dtype == np.uint32 and packed.flags.c_contiguous
     assert (packed == buckets << 1 | negative).all()
     t.cells[:] = np.arange(5 * 13).reshape(5, 13)
-    reads = hashing.signed_reads(packed, t.cells, np.empty(packed.shape, dtype=np.int64))
+    # the median of one row is that row's signed read
+    reads = np.stack([hashing.signed_medians(packed[:, r:r + 1], t.cells[r:r + 1])
+                      for r in range(5)], axis=1)
     assert (reads == (buckets + 13 * np.arange(5)) * (1 - 2 * negative)).all()
     assert t.packed_cells(items[:0]).shape == (0, 5)
 
@@ -702,12 +756,20 @@ def test_table_refuses_a_coefficient_matrix_it_cannot_hash():
         with pytest.raises(ValueError, match=matrix):
             CountSketchTable(coeffs, 7)
     assert CountSketchTable([[hashing.MERSENNE61 - 1]], 7).rows == 1
+    assert CountSketchTable(np.array([[5]], dtype=np.uint8), 7).coeffs.dtype == np.uint64
     # from_seed still refuses a domain the field cannot hold
     for n in (0, -1, hashing.MERSENNE61, 2**64):
         with pytest.raises(ValueError, match="domain size n"):
             make_table(n=n)
     with pytest.raises(ValueError, match=matrix):
         make_table(rows=0)
+
+
+@pytest.mark.parametrize("coeff", [-1, 1.5])
+def test_table_refuses_a_negative_or_fractional_coefficient(coeff):
+    # read as uint64, -1 would overflow and 1.5 would be truncated to 1
+    with pytest.raises(ValueError, match="non-empty 2-D matrix of coefficients below 2"):
+        CountSketchTable([[coeff]], 7)
 
 
 def test_kernel_scatter_refuses_mismatched_arguments():
@@ -736,7 +798,7 @@ def test_kernel_scatter_refuses_mismatched_arguments():
             assert not t.cells.any()
 
 
-# -- compiled reads (reads61, skim61) against the numpy twins -------------------
+# -- compiled reads (medians61, skim61) against the numpy twins -----------------
 
 
 def reads_on_both_paths(t: CountSketchTable, k: int, estimates=None) -> list:
@@ -806,15 +868,15 @@ def test_kernel_reads_and_skim_refuse_bad_arguments():
             t.update_many(np.array([1, 2]), np.array([5, -3]))
             packed = t.touched_cells()
             est = np.array([5.0, -3.0])
-            out = np.empty((2, 3), dtype=np.int64)
-            assert hashing.signed_reads(packed, t.cells, out) is out
-            for bad in ((packed[:, :2], t.cells, out[:, :2]),  # a row of cells missing
-                        (packed, t.cells, out[:1]),  # out too short
-                        (packed, t.cells, out.astype(np.float64)),
-                        (packed, t.cells.astype(np.float64), out),
-                        (np.full((2, 3), 14, dtype=np.uint32), t.cells, out)):  # bucket 7 of 7
+            assert hashing.signed_medians(packed, t.cells).tolist() == [5.0, -3.0]
+            for bad in ((packed[:, :2], t.cells),  # a row of cells missing
+                        (packed, t.cells.astype(np.float64)),
+                        (packed, np.asfortranarray(t.cells)),
+                        (np.zeros((2, 0), dtype=np.uint32), t.cells[:0]),  # no row
+                        (np.zeros((2, 3), dtype=np.uint32), t.cells[:, :0]),  # no column
+                        (np.full((2, 3), 14, dtype=np.uint32), t.cells)):  # bucket 7 of 7
                 with pytest.raises(ValueError):
-                    hashing.signed_reads(*bad)
+                    hashing.signed_medians(*bad)
             rows = np.empty((2, 7))
             assert hashing.skim_rows(t.cells, 1, packed, est, rows) is rows
             for r0, p, e, o in ((2, packed, est, rows),  # rows 2 and 3 of 3

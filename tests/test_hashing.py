@@ -357,14 +357,16 @@ def test_kernel_whose_scatter_sign_disagrees_is_refused(old, new, tmp_path, monk
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a C compiler")
 @pytest.mark.parametrize("old, new", [
-    ("0 - (uint64_t)(q & 1)", "0 - (uint64_t)(~q & 1)"),           # reads61 flips the sign
+    ("0 - (uint64_t)(q & 1)", "0 - (uint64_t)(~q & 1)"),           # medians61 flips the sign
+    ("(double)s[(mid - 1) * stride]", "(double)s[mid * stride]"),  # even rows: upper middle twice
     ("for (size_t t = 0; t < k; t++)", "for (size_t t = k; t-- > 0;)"),  # skim61 runs backwards
     ("e ^= (uint64_t)(q & 1) << 63;", ""),                         # skim61 drops the sign
     ("o[b] *= o[b];", "o[b] *= 1.0;"),                             # skim61 does not square
 ])
 def test_kernel_whose_reads_or_skim_disagree_is_refused(old, new, tmp_path, monkeypatch):
-    # the spot check's three items share a bucket where reversing the
-    # subtractions gives -1, not 0
+    # the spot check's medians run over odd and even rows, and its three
+    # skimmed items share a bucket where reversing the subtractions gives
+    # -1, not 0
     check_mutant_refused(old, new, tmp_path, monkeypatch)
 
 
@@ -406,10 +408,14 @@ def cpu_runs_avx512f() -> bool:
     ("_mm512_min_epu64(a, _mm512_sub_epi64(a, p))", "a"),  # leaves 2^61 - 1 unreduced
     ("c[3], k1, 0x96)", "c[3], k0, 0x96)"),             # keys Philox word c2 with k0
     ("0x1p52 - 0.5", "0x1p52"),                         # drops the uniform's half step
+    ("(a, _mm512_min_epi64(x, y))", "(a, _mm512_max_epi64(x, y))"),  # keeps the max twice
 ])
 def test_kernel_whose_vector_body_disagrees_is_refused(old, new, tmp_path, monkeypatch):
-    # the spot check runs 70 items through horner61 and scatter61 and 19
-    # pairs through philox_uniforms, so two full vector groups and a tail each
+    # the spot check runs 70 items through horner61 and scatter61, 19 pairs
+    # through philox_uniforms and 19 items through medians61, so two full
+    # vector groups and a tail each. (Exchanging the comparator's min and
+    # max would sort descending, whose middle keys are the same, so that
+    # mutant would be right.)
     check_mutant_refused(old, new, tmp_path, monkeypatch)
 
 
@@ -436,9 +442,11 @@ def test_kernel_built_without_the_cpu_check_loads_and_agrees(tmp_path, monkeypat
         _, packed = hashing.scatter_signed(coeffs, items, np.arange(1001) - 500, cells, 1 << 62,
                                            True)
         uniforms = hashing.philox_uniforms(buckets, items.view(np.int64) >> 1, 7, 9)
+        medians = [hashing.signed_medians(packed[:, :rows], cells[:rows]) for rows in (4, 5)]
         outputs.append([hashing.horner_rows(coeffs, m, items).tobytes()
                         for m in (1, 8192, 11392, 2**40, MERSENNE61)]
-                       + [cells.tobytes(), packed.tobytes(), uniforms.tobytes()])
+                       + [cells.tobytes(), packed.tobytes(), uniforms.tobytes()]
+                       + [m.tobytes() for m in medians])
     assert outputs[0] == outputs[1]
 
 
@@ -481,7 +489,7 @@ def test_every_exported_kernel_routine_is_bound_and_spot_checked(monkeypatch):
     # every non-static function of the source must be looked up and called
     # by `_load_kernel`, so none reaches a caller unchecked
     exported = exported_routines()
-    assert {"horner61", "scatter61", "reads61", "skim61"} <= exported
+    assert {"horner61", "scatter61", "medians61", "skim61"} <= exported
     called = set()
 
     class Routine:
@@ -545,3 +553,15 @@ def check_mutant_refused(old, new, tmp_path, monkeypatch):
     assert len(os.listdir(tmp_path / "f1sketch")) == 1  # built, then refused
     monkeypatch.setattr(hashing, "_HORNER_SOURCE", source)
     assert hashing._load_kernel() is not None
+
+
+def test_quiet_run_prints_the_backends_and_the_line_count():
+    # -q hides the report header, so conftest prints its line in the summary
+    root = pathlib.Path(hashing.__file__).parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "tests/test_hashing.py::test_hand_evaluated_polynomial"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.search(r"^f1sketch kernel routines \(horner61, .*\): (c-kernel|numpy); "
+                     r"record buffer: (c-type|python); src lines: \d+$", proc.stdout, re.MULTILINE)
