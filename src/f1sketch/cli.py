@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .countsketch import SketchInvariantError
-from .estimator import Estimator, EstimatorConfig, _sorted_sums
+from .estimator import Estimator, EstimatorConfig, _aggregate
 from .streams import Distribution, Stream, StreamParseError, generate, read_stream, write_stream
 
 CSV_HEADER = ("trial,seed,exact_f1,est_f1,rel_err,est_heavy,est_light,"
@@ -70,10 +70,10 @@ def run_trial(stream: Stream, accuracy: float, seed: int,
 
 def exact_f1_of(stream: Stream) -> float:
     """Exact F1 of a stream from its aggregated records, so memory follows
-    the distinct items, not the declared domain. The per-item int64 sums
-    wrap as `ExactState`'s do, and the sum of magnitudes is exact before
-    the one rounding to float."""
-    _, sums = _sorted_sums(stream.items, stream.deltas)
+    the records, not the declared domain. The per-item int64 sums wrap as
+    `ExactState`'s do, and the sum of magnitudes is exact before the one
+    rounding to float."""
+    _, sums = _aggregate(stream.items, stream.deltas, stream.n)
     return float(sum(np.abs(sums).tolist()))
 
 

@@ -106,11 +106,7 @@ class CountSketchTable:
     """
 
     def __init__(self, coeffs, cols: int):
-        coeffs = np.array(coeffs)  # no dtype: as uint64, -1 overflows and 1.5 truncates
-        if (coeffs.dtype.kind not in "iu" or coeffs.ndim != 2 or 0 in coeffs.shape
-                or (coeffs < 0).any() or (coeffs >= MERSENNE61).any()):
-            raise ValueError("need a non-empty 2-D matrix of coefficients below 2**61 - 1")
-        coeffs = coeffs.astype(np.uint64)
+        coeffs = hashing.field_coeffs(coeffs)
         if not 1 <= cols < 1 << 31:
             raise ValueError("cols must lie in [1, 2**31), so a packed cell fits 32 bits")
         coeffs.flags.writeable = False

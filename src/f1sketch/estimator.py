@@ -39,21 +39,19 @@ MEMORY_CAP_BYTES = 1 << 30
 _LIGHT_SCALE = stability_constant(1.0, 1.0 / 3.0) ** -3
 
 
-def _sorted_sums(items: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct items ascending, int64 sum of each one's deltas), by sorting."""
-    uniq, inverse = np.unique(items, return_inverse=True)
-    agg = np.zeros(uniq.size, dtype=np.int64)
-    np.add.at(agg, inverse, deltas)
-    return uniq, agg
-
-
-def _dense_sums(items: np.ndarray, deltas: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_sorted_sums` of items in [1, n] through (n + 1)-length arrays. An
-    item is present when it has a record, so items whose deltas cancel are
-    kept, as the sort keeps them."""
-    agg, seen = hashing.dense_sums(items, deltas, n + 1)
-    uniq = np.flatnonzero(seen)
-    return uniq, agg[uniq]
+def _aggregate(items: np.ndarray, deltas: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct items ascending, int64 sum of each one's deltas, wrapping as
+    numpy's int64 adds do) of items in [1, n], summed by `hashing.dense_sums`.
+    An item is present when it has a record, so items whose deltas cancel
+    are kept. The sums are indexed by item when n <= 4 * records, where an
+    (n + 1)-array is O(records) scratch, and by rank among the distinct
+    items otherwise."""
+    if n <= 4 * items.size:
+        sums, seen = hashing.dense_sums(items, deltas, n + 1)
+        uniq = np.flatnonzero(seen)
+        return uniq, sums[uniq]
+    uniq, rank = np.unique(items, return_inverse=True)
+    return uniq, hashing.dense_sums(rank, deltas, uniq.size)[0]
 
 
 @dataclass(frozen=True)
@@ -292,11 +290,7 @@ class Estimator(records.RecordBuffer):
             deltas = np.concatenate([b[1] for b in batches])
         if batch_reaches_limit(deltas):
             raise SketchInvariantError("batch magnitude would overflow counters")
-        # an (n + 1)-array is O(batch) scratch when n <= 4 * records
-        if self.config.n <= 4 * items.size:
-            uniq, agg = _dense_sums(items, deltas, self.config.n)
-        else:
-            uniq, agg = _sorted_sums(items, deltas)
+        uniq, agg = _aggregate(items, deltas, self.config.n)
         self.table.update_many(uniq, agg)
         # keeps no items, nor their packed cells: isolation hashes its reads
         self.countsketch.scatter_many(uniq, agg, packed=False)

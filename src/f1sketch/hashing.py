@@ -5,7 +5,8 @@ over the field of the Mersenne prime 2**61 - 1, evaluated by Horner's rule
 and reduced onto the bucket range [1, C]. The reduction `(value mod C) + 1`
 skews bucket probabilities by at most C/2**61 relative, below 2**-45 at
 desk-scale C, and is ignored. A CountSketch row is one hash onto
-[1, 2 * cols], read as a bucket and a sign (see `countsketch`).
+[1, 2 * cols], read as a bucket and a sign (see `countsketch`). Items and
+coefficients must be integers in [0, 2**61 - 1); every entry point refuses others.
 
 Hash objects are immutable after construction and safe to share across
 threads.
@@ -20,7 +21,7 @@ is added (`scatter_signed`);
 `abs_sum_reaches` is the exact integer overflow guard, whether a batch's
 sum of |delta| reaches 2**62; `stable_add3` adds delta * variate into the
 stable accumulators in item order (`stable_add`); `dense_sums64` sums a
-flush's records into dense per-item arrays (`dense_sums`);
+flush's records into dense arrays, by item or by rank (`dense_sums`);
 `philox_uniforms` draws the Philox uniforms behind the stable variates;
 `parse_plain` reads plain stream text; `medians61` reads the signed cells
 behind CountSketch point estimates and takes each item's median with a
@@ -186,6 +187,19 @@ def _field_items(items) -> np.ndarray:
     raise ValueError("items must be a vector of integers in [0, 2**61 - 1)")
 
 
+def field_coeffs(coeffs) -> np.ndarray:
+    """A matrix of integer coefficients, one polynomial a row, as a fresh
+    C-contiguous uint64 array; ValueError unless it has a row and a column
+    and each lies in [0, 2**61 - 1), past which the kernel and numpy disagree."""
+    c = np.asarray(coeffs)
+    if c.ndim == 2 and c.size and c.dtype.kind in "iu":
+        # as uint64 a negative coefficient is at least 2**63: one maximum checks both ends
+        c = c.astype(np.uint64, order="C")
+        if c.max() < MERSENNE61:
+            return c
+    raise ValueError("need a non-empty 2-D matrix of coefficients below 2**61 - 1")
+
+
 # -- the routines' numpy twins, each next to the wrapper that runs it ----------
 
 
@@ -207,14 +221,12 @@ def horner_rows(coeffs: np.ndarray, range_size: int, x: np.ndarray) -> np.ndarra
     """Evaluate every row of a (rows, t) coefficient matrix, leading
     coefficient first, at every item of the vector x over GF(2**61 - 1),
     each value reduced onto [1, range_size]. Returns a (rows, items) int64
-    array. ValueError for any item outside [0, 2**61 - 1), or a range that
-    is not an integer in [1, 2**61 - 1], on either path."""
+    array. ValueError for any item or coefficient outside [0, 2**61 - 1),
+    or a range that is not an integer in [1, 2**61 - 1], on either path."""
     x = _field_items(x)
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.uint64)
-    if (coeffs.ndim != 2 or coeffs.shape[1] < 1 or not isinstance(range_size, (int, np.integer))
-            or not 1 <= range_size <= MERSENNE61):
-        raise ValueError("horner_rows needs a (rows, t >= 1) matrix and one integer range "
-                         "in [1, 2**61 - 1]")
+    coeffs = field_coeffs(coeffs)
+    if not isinstance(range_size, (int, np.integer)) or not 1 <= range_size <= MERSENNE61:
+        raise ValueError("horner_rows needs one integer range in [1, 2**61 - 1]")
     out = np.empty((coeffs.shape[0], x.size), dtype=np.int64)
     _run("horner61", coeffs, int(range_size), coeffs.shape[0], coeffs.shape[1], x, x.size, out)
     return out
@@ -251,18 +263,17 @@ def scatter_signed(coeffs: np.ndarray, items: np.ndarray, deltas: np.ndarray,
     every item's packed cell in every row as an (items, rows) uint32 array,
     bucket << 1 | (sign == -1), or None when `packed` is False.
 
-    Needs items in [0, 2**61 - 1), as `horner_rows` does, and cols < 2**31,
-    so a packed cell fits 32 bits.
+    Needs items and coefficients in [0, 2**61 - 1), as `horner_rows` does,
+    and cols < 2**31, so a packed cell fits 32 bits.
     """
     rows, cols = cells.shape
     x = _field_items(items)
     d = np.ascontiguousarray(deltas, dtype=np.int64)
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.uint64)
+    coeffs = field_coeffs(coeffs)
     if (cells.dtype != np.int64 or not cells.flags.c_contiguous or not cells.flags.writeable
-            or cols >= 1 << 31 or x.shape != d.shape or coeffs.ndim != 2
-            or coeffs.shape[0] != rows or coeffs.shape[1] < 1):
+            or cols >= 1 << 31 or x.shape != d.shape or coeffs.shape[0] != rows):
         raise ValueError("scatter_signed needs a writable C-contiguous int64 table under "
-                         "2**31 columns, one delta per item, one polynomial (t >= 1) per row")
+                         "2**31 columns, one delta per item, one polynomial per row")
     out = np.empty((x.size, rows), dtype=np.uint32) if packed else None
     over = _run("scatter61", coeffs, rows, coeffs.shape[1], x, d, x.size, cells, cols, limit, out)
     return bool(over), out
@@ -759,32 +770,26 @@ class KWiseHash:
 
     `coefficients` are listed leading coefficient first; any t distinct
     inputs receive jointly uniform field values over a uniform draw of the
-    coefficient tuple. Inputs must lie in [0, 2**61 - 1); `eval_many`
-    refuses others.
+    coefficient tuple. Inputs and coefficients must lie in [0, 2**61 - 1);
+    `eval_many` refuses other inputs, and the constructor other coefficients.
     `f1sketch.oracle.expected_hash` is the scalar reference.
     """
 
     __slots__ = ("coefficients", "range_size", "_coeff_rows")
 
     def __init__(self, coefficients, range_size: int):
-        coefficients = [int(c) % MERSENNE61 for c in coefficients]
-        if not coefficients:
-            raise ValueError("need at least one coefficient (t >= 1)")
+        rows = field_coeffs([coefficients])
         if not 1 <= range_size <= MERSENNE61:
             raise ValueError("range_size must lie in [1, 2**61 - 1]")
-        self.coefficients = tuple(coefficients)
+        self.coefficients = tuple(rows[0].tolist())
         self.range_size = range_size
-        self._coeff_rows = np.array([coefficients], dtype=np.uint64)
+        self._coeff_rows = rows
 
     @classmethod
     def from_seed(cls, key: bytes, t: int, n: int, range_size: int) -> "KWiseHash":
         """Draw a t-wise independent hash [n] -> [range_size] from a PRF key."""
-        if t < 1:
-            raise ValueError("independence degree t must be >= 1")
-        if n < 1 or range_size < 1:
-            raise ValueError("domain and range sizes must be >= 1")
-        if n >= MERSENNE61:
-            raise ValueError("domain size n must be below 2**61 - 1, the hash field size")
+        if not 1 <= n < MERSENNE61:
+            raise ValueError("domain size n must be >= 1 and below 2**61 - 1, the hash field size")
         return cls(seeds.field_elements(key, t, MERSENNE61), range_size)
 
     def eval_many(self, items: np.ndarray) -> np.ndarray:

@@ -332,6 +332,35 @@ def test_exact_f1_equals_the_dense_oracle(dist, turnstile):
     assert exact_f1_of(stream) == float(state.moment(1.0))
 
 
+@pytest.mark.parametrize("n", [1000, 10**6, 10**12])
+def test_exact_f1_follows_the_records_in_both_regimes(n, tmp_path):
+    # 2,000 records sum by item over [1, 1000] and by rank over the wider
+    # domains, past any dense vector at n = 10**12; the oracle holds the
+    # items renumbered by rank, which keeps every |f_i|
+    rng = np.random.default_rng(7)
+    pool = np.unique(np.concatenate([[1, n], rng.integers(1, n + 1, size=300)]))
+    items = rng.choice(pool, size=2000)
+    deltas = rng.integers(-9, 10, size=2000)
+    items = np.concatenate([items, pool[:50], pool[:50]])  # 50 items cancel to 0
+    deltas = np.concatenate([deltas, np.full(50, 7), np.full(50, -7)])
+    path = tmp_path / "s.txt"
+    path.write_text(f"# n={n}\n" + "".join(f"{i} {v}\n" for i, v in zip(items, deltas)))
+    stream = read_stream(str(path))
+    uniq, rank = np.unique(items, return_inverse=True)
+    state = ExactState(uniq.size)
+    state.update_many(rank + 1, deltas)
+    assert stream.n == n and exact_f1_of(stream) == float(state.moment(1.0)) > 0
+
+
+def test_eval_refuses_fewer_than_one_trial(tmp_path, capsys):
+    path = gen(tmp_path, m=100)
+    out_csv = tmp_path / "rows.csv"
+    code, out = run_cli("eval", path, "--epsilon", "0.5", "--trials", "0",
+                        "--out", str(out_csv), capsys=capsys)
+    assert code == 1 and out.err == "error: need at least one trial\n"
+    assert not out_csv.exists()
+
+
 def test_eval_refuses_fewer_than_one_job(tmp_path, capsys):
     path = gen(tmp_path, m=100)
     for jobs in ("0", "-3"):

@@ -190,6 +190,14 @@ def test_top_k_ties_break_to_smaller_index():
     assert items == [4, 9, 30]
 
 
+def test_ranking_refuses_a_negative_k():
+    t = make_table()
+    update(t, 1, 2)
+    for rank in (t.top_k, t.f2_residual_estimate):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            rank(-1)
+
+
 def test_top_k_beyond_touched_returns_all():
     t = make_table()
     update(t, 1, 2)

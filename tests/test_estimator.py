@@ -4,7 +4,7 @@ import resource
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from f1sketch import (Estimator, EstimatorConfig, SketchInvariantError, estimator, generate,
                       hashing, seeds)
@@ -927,12 +927,12 @@ def test_flush_partitions_keep_counters_and_near_stable_cells(records, cuts):
 # -- dense aggregation and the per-update cell count ----------------------------
 
 
-def numpy_dense_sums(items, deltas, n):
-    """`estimator._dense_sums` through the numpy twin of `dense_sums64`."""
+def numpy_aggregate(items, deltas, n):
+    """`estimator._aggregate` through the numpy twin of `dense_sums64`."""
     kernel = hashing._kernel
     hashing._kernel = None
     try:
-        return estimator._dense_sums(items, deltas, n)
+        return estimator._aggregate(items, deltas, n)
     finally:
         hashing._kernel = kernel
 
@@ -943,25 +943,26 @@ INT64 = st.integers(-2**63, 2**63 - 1)
 @given(st.lists(st.tuples(st.integers(1, 300), st.one_of(st.integers(-5, 5), INT64)),
                 min_size=1, max_size=120),
        st.integers(0, 2000))
+@example(records=[(1, 5), (2, 2**63 - 1), (1, -5), (2, 1), (3, 4)], extra=0)
+@example(records=[(1, 5), (2, 2**63 - 1), (1, -5), (2, 1), (3, 4)], extra=2000)
 @settings(max_examples=80, deadline=None)
 def test_dense_and_sorted_aggregation_agree(records, extra):
-    # n = largest item + extra falls on both sides of flush's n <= 4 * records
-    # cut-over; small deltas make cancelling (net-zero) items common, and
+    # n = largest item + extra falls on both sides of `_aggregate`'s
+    # n <= 4 * records cut-over, where it indexes the sums by item or by
+    # rank; small deltas make cancelling (net-zero) items common, and
     # full-range ones make int64 sums wrap
     items = np.array([i for i, _ in records], dtype=np.int64)
     deltas = np.array([v for _, v in records], dtype=np.int64)
     n = int(items.max()) + extra
-    dense = estimator._dense_sums(items, deltas, n)
-    ordered = estimator._sorted_sums(items, deltas)
-    reference = numpy_dense_sums(items, deltas, n)
-    assert [a.dtype for a in dense] == [a.dtype for a in ordered] == [np.int64] * 2
-    assert [a.tobytes() for a in dense] == [a.tobytes() for a in ordered]
-    assert [a.tobytes() for a in dense] == [a.tobytes() for a in reference]
+    got = estimator._aggregate(items, deltas, n)
+    reference = numpy_aggregate(items, deltas, n)
+    assert [a.dtype for a in got] == [a.dtype for a in reference] == [np.int64] * 2
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in reference]
     sums = {}
     for i, v in records:
         sums[i] = (sums.get(i, 0) + v + 2**63) % 2**64 - 2**63
-    assert ordered[0].tolist() == sorted(sums)
-    assert ordered[1].tolist() == [sums[i] for i in sorted(sums)]
+    assert got[0].tolist() == sorted(sums)
+    assert got[1].tolist() == [sums[i] for i in sorted(sums)]
 
 
 def test_kernel_dense_sums_refuse_items_outside_the_arrays():
@@ -1274,6 +1275,8 @@ def test_ints_beyond_int64_are_refused_with_value_error():
             est.update_many(np.array([1, 2]), np.array([3, bad], dtype=object))
         with pytest.raises(ValueError, match="items"):
             est.update_many([1, bad], [3, 4])
+        with pytest.raises(ValueError, match="items"):  # numpy's cast overflows
+            est.update_many(np.array([[1, bad]], dtype=object), np.array([[3, 4]]))
         assert est.touched_items().size == 0
 
 

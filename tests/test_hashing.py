@@ -65,6 +65,10 @@ def test_rejects_bad_parameters():
         KWiseHash([1], range_size=0)
     with pytest.raises(ValueError):
         KWiseHash([1], range_size=MERSENNE61 + 1)  # range wider than field
+    # a coefficient outside the field is refused, not reduced or truncated
+    for bad in ([1.5], [-1], [2**61 + 2], [True], [1.5, -1, 2**61 + 2]):
+        with pytest.raises(ValueError, match="coefficients below 2\\*\\*61 - 1"):
+            KWiseHash(bad, range_size=7)
 
 
 def test_hand_evaluated_polynomial():
@@ -266,6 +270,40 @@ def test_stacked_rows_equal_single_rows(monkeypatch):
                     (coeffs, range_size, x.reshape(-1, 1))):
             with pytest.raises(ValueError):  # checked before the kernel sees a pointer
                 hashing.horner_rows(*bad)
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, MERSENNE61, 2**64 - 1])
+def test_every_entry_point_refuses_a_coefficient_outside_the_field(bad, monkeypatch):
+    # past 2**61 - 1 the kernel and numpy disagree, so both paths refuse
+    # it, in a list and, when it is whole, in an int64 or uint64 array
+    items, deltas = np.array([1, MERSENNE61 - 1]), np.array([3, -1])
+    matrices = [[[3, bad, 5]]]
+    if float(bad).is_integer():
+        matrices += [np.array([[3, bad, 5]], dtype=np.int64 if bad < 0 else np.uint64)]
+    for kernel, coeffs in itertools.product(PATHS, matrices):
+        monkeypatch.setattr(hashing, "_kernel", kernel)
+        cells = np.zeros((1, 7), dtype=np.int64)
+        with pytest.raises(ValueError, match="coefficients below 2\\*\\*61 - 1"):
+            hashing.horner_rows(coeffs, 1000, items)
+        with pytest.raises(ValueError, match="coefficients below 2\\*\\*61 - 1"):
+            hashing.scatter_signed(coeffs, items, deltas, cells, 1 << 62, True)
+        with pytest.raises(ValueError, match="coefficients below 2\\*\\*61 - 1"):
+            KWiseHash(coeffs[0], range_size=1000)
+        with pytest.raises(ValueError, match="coefficients below 2\\*\\*61 - 1"):
+            CountSketchTable(coeffs, 7)
+        assert not cells.any()
+
+
+def test_coefficients_on_which_the_paths_disagree_are_refused_on_both(monkeypatch):
+    # unchecked, item 2**61 - 2 went to bucket 14 on the kernel and 206 on
+    # numpy, and a -1 was read as 2**64 - 1 without complaint
+    for kernel in PATHS:
+        monkeypatch.setattr(hashing, "_kernel", kernel)
+        with pytest.raises(ValueError):
+            hashing.horner_rows(np.array([[2**64 - 1, 2**64 - 1, 5]], dtype=np.uint64), 1000,
+                                np.array([MERSENNE61 - 1]))
+        with pytest.raises(ValueError):
+            hashing.horner_rows(np.array([[-1, 2]]), 1000, np.array([3]))
 
 
 def test_package_imports_and_agrees_without_a_compiler(tmp_path):

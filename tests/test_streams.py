@@ -483,7 +483,7 @@ def test_distribution_parsing():
     assert Distribution.parse("planted(3, 10, 2)") == Distribution("planted", (3, 10, 2))
     assert Distribution.parse("uniform") == Distribution("uniform", ())
     for bad in ("nope", "zipf(1,2)", "planted(1)", "uniform(3)", "zipf(0)",
-                "planted(0,5,5)", "zipf(1.1"):
+                "planted(0,5,5)", "zipf(1.1", "adversarial(1)"):
         with pytest.raises(ValueError):
             Distribution.parse(bad)
 
@@ -495,3 +495,7 @@ def test_generate_validation():
         generate("uniform", n=5, m=0, seed=1)
     with pytest.raises(ValueError):
         generate("planted(10,100,5)", n=10, m=20, seed=1)  # heavy_count >= n
+    with pytest.raises(ValueError, match="cannot pad"):  # 10 unit records cannot split
+        generate("planted(1,1,1)", n=10, m=20, seed=1)
+    with pytest.raises(ValueError, match="unknown distribution 'nope'"):
+        generate(Distribution("nope", ()), n=10, m=20, seed=1)  # built past `parse`
