@@ -72,9 +72,9 @@ def exact_f1_of(stream: Stream) -> float:
     """Exact F1 of a stream from its aggregated records, so memory follows
     the records, not the declared domain. The per-item int64 sums wrap as
     `ExactState`'s do, and the sum of magnitudes is exact before the one
-    rounding to float."""
+    rounding to float; read as uint64, the magnitude of -2**63 is 2**63."""
     _, sums = _aggregate(stream.items, stream.deltas, stream.n)
-    return float(sum(np.abs(sums).tolist()))
+    return float(sum(np.abs(sums).view(np.uint64).tolist()))
 
 
 def _cmd_generate(args) -> int:

@@ -106,7 +106,7 @@ class CountSketchTable:
     """
 
     def __init__(self, coeffs, cols: int):
-        coeffs = hashing.field_coeffs(coeffs)
+        coeffs = hashing.field_coeffs(coeffs).copy()  # its own, frozen below
         if not 1 <= cols < 1 << 31:
             raise ValueError("cols must lie in [1, 2**31), so a packed cell fits 32 bits")
         coeffs.flags.writeable = False

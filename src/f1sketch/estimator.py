@@ -29,7 +29,6 @@ from . import hashing, records, seeds
 from .countsketch import (CountSketchTable, SketchInvariantError, batch_reaches_limit,
                           zeroed_cells)
 from .hashing import MERSENNE61, KWiseHash
-from .records import integer_array
 from .stable import StableVariateSource, stability_constant
 
 # an estimator whose sketch arrays would exceed this is rejected up front
@@ -45,13 +44,18 @@ def _aggregate(items: np.ndarray, deltas: np.ndarray, n: int) -> tuple[np.ndarra
     An item is present when it has a record, so items whose deltas cancel
     are kept. The sums are indexed by item when n <= 4 * records, where an
     (n + 1)-array is O(records) scratch, and by rank among the distinct
-    items otherwise."""
+    items otherwise. ValueError for an item outside [1, n], checked on the
+    sorted distinct items."""
     if n <= 4 * items.size:
-        sums, seen = hashing.dense_sums(items, deltas, n + 1)
+        sums, seen = hashing.dense_sums(items, deltas, n + 1)  # refuses items past n
         uniq = np.flatnonzero(seen)
-        return uniq, sums[uniq]
-    uniq, rank = np.unique(items, return_inverse=True)
-    return uniq, hashing.dense_sums(rank, deltas, uniq.size)[0]
+        sums = sums[uniq]
+    else:
+        uniq, rank = np.unique(items, return_inverse=True)
+        sums = hashing.dense_sums(rank, deltas, uniq.size)[0]
+    if uniq.size and (uniq[0] < 1 or uniq[-1] > n):
+        raise ValueError(f"item {uniq[0] if uniq[0] < 1 else uniq[-1]} outside domain [1, {n}]")
+    return uniq, sums
 
 
 @dataclass(frozen=True)
@@ -209,8 +213,8 @@ class StableTable:
 class Estimator(records.RecordBuffer):
     """Streaming F1 estimator; see module docstring for the structure.
 
-    Scalar records from `update` wait in the record buffer it inherits
-    (`f1sketch.records`); arrays from `update_many` wait in a list."""
+    Records from `update` and `update_many` wait in the record buffer it
+    inherits (`f1sketch.records`) until a flush takes them as one pair."""
 
     def __init__(self, config: EstimatorConfig):
         self.config = config
@@ -233,33 +237,16 @@ class Estimator(records.RecordBuffer):
         self.heavy_hitters = CountSketchTable.from_seed(
             seeds.derive_key(key, "hh"), c.hh_depth, c.width, c.n, role="hh")
         self._open(c.n)
-        self._pending_batches: list[tuple[np.ndarray, np.ndarray]] = []
         self._updates = 0
         self._ingest_ns = 0
 
     # -- ingestion ---------------------------------------------------------
 
-    # one C call a record on the compiled buffer: update(i, v) applies one
-    # turnstile record, refusing an item outside [1, n] at the call and a
-    # non-integer item or delta at the next flush
+    # the record buffer's own methods, so a class patch reaches every call:
+    # update(i, v) applies one turnstile record, update_many(items, deltas)
+    # 1-D arrays of them; see `f1sketch.records` for what each refuses
     update = records.RecordBuffer.push
-
-    def update_many(self, items: np.ndarray, deltas: np.ndarray) -> None:
-        """Apply a batch of records (order of records never matters).
-
-        `items` and `deltas` are 1-D arrays of one shape, one delta per
-        item. Raises ValueError, and buffers nothing, when they are not, or
-        when an item is outside [1, n] or any entry is not integer-valued.
-        """
-        items = integer_array(items, "items")
-        deltas = integer_array(deltas, "deltas")
-        if items.ndim != 1 or deltas.shape != items.shape:
-            raise ValueError("items and deltas must be 1-D arrays of one shape, "
-                             "one delta per item")
-        if items.size and (items.min() < 1 or items.max() > self.config.n):
-            bad = items[(items < 1) | (items > self.config.n)][0]
-            raise ValueError(f"item {bad} outside domain [1, {self.config.n}]")
-        self._pending_batches.append((items, deltas))
+    update_many = records.RecordBuffer.push_many
 
     def flush(self) -> None:
         """Materialize buffered records into the sketch cells.
@@ -274,20 +261,16 @@ class Estimator(records.RecordBuffer):
         touching the sketch, when the batch's total magnitude reaches 2**62:
         summing such deltas could wrap int64 before any counter guard runs.
         Raises ValueError, and drops the batch the same way, when a record
-        buffered by `update` has a non-integer item or delta. The
-        `updates` diagnostic counts only the records of flushes that
+        buffered by `update` has a non-integer item or delta, or an item of
+        an `update_many` array changed since the call is outside [1, n].
+        The `updates` diagnostic counts only the records of flushes that
         succeeded.
         """
         t0 = time.perf_counter_ns()
-        batches, self._pending_batches = self._pending_batches, []
-        batches += self._take()
-        if not batches:
+        taken = self._take()
+        if taken is None:
             return
-        if len(batches) == 1:
-            items, deltas = batches[0]
-        else:
-            items = np.concatenate([b[0] for b in batches])
-            deltas = np.concatenate([b[1] for b in batches])
+        items, deltas = taken
         if batch_reaches_limit(deltas):
             raise SketchInvariantError("batch magnitude would overflow counters")
         uniq, agg = _aggregate(items, deltas, self.config.n)

@@ -188,16 +188,24 @@ def _field_items(items) -> np.ndarray:
 
 
 def field_coeffs(coeffs) -> np.ndarray:
-    """A matrix of integer coefficients, one polynomial a row, as a fresh
-    C-contiguous uint64 array; ValueError unless it has a row and a column
-    and each lies in [0, 2**61 - 1), past which the kernel and numpy disagree."""
+    """A matrix of integer coefficients, one polynomial a row, as a
+    C-contiguous uint64 array, `coeffs` itself when it already is one;
+    ValueError unless it has a row and a column and each lies in
+    [0, 2**61 - 1), past which the kernel and numpy disagree."""
     c = np.asarray(coeffs)
     if c.ndim == 2 and c.size and c.dtype.kind in "iu":
         # as uint64 a negative coefficient is at least 2**63: one maximum checks both ends
-        c = c.astype(np.uint64, order="C")
+        c = c.astype(np.uint64, order="C", copy=False)
         if c.max() < MERSENNE61:
             return c
     raise ValueError("need a non-empty 2-D matrix of coefficients below 2**61 - 1")
+
+
+def field_range(range_size) -> int:
+    """`range_size` as an int; ValueError unless an integer in [1, 2**61 - 1]."""
+    if not isinstance(range_size, (int, np.integer)) or not 1 <= range_size <= MERSENNE61:
+        raise ValueError("range_size must be an integer in [1, 2**61 - 1]")
+    return int(range_size)
 
 
 # -- the routines' numpy twins, each next to the wrapper that runs it ----------
@@ -225,10 +233,9 @@ def horner_rows(coeffs: np.ndarray, range_size: int, x: np.ndarray) -> np.ndarra
     or a range that is not an integer in [1, 2**61 - 1], on either path."""
     x = _field_items(x)
     coeffs = field_coeffs(coeffs)
-    if not isinstance(range_size, (int, np.integer)) or not 1 <= range_size <= MERSENNE61:
-        raise ValueError("horner_rows needs one integer range in [1, 2**61 - 1]")
+    m = field_range(range_size)
     out = np.empty((coeffs.shape[0], x.size), dtype=np.int64)
-    _run("horner61", coeffs, int(range_size), coeffs.shape[0], coeffs.shape[1], x, x.size, out)
+    _run("horner61", coeffs, m, coeffs.shape[0], coeffs.shape[1], x, x.size, out)
     return out
 
 
@@ -779,10 +786,8 @@ class KWiseHash:
 
     def __init__(self, coefficients, range_size: int):
         rows = field_coeffs([coefficients])
-        if not 1 <= range_size <= MERSENNE61:
-            raise ValueError("range_size must lie in [1, 2**61 - 1]")
+        self.range_size = field_range(range_size)
         self.coefficients = tuple(rows[0].tolist())
-        self.range_size = range_size
         self._coeff_rows = rows
 
     @classmethod

@@ -53,17 +53,16 @@ class ExactState:
     # -- exact quantities ----------------------------------------------------
 
     def _sorted_magnitudes(self) -> list[int]:
-        """|f| in the residual order: larger magnitude first, ties to the
-        smaller item index."""
-        mags = np.abs(self.frequencies)
-        order = np.lexsort((np.arange(self.n), -mags))
-        return [int(m) for m in mags[order]]
+        """|f| as uint64, so |-2**63| is 2**63, in the residual order: larger
+        magnitude first, ties to the smaller item index."""
+        mags = np.abs(self.frequencies).view(np.uint64)
+        return [int(m) for m in mags[np.argsort(~mags, kind="stable")]]
 
     def moment(self, p: float) -> float:
         """F_p = sum |f_i|^p; exact integer arithmetic for integral p."""
         if p <= 0:
             raise ValueError("moment order must be positive")
-        mags = np.abs(self.frequencies)
+        mags = np.abs(self.frequencies).view(np.uint64)
         if float(p).is_integer():
             return sum(int(m) ** int(p) for m in mags if m)
         return float((mags[mags > 0].astype(float) ** p).sum())
@@ -82,7 +81,7 @@ class ExactState:
         mask = np.ones(self.n, dtype=bool)
         for i in removed:
             mask[int(i) - 1] = False
-        mags = np.abs(self.frequencies[mask])
+        mags = np.abs(self.frequencies[mask]).view(np.uint64)
         if float(p).is_integer():
             return sum(int(m) ** int(p) for m in mags if m)
         return float((mags[mags > 0].astype(float) ** p).sum())

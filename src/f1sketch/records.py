@@ -1,20 +1,21 @@
-"""The scalar record buffer behind `Estimator.update`.
+"""The record buffer behind `Estimator.update` and `update_many`.
 
-`Estimator` inherits `RecordBuffer`, and its `update` is the buffer's
-`push`. The compiled buffer, `records.c` next to this module, keeps each
-record whose item and delta are exact ints within int64 in two int64
-arrays, so a record costs one C call and a flush reads the arrays with no
-per-element conversion. Any other record (a bool, a float, a numpy
-integer, an int past int64) goes to the Python path, `TwinBuffer`, which
-keeps records in lists and reads them at flush through `_int64_list`.
-Either way an item outside [1, n] is refused at the call, a non-integer
-item or delta at the next flush, with the same exception and message.
+`Estimator` inherits `RecordBuffer`, its `update` and `update_many` being
+the buffer's `push` and `push_many`. `TwinBuffer` keeps each `push_many`
+batch as its int64 arrays and each `push` record in lists. The compiled
+type, `records.c` next to this module, is a base of the loaded class: its
+`push` keeps a record whose item and delta are exact ints within int64 in
+two int64 arrays, one C call a record, and hands any other record (a bool,
+a float, a numpy integer, an int past int64) to `TwinBuffer`'s lists.
+`_take` returns every pending record as one (items, deltas) pair. Either
+way an item outside [1, n] is refused at the call, a non-integer item or
+delta at the next flush, with the same exception and message.
 
-The buffer is built as a CPython extension by `hashing`'s compile path into
-the same cache, keyed also on the interpreter's extension suffix, and loaded
-only when it agrees with `TwinBuffer` on the records of `_SPOT_RECORDS`.
-With no compiler, no `Python.h` or a disagreeing build, `RecordBuffer` is
-`TwinBuffer`; `RECORDS_BACKEND` names the one in use.
+The compiled type is built as a CPython extension by `hashing`'s compile
+path into the same cache, keyed also on the interpreter's extension suffix,
+and loaded only when it agrees with `TwinBuffer` on the records of
+`_SPOT_RECORDS`. With no compiler, no `Python.h` or a disagreeing build,
+`RecordBuffer` is `TwinBuffer`; `RECORDS_BACKEND` names the one in use.
 """
 
 from __future__ import annotations
@@ -84,12 +85,14 @@ def _int64_list(values: list, name: str) -> np.ndarray:
 
 
 class TwinBuffer:
-    """Scalar records in Python lists: the buffer's Python path, and its
-    twin when the compiled buffer is not in use."""
+    """Every pending record of an estimator: arrays from `push_many` as
+    batches, scalar records from `push` in Python lists. It is the whole
+    buffer when the compiled type is not in use, and its base otherwise."""
 
     def _open(self, n: int) -> None:
         """Start an empty buffer over the domain [1, n]."""
         self._domain = n
+        self._batches: list[tuple[np.ndarray, np.ndarray]] = []
         self._pending_items: list = []
         self._pending_deltas: list = []
 
@@ -104,34 +107,44 @@ class TwinBuffer:
 
     push = _object_push
 
-    def _take(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The buffered records as (items, deltas) int64 array pairs, and
-        the buffer emptied. ValueError, with every buffered record dropped,
-        when one is not an integer within int64."""
-        items, deltas = self._pending_items, self._pending_deltas
-        if not items:
-            return []
-        self._pending_items, self._pending_deltas = [], []
-        return [(_int64_list(items, "items"), _int64_list(deltas, "deltas"))]
+    def push_many(self, items: np.ndarray, deltas: np.ndarray) -> None:
+        """Apply a batch of records (order of records never matters).
 
+        `items` and `deltas` are 1-D arrays of one shape, one delta per
+        item. Raises ValueError, and buffers nothing, when they are not, or
+        when an item is outside [1, n] or any entry is not integer-valued.
+        An int64 array is kept, not copied, so it must not change before the
+        next flush, which refuses an item it then finds outside [1, n].
+        """
+        items = integer_array(items, "items")
+        deltas = integer_array(deltas, "deltas")
+        if items.ndim != 1 or deltas.shape != items.shape:
+            raise ValueError("items and deltas must be 1-D arrays of one shape, "
+                             "one delta per item")
+        if items.size and (items.min() < 1 or items.max() > self._domain):
+            bad = items[(items < 1) | (items > self._domain)][0]
+            raise ValueError(f"item {bad} outside domain [1, {self._domain}]")
+        self._batches.append((items, deltas))
 
-def _compiled(module) -> type:
-    """The buffer class over the extension `module`'s type: its `push`, and
-    `TwinBuffer`'s path for the records that `push` hands on."""
+    def _take_exact(self) -> None:
+        """The compiled type's records, which this buffer never holds."""
+        return None
 
-    class CompiledBuffer(module.Records, TwinBuffer):
-        """Scalar records in the compiled type's int64 arrays, and the
-        records it hands on in `TwinBuffer`'s lists."""
-
-        def _take(self) -> list[tuple[np.ndarray, np.ndarray]]:
-            exact = self._take_exact()
-            batches = TwinBuffer._take(self)
-            if exact is None:
-                return batches
-            pairs = np.frombuffer(exact, dtype=np.int64).reshape(2, -1)
-            return [*batches, (pairs[0], pairs[1])]
-
-    return CompiledBuffer
+    def _take(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Every pending record as one (items, deltas) int64 pair, or None
+        if there is none, and the buffer emptied: the batches, the lists,
+        then the compiled type's records. ValueError, with every pending
+        record dropped, when a listed one is not an integer within int64."""
+        exact = self._take_exact()
+        batches, items, deltas = self._batches, self._pending_items, self._pending_deltas
+        self._batches, self._pending_items, self._pending_deltas = [], [], []
+        if items:
+            batches.append((_int64_list(items, "items"), _int64_list(deltas, "deltas")))
+        if exact is not None:
+            batches.append(tuple(np.frombuffer(exact, dtype=np.int64).reshape(2, -1)))
+        if len(batches) < 2:
+            return batches[0] if batches else None
+        return tuple(np.concatenate(part) for part in zip(*batches))
 
 
 # records that every buffer must refuse or take as `TwinBuffer` does, over
@@ -169,9 +182,8 @@ def _agrees(cls) -> bool:
         for buffer in buffers:
             pushed = [_outcome(lambda: buffer.push(i, v)) for i, v in records]
             kind, taken = _outcome(buffer._take)
-            if kind == "ok":
-                taken = sorted(pair for items, deltas in taken
-                               for pair in zip(items.tolist(), deltas.tolist()))
+            if kind == "ok" and taken is not None:
+                taken = sorted(zip(taken[0].tolist(), taken[1].tolist()))
             outcomes.append((pushed, kind, taken, _outcome(buffer._take)))
         if outcomes[0] != outcomes[1]:
             return False
@@ -201,7 +213,7 @@ def _load():
         spec = importlib.util.spec_from_file_location(loader.name, path, loader=loader)
         module = importlib.util.module_from_spec(spec)
         loader.exec_module(module)
-        cls = _compiled(module)
+        cls = type("CompiledBuffer", (module.Records, TwinBuffer), {})
     except (OSError, ImportError, AttributeError):  # no compiler, bad library
         return None
     return cls if _agrees(cls) else None

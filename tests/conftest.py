@@ -21,13 +21,16 @@ LIGHT_TRIALS = 500
 
 
 def pytest_report_header(config):
-    # the line count of `cat src/f1sketch/*.py src/f1sketch/*.c | wc -l`
-    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "f1sketch"
-    lines = sum(f.read_bytes().count(b"\n")
-                for pattern in ("*.py", "*.c") for f in package.glob(pattern))
+    # the line counts of `cat src/f1sketch/*.py src/f1sketch/*.c | wc -l`
+    # and of `cat tests/*.py | wc -l`
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src, tests = (sum(f.read_bytes().count(b"\n") for pattern in patterns
+                      for f in (root / directory).glob(pattern))
+                  for directory, patterns in (("src/f1sketch", ("*.py", "*.c")),
+                                              ("tests", ("*.py",))))
     return (f"f1sketch kernel routines ({', '.join(hashing._ROUTINES)}): "
             f"{hashing.KWISE_BACKEND}; record buffer: {records.RECORDS_BACKEND}; "
-            f"src lines: {lines}")
+            f"src lines: {src}; test lines: {tests}")
 
 
 def pytest_terminal_summary(terminalreporter, config):
@@ -41,7 +44,6 @@ class TwinEstimator(Estimator):
     `records.TwinBuffer`, for every record, whichever buffer is loaded."""
 
     update = records.TwinBuffer.push
-    _take = records.TwinBuffer._take
 
 
 @pytest.fixture(scope="session")

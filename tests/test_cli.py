@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from f1sketch import Estimator, EstimatorConfig, generate, read_stream
-from f1sketch.cli import CSV_HEADER, build_parser, exact_f1_of, main
+from f1sketch.cli import CSV_HEADER, build_parser, exact_f1_of, main, run_trial
 from f1sketch.oracle import ExactState
+from f1sketch.streams import Stream
 
 
 def run_cli(*args, capsys=None):
@@ -62,6 +63,8 @@ def test_run_row_is_pinned(oracle, tmp_path, capsys):
     assert row.startswith(f"{head}{r.heavy!r},{r.light!r},{r.heavy_count},")
     assert row.count(",") == 8 and float(row.rsplit(",", 1)[1]) > 0
     assert ("relative error" in out.out) == oracle
+    rel_err = run_trial(stream, 0.5, 3, exact if oracle else None).rel_err
+    assert rel_err == (abs(r.total - exact) / exact if oracle else None)
 
 
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
@@ -350,6 +353,17 @@ def test_exact_f1_follows_the_records_in_both_regimes(n, tmp_path):
     state = ExactState(uniq.size)
     state.update_many(rank + 1, deltas)
     assert stream.n == n and exact_f1_of(stream) == float(state.moment(1.0)) > 0
+
+
+def test_exact_f1_reads_a_sum_of_minus_2_63_as_magnitude_2_63():
+    # int64's abs(-2**63) is -2**63 itself; read as uint64 it is 2**63
+    stream = Stream(3, np.array([1, 1, 2]), np.array([-2**63 + 1, -1, 5]))
+    state = ExactState(stream.n)
+    state.update_many(stream.items, stream.deltas)
+    assert state.moment(1.0) == 2**63 + 5 and exact_f1_of(stream) == float(2**63 + 5)
+    assert state.moment(0.5) == 2.0**31.5 + 5**0.5
+    assert state.residual(1.0, 0) == 2**63 + 5 and state.residual(1.0, 1) == 5
+    assert state.residual_of_set(1.0, [2]) == 2**63 and state.residual_of_set(1.0, [1]) == 5
 
 
 def test_eval_refuses_fewer_than_one_trial(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import resource
@@ -754,6 +755,22 @@ def test_a_sequence_passed_as_one_delta_is_refused_at_flush(record_paths):
                     assert est.touched_items().size == 0 and not est.table.cells.any()
                     est.update(4, 2)
                     assert est.touched_items().tolist() == [4]
+
+
+@pytest.mark.parametrize("n", [10, 10**6])  # summed by item, and by rank
+def test_flush_refuses_an_update_many_item_changed_after_the_call(n, record_paths):
+    # the batch is kept, not copied: an item changed to 0 or n + 1 before
+    # the flush is refused there, and every pending record is dropped
+    for cls, bad in itertools.product(record_paths, (0, n + 1)):
+        est = build(n=n, cls=cls)
+        items = np.array([1, 2, 3])
+        est.update_many(items, np.array([5, 7, 1]))
+        est.update(4, 2)
+        items[0] = bad
+        with pytest.raises(ValueError, match="outside"):
+            est.flush()
+        assert not any(t.cells.any() for t in (est.table, est.countsketch, est.heavy_hitters))
+        assert est.touched_items().size == 0 and est.estimate().diagnostics["updates"] == 0
 
 
 def test_update_many_refuses_a_batch_of_unequal_lengths_at_the_call():

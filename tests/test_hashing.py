@@ -65,6 +65,11 @@ def test_rejects_bad_parameters():
         KWiseHash([1], range_size=0)
     with pytest.raises(ValueError):
         KWiseHash([1], range_size=MERSENNE61 + 1)  # range wider than field
+    # the range is an integer, as `horner_rows` needs: numpy's are taken
+    for bad in (2.5, 7.0, "7", None):
+        with pytest.raises(ValueError, match="range_size must be an integer"):
+            KWiseHash([1], range_size=bad)
+    assert type(KWiseHash([1], range_size=np.int64(7)).range_size) is int
     # a coefficient outside the field is refused, not reduced or truncated
     for bad in ([1.5], [-1], [2**61 + 2], [True], [1.5, -1, 2**61 + 2]):
         with pytest.raises(ValueError, match="coefficients below 2\\*\\*61 - 1"):
@@ -264,12 +269,25 @@ def test_stacked_rows_equal_single_rows(monkeypatch):
         assert hashing.horner_rows(coeffs, range_size, x[:0]).shape == (len(rows), 0)
         # no bucket to reduce onto (the kernel would divide by 0), a range
         # past the field, arrays of ranges, no coefficients, items not a vector
-        for bad in ((coeffs, 0, x), (coeffs, MERSENNE61 + 1, x),
+        for bad in ((coeffs, 0, x), (coeffs, MERSENNE61 + 1, x), (coeffs, 2.5, x),
                     (coeffs, np.full(len(rows), range_size, dtype=np.uint64), x),
                     (coeffs, np.array([range_size]), x), (coeffs[:, :0], range_size, x),
                     (coeffs, range_size, x.reshape(-1, 1))):
             with pytest.raises(ValueError):  # checked before the kernel sees a pointer
                 hashing.horner_rows(*bad)
+
+
+def test_field_coeffs_takes_a_c_contiguous_uint64_matrix_as_it_is_and_still_checks_it():
+    # no copy per `horner_rows` or `scatter_signed` call; any other matrix
+    # is converted to one
+    mine = np.array([[3, 4], [5, 6]], dtype=np.uint64)
+    assert hashing.field_coeffs(mine) is mine
+    for other in (mine.astype(np.int64), mine.T, [[3, 4], [5, 6]]):
+        got = hashing.field_coeffs(other)
+        assert got is not other and got.dtype == np.uint64 and got.flags.c_contiguous
+    mine[1, 0] = MERSENNE61
+    with pytest.raises(ValueError, match="coefficients below 2\\*\\*61 - 1"):
+        hashing.field_coeffs(mine)
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5, MERSENNE61, 2**64 - 1])
@@ -593,6 +611,20 @@ def check_mutant_refused(old, new, tmp_path, monkeypatch):
     assert hashing._load_kernel() is not None
 
 
+def test_kernel_source_that_does_not_compile_loads_nothing_and_caches_nothing(
+        tmp_path, monkeypatch):
+    # with a compiler the build fails; without one there is nothing to run
+    source = hashing._HORNER_SOURCE + "\nnot C at all\n"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(hashing, "_HORNER_SOURCE", source)
+    assert hashing._load_kernel() is None
+    assert os.listdir(tmp_path / "f1sketch") == []
+    if shutil.which("gcc") is not None:
+        with pytest.raises(OSError, match="cannot compile"):
+            hashing._build_library(str(tmp_path / "f1sketch" / "x.so"), source, hashing._CFLAGS)
+        assert os.listdir(tmp_path / "f1sketch") == []
+
+
 def test_quiet_run_prints_the_backends_and_the_line_count():
     # -q hides the report header, so conftest prints its line in the summary
     root = pathlib.Path(hashing.__file__).parents[2]
@@ -602,4 +634,5 @@ def test_quiet_run_prints_the_backends_and_the_line_count():
                           cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert re.search(r"^f1sketch kernel routines \(horner61, .*\): (c-kernel|numpy); "
-                     r"record buffer: (c-type|python); src lines: \d+$", proc.stdout, re.MULTILINE)
+                     r"record buffer: (c-type|python); src lines: \d+; test lines: \d+$",
+                     proc.stdout, re.MULTILINE)

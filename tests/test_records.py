@@ -66,21 +66,37 @@ def test_both_paths_equal_one_batched_update_many(record_paths):
 
 def test_update_is_a_class_attribute_that_a_class_patch_reaches(monkeypatch):
     # the benchmark's tracer counts records by wrapping `Estimator.update`
-    # on the class
+    # and `update_many` on the class
     assert Estimator.__dict__["update"] is records.RecordBuffer.push
+    assert Estimator.__dict__["update_many"] is records.RecordBuffer.push_many
     est = Estimator(EstimatorConfig(accuracy=0.5, n=N, seed=1))
-    assert "update" not in vars(est)
+    assert "update" not in vars(est) and "update_many" not in vars(est)
     pushed = []
     original = Estimator.__dict__["update"]
+    original_many = Estimator.__dict__["update_many"]
 
     def counting(self, i, v):
         pushed.append(i)
         return original(self, i, v)
 
+    def counting_many(self, items, deltas):
+        pushed.extend(items)
+        return original_many(self, items, deltas)
+
     monkeypatch.setattr(Estimator, "update", counting)
+    monkeypatch.setattr(Estimator, "update_many", counting_many)
     est.update(3, 1)
     est.update(4, 2.0)
-    assert pushed == [3, 4] and est.touched_items().tolist() == [3, 4]
+    est.update_many([7, 5], [1, 1])
+    assert pushed == [3, 4, 7, 5] and est.touched_items().tolist() == [3, 4, 5, 7]
+
+
+def test_record_buffer_is_not_built_without_python_h(tmp_path, monkeypatch):
+    # an include directory with no Python.h, and an empty cache: no build
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(sysconfig, "get_paths", lambda: {"include": str(tmp_path)})
+    assert records._load() is None
+    assert not (tmp_path / "cache").exists()
 
 
 def test_cache_key_is_the_interpreters_extension_suffix():
