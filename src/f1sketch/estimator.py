@@ -44,10 +44,15 @@ def _aggregate(items: np.ndarray, deltas: np.ndarray, n: int) -> tuple[np.ndarra
     An item is present when it has a record, so items whose deltas cancel
     are kept. The sums are indexed by item when n <= 4 * records, where an
     (n + 1)-array is O(records) scratch, and by rank among the distinct
-    items otherwise. ValueError for an item outside [1, n], checked on the
-    sorted distinct items."""
+    items otherwise. ValueError naming an item outside [1, n]: the first in
+    the batch when `dense_sums` refuses it, else the smallest or largest
+    distinct item."""
     if n <= 4 * items.size:
-        sums, seen = hashing.dense_sums(items, deltas, n + 1)  # refuses items past n
+        try:
+            sums, seen = hashing.dense_sums(items, deltas, n + 1)
+        except ValueError:  # an item below 0 or past n, sought only on refusal
+            raise ValueError(f"item {items[(items < 1) | (items > n)][0]} "
+                             f"outside domain [1, {n}]") from None
         uniq = np.flatnonzero(seen)
         sums = sums[uniq]
     else:
@@ -114,7 +119,8 @@ class EstimatorConfig:
 
     @property
     def independence(self) -> int:
-        """Bucket-hash independence for the stable table: max(8, ceil(log2 1/eps^2))."""
+        """Independence of the stable table's bucket hash and of its three
+        variate hashes: max(8, ceil(log2 1/eps^2))."""
         return max(8, math.ceil(math.log2(1.0 / self.eps**2)))
 
     @property
@@ -230,7 +236,7 @@ class Estimator(records.RecordBuffer):
             c.width,
             KWiseHash.from_seed(seeds.derive_key(key, "u-bucket"),
                                 c.independence, c.n, c.width),
-            StableVariateSource(seeds.derive_key(key, "u-variates")),
+            StableVariateSource(seeds.derive_key(key, "u-variates"), c.independence),
         )
         self.countsketch = CountSketchTable.from_seed(
             seeds.derive_key(key, "cs"), c.table_depth, c.width, c.n, role="cs")

@@ -12,32 +12,31 @@ Hash objects are immutable after construction and safe to share across
 threads.
 
 A small C kernel, `kernel61.c` next to this module, read as text at import
-(`_HORNER_SOURCE`), has nine routines: `horner61` runs `eval_many`, every
-row of a coefficient matrix reduced onto one range; `scatter61` hashes
-CountSketch updates in blocks of 1,024 items, every row per block, adds
-each block's deltas and reads its cells back in loops of their own, and
-judges the cells written against the counter limit once the whole batch
-is added (`scatter_signed`);
-`abs_sum_reaches` is the exact integer overflow guard, whether a batch's
-sum of |delta| reaches 2**62; `stable_add3` adds delta * variate into the
-stable accumulators in item order (`stable_add`); `dense_sums64` sums a
-flush's records into dense arrays, by item or by rank (`dense_sums`);
-`philox_uniforms` draws the Philox uniforms behind the stable variates;
-`parse_plain` reads plain stream text; `medians61` reads the signed cells
-behind CountSketch point estimates and takes each item's median with a
-sorting network (`signed_medians`); and `skim61` removes the top items
-from CountSketch rows for the residual F2 (`skim_rows`). It is
-compiled once per machine with the local gcc into `$XDG_CACHE_HOME/f1sketch`
-(default `~/.cache/f1sketch`), under a file name keyed by a hash of the
-source, and loaded through ctypes when this module is imported.
+(`_HORNER_SOURCE`), has eight routines: `horner61` runs `eval_many`, every
+row of a coefficient matrix reduced onto one range (the stable variates'
+three rows onto 2**52 among them); `scatter61` hashes CountSketch updates
+in blocks of 1,024 items, every row per block, adds each block's deltas
+and reads its cells back in loops of their own, and judges the cells
+written against the counter limit once the whole batch is added
+(`scatter_signed`); `abs_sum_reaches` is the exact integer overflow
+guard, whether a batch's sum of |delta| reaches 2**62; `stable_add3` adds
+delta * variate into the stable accumulators in item order
+(`stable_add`); `dense_sums64` sums a flush's records into dense arrays,
+by item or by rank (`dense_sums`); `parse_plain` reads plain stream text;
+`medians61` reads the signed cells behind CountSketch point estimates and
+takes each item's median with a sorting network (`signed_medians`); and
+`skim61` removes the top items from CountSketch rows for the residual F2
+(`skim_rows`). It is compiled once per machine with the local gcc into
+`$XDG_CACHE_HOME/f1sketch` (default `~/.cache/f1sketch`), under a file
+name keyed by a hash of the source, and loaded through ctypes when this
+module is imported.
 
 On an x86-64 CPU with AVX-512F, `horner61` and `scatter61` hash 32 items
 per pass (`poly61x32`: four vectors of eight items, the mulmod in 32-bit
-limbs), `philox_uniforms` draws eight pairs per vector (`philox8`) and
-`medians61` sorts eight items' reads per vector (`median8`). The library
-is built for the baseline x86-64 and asks the CPU once, when it loads
-(`__builtin_cpu_supports`); other CPUs, and the items after the last full
-group, run the scalar body (`poly61`, `philox_c0c1`, one item at a time
+limbs), and `medians61` sorts eight items' reads per vector (`median8`).
+The library is built for the baseline x86-64 and asks the CPU once, when
+it loads (`__builtin_cpu_supports`); other CPUs, and the items after the
+last full group, run the scalar body (`poly61`, one item at a time
 through the same comparators), which gives the same bits. Ranges that
 are powers of two are reduced with a mask (`reduce61`).
 
@@ -405,82 +404,6 @@ def parse_plain(text: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     return None if count < 0 else (items[:count], deltas[:count])
 
 
-# Philox4x32-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-# 3", SC 2011): round multipliers and Weyl key increments
-PHILOX_M0, PHILOX_M1 = 0xD2511F53, 0xCD9E8D57
-PHILOX_W0, PHILOX_W1 = 0x9E3779B9, 0xBB67AE85
-PHILOX_ROUNDS = 10
-
-_LOW32 = np.uint64(0xFFFFFFFF)
-_32 = np.uint64(32)
-
-
-def philox4x32(c0, c1, c2, c3, k0: int, k1: int) -> tuple:
-    """Philox4x32-10 blocks for aligned counter words, one block per element.
-
-    Counter words are arrays of 32-bit values and (k0, k1) the 32-bit key
-    words; returns the four output words as uint64 arrays. Every 32x32-bit
-    product is exact in uint64, so a round is a few whole-array operations.
-    `f1sketch.oracle.expected_philox4x32` is the scalar reference.
-    """
-    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3))
-    for r in range(PHILOX_ROUNDS):
-        if r:
-            k0 = (k0 + PHILOX_W0) & 0xFFFFFFFF
-            k1 = (k1 + PHILOX_W1) & 0xFFFFFFFF
-        p0 = c0 * np.uint64(PHILOX_M0)
-        p1 = c2 * np.uint64(PHILOX_M1)
-        # (hi(p1) ^ c1 ^ k0, lo(p1), hi(p0) ^ c3 ^ k1, lo(p0)); in place on
-        # the fresh arrays only, never on the caller's counter words
-        c0 = p1 >> _32
-        c0 ^= c1
-        c0 ^= np.uint64(k0)
-        c2 = p0 >> _32
-        c2 ^= c3
-        c2 ^= np.uint64(k1)
-        p1 &= _LOW32
-        p0 &= _LOW32
-        c1, c3 = p1, p0
-    return c0, c1, c2, c3
-
-
-def _uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Uniform in (0, 1) from the 64-bit word hi:lo: its top 52 bits,
-    offset by half a step so neither end is reachable."""
-    return ((((hi << _32) | lo) >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0 ** -52
-
-
-def _philox_uniforms(buckets, items, n, k0, k1, out) -> None:
-    """Numpy twin of `philox_uniforms`: `philox4x32` over every slot of
-    every pair at once."""
-    x = items[:n].view(np.uint64)[:, None]
-    shape = (n, 3)
-    c0, c1, _, _ = philox4x32(
-        np.broadcast_to(x & _LOW32, shape),
-        np.broadcast_to(x >> _32, shape),
-        np.broadcast_to(buckets[:n, None].view(np.uint64) & _LOW32, shape),
-        np.broadcast_to(np.arange(3, dtype=np.uint64), shape),
-        k0, k1,
-    )
-    _view(out, n, 3)[:] = _uniform(c0, c1)
-
-
-def philox_uniforms(buckets: np.ndarray, items: np.ndarray, k0: int, k1: int) -> np.ndarray:
-    """The uniforms behind `stable.StableVariateSource`'s three variates of
-    each aligned (bucket, item) pair, as a (pairs, 3) float64 array: slot s
-    is the Philox4x32-10 block of counter (item mod 2**32, item // 2**32,
-    bucket, s) under key (k0, k1), its words c0:c1 made a uniform as
-    `_uniform` makes it (`philox_uniforms`). Items must be non-negative and
-    buckets below 2**32."""
-    b = np.ascontiguousarray(buckets, dtype=np.int64)
-    x = np.ascontiguousarray(items, dtype=np.int64)
-    if b.shape != x.shape or x.ndim != 1:
-        raise ValueError("philox_uniforms needs one bucket per item")
-    out = np.empty((x.size, 3))
-    _run("philox_uniforms", b, x, x.size, k0, k1, out)
-    return out
-
-
 def _packed_args(packed: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """`packed` as C-contiguous (items, rows) uint32 cells of the (rows, cols)
     C-contiguous int64 table `cells`; ValueError for any other shape."""
@@ -604,8 +527,6 @@ _ROUTINES = {
     "abs_sum_reaches": (_abs_sum_reaches, ctypes.c_int, [_P, _N, ctypes.c_uint64]),
     "stable_add3": (_stable_add3, ctypes.c_int, [_P, _N, _P, _P, _P, _N]),
     "dense_sums64": (_dense_sums64, ctypes.c_int, [_P, _P, _N, _P, _P, _N]),
-    "philox_uniforms": (_philox_uniforms, None,
-                        [_P, _P, _N, ctypes.c_uint32, ctypes.c_uint32, _P]),
     "parse_plain": (_parse_plain, ctypes.c_int64, [ctypes.c_char_p, _N, _P, _P, _N]),
     "medians61": (_medians61, ctypes.c_int, [_P, _N, _N, _P, _N, _P, _N, _P, _P]),
     "skim61": (_skim61, ctypes.c_int, [_P, _N, _N, _N, _N, _P, _P, _N, _P]),
@@ -636,12 +557,13 @@ def _spot_cases():
     x[0::2] = [0, 1, 2**32 - 1, 2**32, m61 - 1] * 7
     # full polynomials of coefficients near 2**61 - 1 (the first, at x = 1,
     # folds to 2**61 - 1 itself, which only the canonical subtract makes 0),
-    # then rows with leading zeros, at a power-of-two range and another
+    # then rows with leading zeros, at two power-of-two ranges (the second,
+    # the stable variates', masks above 32 bits) and another
     coeffs = np.array([[m61 - k for k in range(1, 8)] + [28],
                        [m61 - 1 - (k << 40) for k in range(8)],
                        [0, 0, 0, 0, m61 - 1, 0, 12345, m61 - 2],
                        [0, 0, 0, 0, 0, 0, 7, 1 << 60]], dtype=np.uint64)
-    for m in (8192, 11392):
+    for m in (8192, 11392, 1 << 52):
         yield "horner61", (coeffs, m, 4, 8, x, x.size, np.full((4, x.size), -7, dtype=i64))
     # the same items scattered under the full rows into 64 and 100 columns
     # (a second row as a margin), packed cells included
@@ -696,14 +618,6 @@ def _spot_cases():
     for length in (6, 5):
         yield "dense_sums64", (items, deltas, items.size, np.full(6, 9, dtype=i64),
                                np.full(6, 2, dtype=np.uint8), length)
-    # 19 pairs, two groups of 8 for the AVX-512 body and a tail of three;
-    # items past 2**32 take the second counter word
-    items = np.arange(19, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(1)
-    items[[0, 5, 10, 15, 16, 17, 18]] = 0, 2**32 - 1, 2**32, 7, (1 << 40) + 12345, (1 << 63) - 1, 1
-    buckets = (items * np.uint64(0xD1B54A32D192ED03) >> np.uint64(32)).view(i64)
-    buckets[[1, 16, 17, 18]] = (1 << 32) - 1, 1, (1 << 31) - 1, 0
-    yield "philox_uniforms", (buckets, items.view(i64), items.size, 0x89ABCDEF, 0x01234567,
-                              np.full((items.size, 3), -1.0))
     # the texts at a cap of six records, and the text in shape at five
     for text, cap in [(t, 6) for t in (_PARSE_SPOT, *_PARSE_DECLINED)] + [(_PARSE_SPOT, 5)]:
         yield "parse_plain", (text, len(text), np.full(6, -7, dtype=i64),

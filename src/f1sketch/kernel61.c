@@ -129,7 +129,8 @@ static inline size_t lanes61(const uint64_t *c, size_t t, const uint64_t *x, siz
 }
 
 /* v mod m for m >= 1: a mask when m is a power of two, as every table at
-   accuracy 0.5 is, sparing a 64-bit division per value. */
+   accuracy 0.5 and the stable variates' 2^52 are, sparing a 64-bit
+   division per value. */
 static inline uint64_t reduce61(uint64_t v, uint64_t m) {
     return m & (m - 1) ? v % m : v & (m - 1);
 }
@@ -279,97 +280,6 @@ ENTRY61 int dense_sums64(const int64_t *items, const int64_t *deltas, size_t n,
         seen[j] = 1;
     }
     return 0;
-}
-
-/* Output words c0:c1, as one 64-bit word, of the Philox4x32-10 block of
-   counter (c0, c1, c2, c3) under key (k0, k1) (Salmon et al., SC 2011). */
-static inline uint64_t philox_c0c1(uint32_t c0, uint32_t c1, uint32_t c2, uint32_t c3,
-                                   uint32_t k0, uint32_t k1) {
-    for (int r = 0; r < 10; r++) {
-        if (r) {
-            k0 += 0x9E3779B9u;
-            k1 += 0xBB67AE85u;
-        }
-        const uint64_t p0 = (uint64_t)c0 * 0xD2511F53u, p1 = (uint64_t)c2 * 0xCD9E8D57u;
-        c0 = (uint32_t)(p1 >> 32) ^ c1 ^ k0;
-        c2 = (uint32_t)(p0 >> 32) ^ c3 ^ k1;
-        c1 = (uint32_t)p1;
-        c3 = (uint32_t)p0;
-    }
-    return (uint64_t)c0 << 32 | c1;
-}
-
-#if defined(__x86_64__)
-/* One Philox4x32-10 round of eight blocks, as philox_c0c1 runs it, with
-   round keys k0 and k1: a word to a 64-bit lane, whose high half is left
-   as it falls, as _mm512_mul_epu32 reads only the low halves. */
-static inline __attribute__((target("avx512f"))) void round8(__m512i *c, __m512i k0, __m512i k1) {
-    const __m512i p0 = _mm512_mul_epu32(c[0], _mm512_set1_epi64(0xD2511F53));
-    const __m512i p1 = _mm512_mul_epu32(c[2], _mm512_set1_epi64(0xCD9E8D57));
-    c[0] = _mm512_ternarylogic_epi64(_mm512_srli_epi64(p1, 32), c[1], k0, 0x96);  /* a ^ b ^ c */
-    c[2] = _mm512_ternarylogic_epi64(_mm512_srli_epi64(p0, 32), c[3], k1, 0x96);
-    c[1] = p1;
-    c[3] = p0;
-}
-
-/* The uniforms of eight blocks' words c0:c1, as philox_uniforms makes
-   them, into u[0 .. 7]. Or-ing q < 2^52 into the bits of 2^52 makes the
-   double 2^52 + q; less 2^52 - 1/2 it is q + 1/2, exactly. */
-static inline __attribute__((target("avx512f"))) void uniform8(const __m512i *c, double *u) {
-    const __m512i w = _mm512_or_si512(_mm512_slli_epi64(c[0], 32),
-                                      _mm512_and_si512(c[1], _mm512_set1_epi64(0xFFFFFFFF)));
-    const __m512i q = _mm512_srli_epi64(w, 12), two52 = _mm512_set1_epi64(0x4330000000000000);
-    const __m512d h = _mm512_sub_pd(_mm512_castsi512_pd(_mm512_or_si512(q, two52)),
-                                    _mm512_set1_pd(0x1p52 - 0.5));
-    _mm512_storeu_pd(u, _mm512_mul_pd(h, _mm512_set1_pd(0x1p-52)));
-}
-
-/* philox_uniforms of the eight pairs at buckets[0 .. 7], items[0 .. 7]:
-   eight pairs to a vector, one vector per slot, the three advanced
-   together so their multiplies overlap. */
-static __attribute__((target("avx512f"))) void philox8(const int64_t *buckets, const int64_t *items,
-                                                       uint32_t k0, uint32_t k1, double *out) {
-    const __m512i x = _mm512_loadu_si512(items), b = _mm512_loadu_si512(buckets);
-    const __m512i xh = _mm512_srli_epi64(x, 32);
-    __m512i c0[4] = {x, xh, b, _mm512_set1_epi64(0)}, c1[4] = {x, xh, b, _mm512_set1_epi64(1)};
-    __m512i c2[4] = {x, xh, b, _mm512_set1_epi64(2)};
-    for (int r = 0; r < 10; r++, k0 += 0x9E3779B9u, k1 += 0xBB67AE85u) {
-        const __m512i j0 = _mm512_set1_epi64(k0), j1 = _mm512_set1_epi64(k1);
-        round8(c0, j0, j1);
-        round8(c1, j0, j1);
-        round8(c2, j0, j1);
-    }
-    double u[3][8];
-    uniform8(c0, u[0]);
-    uniform8(c1, u[1]);
-    uniform8(c2, u[2]);
-    for (int i = 0; i < 8; i++)
-        for (int s = 0; s < 3; s++)
-            out[3 * i + s] = u[s][i];
-}
-#endif
-
-/* out[3 * i + s], for slots s = 0, 1, 2 of every pair i < n: the uniform
-   in (0, 1) of the Philox4x32-10 block of counter (items[i] mod 2^32,
-   items[i] / 2^32, buckets[i], s) under key (k0, k1), made from the top
-   52 bits of its words c0:c1 plus half a step. Every operation on the
-   double is exact. Items lie in [0, 2^64) and buckets in [0, 2^32). Eight
-   pairs at a time go to philox8 when the CPU runs AVX-512F. */
-ENTRY61 void philox_uniforms(const int64_t *buckets, const int64_t *items, size_t n,
-                             uint32_t k0, uint32_t k1, double *out) {
-    size_t i = 0;
-#if defined(__x86_64__)
-    for (; simd61 && i + 8 <= n; i += 8)
-        philox8(buckets + i, items + i, k0, k1, out + 3 * i);
-#endif
-    for (; i < n; i++) {
-        const uint64_t x = (uint64_t)items[i];
-        for (uint32_t s = 0; s < 3; s++) {
-            const uint64_t w = philox_c0c1((uint32_t)x, (uint32_t)(x >> 32),
-                                           (uint32_t)buckets[i], s, k0, k1);
-            out[3 * i + s] = ((double)(w >> 12) + 0.5) * 0x1p-52;
-        }
-    }
 }
 
 #define ONES 0x0101010101010101ULL

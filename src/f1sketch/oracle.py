@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hashing import MERSENNE61, PHILOX_M0, PHILOX_M1, PHILOX_ROUNDS, PHILOX_W0, PHILOX_W1
-from .stable import TRUNCATION_CAP
+from .hashing import MERSENNE61, KWiseHash
+from .stable import LATTICE, TRUNCATION_CAP
 
 
 class TailBoundCheck(NamedTuple):
@@ -155,15 +155,14 @@ def expected_countsketch_cells(state: ExactState, table) -> np.ndarray:
 
 def expected_stable_cells(state: ExactState, table) -> np.ndarray:
     """Recompute a stable table's cells: sum over items of f * variate,
-    accumulated in ascending item order."""
+    accumulated in ascending item order, each bucket by `expected_hash`
+    and each variate by `expected_variate`."""
     cells = np.zeros((table.cols, 3))
-    items = np.nonzero(state.frequencies)[0].astype(np.int64) + 1
-    if items.size == 0:
-        return cells
-    f = state.frequencies[items - 1].astype(float)
-    buckets = table.bucket_hash.eval_many(items)
-    variates = table.source.variates_for(buckets, items)
-    np.add.at(cells, buckets - 1, f[:, None] * variates)
+    for i in np.flatnonzero(state.frequencies).tolist():
+        f = float(state.frequencies[i])
+        row = cells[expected_hash(table.bucket_hash, i + 1) - 1]
+        for slot in (1, 2, 3):
+            row[slot - 1] += f * expected_variate(table.source, slot, i + 1)
     return cells
 
 
@@ -188,21 +187,6 @@ def expected_isolation_row(hashes, item: int, heavy_items) -> int | None:
     return None
 
 
-def expected_philox4x32(counter, key) -> tuple:
-    """Scalar reference for `hashing.philox4x32`: one Philox4x32-10 block of
-    four 32-bit counter words under two 32-bit key words, in Python ints."""
-    c0, c1, c2, c3 = counter
-    k0, k1 = key
-    for r in range(PHILOX_ROUNDS):
-        if r:
-            k0 = (k0 + PHILOX_W0) % (1 << 32)
-            k1 = (k1 + PHILOX_W1) % (1 << 32)
-        hi0, lo0 = divmod(PHILOX_M0 * c0, 1 << 32)
-        hi1, lo1 = divmod(PHILOX_M1 * c2, 1 << 32)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1, c2, c3
-
-
 def cauchy_variate(u: float) -> float:
     """Scalar reference for `stable.cauchy_variates`: a standard Cauchy draw
     from a uniform u in (0, 1), clamped to +-TRUNCATION_CAP."""
@@ -212,21 +196,18 @@ def cauchy_variate(u: float) -> float:
     return max(-TRUNCATION_CAP, min(TRUNCATION_CAP, x))
 
 
-def expected_uniform(source, bucket: int, slot: int, item: int) -> float:
-    """Scalar reference for the uniform behind variate s_{bucket,slot}(item)
-    of a `StableVariateSource`, slot in {1, 2, 3}."""
+def expected_uniform(source, slot: int, item: int) -> float:
+    """Scalar reference for the uniform behind variate `slot` in {1, 2, 3}
+    of `item` in a `StableVariateSource`: w = `expected_hash` of the slot's
+    row onto [1, 2**52], as (w - 1/2) / 2**52."""
     if slot not in (1, 2, 3):
         raise ValueError("slot must be 1, 2 or 3")
-    item, bucket = int(item), int(bucket)
-    key = (int.from_bytes(source.key[0:4], "little"),
-           int.from_bytes(source.key[4:8], "little"))
-    c0, c1, _, _ = expected_philox4x32(
-        (item % (1 << 32), item >> 32, bucket, slot - 1), key)
-    return (((c0 << 32 | c1) >> 12) + 0.5) * 2.0 ** -52
+    w = expected_hash(KWiseHash(source.coeffs[slot - 1], LATTICE), item)
+    return (w - 0.5) / LATTICE
 
 
-def expected_variate(source, bucket: int, slot: int, item: int) -> float:
+def expected_variate(source, slot: int, item: int) -> float:
     """Scalar reference for `StableVariateSource.variates_for`: the reference
     uniform through `cauchy_variate`. It agrees with the vector path to a
     few ulps, since numpy and libm may round tan differently."""
-    return cauchy_variate(expected_uniform(source, bucket, slot, item))
+    return cauchy_variate(expected_uniform(source, slot, item))

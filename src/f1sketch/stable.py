@@ -1,9 +1,11 @@
 """Cauchy (1-stable) variates and the moment constants of stable laws.
 
-Covers the replayable variate source behind the sketch (the Philox4x32-10
-counter-based uniforms of `hashing.philox_uniforms` feeding the Cauchy
-inverse CDF) and the moment constants C(p, q) and K_p that the light decode
-and its analysis use.
+Covers the replayable variate source behind the sketch (three polynomial
+hashes over GF(2**61 - 1), t-wise independent as every hash of
+`f1sketch.hashing` is, feeding the Cauchy inverse CDF; Kane, Nelson &
+Woodruff, SODA 2010, show that O(log(1/eps) / log log(1/eps))-wise
+independent Cauchy variates suffice) and the moment constants C(p, q) and
+K_p that the light decode and its analysis use.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from . import hashing
+from . import hashing, seeds
 
 # the estimator clamps every variate's magnitude to this
 TRUNCATION_CAP = 1e9
@@ -51,40 +53,47 @@ def kp_constant(p: float) -> float:
     return stability_constant(p, p / 3.0) ** -6 * stability_constant(p, 2.0 * p / 3.0) ** 3
 
 
-_VARIATE_BLOCK = 1 << 16  # (bucket, item) pairs per Philox pass in `variates_for`
+_VARIATE_BLOCK = 1 << 16  # items per Horner pass in `variates_for`
+
+# the uniforms' lattice: a variate's hash lies in [1, LATTICE]
+LATTICE = 1 << 52
 
 
 class StableVariateSource:
-    """Replayable Cauchy variates indexed by (bucket, slot, item).
+    """Replayable Cauchy variates indexed by (slot, item).
 
-    Slot r in {1, 2, 3} of the pair (bucket, item) is one Philox4x32-10
-    block with counter (item mod 2**32, item // 2**32, bucket, r - 1) under
-    the 64-bit key in the first 8 bytes of `key` (two little-endian 32-bit
-    words). Output words c0:c1 give the uniform of `cauchy_variates`.
-    Distinct counters give independent blocks for PRF purposes, so any
-    variate is a pure function of (key, bucket, slot, item).
+    Slot r in {1, 2, 3} of item i is `cauchy_variates((w - 1/2) / 2**52)`
+    for w = (poly_r(i) mod (2**61 - 1)) mod 2**52 + 1, where poly_r is row
+    r - 1 of `coeffs`, a read-only (3, t) matrix of field elements drawn
+    under `key`: a t-wise independent hash, as `hashing.KWiseHash` is. The
+    uniforms are the points (k + 1/2) / 2**52, k < 2**52, exact in float64,
+    so neither 0 nor 1 is reached. The top point, w = 2**52, has 511
+    preimages in the field where every other has 512, so it is drawn with
+    probability 2**-61 less than the others.
     """
 
-    __slots__ = ("key", "philox_key")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, key: bytes):
-        if len(key) < 8:
-            raise ValueError("variate key needs at least 8 bytes")
-        self.key = key
-        self.philox_key = (int.from_bytes(key[0:4], "little"),
-                           int.from_bytes(key[4:8], "little"))
+    def __init__(self, key: bytes, t: int):
+        coeffs = np.array(seeds.field_elements(key, 3 * t, hashing.MERSENNE61),
+                          dtype=np.uint64).reshape(3, t)
+        coeffs.flags.writeable = False
+        self.coeffs = coeffs
 
     def variates_for(self, buckets: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """All three slots for aligned (bucket, item) pairs; shape (len, 3).
+        """All three slots for a vector of items; shape (len, 3). `buckets`
+        holds each item's stable bucket, one per item, and no variate
+        depends on it: an item lands in one bucket.
 
-        Drawn `_VARIATE_BLOCK` pairs at a time into the output, so scratch
-        memory stays bounded; each variate depends only on its own pair, so
-        the blocks do not change any bit."""
+        Drawn `_VARIATE_BLOCK` items at a time into the output, so scratch
+        memory stays bounded; each variate depends only on its own item, so
+        the blocks do not change any bit. ValueError for an item outside
+        [0, 2**61 - 1), as `hashing.horner_rows` refuses it."""
         items = np.asarray(items, dtype=np.int64)
-        buckets = np.asarray(buckets, dtype=np.int64)
+        if items.ndim != 1 or np.shape(buckets) != items.shape:
+            raise ValueError("variates_for needs a vector of items and one bucket per item")
         out = np.empty((items.shape[0], 3))
         for lo in range(0, items.shape[0], _VARIATE_BLOCK):
-            block = slice(lo, lo + _VARIATE_BLOCK)
-            out[block] = cauchy_variates(
-                hashing.philox_uniforms(buckets[block], items[block], *self.philox_key))
+            w = hashing.horner_rows(self.coeffs, LATTICE, items[lo:lo + _VARIATE_BLOCK])
+            out[lo:lo + _VARIATE_BLOCK] = cauchy_variates((w.T - 0.5) * (1.0 / LATTICE))
         return out

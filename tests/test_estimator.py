@@ -159,7 +159,7 @@ def test_stable_cells_match_scalar_variate_replay():
         b = expected_hash(est.table.bucket_hash, i)
         for slot in (1, 2, 3):
             want[b - 1, slot - 1] += state.frequencies[i - 1] * expected_variate(
-                est.table.source, b, slot, i)
+                est.table.source, slot, i)
     assert np.allclose(est.table.cells, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
@@ -759,15 +759,16 @@ def test_a_sequence_passed_as_one_delta_is_refused_at_flush(record_paths):
 
 @pytest.mark.parametrize("n", [10, 10**6])  # summed by item, and by rank
 def test_flush_refuses_an_update_many_item_changed_after_the_call(n, record_paths):
-    # the batch is kept, not copied: an item changed to 0 or n + 1 before
-    # the flush is refused there, and every pending record is dropped
-    for cls, bad in itertools.product(record_paths, (0, n + 1)):
+    # the batch is kept, not copied: an item changed to 0, n + 1 or -3
+    # before the flush is refused there, named on either path, and every
+    # pending record is dropped
+    for cls, bad in itertools.product(record_paths, (0, n + 1, -3)):
         est = build(n=n, cls=cls)
         items = np.array([1, 2, 3])
         est.update_many(items, np.array([5, 7, 1]))
         est.update(4, 2)
         items[0] = bad
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=f"^item {bad} outside domain \\[1, {n}\\]$"):
             est.flush()
         assert not any(t.cells.any() for t in (est.table, est.countsketch, est.heavy_hitters))
         assert est.touched_items().size == 0 and est.estimate().diagnostics["updates"] == 0
@@ -1118,6 +1119,34 @@ def test_kernel_and_numpy_reads_give_identical_reports_at_13_rows(records, accur
         assert run() == active
 
 
+@pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
+@pytest.mark.parametrize("accuracy", [0.5, 0.2])  # variate hashes of 8 and 9 coefficients
+def test_fresh_estimators_on_the_kernel_and_numpy_paths_agree_bitwise(accuracy):
+    # each estimator is built, fed and read on one path: a Zipf stream and
+    # items spread up to 2**40, past 32 bits
+    stream = generate("zipf(1.1)", n=10**4, m=2 * 10**4, seed=5)
+    rng = np.random.default_rng(5)
+    items = np.concatenate([stream.items, rng.integers(1, 2**40, 3000)])
+    deltas = np.concatenate([stream.deltas, rng.integers(-50, 51, 3000)])
+
+    def run():
+        est = Estimator(EstimatorConfig(accuracy=accuracy, n=2**40, seed=17))
+        est.update_many(items, deltas)
+        report = est.estimate()
+        touched = est.touched_items()
+        timings = {k for k in report.diagnostics if k.endswith("_ns")}
+        return ([est.table.source.variates_for(touched, touched).tobytes()]
+                + [t.cells.tobytes() for t in (est.table, est.countsketch, est.heavy_hitters)]
+                + [repr((report.total, report.heavy, report.light, report.heavy_count,
+                         report.light_correction,
+                         {k: v for k, v in report.diagnostics.items() if k not in timings}))])
+
+    active = run()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hashing, "_kernel", None)
+        assert run() == active
+
+
 # -- compiled stable adds, the exact guard and exact integer input ------------
 
 
@@ -1125,7 +1154,7 @@ def stable_table(cols: int, seed: int = 5) -> estimator.StableTable:
     key = seeds.master_key(seed)
     return estimator.StableTable(cols, KWiseHash.from_seed(seeds.derive_key(key, "b"), 8, 10**6,
                                                            cols),
-                                 StableVariateSource(seeds.derive_key(key, "v")))
+                                 StableVariateSource(seeds.derive_key(key, "v"), 8))
 
 
 @pytest.mark.parametrize("kernel", PATHS)

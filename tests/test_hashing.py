@@ -447,6 +447,13 @@ def test_kernel_whose_blocked_scatter_guard_or_stable_add_disagrees_is_refused(
     check_mutant_refused(old, new, tmp_path, monkeypatch)
 
 
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a C compiler")
+def test_kernel_whose_mask_drops_bits_past_32_is_refused(tmp_path, monkeypatch):
+    # every table's range fits 32 bits; the spot check's range 2**52, that
+    # of the stable variates, is what catches a mask of the low word only
+    check_mutant_refused("v & (m - 1)", "(uint32_t)v & (m - 1)", tmp_path, monkeypatch)
+
+
 def cpu_runs_avx512f() -> bool:
     """Whether this host lists AVX-512F, so the kernel's vector bodies run."""
     try:
@@ -462,16 +469,13 @@ def cpu_runs_avx512f() -> bool:
     ("(1LL << 29) - 1", "(1LL << 30) - 1"),             # splits the middle product at bit 30
     ("_mm512_mul_epu32(vh, xh), 3)", "_mm512_mul_epu32(vh, xh), 2)"),  # folds 2^64 as 4
     ("_mm512_min_epu64(a, _mm512_sub_epi64(a, p))", "a"),  # leaves 2^61 - 1 unreduced
-    ("c[3], k1, 0x96)", "c[3], k0, 0x96)"),             # keys Philox word c2 with k0
-    ("0x1p52 - 0.5", "0x1p52"),                         # drops the uniform's half step
     ("(a, _mm512_min_epi64(x, y))", "(a, _mm512_max_epi64(x, y))"),  # keeps the max twice
 ])
 def test_kernel_whose_vector_body_disagrees_is_refused(old, new, tmp_path, monkeypatch):
-    # the spot check runs 70 items through horner61 and scatter61, 19 pairs
-    # through philox_uniforms and 19 items through medians61, so two full
-    # vector groups and a tail each. (Exchanging the comparator's min and
-    # max would sort descending, whose middle keys are the same, so that
-    # mutant would be right.)
+    # the spot check runs 70 items through horner61 and scatter61 and 19
+    # items through medians61, so two full vector groups and a tail each.
+    # (Exchanging the comparator's min and max would sort descending, whose
+    # middle keys are the same, so that mutant would be right.)
     check_mutant_refused(old, new, tmp_path, monkeypatch)
 
 
@@ -490,31 +494,28 @@ def test_kernel_built_without_the_cpu_check_loads_and_agrees(tmp_path, monkeypat
     items = rng.integers(0, MERSENNE61, size=1001, dtype=np.uint64)
     items[::7] = np.resize(np.array([0, 1, 2**32 - 1, 2**32, MERSENNE61 - 1], dtype=np.uint64),
                            items[::7].size)
-    buckets = rng.integers(0, 2**32, size=1001)
     outputs = []
     for kernel in (hashing._kernel, scalar):
         monkeypatch.setattr(hashing, "_kernel", kernel)
         cells = np.zeros((5, 4096), dtype=np.int64)
         _, packed = hashing.scatter_signed(coeffs, items, np.arange(1001) - 500, cells, 1 << 62,
                                            True)
-        uniforms = hashing.philox_uniforms(buckets, items.view(np.int64) >> 1, 7, 9)
         medians = [hashing.signed_medians(packed[:, :rows], cells[:rows]) for rows in (4, 5)]
         outputs.append([hashing.horner_rows(coeffs, m, items).tobytes()
-                        for m in (1, 8192, 11392, 2**40, MERSENNE61)]
-                       + [cells.tobytes(), packed.tobytes(), uniforms.tobytes()]
+                        for m in (1, 8192, 11392, 1 << 52, 2**40, MERSENNE61)]
+                       + [cells.tobytes(), packed.tobytes()]
                        + [m.tobytes() for m in medians])
     assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("n", [31, 32, 33, 64, 70, 1001])
 def test_kernel_matches_numpy_across_vector_groups(n, monkeypatch):
-    # items in full groups of 32 (8 for Philox) and a tail, at a power-of-two
-    # range and others, against the numpy twins
+    # items in full groups of 32 and a tail, at power-of-two ranges (1 << 52
+    # that of the stable variates) and others, against the numpy twins
     rng = np.random.default_rng(n)
     coeffs = rng.integers(0, MERSENNE61, size=(4, 8), dtype=np.uint64)
     coeffs[3, :3] = 0  # leading zeros
     items = rng.integers(0, MERSENNE61, size=n, dtype=np.uint64)
-    buckets = rng.integers(0, 2**32, size=n)
     outputs = []
     for kernel in PATHS:
         monkeypatch.setattr(hashing, "_kernel", kernel)
@@ -522,9 +523,8 @@ def test_kernel_matches_numpy_across_vector_groups(n, monkeypatch):
         _, packed = hashing.scatter_signed(coeffs, items, np.ones(n, dtype=np.int64), cells,
                                            1 << 62, True)
         outputs.append([hashing.horner_rows(coeffs, m, items).tobytes()
-                        for m in (4096, 11392, MERSENNE61, 3)]
-                       + [cells.tobytes(), packed.tobytes(),
-                          hashing.philox_uniforms(buckets, items.view(np.int64), 5, 6).tobytes()])
+                        for m in (4096, 11392, 1 << 52, MERSENNE61, 3)]
+                       + [cells.tobytes(), packed.tobytes()])
     assert all(out == outputs[0] for out in outputs)
 
 
@@ -580,7 +580,7 @@ def test_only_hashing_chooses_between_kernel_and_twin():
               if "_kernel" in path.read_text(encoding="utf-8")]
     assert naming == ["hashing.py"]
     exported = exported_routines()
-    assert len(exported) == 9 and set(hashing._ROUTINES) == exported
+    assert len(exported) == 8 and set(hashing._ROUTINES) == exported
     assert all(callable(twin) for twin, _, _ in hashing._ROUTINES.values())
 
 

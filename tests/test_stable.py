@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
-from f1sketch import hashing, seeds
-from f1sketch.hashing import philox4x32
-from f1sketch.oracle import (cauchy_variate, expected_philox4x32, expected_uniform,
-                             expected_variate)
-from f1sketch.stable import (_VARIATE_BLOCK, TRUNCATION_CAP, StableVariateSource,
+from f1sketch import hashing, seeds, stable
+from f1sketch.hashing import MERSENNE61
+from f1sketch.oracle import cauchy_variate, expected_uniform, expected_variate
+from f1sketch.stable import (_VARIATE_BLOCK, LATTICE, TRUNCATION_CAP, StableVariateSource,
                              cauchy_variates, kp_constant, stability_constant)
+
+# the kernel (when it loaded) and the numpy twin
+PATHS = [k for k in (hashing._kernel,) if k is not None] + [None]
 
 
 def source(tag: str) -> StableVariateSource:
-    return StableVariateSource(seeds.derive_key(seeds.master_key(99), tag))
+    return StableVariateSource(seeds.derive_key(seeds.master_key(99), tag), 8)
 
 
 # -- inverse-CDF transform ----------------------------------------------------
@@ -154,46 +156,44 @@ def test_geometric_means_unbiased_monte_carlo():
 # transcendental functions, which may round differently by a few ulps
 TRANSFORM_RTOL = 16 * np.finfo(np.float64).eps
 
-# Random123 Philox4x32-10 known-answer vectors: counter, key, output
-PHILOX_KAT = [
-    ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
-    ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2,
-     (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
-    ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
-     (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
-]
-
-
-@pytest.mark.parametrize("counter,key,want", PHILOX_KAT)
-def test_philox_known_answers(counter, key, want):
-    assert expected_philox4x32(counter, key) == want
-    got = philox4x32(*(np.array([c], dtype=np.uint64) for c in counter), *key)
-    assert tuple(int(w[0]) for w in got) == want
-
-
-def test_philox_vector_matches_reference_on_random_blocks():
-    rng = np.random.default_rng(123)
-    counters = rng.integers(0, 2**32, size=(4, 500), dtype=np.uint64)
-    for k0, k1 in ((0, 0), (0xFFFFFFFF, 1), tuple(int(k) for k in rng.integers(0, 2**32, 2))):
-        got = np.stack(philox4x32(*counters, k0, k1))
-        for j in range(counters.shape[1]):
-            want = expected_philox4x32(tuple(int(c) for c in counters[:, j]), (k0, k1))
-            assert tuple(int(w) for w in got[:, j]) == want
+def test_source_draws_three_rows_of_t_coefficients_under_its_key():
+    key = seeds.derive_key(seeds.master_key(99), "rows")
+    for t in (8, 11):
+        src = StableVariateSource(key, t)
+        assert src.coeffs.shape == (3, t) and not src.coeffs.flags.writeable
+        assert src.coeffs.ravel().tolist() == seeds.field_elements(key, 3 * t, MERSENNE61)
 
 
 def test_vector_variates_match_reference():
-    # items past 2**32 use the second counter word; the reference uniforms
+    # items up to the field's top, past 2**32; the reference uniforms
     # through the same numpy transform must give the same bits
     src = source("ref1.0")
     rng = np.random.default_rng(7)
     buckets = rng.integers(1, 2**20, 300)
-    items = np.concatenate([rng.integers(1, 2**20, 100), rng.integers(2**32, 2**63, 200)])
+    items = np.concatenate([rng.integers(1, 2**20, 100), rng.integers(2**32, MERSENNE61, 199),
+                            [MERSENNE61 - 1]])
     got = src.variates_for(buckets, items)
     for j in range(items.size):
-        u = [expected_uniform(src, buckets[j], slot, items[j]) for slot in (1, 2, 3)]
+        u = [expected_uniform(src, slot, items[j]) for slot in (1, 2, 3)]
         assert np.array_equal(got[j], cauchy_variates(np.array(u)))
-        want = [expected_variate(src, buckets[j], slot, items[j]) for slot in (1, 2, 3)]
+        want = [expected_variate(src, slot, items[j]) for slot in (1, 2, 3)]
         assert got[j] == pytest.approx(want, rel=TRANSFORM_RTOL)
+
+
+@pytest.mark.parametrize("kernel", PATHS)
+def test_lattice_ends_map_to_the_half_steps_inside_zero_and_one(kernel, monkeypatch):
+    # under poly(x) = x, item 0 hashes to w = 1, item 2**52 - 1 to w = 2**52
+    # and item 2**52 back to w = 1; with the Cauchy transform taken out,
+    # variates_for returns the uniforms themselves
+    monkeypatch.setattr(hashing, "_kernel", kernel)
+    monkeypatch.setattr(stable, "cauchy_variates", lambda u: u)
+    src = source("ends")
+    src.coeffs = np.array([[1, 0]] * 3, dtype=np.uint64)
+    items = np.array([0, LATTICE - 1, LATTICE, 3])
+    want = [2.0**-53, 1 - 2.0**-53, 2.0**-53, 3.5 * 2.0**-52]
+    got = src.variates_for(items, items)
+    assert got.tolist() == [[u] * 3 for u in want]
+    assert [expected_uniform(src, 2, i) for i in items.tolist()] == want
 
 
 def test_variates_of_concatenation_are_concatenated_variates():
@@ -232,27 +232,43 @@ def test_items_differing_only_in_high_bits_get_different_variates():
     low = np.arange(1, 1001, dtype=np.int64)
     buckets = np.ones(1000, dtype=np.int64)
     base = src.variates_for(buckets, low)
-    for shift in (32, 40, 62):
+    for shift in (32, 40, 60):
         other = src.variates_for(buckets, low + (1 << shift))
         assert not (other == base).any()
 
 
+@pytest.mark.parametrize("kernel", PATHS)
+def test_items_outside_the_field_are_refused(kernel, monkeypatch):
+    # past 2**61 - 1 the kernel and numpy Horner passes disagree
+    monkeypatch.setattr(hashing, "_kernel", kernel)
+    src = source("field")
+    assert src.variates_for([1, 1], [1, MERSENNE61 - 1]).shape == (2, 3)
+    for bad in (MERSENNE61, 2**63 - 1, -1):
+        with pytest.raises(ValueError, match="2\\*\\*61 - 1"):
+            src.variates_for([1, 1], [1, bad])
+
+
 def test_variate_is_pure_and_matches_vector_path():
     src = source("pure")
-    a = expected_variate(src, 9, 2, 1234)
-    assert a == expected_variate(src, 9, 2, 1234)
+    a = expected_variate(src, 2, 1234)
+    assert a == expected_variate(src, 2, 1234)
     vec = src.variates_for(np.array([9]), np.array([1234]))
     assert np.array_equal(vec, src.variates_for(np.array([9]), np.array([1234])))
     assert vec[0, 1] == pytest.approx(a, rel=TRANSFORM_RTOL)
 
 
 def test_variate_depends_on_all_indices():
+    # slot, item and key each change a variate; the bucket does not, as an
+    # item lands in one bucket
     src = source("distinct")
-    vals = {expected_variate(src, 1, 1, 5), expected_variate(src, 2, 1, 5),
-            expected_variate(src, 1, 2, 5), expected_variate(src, 1, 1, 6),
-            expected_variate(src, 1, 1, 5 + (1 << 32)),
-            expected_variate(source("distinct2"), 1, 1, 5)}
-    assert len(vals) == 6
+    vals = {expected_variate(src, 1, 5), expected_variate(src, 2, 5),
+            expected_variate(src, 1, 6), expected_variate(src, 1, 5 + (1 << 32)),
+            expected_variate(source("distinct2"), 1, 5)}
+    assert len(vals) == 5
+    items = np.array([5, 5, 6])
+    got = src.variates_for(np.array([1, 2, 1]), items)
+    assert got[0].tobytes() == got[1].tobytes() != got[2].tobytes()
+    assert got[0, 0] == pytest.approx(expected_variate(src, 1, 5), rel=TRANSFORM_RTOL)
 
 
 def test_variate_truncation_cap():
@@ -270,55 +286,55 @@ def test_variate_truncation_cap():
 
 def test_variate_rejects_bad_slot_and_params():
     src = source("bad")
-    with pytest.raises(ValueError):
-        expected_variate(src, 1, 0, 1)
-    with pytest.raises(ValueError):
-        expected_variate(src, 1, 4, 1)
-    with pytest.raises(ValueError):
-        StableVariateSource(b"k" * 7)
+    for slot in (0, 4):
+        with pytest.raises(ValueError, match="slot"):
+            expected_variate(src, slot, 1)
+        with pytest.raises(ValueError, match="slot"):
+            expected_uniform(src, slot, 1)
 
 
 def test_scale_stability_of_weighted_sums():
     # sum a_i s_i must be Cauchy with scale sum |a_i|; compare against an
-    # independently drawn reference sample with a two-sample KS test
+    # independently drawn reference sample with a two-sample KS test. Each
+    # of the 10**5 samples weighs three items of its own, as a variate
+    # depends on its item alone
     weights = np.array([3.0, -1.0, 2.0])
     draws = 10**5
     src = source("ks")
-    buckets = np.repeat(np.arange(1, draws + 1), weights.size)
-    items = np.tile(np.arange(1, weights.size + 1), draws)
-    vs = src.variates_for(buckets, items)[:, 0].reshape(draws, weights.size)
+    items = np.arange(1, draws * weights.size + 1)
+    vs = src.variates_for(items, items)[:, 0].reshape(draws, weights.size)
     combined = vs @ weights
     rng = np.random.default_rng(8)
     reference = np.abs(weights).sum() * rng.standard_cauchy(draws)
     assert stats.ks_2samp(combined, reference).pvalue > 0.01
 
 
-# -- the C kernel's Philox uniforms ---------------------------------------------
-
-# the kernel (when it loaded) and the numpy twin
-PATHS = [k for k in (hashing._kernel,) if k is not None] + [None]
+# -- the kernel's and numpy's Horner passes ---------------------------------------
 
 
 @pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
-@given(st.lists(st.tuples(st.integers(0, 2**31 - 1),
-                          st.one_of(st.integers(0, 2**32 + 5), st.integers(2**32, 2**63 - 1))),
-                max_size=40),
-       st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+@given(st.lists(st.one_of(st.integers(0, 2**32 + 5), st.integers(2**32, MERSENNE61 - 1)),
+                max_size=80),
+       st.sampled_from([1, 2, 8, 11]), st.integers(0, 2**16))
 @settings(max_examples=80, deadline=None)
-def test_kernel_uniforms_equal_numpy_philox_bitwise(pairs, k0, k1):
-    buckets = np.array([b for b, _ in pairs], dtype=np.int64)
-    items = np.array([i for _, i in pairs], dtype=np.int64)
-    got = hashing.philox_uniforms(buckets, items, k0, k1)
+def test_kernel_variates_equal_numpy_bitwise(items, t, seed):
+    # past 32 items the kernel's AVX-512 body runs, where the CPU has it
+    src = StableVariateSource(seeds.derive_key(seeds.master_key(seed), "u-variates"), t)
+    items = np.array(items, dtype=np.int64)
+    got = src.variates_for(items, items)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(hashing, "_kernel", None)
-        want = hashing.philox_uniforms(buckets, items, k0, k1)
-    assert got.shape == want.shape == (len(pairs), 3)
+        want = src.variates_for(items, items)
+    assert got.shape == want.shape == (items.size, 3)
     assert got.tobytes() == want.tobytes()
 
 
 def test_kernel_uniforms_refuse_misaligned_pairs():
+    # on both paths, one bucket per item, though no variate depends on it
+    src = source("aligned")
     for kernel in PATHS:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(hashing, "_kernel", kernel)
-            with pytest.raises(ValueError):
-                hashing.philox_uniforms(np.array([1, 2]), np.array([3]), 0, 0)
+            for buckets, items in (([1, 2], [3]), ([1], [3, 4]), ([[1]], [[3]])):
+                with pytest.raises(ValueError, match="one bucket per item"):
+                    src.variates_for(np.array(buckets), np.array(items))
