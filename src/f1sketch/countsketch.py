@@ -8,9 +8,13 @@ the bucket is w mod cols, and the sign is -1 exactly when w >= cols. So
 2 * cols / (2**61 - 1). An item's cells have two forms: the matrix rows, which
 define them, and packed cells, one uint32 of bucket and sign per row. A
 batch is hashed and scattered in blocks of items, every row per block
-(`hashing.scatter_signed`), and refused when its sum of |delta| reaches
-2**62, summed exactly (`batch_reaches_limit`). `update_many` keeps the
-packed cells of every touched item, so reads over them hash nothing;
+(`hashing.scatter_signed`). A table keeps the exact sum of |delta| over
+the batches it took, which bounds every |cell|, and refuses a batch that
+would take that sum to 2**62 before it writes any cell, so a refused
+batch changes nothing. That holds the counters to the m * M < 2**62
+they are sized for, and refuses a turnstile stream past it even where
+its cells cancel and stay small. `update_many` keeps the packed cells of
+every touched item, so reads over them hash nothing;
 `scatter_many` keeps nothing and may skip them. Point estimates are the
 medians of the signed cells at packed cells, read and sorted in one pass
 (`hashing.signed_medians`); `top_k` and `f2_residual_estimate` rank the
@@ -31,7 +35,10 @@ import numpy as np
 from . import hashing, seeds
 from .hashing import MERSENNE61, KWiseHash
 
-# hard ceiling on |cell|; update streams are sized so m * M stays below it
+# hard ceiling on |cell|; update streams are sized so m * M stays below it.
+# A table refuses, before writing any cell, a batch that would take its
+# running sum of |delta| to the ceiling, so a stream past m * M < 2**62 is
+# refused even where its cells cancel and stay small
 CELL_LIMIT = 1 << 62
 # each row's hash, bucket and sign alike, is 8-wise independent
 BUCKET_INDEPENDENCE = 8
@@ -51,7 +58,7 @@ class SketchInvariantError(RuntimeError):
 def batch_reaches_limit(deltas: np.ndarray) -> bool:
     """Whether a batch's exact sum of |delta| reaches CELL_LIMIT; a batch
     below it cannot wrap an int64 sum of its deltas."""
-    return hashing.abs_sum_reaches(deltas, CELL_LIMIT)
+    return hashing.abs_sum(deltas, CELL_LIMIT) == CELL_LIMIT
 
 
 def zeroed_cells(shape: tuple, dtype) -> np.ndarray:
@@ -94,6 +101,8 @@ class CountSketchTable:
 
     Row j's hash is `coeffs[j]`, one polynomial onto [1, 2 * cols], read as
     bucket and sign (see the module docstring); `coeffs` is read-only.
+    `_mass`, the exact sum of |delta| over every batch the table took,
+    bounds every |cell| and stays below CELL_LIMIT.
 
     Every item index `update_many` ever saw is kept in one ascending array
     (space O(distinct items)), the candidates of top-k enumeration, next to
@@ -114,6 +123,7 @@ class CountSketchTable:
         self.rows = coeffs.shape[0]
         self.cols = cols
         self.cells = zeroed_cells((self.rows, cols), np.int64)
+        self._mass = 0
         self._touched = np.zeros(0, dtype=np.int64)
         self._packed = np.zeros((0, self.rows), dtype=np.uint32)
 
@@ -146,22 +156,22 @@ class CountSketchTable:
         Returns each item's packed cells, an (items, rows) uint32 array, or
         None when `packed` is False.
 
-        The whole batch is added (`hashing.scatter_signed`), and then
-        SketchInvariantError is raised if a cell it wrote ends at
-        |cell| >= 2**62.
+        SketchInvariantError, before any cell is written, when the batch's
+        exact sum of |delta| would take `_mass` to 2**62; else the whole
+        batch is added (`hashing.scatter_signed`), and no cell can reach
+        2**62 or wrap.
         """
         items = np.asarray(items, dtype=np.int64)
         deltas = np.asarray(deltas, dtype=np.int64)
         if deltas.shape != items.shape:
             raise ValueError("need one delta per item")
-        # a batch whose total magnitude reaches 2**62 could wrap int64
-        # before the post-add check below sees it
-        if batch_reaches_limit(deltas):
-            raise SketchInvariantError("batch magnitude would overflow counters")
-        overflow, out = hashing.scatter_signed(self.coeffs, items, deltas, self.cells,
-                                               CELL_LIMIT, packed)
-        if overflow:
-            raise SketchInvariantError("counter overflow: |cell| >= 2**62")
+        room = CELL_LIMIT - self._mass
+        mass = hashing.abs_sum(deltas, room)
+        if mass == room:
+            raise SketchInvariantError("batch magnitude would overflow counters: the table's "
+                                       "sum of |delta| would reach 2**62")
+        out = hashing.scatter_signed(self.coeffs, items, deltas, self.cells, packed)
+        self._mass += mass
         return out
 
     def _remember(self, items: np.ndarray, packed: np.ndarray) -> None:

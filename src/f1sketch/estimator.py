@@ -264,13 +264,20 @@ class Estimator(records.RecordBuffer):
         to quiesce before concurrent reads.
 
         Raises SketchInvariantError, and drops the buffered batch without
-        touching the sketch, when the batch's total magnitude reaches 2**62:
-        summing such deltas could wrap int64 before any counter guard runs.
-        Raises ValueError, and drops the batch the same way, when a record
-        buffered by `update` has a non-integer item or delta, or an item of
-        an `update_many` array changed since the call is outside [1, n].
-        The `updates` diagnostic counts only the records of flushes that
-        succeeded.
+        touching the sketch, when the batch's raw sum of |delta| reaches
+        2**62 (summing such deltas could wrap int64), or when its
+        aggregated sum of |delta| would take the CountSketch tables' running
+        sum to 2**62 (`CountSketchTable.scatter_many`, which both tables
+        check before any cell is written): a turnstile stream whose
+        aggregated |delta| sum to 2**62 across flushes is refused, however
+        its cells cancel. Raises ValueError, and drops the
+        batch the same way, when a record buffered by `update` has a
+        non-integer item or delta, or an item of an `update_many` array
+        changed since the call is outside [1, n]. The stable table's
+        finiteness guard runs last and is kept, though it cannot trip while
+        the counter bound holds: every stable cell stays below
+        2**62 * 1e9 in magnitude. The `updates` diagnostic counts only the
+        records of flushes that succeeded.
         """
         t0 = time.perf_counter_ns()
         taken = self._take()
@@ -280,10 +287,12 @@ class Estimator(records.RecordBuffer):
         if batch_reaches_limit(deltas):
             raise SketchInvariantError("batch magnitude would overflow counters")
         uniq, agg = _aggregate(items, deltas, self.config.n)
-        self.table.update_many(uniq, agg)
-        # keeps no items, nor their packed cells: isolation hashes its reads
+        # both tables take every batch, so they hold one running sum, and
+        # a batch past it is refused by the first, before any write; the
+        # first keeps no items, nor their packed cells
         self.countsketch.scatter_many(uniq, agg, packed=False)
         self.heavy_hitters.update_many(uniq, agg)
+        self.table.update_many(uniq, agg)
         self._updates += int(items.size)
         self._ingest_ns += time.perf_counter_ns() - t0
 
@@ -310,23 +319,25 @@ class Estimator(records.RecordBuffer):
     def _isolation_table(self, heavy: np.ndarray):
         """Per heavy item, its first isolating row of `countsketch` (0-based;
         -1 if none) and its cell there times the row's sign (0 if none).
-        Row by row: one pass of row j, `cs.coeffs[j]`, over the heavy set
-        gives every bucket and sign, the buckets find the items alone in
-        their cell, and no row is hashed once every item is settled."""
+        The heavy set's packed cells (`CountSketchTable.packed_cells`) give
+        every bucket and sign; row by row, the buckets find the items
+        alone in their cell, until every item is settled."""
         cs = self.countsketch
         first = np.full(heavy.size, -1, dtype=np.int64)
         reads = np.zeros(heavy.size, dtype=np.int64)
+        if heavy.size == 0:  # hashing no item costs a dozen numpy calls
+            return first, reads
         unsettled = np.arange(heavy.size)
+        packed = cs.packed_cells(heavy)
         for j in range(cs.rows):
             if unsettled.size == 0:
                 break
-            w = hashing.horner_rows(cs.coeffs[j:j + 1], 2 * cs.cols, heavy)[0] - 1
-            buckets = w % cs.cols
+            buckets, negative = packed[:, j] >> 1, packed[:, j] & 1
             alone = np.bincount(buckets, minlength=cs.cols)[buckets[unsettled]] == 1
             settled = unsettled[alone]
             unsettled = unsettled[~alone]
             first[settled] = j
-            reads[settled] = cs.cells[j, buckets[settled]] * np.where(w[settled] < cs.cols, 1, -1)
+            reads[settled] = cs.cells[j, buckets[settled]] * np.where(negative[settled], -1, 1)
         return first, reads
 
     def heavy_contributions(self, cls: Classification, reads=None) -> np.ndarray:

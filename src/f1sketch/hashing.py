@@ -15,18 +15,19 @@ A small C kernel, `kernel61.c` next to this module, read as text at import
 (`_HORNER_SOURCE`), has eight routines: `horner61` runs `eval_many`, every
 row of a coefficient matrix reduced onto one range (the stable variates'
 three rows onto 2**52 among them); `scatter61` hashes CountSketch updates
-in blocks of 1,024 items, every row per block, adds each block's deltas
-and reads its cells back in loops of their own, and judges the cells
-written against the counter limit once the whole batch is added
-(`scatter_signed`); `abs_sum_reaches` is the exact integer overflow
-guard, whether a batch's sum of |delta| reaches 2**62; `stable_add3` adds
-delta * variate into the stable accumulators in item order
-(`stable_add`); `dense_sums64` sums a flush's records into dense arrays,
-by item or by rank (`dense_sums`); `parse_plain` reads plain stream text;
-`medians61` reads the signed cells behind CountSketch point estimates and
-takes each item's median with a sorting network (`signed_medians`); and
-`skim61` removes the top items from CountSketch rows for the residual F2
-(`skim_rows`). It is compiled once per machine with the local gcc into
+in blocks of 1,024 items, every row per block, and adds each block's
+deltas in a loop of its own, judging no cell (`scatter_signed`);
+`abs_sum_reaches` sums |delta| exactly, capped at a limit (`abs_sum`),
+for the running counter bound a CountSketch table checks before its
+scatter writes any cell, so a batch it refuses writes nothing (a
+turnstile stream whose |delta| sum to 2**62 is refused, however its
+cells cancel); `stable_add3` adds delta * variate into the stable
+accumulators in item order (`stable_add`); `dense_sums64` sums a flush's
+records into dense arrays, by item or by rank (`dense_sums`);
+`parse_plain` reads plain stream text; `medians61` reads the signed cells
+behind CountSketch point estimates and takes each item's median with a
+sorting network (`signed_medians`); and `skim61` removes the top items
+from CountSketch rows for the residual F2 (`skim_rows`). It is compiled once per machine with the local gcc into
 `$XDG_CACHE_HOME/f1sketch` (default `~/.cache/f1sketch`), under a file
 name keyed by a hash of the source, and loaded through ctypes when this
 module is imported.
@@ -238,35 +239,32 @@ def horner_rows(coeffs: np.ndarray, range_size: int, x: np.ndarray) -> np.ndarra
     return out
 
 
-def _scatter61(coeffs, rows, t, x, deltas, n, cells, cols, limit, packed) -> int:
+def _scatter61(coeffs, rows, t, x, deltas, n, cells, cols, packed) -> None:
     """Numpy twin of `scatter61`: every row hashed by `_horner61`, then
-    `np.add.at`, then the cells written read back."""
+    `np.add.at`."""
     if n == 0:
-        return 0
+        return
     w = np.empty((rows, n), dtype=np.int64)
     _horner61(coeffs, 2 * cols, rows, t, x, n, w)
     w = w.T - 1
-    cells = cells.reshape(-1)
     negative = w >= cols
     w -= cols * negative  # the bucket
     if packed is not None:
         _view(packed, n, rows)[:] = w << 1 | negative
     w += np.arange(rows) * cols  # the index in the flattened table
     d = deltas[:n, None]
-    np.add.at(cells, w, np.where(negative, -d, d))
-    return int(np.abs(cells[w]).max() >= limit)
+    np.add.at(cells.reshape(-1), w, np.where(negative, -d, d))
 
 
 def scatter_signed(coeffs: np.ndarray, items: np.ndarray, deltas: np.ndarray,
-                   cells: np.ndarray, limit: int,
-                   packed: bool) -> tuple[bool, np.ndarray | None]:
+                   cells: np.ndarray, packed: bool) -> np.ndarray | None:
     """Add sign_r(i) * delta into cells[r, bucket_r(i)] for every row r of
-    the (rows, cols) int64 table `cells` and every item i (`scatter61`).
-    `coeffs` is a `CountSketchTable`'s (rows, t) matrix, one polynomial per
-    row; row r's field value is reduced onto w in [0, 2 * cols), whose
-    bucket is w mod cols and whose sign is -1 exactly when w >= cols.
-    Returns whether any cell written ends the batch at |cell| >= limit, and
-    every item's packed cell in every row as an (items, rows) uint32 array,
+    the (rows, cols) int64 table `cells` and every item i, wrapping as
+    numpy's int64 adds do (`scatter61`); it judges no cell. `coeffs` is a
+    `CountSketchTable`'s (rows, t) matrix, one polynomial per row; row r's
+    field value is reduced onto w in [0, 2 * cols), whose bucket is
+    w mod cols and whose sign is -1 exactly when w >= cols. Returns every
+    item's packed cell in every row as an (items, rows) uint32 array,
     bucket << 1 | (sign == -1), or None when `packed` is False.
 
     Needs items and coefficients in [0, 2**61 - 1), as `horner_rows` does,
@@ -281,8 +279,8 @@ def scatter_signed(coeffs: np.ndarray, items: np.ndarray, deltas: np.ndarray,
         raise ValueError("scatter_signed needs a writable C-contiguous int64 table under "
                          "2**31 columns, one delta per item, one polynomial per row")
     out = np.empty((x.size, rows), dtype=np.uint32) if packed else None
-    over = _run("scatter61", coeffs, rows, coeffs.shape[1], x, d, x.size, cells, cols, limit, out)
-    return bool(over), out
+    _run("scatter61", coeffs, rows, coeffs.shape[1], x, d, x.size, cells, cols, out)
+    return out
 
 
 def _abs_sum_reaches(deltas, n, limit) -> int:
@@ -290,14 +288,15 @@ def _abs_sum_reaches(deltas, n, limit) -> int:
     |delta| are summed apart, so neither sum can wrap."""
     mag = np.abs(deltas[:n]).view(np.uint64)  # |-2**63| wraps to 2**63 as uint64
     high = int((mag >> np.uint64(32)).sum())
-    return int((high << 32) + int((mag & np.uint64(0xFFFFFFFF)).sum()) >= limit)
+    return min((high << 32) + int((mag & np.uint64(0xFFFFFFFF)).sum()), limit)
 
 
-def abs_sum_reaches(deltas: np.ndarray, limit: int) -> bool:
-    """Whether the exact sum of |delta| over an int64 vector reaches
-    `limit`, at most 2**63, counting |-2**63| as 2**63."""
+def abs_sum(deltas: np.ndarray, limit: int) -> int:
+    """The exact sum of |delta| over an int64 vector, counting |-2**63| as
+    2**63, when it is below `limit`, at most 2**63; else `limit`
+    (`abs_sum_reaches`)."""
     d = np.ascontiguousarray(deltas, dtype=np.int64)
-    return bool(_run("abs_sum_reaches", d, d.size, limit))
+    return int(_run("abs_sum_reaches", d, d.size, limit))
 
 
 def _stable_add3(cells, cols, buckets, deltas, variates, n) -> int:
@@ -523,8 +522,8 @@ _P, _N = ctypes.c_void_p, ctypes.c_size_t
 # restype and argtypes (_P a pointer, _N a size_t)
 _ROUTINES = {
     "horner61": (_horner61, None, [_P, ctypes.c_uint64, _N, _N, _P, _N, _P]),
-    "scatter61": (_scatter61, ctypes.c_int, [_P, _N, _N, _P, _P, _N, _P, _N, ctypes.c_int64, _P]),
-    "abs_sum_reaches": (_abs_sum_reaches, ctypes.c_int, [_P, _N, ctypes.c_uint64]),
+    "scatter61": (_scatter61, None, [_P, _N, _N, _P, _P, _N, _P, _N, _P]),
+    "abs_sum_reaches": (_abs_sum_reaches, ctypes.c_uint64, [_P, _N, ctypes.c_uint64]),
     "stable_add3": (_stable_add3, ctypes.c_int, [_P, _N, _P, _P, _P, _N]),
     "dense_sums64": (_dense_sums64, ctypes.c_int, [_P, _P, _N, _P, _P, _N]),
     "parse_plain": (_parse_plain, ctypes.c_int64, [ctypes.c_char_p, _N, _P, _P, _N]),
@@ -565,41 +564,38 @@ def _spot_cases():
                        [0, 0, 0, 0, 0, 0, 7, 1 << 60]], dtype=np.uint64)
     for m in (8192, 11392, 1 << 52):
         yield "horner61", (coeffs, m, 4, 8, x, x.size, np.full((4, x.size), -7, dtype=i64))
-    # the same items scattered under the full rows into 64 and 100 columns
-    # (a second row as a margin), packed cells included
+    # the same items scattered under the full rows into 64 columns, packed
+    # cells included, and 100 columns, without them (a second row as a margin)
     deltas = np.arange(x.size, dtype=i64) * (1 << 50) - (1 << 55)
-    for r, cols in ((0, 64), (1, 100)):
+    for r, cols, packed in ((0, 64, np.full(x.size, 7, dtype=np.uint32)), (1, 100, None)):
         yield "scatter61", (coeffs[r], 1, 8, x, deltas, x.size, np.zeros((2, cols), dtype=i64),
-                            cols, limit, np.full(x.size, 7, dtype=np.uint32))
+                            cols, packed)
     # a row of 1000 cells (and 1000 more, to catch a bucket past it) under
     # poly(x) = x: items on w = 0, cols - 1, cols, 2 * cols - 1 take both
-    # signs; it starts near the limit, which item 0 crosses
+    # signs; it starts near the top of int64, where adds wrap
     cols = 1000
     linear = np.array([1, 0], dtype=np.uint64)
     x = np.array([0, cols - 1, cols, 2 * cols - 1, 2**32 - 1], dtype=np.uint64)
     deltas = np.array([5, 7, 1 << 40, 3, -1], dtype=i64)
-    yield "scatter61", (linear, 1, 2, x, deltas, x.size, np.full((2, cols), limit - 4, dtype=i64),
-                        cols, limit, np.full(x.size, 7, dtype=np.uint32))
+    yield "scatter61", (linear, 1, 2, x, deltas, x.size,
+                        np.full((2, cols), (1 << 63) - 4, dtype=i64), cols,
+                        np.full(x.size, 7, dtype=np.uint32))
     # two rows of 2 columns under x and x + 1, a third as a margin, over a
-    # batch two items longer than a block. From cells at +-(limit - 4), the
-    # +-1 deltas stay within 4 of the start; item 1023, in the first block,
-    # takes a cell of each row past the limit, and item 1025, in the
-    # second, brings both back in the run with packed cells (delta -16) and
-    # not in the run without (delta 0): only a reread after the whole batch
-    # judges both right
+    # batch of distinct deltas two items longer than a block
     n, cols = _SCATTER_BLOCK + 2, 2
-    x = np.arange(n, dtype=np.uint64)
-    coeffs = np.array([[1, 0], [1, 1]], dtype=np.uint64)
-    cells = np.array([[limit - 4] * cols, [4 - limit] * cols, [0] * cols], dtype=i64)
-    for last, packed in ((-16, np.full((n, 2), 7, dtype=np.uint32)), (0, None)):
-        deltas = np.ones(n, dtype=i64)
-        deltas[-3:] = -8, 1, last
-        yield "scatter61", (coeffs, 2, 2, x, deltas, n, cells, cols, limit, packed)
-    # the exact guard at its boundary: just below the limit, exactly at it
-    # (where float64 sums round), and |INT64_MIN|, which counts as 2**63
-    for deltas in ([limit - 1], [limit - 1, 0, -1], [1 - limit, 1], [-(1 << 63)],
-                   [(1 << 63) - 1, -(1 << 63)], [-3, 2, -5], []):
-        yield "abs_sum_reaches", (np.array(deltas, dtype=i64), len(deltas), limit)
+    yield "scatter61", (np.array([[1, 0], [1, 1]], dtype=np.uint64), 2, 2,
+                        np.arange(n, dtype=np.uint64), np.arange(n, dtype=i64) * 3 - 2000, n,
+                        np.zeros((3, cols), dtype=i64), cols, np.full((n, 2), 7, dtype=np.uint32))
+    # the capped exact sum at its boundary: just below the limit, exactly at
+    # it (where float64 sums round), past it at the first delta, and
+    # |INT64_MIN|, which counts as 2**63; then a running bound's small
+    # limit, and a second 2**63 at the largest limit, where a sum that
+    # passed it would wrap
+    for deltas, cap in (([limit - 1], limit), ([limit - 1, 0, -1], limit), ([1 - limit, 1], limit),
+                        ([-(1 << 63)], limit), ([(1 << 63) - 1, -(1 << 63)], limit),
+                        ([-3, 2, -5], limit), ([], limit), ([3, -4, 2], 10), ([3, -4, 3, 5], 10),
+                        ([-(1 << 63), -(1 << 63)], 1 << 63)):
+        yield "abs_sum_reaches", (np.array(deltas, dtype=i64), len(deltas), cap)
     # stable adds where the order of the adds matters (bucket 2, slot 0 sums
     # 2**53, 1 and -2**53: 2**53 + 1 rounds down, -2**53 + 1 does not), a
     # delta that rounds as a double, then a bucket past the table, then a

@@ -156,26 +156,18 @@ ENTRY61 void horner61(const uint64_t *coeffs, uint64_t m, size_t rows, size_t t,
    so the whole batch no longer streams through memory once per row. */
 #define BLOCK61 1024
 
-/* |c| >= limit for an int64 cell c; |INT64_MIN| wraps negative, as numpy's
-   abs does, so it never counts. */
-static inline int over61(uint64_t c, int64_t limit) {
-    return (int64_t)((int64_t)c < 0 ? 0 - c : c) >= limit;
-}
-
 /* One block of scatter61, items [lo, hi), hi - lo <= BLOCK61. Row by row:
-   the block's packed cells are hashed into q (4 KiB, in L1); unless
-   reread, each delta is added into its cell; then the cells are read
-   back, and the packed cells copied out unless packed is NULL. Returns
-   whether a cell read back is at |cell| >= limit. Hashing, adding and
-   reading in separate loops ran faster than adding in the hash loop, and
-   an add whose result is not read is one instruction, so a first write to
-   a fresh page faults once, not first to read and then to write. */
-static inline int block61(const uint64_t *coeffs, size_t rows, size_t t, const uint64_t *x,
-                          const int64_t *deltas, size_t lo, size_t hi, int64_t *cells,
-                          size_t cols, int64_t limit, uint32_t *packed, int reread) {
+   the block's packed cells are hashed into q (4 KiB, in L1), each delta
+   is added into its cell, and the packed cells are copied out unless
+   packed is NULL. Hashing and adding in loops of their own ran faster
+   than adding in the hash loop, and an add whose result is not read is
+   one instruction, so a first write to a fresh page faults once, not
+   first to read and then to write. */
+static inline void block61(const uint64_t *coeffs, size_t rows, size_t t, const uint64_t *x,
+                           const int64_t *deltas, size_t lo, size_t hi, int64_t *cells,
+                           size_t cols, uint32_t *packed) {
     const uint64_t m = 2 * (uint64_t)cols;
     uint32_t q[BLOCK61];
-    int hit = 0;
     for (size_t r = 0; r < rows; r++) {
         const uint64_t *c = coeffs + r * t;
         uint64_t *row = (uint64_t *)(cells + r * cols);
@@ -187,16 +179,13 @@ static inline int block61(const uint64_t *coeffs, size_t rows, size_t t, const u
                 q[i - lo] = (uint32_t)((w - (cols & (0 - neg))) << 1 | neg);
             }
         }
-        for (size_t i = 0; !reread && i < hi - lo; i++) {
+        for (size_t i = 0; i < hi - lo; i++) {
             const uint64_t sign = 0 - (uint64_t)(q[i] & 1);
             row[q[i] >> 1] += ((uint64_t)deltas[lo + i] ^ sign) - sign;
         }
-        for (size_t i = 0; i < hi - lo; i++)
-            hit |= over61(row[q[i] >> 1], limit);
         for (size_t i = 0; packed && i < hi - lo; i++)
             packed[(lo + i) * rows + r] = q[i];
     }
-    return hit;
 }
 
 /* CountSketch update of a (rows, cols) int64 table, 0 < cols < 2^31, from
@@ -207,37 +196,28 @@ static inline int block61(const uint64_t *coeffs, size_t rows, size_t t, const u
    item i, wrapping modulo 2^64 as numpy's int64 adds do, BLOCK61 items at
    a time, every row per block. Unless packed is NULL, item i's packed cell
    in row r goes to packed[i * rows + r] as bucket << 1 | negative-sign.
-   Returns 1 when a cell written ends the batch at |cell| >= limit (see
-   over61), else 0. Each block reads back the cells it wrote; a cell that
-   ends the batch there was there when the block of its last add read it,
-   so the batch is hashed again, to read every cell it wrote, only when
-   some block read one there: the whole batch is added before any cell is
-   judged. */
-ENTRY61 int scatter61(const uint64_t *coeffs, size_t rows, size_t t, const uint64_t *x,
-                      const int64_t *deltas, size_t n, int64_t *cells, size_t cols,
-                      int64_t limit, uint32_t *packed) {
-    int near = 0, over = 0;
+   It judges no cell: the caller bounds every cell before the batch (see
+   abs_sum_reaches). */
+ENTRY61 void scatter61(const uint64_t *coeffs, size_t rows, size_t t, const uint64_t *x,
+                       const int64_t *deltas, size_t n, int64_t *cells, size_t cols,
+                       uint32_t *packed) {
     for (size_t lo = 0; lo < n; lo += BLOCK61)
-        near |= block61(coeffs, rows, t, x, deltas, lo, n - lo < BLOCK61 ? n : lo + BLOCK61,
-                        cells, cols, limit, packed, 0);
-    for (size_t lo = 0; near && lo < n; lo += BLOCK61)
-        over |= block61(coeffs, rows, t, x, deltas, lo, n - lo < BLOCK61 ? n : lo + BLOCK61,
-                        cells, cols, limit, NULL, 1);
-    return over;
+        block61(coeffs, rows, t, x, deltas, lo, n - lo < BLOCK61 ? n : lo + BLOCK61, cells,
+                cols, packed);
 }
 
-/* 1 when |deltas[0]| + ... + |deltas[n-1]|, summed exactly, reaches
-   limit, at most 2^63, else 0; |INT64_MIN| counts as 2^63. The sum stops
-   at the first partial sum that reaches limit, so it never wraps. */
-ENTRY61 int abs_sum_reaches(const int64_t *deltas, size_t n, uint64_t limit) {
+/* The exact |deltas[0]| + ... + |deltas[n-1]| when it is below limit, at
+   most 2^63, else limit; |INT64_MIN| counts as 2^63. The sum stops at the
+   first partial sum that reaches limit, so it never wraps. */
+ENTRY61 uint64_t abs_sum_reaches(const int64_t *deltas, size_t n, uint64_t limit) {
     uint64_t sum = 0;
     for (size_t i = 0; i < n; i++) {
         const uint64_t d = (uint64_t)deltas[i];
         sum += (int64_t)d < 0 ? 0 - d : d;
         if (sum >= limit)
-            return 1;
+            return limit;
     }
-    return 0;
+    return sum;
 }
 
 /* Stable accumulators of a (cols, 3) float64 table: for every i < n in

@@ -153,9 +153,12 @@ def test_scatter_many_adds_what_update_many_adds_and_keeps_nothing(kernel, monke
     assert scattered.scatter_many(items, -deltas, packed=False) is None
     assert scattered.scatter_many(items[:0], deltas[:0], packed=False) is None
     assert not scattered.cells.any() and scattered.touched_nbytes() == 0
-    scattered.cells[:] = CELL_LIMIT - 1
-    with pytest.raises(SketchInvariantError, match="counter overflow"):
-        scattered.scatter_many(items[-1:], deltas[-1:], packed=False)
+    # the table took 34 of |delta|: a batch that takes that to 2**62 is
+    # refused before it writes
+    assert scattered._mass == 34
+    with pytest.raises(SketchInvariantError, match="would reach 2\\*\\*62"):
+        scattered.scatter_many(items[-1:], [CELL_LIMIT - 34], packed=False)
+    assert not scattered.cells.any() and scattered._mass == 34
 
 
 def test_top_k_single_item():
@@ -537,32 +540,35 @@ def test_bucket_and_sign_are_near_uniform_over_their_grid():
 @pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
 @pytest.mark.parametrize("cols", [1, 7, 4095, 2**20 - 3, 2**20 + 1])
 def test_kernel_scatter_matches_numpy_body_at_odd_and_wide_tables(cols):
-    # cells, touched items, packed cells and the overflow outcome, from cells
-    # at zero and from cells near the limit, where some adds cross it
+    # cells, touched items, packed cells and the outcomes, from cells at
+    # zero and from cells near the limit, with a running sum that leaves
+    # room for the first batch and not the second
     rng = np.random.default_rng(cols)
     items = rng.integers(1, 2**40, size=3000)
     deltas = rng.integers(-2**32, 2**32, size=3000)
     batches = [(items[:2000], deltas[:2000]), (items[1000:], deltas[1000:])]
-    for start in (0, CELL_LIMIT - 2**31):
+    for start in (0, CELL_LIMIT - 1 - int(np.abs(deltas[:2000]).sum())):
         kernel, numpy_body = run_paths(dict(rows=2, cols=cols, n=2**40, seed=cols), batches,
                                        start=start)
         assert kernel == numpy_body
-        assert ("overflow" in kernel[0]) == (start > 0)
+        assert kernel[0] == ["ok", "overflow" if start else "ok"]
 
 
 # -- fused C scatter against the numpy twin -----------------------------------
 
 
-def run_paths(table_args: dict, batches, start: int = 0) -> list:
+def run_paths(table_args: dict, batches, start: int = 0, mass: int | None = None) -> list:
     """Per path: each batch's outcome ("ok" or "overflow"), then the cells,
     touched items and their cached packed cells after all batches, from
-    cells all set to `start`."""
+    cells all set to `start` and a running sum of |delta| of `mass`, by
+    default |start|."""
     results = []
     for kernel in PATHS:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(hashing, "_kernel", kernel)
             t = make_table(**table_args)
             t.cells[:] = start
+            t._mass = abs(start) if mass is None else mass
             outcomes = []
             for items, deltas in batches:
                 try:
@@ -590,9 +596,9 @@ def test_kernel_scatter_matches_numpy_body(rows, cols, n, seed, data):
 @pytest.mark.skipif(hashing._kernel is None, reason="needs the C kernel")
 def test_kernel_scatter_across_block_boundaries_matches_numpy_body():
     # two blocks and a short third, with items repeated on both sides of
-    # each boundary: from cells at zero, random deltas; from cells near the
-    # limit, item 7 takes its cells past it just before the first boundary
-    # and back just after it (ok), and past it again in the next batch
+    # each boundary: from cells at zero, random deltas; from cells and a
+    # running sum 261 below the limit, a batch of 200 around the first
+    # boundary is taken, then a delta of 61 is refused and one of 60 taken
     block = hashing._SCATTER_BLOCK
     rng = np.random.default_rng(17)
     items = rng.integers(1, 60, size=2 * block + 5)
@@ -604,8 +610,9 @@ def test_kernel_scatter_across_block_boundaries_matches_numpy_body():
     assert (make_table(**table).packed_cells(np.array([7])) & 1 == 0).any()  # a + row
     deltas = np.zeros(items.size, dtype=np.int64)
     deltas[[block - 1, block + 1]] = 100, -100
-    kernel, numpy_body = run_paths(table, [(items, deltas), ([7], [61])], start=CELL_LIMIT - 60)
-    assert kernel == numpy_body and kernel[0] == ["ok", "overflow"]
+    kernel, numpy_body = run_paths(table, [(items, deltas), ([7], [61]), ([7], [60])],
+                                   start=CELL_LIMIT - 261)
+    assert kernel == numpy_body and kernel[0] == ["ok", "overflow", "ok"]
 
 
 @pytest.mark.parametrize("kernel", PATHS)
@@ -652,40 +659,76 @@ def test_first_batch_becomes_the_touched_items_whole(kernel, monkeypatch):
 
 @pytest.mark.parametrize("direction", [1, -1])
 def test_cell_reaching_exactly_the_limit_raises_on_both_paths(direction):
-    # item 3 brings one cell per row to +-(2**62 - 1) in two batches (each
-    # one's magnitude stays below 2**62 in float64), then one more unit
-    # takes every one of those cells to exactly +-2**62
+    # item 3 brings one cell per row to +-(2**62 - 1) in two batches, the
+    # second taken with the running sum of |delta| one below the limit;
+    # a third batch that takes that sum to exactly 2**62 is refused with
+    # nothing written, though item 5's cells would stay small
     half = CELL_LIMIT // 2
     batches = [([3], [direction * half]), ([3], [direction * (half - 1)]),
-               ([3], [direction])]
+               ([5, 3], [direction, 0])]
     results = run_paths(dict(rows=3, cols=7, n=20, seed=4), batches)
     assert results[0][0] == ["ok", "ok", "overflow"]
     assert all(r == results[0] for r in results)
     cells = np.frombuffer(results[0][1], dtype=np.int64)
-    assert (np.abs(cells) == CELL_LIMIT).sum() == 3
+    assert (np.abs(cells) == CELL_LIMIT - 1).sum() == 3 and np.count_nonzero(cells) == 3
+    assert np.frombuffer(results[0][2], dtype=np.int64).tolist() == [3]
 
 
 def test_excursion_above_the_limit_within_a_batch_does_not_raise():
-    # the second batch takes item 3's cells 10 above the limit, then 5 back
-    # below it: only the cells at the end of the batch are checked
+    # the bound counts every |delta| of a batch, so no add within a batch it
+    # takes can lift a cell to the limit: a batch that adds 20 to item 3 and
+    # takes 15 back is taken when the running sum ends 1 below 2**62, and
+    # refused with nothing written when it would end at 2**62, though item
+    # 3's cells would end 30 below it
     half = CELL_LIMIT // 2
-    batches = [([3], [half]), ([3], [half - 10]), ([3, 3], [20, -15])]
-    results = run_paths(dict(rows=3, cols=7, n=20, seed=4), batches)
-    assert results[0][0] == ["ok", "ok", "ok"]
-    assert all(r == results[0] for r in results)
-    cells = np.frombuffer(results[0][1], dtype=np.int64)
-    assert (np.abs(cells) == CELL_LIMIT - 5).sum() == 3
+    for room, outcome, end in ((36, "ok", CELL_LIMIT - 31), (35, "overflow", CELL_LIMIT - 35)):
+        batches = [([3], [half]), ([3], [half - room]), ([3, 3], [20, -15])]
+        results = run_paths(dict(rows=3, cols=7, n=20, seed=4), batches)
+        assert results[0][0] == ["ok", "ok", outcome]
+        assert all(r == results[0] for r in results)
+        cells = np.frombuffer(results[0][1], dtype=np.int64)
+        assert (np.abs(cells) == end).sum() == 3 and np.count_nonzero(cells) == 3
 
 
 def test_corrupt_cells_wrap_alike_on_both_paths():
-    # cells already past the limit (a batch raised earlier) wrap modulo
-    # 2**64 the same way on both paths
+    # cells set past the limit by hand, which the bound cannot see (it
+    # counts the |delta| of the batches a table took), take a batch and
+    # wrap modulo 2**64 the same way on both paths
     top = (1 << 63) - 1
     batches = [([3, 5], [4, -4]), ([3], [1])]
     for start in (top - 2, -top):
-        results = run_paths(dict(rows=3, cols=7, n=20, seed=4), batches, start=start)
+        results = run_paths(dict(rows=3, cols=7, n=20, seed=4), batches, start=start, mass=0)
         assert all(r == results[0] for r in results)
-        assert results[0][0][0] == "overflow"
+        assert results[0][0] == ["ok", "ok"]
+        cells = np.frombuffer(results[0][1], dtype=np.int64)
+        assert (np.sign(cells) == -np.sign(start)).any()  # some add wrapped
+
+
+@given(st.lists(st.lists(st.tuples(st.integers(1, 9),
+                                   st.one_of(st.integers(-2**61, 2**61), st.integers(-9, 9))),
+                         max_size=6), max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_every_cell_stays_within_the_running_sum_below_the_limit(batches):
+    # after any sequence of batches, each taken or refused whole on both
+    # paths, every |cell| is at most the table's running sum of |delta|,
+    # which stays below 2**62
+    for kernel in PATHS:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hashing, "_kernel", kernel)
+            t, mass = make_table(rows=3, cols=4, n=9), 0
+            for batch in batches:
+                items = np.array([i for i, _ in batch], dtype=np.int64)
+                deltas = np.array([d for _, d in batch], dtype=np.int64)
+                before, touched = t.cells.copy(), t.touched_items()
+                try:
+                    t.update_many(items, deltas)
+                    mass += sum(abs(d) for _, d in batch)
+                except SketchInvariantError:
+                    assert mass + sum(abs(d) for _, d in batch) >= CELL_LIMIT
+                    assert np.array_equal(t.cells, before)
+                    assert np.array_equal(t.touched_items(), touched)
+                assert t._mass == mass < CELL_LIMIT
+                assert int(np.abs(t.cells).max()) <= mass
 
 
 @pytest.mark.parametrize("kernel", PATHS)
@@ -786,23 +829,21 @@ def test_kernel_scatter_refuses_mismatched_arguments():
             m.setattr(hashing, "_kernel", kernel)
             t = make_table(rows=3, cols=7, n=20)
             with pytest.raises(ValueError):
-                hashing.scatter_signed(t.coeffs, np.array([1, 2]), np.array([1]), t.cells,
-                                       CELL_LIMIT, True)
+                hashing.scatter_signed(t.coeffs, np.array([1, 2]), np.array([1]), t.cells, True)
             with pytest.raises(ValueError):  # a polynomial missing for the last row
-                hashing.scatter_signed(t.coeffs[:-1], np.array([1]), np.array([1]), t.cells,
-                                       CELL_LIMIT, True)
+                hashing.scatter_signed(t.coeffs[:-1], np.array([1]), np.array([1]), t.cells, True)
             with pytest.raises(ValueError):  # polynomials with no coefficient to start from
                 hashing.scatter_signed(t.coeffs[:, :0], np.array([1]), np.array([1]), t.cells,
-                                       CELL_LIMIT, True)
+                                       True)
             with pytest.raises(ValueError):  # one polynomial, not a matrix of them
                 hashing.scatter_signed(t.coeffs[0], np.array([1]), np.array([1]),
-                                       np.zeros((1, 7), dtype=np.int64), CELL_LIMIT, True)
+                                       np.zeros((1, 7), dtype=np.int64), True)
             with pytest.raises(ValueError):  # a float table
                 hashing.scatter_signed(t.coeffs, np.array([1]), np.array([1]),
-                                       np.zeros((3, 7)), CELL_LIMIT, True)
+                                       np.zeros((3, 7)), True)
             with pytest.raises(ValueError):  # rows disagree with the coefficient matrix
                 hashing.scatter_signed(t.coeffs, np.array([1]), np.array([1]),
-                                       np.zeros((2, 7), dtype=np.int64), CELL_LIMIT, True)
+                                       np.zeros((2, 7), dtype=np.int64), True)
             assert not t.cells.any()
 
 

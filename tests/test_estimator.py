@@ -628,8 +628,8 @@ direct = st.lists(st.tuples(st.integers(1, 41), st.integers(-3, 3)), min_size=1,
 @settings(max_examples=40, deadline=None)
 def test_cached_cells_are_the_touched_items_hashed(kernel, ops):
     # any mix of update, update_many and flush, direct table calls with
-    # unsorted repeats, and batches the cell guard refuses after writing;
-    # item 41 nets to zero
+    # unsorted repeats, and batches the counter bound refuses before
+    # writing; item 41 nets to zero
     with pytest.MonkeyPatch.context() as m:
         m.setattr(hashing, "_kernel", kernel)
         est = build(n=41, seed=34)
@@ -647,10 +647,11 @@ def test_cached_cells_are_the_touched_items_hashed(kernel, ops):
                 est.flush()
                 table = est.heavy_hitters
                 before, saved = table.touched_items(), table.cells.copy()
-                table.cells[:] = CELL_LIMIT  # every cell a zero delta writes is over
+                # a batch that takes the running sum of |delta| to 2**62
                 with pytest.raises(SketchInvariantError):
-                    table.update_many(np.array([op[1], 1]), np.array([0, 0]))
-                table.cells[:] = saved
+                    table.update_many(np.array([op[1], 1]),
+                                      np.array([CELL_LIMIT - table._mass, 0]))
+                assert np.array_equal(table.cells, saved)
                 assert np.array_equal(table.touched_items(), before)
             else:
                 est.update(*op)
@@ -706,6 +707,44 @@ def test_overflow_guard_runs_before_aggregation_scalar():
     with pytest.raises(SketchInvariantError):
         est.estimate()
     assert not est.countsketch.cells.any() and not est.table.cells.any()
+
+
+def sketch_state(est) -> list:
+    """The `updates` diagnostic, after a flush, then the three cell tables,
+    the touched items and their packed cells."""
+    updates, hh = est.estimate().diagnostics["updates"], est.heavy_hitters
+    return [updates, hh.touched_items().tobytes(), hh.touched_cells().tobytes()] + [
+        t.cells.tobytes() for t in (est.table, est.countsketch, hh)]
+
+
+def change_an_item(est):
+    items = np.array([1, 2, 3])
+    est.update_many(items, np.array([5, 7, 1]))
+    items[0] = 0
+
+
+@pytest.mark.parametrize("kernel", PATHS)
+@pytest.mark.parametrize("first, refused, error, match", [
+    # four deltas of 2**62 to one item, whose sum wraps to 0
+    ([(1, 3), (2, -4)], lambda est: est.update_many([1, 1, 1, 1, 2], [1 << 62] * 4 + [5]),
+     SketchInvariantError, "batch magnitude"),
+    # a running sum one below 2**62, and small cells for item 5
+    ([(3, CELL_LIMIT - 1)], lambda est: (est.update(3, 1), est.update(5, 7)),
+     SketchInvariantError, "would reach 2\\*\\*62"),
+    ([(1, 3), (2, -4)], change_an_item, ValueError, "^item 0 outside domain"),
+    ([(1, 3), (2, -4)], lambda est: (est.update(4, 2.7), est.update(2, 5)), ValueError, "deltas"),
+], ids=["raw guard", "running bound", "changed item", "non-integer delta"])
+def test_a_refused_flush_changes_nothing(kernel, first, refused, error, match, monkeypatch):
+    # every refusal of a flush comes before the first cell is written
+    monkeypatch.setattr(hashing, "_kernel", kernel)
+    est = build(n=10, seed=44)
+    for record in first:
+        est.update(*record)
+    before = sketch_state(est)
+    refused(est)
+    with pytest.raises(error, match=match):
+        est.flush()
+    assert sketch_state(est) == before
 
 
 def test_update_many_rejects_non_integer_input():
@@ -882,23 +921,21 @@ def test_estimate_hashes_each_item_once_per_table(monkeypatch):
         return original(coeffs, range_size, items)
 
     # every hash of a read goes through `horner_rows`, a stable bucket hash
-    # by `KWiseHash.eval_many` and an isolation row straight off the matrix
+    # by `KWiseHash.eval_many` and the isolation table's packed cells by
+    # `CountSketchTable.packed_cells`
     monkeypatch.setattr(hashing, "horner_rows", counting)
     report = est.estimate()
     # the heavy-hitter table reads its touched items' cells from the cache
     # ingest filled; isolation and the stable buckets hash only the heavy
-    # set, each isolation row at most once for bucket and sign together
+    # set, once each, the isolation table every row at once for bucket and
+    # sign together
     assert report.heavy_count > 0
     heavy = est.classify().heavy_items
     assert all(np.array_equal(items, heavy) for _, _, items in calls)
     bucket = (np.array([est.table.bucket_hash.coefficients], dtype=np.uint64).tobytes(),
               est.config.width)
-    assert sum((c, r) == bucket for c, r, _ in calls) == 1
-    cs = est.countsketch
-    row_bytes = [cs.coeffs[j:j + 1].tobytes() for j in range(cs.rows)]
-    rows = [row_bytes.index(c) for c, r, _ in calls if (c, r) != bucket]
-    assert all(r == 2 * cs.cols for c, r, _ in calls if (c, r) != bucket)
-    assert rows and rows == list(range(len(rows)))
+    isolation = (est.countsketch.coeffs.tobytes(), 2 * est.countsketch.cols)
+    assert sorted((c, r) for c, r, _ in calls) == sorted([bucket, isolation])
 
 
 def test_numpy_path_gives_identical_answers(monkeypatch):

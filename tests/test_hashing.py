@@ -304,7 +304,7 @@ def test_every_entry_point_refuses_a_coefficient_outside_the_field(bad, monkeypa
         with pytest.raises(ValueError, match="coefficients below 2\\*\\*61 - 1"):
             hashing.horner_rows(coeffs, 1000, items)
         with pytest.raises(ValueError, match="coefficients below 2\\*\\*61 - 1"):
-            hashing.scatter_signed(coeffs, items, deltas, cells, 1 << 62, True)
+            hashing.scatter_signed(coeffs, items, deltas, cells, True)
         with pytest.raises(ValueError, match="coefficients below 2\\*\\*61 - 1"):
             KWiseHash(coeffs[0], range_size=1000)
         with pytest.raises(ValueError, match="coefficients below 2\\*\\*61 - 1"):
@@ -428,12 +428,13 @@ def test_kernel_whose_reads_or_skim_disagree_is_refused(old, new, tmp_path, monk
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a C compiler")
 @pytest.mark.parametrize("old, new", [
-    ("    return over;\n}", "    return near;\n}"),            # trusts the first read-back
-    ("near && lo < n", "0 && lo < n"),                          # never rereads
     ("deltas[lo + i] ^ sign", "deltas[i] ^ sign"),              # reuses block 0's deltas
     ("packed[(lo + i) * rows + r]", "packed[i * rows + r]"),    # packs every block at 0
-    ("        if (sum >= limit)", "        if (sum > limit)"),  # passes a sum of 2**62
+    ("        if (sum >= limit)", "        if (sum > limit)"),  # wraps past a sum of 2**63
     ("sum += (int64_t)d < 0 ? 0 - d : d;", "sum += d;"),        # sums deltas, not |delta|
+    ("            return limit;", "            return sum;"),   # returns a sum past the cap
+    ("i < n; i++) {\n        const uint64_t d",
+     "i + 1 < n; i++) {\n        const uint64_t d"),  # skips the last |delta|
     ("for (size_t i = 0; i < n; i++) {\n        const uint64_t b",
      "for (size_t i = n; i-- > 0;) {\n        const uint64_t b"),  # adds in reverse
     ("+= d * variates[3 * i + s];", "+= (double)(float)(d * variates[3 * i + s]);"),
@@ -442,8 +443,8 @@ def test_kernel_whose_reads_or_skim_disagree_is_refused(old, new, tmp_path, monk
 ])
 def test_kernel_whose_blocked_scatter_guard_or_stable_add_disagrees_is_refused(
         old, new, tmp_path, monkeypatch):
-    # the spot check scatters across a block boundary from cells near the
-    # limit, sums |delta| at 2**62 exactly, and adds where order rounds
+    # the spot check scatters across a block boundary, sums |delta| to
+    # each side of its cap, and adds where order rounds
     check_mutant_refused(old, new, tmp_path, monkeypatch)
 
 
@@ -498,8 +499,7 @@ def test_kernel_built_without_the_cpu_check_loads_and_agrees(tmp_path, monkeypat
     for kernel in (hashing._kernel, scalar):
         monkeypatch.setattr(hashing, "_kernel", kernel)
         cells = np.zeros((5, 4096), dtype=np.int64)
-        _, packed = hashing.scatter_signed(coeffs, items, np.arange(1001) - 500, cells, 1 << 62,
-                                           True)
+        packed = hashing.scatter_signed(coeffs, items, np.arange(1001) - 500, cells, True)
         medians = [hashing.signed_medians(packed[:, :rows], cells[:rows]) for rows in (4, 5)]
         outputs.append([hashing.horner_rows(coeffs, m, items).tobytes()
                         for m in (1, 8192, 11392, 1 << 52, 2**40, MERSENNE61)]
@@ -520,8 +520,7 @@ def test_kernel_matches_numpy_across_vector_groups(n, monkeypatch):
     for kernel in PATHS:
         monkeypatch.setattr(hashing, "_kernel", kernel)
         cells = np.zeros((4, 1000), dtype=np.int64)
-        _, packed = hashing.scatter_signed(coeffs, items, np.ones(n, dtype=np.int64), cells,
-                                           1 << 62, True)
+        packed = hashing.scatter_signed(coeffs, items, np.ones(n, dtype=np.int64), cells, True)
         outputs.append([hashing.horner_rows(coeffs, m, items).tobytes()
                         for m in (4096, 11392, 1 << 52, MERSENNE61, 3)]
                        + [cells.tobytes(), packed.tobytes()])
